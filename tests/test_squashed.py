@@ -28,8 +28,16 @@ from privsq import (
     squashing_value,
     total_correlation,
 )
-from privsq.private_states import PrivateStateSpec, approx_private_state
-from privsq.squashed import ansatz_param_count
+from privsq.private_states import PrivateStateSpec, approx_private_state, private_state
+from privsq.squashed import (
+    _expi_divided_differences,
+    _info_terms,
+    _isometry_from_params,
+    _squashing_value_and_grad,
+    ansatz_param_count,
+)
+from privsq.tensor import purification_matrix
+from scipy.linalg import expm, expm_frechet
 
 import itertools
 from math import log2, sqrt
@@ -134,6 +142,152 @@ def test_optimizer_objective_agrees_with_squashing_value():
 
 
 # ---------------------------------------------------------------------------
+# exact gradient of the squashing objective
+# ---------------------------------------------------------------------------
+
+def squashing_objective(rho, groups, flavor, d_env, d_sink, d_purify):
+    """The optimizer's value-and-gradient kernel for ``rho`` and ``groups``."""
+    psi = purification_matrix(rho.matrix, d_ref=d_purify)
+    axes = [tuple(p + 2 for p in rho.layout.positions(g)) for g in groups]
+    shape = (d_env, d_sink) + rho.layout.dims
+    terms = _info_terms(axes, (0,), flavor)
+    return lambda x: _squashing_value_and_grad(x, psi, shape, terms)
+
+
+def central_differences(f, x, h=1e-6):
+    steps = np.eye(x.size) * h
+    return np.array([(f(x + e)[0] - f(x - e)[0]) / (2 * h) for e in steps])
+
+
+def hermitian_params(h):
+    n = h.shape[0]
+    iu = np.triu_indices(n, 1)
+    return np.concatenate((h.diagonal().real, h[iu].real, h[iu].imag))
+
+
+GRADIENT_CASES = [
+    # (state, groups, d_env, d_sink, d_purify)
+    (random_density(SystemLayout([("A", 2), ("B", 2)]), 4, seed=3), ["A", "B"], 2, 2, 4),
+    (random_density(SystemLayout([("A", 2), ("B", 2)]), 3, seed=4), ["A", "B"], 3, 2, 3),
+    (random_density(SystemLayout([("A", 2), ("B", 2), ("C", 2)]), 3, seed=5),
+     ["A", "B", "C"], 2, 2, 3),
+    (random_density(SystemLayout([("A", 2), ("B", 2), ("C", 2)]), 2, seed=6),
+     [("A", "B"), "C"], 2, 3, 4),
+    # rank 2 padded to d_purify = 3 < n = 10: the env marginal has rank at
+    # most d_sink * 2 = 4 < d_env = 5, so its Gram matrix carries a clipped
+    # eigenvalue
+    (random_density(SystemLayout([("A", 2), ("B", 2)]), 2, seed=7), ["A", "B"], 5, 2, 3),
+]
+
+
+@pytest.mark.parametrize("flavor", ["total", "dual"])
+@pytest.mark.parametrize("case", range(len(GRADIENT_CASES)))
+def test_exact_gradient_matches_central_differences(case, flavor):
+    rho, groups, d_env, d_sink, d_purify = GRADIENT_CASES[case]
+    f = squashing_objective(rho, groups, flavor, d_env, d_sink, d_purify)
+    rng = np.random.Generator(np.random.PCG64(100 + case))
+    for _ in range(2):
+        x = 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink))
+        value, grad = f(x)
+        ans = SquashingAnsatz(d_purify, d_env, d_sink, x)
+        assert abs(value - squashing_value(rho, groups, ans, flavor)) < 1e-12
+        fd = central_differences(f, x)
+        assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+        # no dead coordinates: every parameter moves the objective
+        assert np.abs(grad).min() > 0
+
+
+def test_exact_gradient_at_degenerate_generator():
+    # params = 0: H = 0, every eigenvalue pair is degenerate
+    rho, groups, d_env, d_sink, d_purify = GRADIENT_CASES[0]
+    for flavor in ("total", "dual"):
+        f = squashing_objective(rho, groups, flavor, d_env, d_sink, d_purify)
+        x = np.zeros(ansatz_param_count(d_env, d_sink))
+        _, grad = f(x)
+        fd = central_differences(f, x)
+        assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_exact_gradient_vanishes_on_pure_input():
+    # a rank-one state padded to d_purify = 3 < n = 6: extensions are product
+    # with the environment, the objective is constant, marginals of the
+    # environment (3 x 3, rank 2) are clipped, and the gradient is zero
+    f = squashing_objective(max_entangled(2), ["A", "B"], "total", 3, 2, 3)
+    x = 0.5 * np.random.Generator(np.random.PCG64(9)).standard_normal(36)
+    value, grad = f(x)
+    assert abs(value - 1.0) < 1e-12
+    assert np.abs(grad).max() < 1e-12
+    assert np.abs(central_differences(f, x)).max() < 1e-7
+
+
+def test_daleckii_krein_matches_expm_frechet():
+    rng = np.random.Generator(np.random.PCG64(11))
+    for n in (1, 3, 6):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        direction = e + e.conj().T
+        # generic, all-degenerate, and exactly and nearly degenerate pairs
+        pairs = np.diag(np.tile([0.3, -1.2, 0.3 + 1e-9], n)[:n])
+        for h in (g + g.conj().T, np.zeros((n, n)), pairs):
+            w, q = np.linalg.eigh(h)
+            got = q @ (_expi_divided_differences(w) * (q.conj().T @ direction @ q)) @ q.conj().T
+            want = expm_frechet(1j * h, 1j * direction, compute_expm=False)
+            assert np.abs(got - want).max() < 1e-12
+
+
+def test_isometry_is_leading_columns_of_exp_ih():
+    rng = np.random.Generator(np.random.PCG64(12))
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    h = g + g.conj().T
+    v = _isometry_from_params(hermitian_params(h), 3, 2, 4)
+    assert np.abs(v - expm(1j * h)[:, :4]).max() < 1e-12
+    assert ansatz_param_count(3, 2) == 36
+
+
+def test_full_iteration_budget_is_not_cut_by_evaluation_cap():
+    # with finite differences every max_iters=500 restart at (4, 4) stopped
+    # on scipy's evaluation cap at iteration 29
+    spec = random_private_spec(2, (2, 2), seed=61)
+    omega, _ = approx_private_state(spec, 0.05, seed=62)
+    rep = squashed_upper(omega, (spec.key_labels[0], spec.shield_labels[0]),
+                         (spec.key_labels[1], spec.shield_labels[1]), d_env=4, d_sink=4,
+                         cfg=OptimizerConfig(restarts=2, max_iters=500, seed=1))
+    for r in rep.restarts:
+        assert "EVALUATIONS EXCEEDS LIMIT" not in r.message
+        assert r.converged or r.iterations == 500
+        assert r.njev == r.nfev < 15000
+    row = rep.to_dict()["restarts"][0]
+    assert (row["nfev"], row["njev"], row["message"]) == (
+        rep.restarts[0].nfev, rep.restarts[0].njev, rep.restarts[0].message)
+
+
+def test_channel_search_purifies_once_per_descent(monkeypatch):
+    # the input is fixed during a descent over ansaetze, so its output state
+    # is purified once per descent; the finite-difference ascent over inputs
+    # purifies once per evaluation
+    import privsq.squashed as sq
+
+    purified, descents, ascent_evals = [], [], []
+
+    def counted_purification(*args, **kwargs):
+        purified.append(1)
+        return purification_matrix(*args, **kwargs)
+
+    def counted_minimize(fun, x0, jac=None, **kwargs):
+        res = sq_minimize(fun, x0, jac=jac, **kwargs)
+        (descents if jac else ascent_evals).append(1 if jac else int(res.nfev))
+        return res
+
+    sq_minimize = sq.minimize
+    monkeypatch.setattr(sq, "purification_matrix", counted_purification)
+    monkeypatch.setattr(sq, "minimize", counted_minimize)
+    channel_squashed_upper(identity_channel(), d_env=2, d_sink=2,
+                           cfg=OptimizerConfig(restarts=2, max_iters=30, seed=3), rounds=2)
+    assert len(descents) == 2 * (2 + 3)
+    assert len(purified) == len(descents) + sum(ascent_evals)
+
+
+# ---------------------------------------------------------------------------
 # anchors
 # ---------------------------------------------------------------------------
 
@@ -210,6 +364,18 @@ def test_every_ansatz_gives_sound_bound():
         assert v > -1e-9
         ext = extend_by_squashing(rho, ans)
         assert np.abs(partial_trace(ext, ("A", "B")).matrix - rho.matrix).max() < 1e-9
+
+
+def test_exact_private_states_bound_at_least_log_key():
+    # the source paper: Esq of a private state with key dimension K is at
+    # least log2 K, so no variational value may fall below 1 bit at K = 2
+    for seed in (0, 1, 2, 3):
+        spec = random_private_spec(2, (2, 2), seed=seed)
+        gamma = private_state(spec)
+        rep = squashed_upper(gamma, (spec.key_labels[0], spec.shield_labels[0]),
+                             (spec.key_labels[1], spec.shield_labels[1]),
+                             cfg=OptimizerConfig(restarts=2, seed=seed))
+        assert all(r.value >= 1.0 - 1e-9 for r in rep.restarts)
 
 
 def test_subadditivity_direction_with_product_ansatz():
