@@ -141,7 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     kind = bnd.add_mutually_exclusive_group(required=True)
     kind.add_argument("--thm1", action="store_true", help="key-length bound for approximate private states")
     kind.add_argument("--rate", action="store_true", help="finite-round key-rate bound")
-    kind.add_argument("--channel-rate", action="store_true", help="same arithmetic applied to a channel quantity")
     bnd.add_argument("--esq", type=float, required=True, help="squashed-entanglement value")
     bnd.add_argument("--eps", type=float, required=True)
     bnd.add_argument("--k", type=int, default=2, help="key dimension (thm1)")
@@ -350,10 +349,9 @@ def _cmd_bound(args) -> int:
             }
         )
     else:
-        kind = "rate" if args.rate else "channel-rate"
         rhs = key_rate_bound(args.esq, args.eps, args.n)
-        print(f"rhs = {rhs:.12g}  ({kind} bound, n = {args.n})")
-        report.update({"kind": kind, "n": args.n, "rhs": rhs})
+        print(f"rhs = {rhs:.12g}  (rate bound, n = {args.n})")
+        report.update({"kind": "rate", "n": args.n, "rhs": rhs})
     if args.out:
         write_report(args.out, report)
     return 0

@@ -9,11 +9,16 @@ Outputs are raw reals: tiny negative residuals from floating point are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import log2
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .layout import LayoutError, SystemLayout, as_labels
 from .tensor import DensityOperator, entropy_bits, reduce_matrix
+
+FLAVOR_TOTAL = "total"
+FLAVOR_DUAL = "dual"
+_FLAVORS = (FLAVOR_TOTAL, FLAVOR_DUAL)
 
 
 @dataclass(frozen=True)
@@ -27,12 +32,7 @@ class Partition:
         names = [name for name, _ in norm]
         if len(set(names)) != len(names):
             raise LayoutError(f"duplicate group names in {names}")
-        seen: set[str] = set()
-        for name, labels in norm:
-            for lbl in labels:
-                if lbl in seen:
-                    raise LayoutError(f"label {lbl!r} appears in more than one group")
-                seen.add(lbl)
+        _disjoint(*(labels for _, labels in norm))
         object.__setattr__(self, "groups", norm)
 
     @property
@@ -67,6 +67,41 @@ def _disjoint(*groups: tuple[str, ...]) -> None:
             seen.add(lbl)
 
 
+Terms = list[tuple[int, tuple]]
+
+
+def info_terms(groups: Sequence[tuple], cond: tuple, flavor: str) -> Terms:
+    """Conditional total or dual total correlation of ``m >= 2`` groups
+    given ``cond`` as ``(coefficient, members)`` pairs: the information is
+    the sum of ``coefficient * H(members)``.  Members are whatever names
+    the entropy oracle takes (labels, or tensor axes).
+
+    * total: ``sum_i H(A_i|E) - H(A_1...A_m|E)``
+    * dual:  ``H(A_1...A_m|E) - sum_i H(A_i | A_{[m] minus i} E)``
+    """
+    if flavor not in _FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}; have {_FLAVORS}")
+    k = len(groups)
+    if k < 2:
+        raise ValueError("need at least two groups")
+    every = cond + tuple(p for g in groups for p in g)
+    if flavor == FLAVOR_TOTAL:
+        return [(1 - k, cond), (-1, every)] + [(1, cond + g) for g in groups]
+    rests = [tuple(p for j, g in enumerate(groups) if j != i for p in g) for i in range(k)]
+    return [(1 - k, every), (-1, cond)] + [(1, cond + r) for r in rests]
+
+
+def _information(entropy_of: Callable[[tuple], float], terms: Terms) -> float:
+    """``sum c * entropy_of(members)`` over ``terms``, with equal member
+    sets merged first: sets whose coefficients cancel, and the empty set,
+    are never evaluated.  ``entropy_of`` receives the members sorted."""
+    merged: dict[tuple, int] = {}
+    for c, members in terms:
+        key = tuple(sorted(members))
+        merged[key] = merged.get(key, 0) + c
+    return sum((c * entropy_of(key) for key, c in merged.items() if c and key), 0.0)
+
+
 def vn_entropy(rho: DensityOperator) -> float:
     """Von Neumann entropy in bits, ``-sum(lam * log2(lam))`` over the
     clipped eigenvalues."""
@@ -81,7 +116,7 @@ def cond_entropy(
     """Conditional entropy ``H(A|B) = H(AB) - H(B)``; may be negative."""
     a, b = as_labels(group), as_labels(cond)
     _disjoint(a, b)
-    return _group_entropy(rho, a + b) - _group_entropy(rho, b)
+    return _information(partial(_group_entropy, rho), [(1, a + b), (-1, b)])
 
 
 def cond_mutual_info(
@@ -94,14 +129,20 @@ def cond_mutual_info(
     ``I(A;B|E) = H(AE) + H(BE) - H(E) - H(ABE)``, non-negative up to
     numerical slack.  An empty ``cond`` gives the plain mutual information.
     """
-    a, b, e = as_labels(group_a), as_labels(group_b), as_labels(cond)
-    _disjoint(a, b, e)
-    return (
-        _group_entropy(rho, a + e)
-        + _group_entropy(rho, b + e)
-        - _group_entropy(rho, e)
-        - _group_entropy(rho, a + b + e)
-    )
+    return total_correlation(rho, [group_a, group_b], cond)
+
+
+def _correlation(
+    rho: DensityOperator,
+    groups: Sequence[Iterable[str] | str],
+    cond: str | Iterable[str],
+    flavor: str,
+) -> float:
+    gs = [as_labels(g) for g in groups]
+    e = as_labels(cond)
+    terms = info_terms(gs, e, flavor)
+    _disjoint(*gs, e)
+    return _information(partial(_group_entropy, rho), terms)
 
 
 def total_correlation(
@@ -114,17 +155,7 @@ def total_correlation(
 
     For two groups this coincides with :func:`cond_mutual_info`.
     """
-    gs = [as_labels(g) for g in groups]
-    if len(gs) < 2:
-        raise ValueError("need at least two groups")
-    e = as_labels(cond)
-    _disjoint(*gs, e)
-    he = _group_entropy(rho, e)
-    every = tuple(lbl for g in gs for lbl in g)
-    out = -(_group_entropy(rho, every + e) - he)
-    for g in gs:
-        out += _group_entropy(rho, g + e) - he
-    return out
+    return _correlation(rho, groups, cond, FLAVOR_TOTAL)
 
 
 def dual_total_correlation(
@@ -137,19 +168,7 @@ def dual_total_correlation(
 
     For two groups this also reduces to :func:`cond_mutual_info`.
     """
-    gs = [as_labels(g) for g in groups]
-    if len(gs) < 2:
-        raise ValueError("need at least two groups")
-    e = as_labels(cond)
-    _disjoint(*gs, e)
-    he = _group_entropy(rho, e)
-    every = tuple(lbl for g in gs for lbl in g)
-    h_all = _group_entropy(rho, every + e)
-    out = h_all - he
-    for i, g in enumerate(gs):
-        rest = tuple(lbl for j, other in enumerate(gs) if j != i for lbl in other)
-        out -= h_all - _group_entropy(rho, rest + e)
-    return out
+    return _correlation(rho, groups, cond, FLAVOR_DUAL)
 
 
 def binary_entropy(x: float) -> float:
@@ -241,10 +260,13 @@ __all__ = [
     "cond_mutual_info",
     "total_correlation",
     "dual_total_correlation",
+    "info_terms",
     "binary_entropy",
     "ContinuityParams",
     "continuity_bound",
     "DEFAULT_MULTI_CONSTANTS",
+    "FLAVOR_TOTAL",
+    "FLAVOR_DUAL",
     "KIND_COND_ENTROPY",
     "KIND_COND_MUTUAL_INFO",
     "KIND_KEY_BIPARTITE",

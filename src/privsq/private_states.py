@@ -23,6 +23,7 @@ from .metric import fidelity, trace_distance
 from .tensor import (
     DensityOperator,
     dephase,
+    haar_unitary,
     kron,
     partial_trace,
     purify,
@@ -185,10 +186,17 @@ def private_state(spec: PrivateStateSpec) -> DensityOperator:
             "spec's shield state carries extension systems "
             f"{spec.extension_labels}; use private_state_extension"
         )
+    return _twisted(spec, spec.shield_state)
+
+
+def _twisted(spec: PrivateStateSpec, sigma: DensityOperator) -> DensityOperator:
+    """``U (Phi (x) sigma) U^dag``, ``U`` acting as identity on the systems
+    of ``sigma`` past the shields.  Only the twisted result is validated."""
     phi = ghz_state(spec.key_dim, spec.parties, spec.key_labels)
-    base = kron(phi, spec.shield_state)
-    u = twisting_unitary(spec)
-    return DensityOperator(u @ base.matrix @ u.conj().T, base.layout)
+    d_ext = prod(sigma.layout.dims[spec.parties:])
+    u = np.kron(twisting_unitary(spec), np.eye(d_ext))
+    mat = u @ np.kron(phi.matrix, sigma.matrix) @ u.conj().T
+    return DensityOperator(mat, phi.layout.concat(sigma.layout))
 
 
 def private_state_extension(
@@ -220,11 +228,7 @@ def private_state_extension(
             raise ValueError(
                 f"marginal mismatch: extension's shield marginal deviates by {dev:.3e}"
             )
-    phi = ghz_state(spec.key_dim, spec.parties, spec.key_labels)
-    base = kron(phi, sigma_ext)
-    d_ext = prod(sigma_ext.layout.dims[m:])
-    u = np.kron(twisting_unitary(spec), np.eye(d_ext))
-    return DensityOperator(u @ base.matrix @ u.conj().T, base.layout)
+    return _twisted(spec, sigma_ext)
 
 
 def _deviation_of_purification(
@@ -292,22 +296,6 @@ def approx_private_state(
 # seeded generators for specs and extensions
 # ---------------------------------------------------------------------------
 
-def _haar_from(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(g)
-    diag = np.diag(r).copy()
-    diag[np.abs(diag) < 1e-300] = 1.0
-    return q * (diag / np.abs(diag))
-
-
-def _ginibre_density(rng: np.random.Generator, layout: SystemLayout, rank: int) -> DensityOperator:
-    d = layout.total_dim
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    mat = g @ g.conj().T
-    mat /= mat.trace().real
-    return DensityOperator(mat, layout)
-
-
 def random_private_spec(
     key_dim: int,
     shield_dims: Sequence[int],
@@ -326,17 +314,16 @@ def random_private_spec(
     shield_dims = tuple(int(d) for d in shield_dims)
     parties = len(shield_dims)
     d_sh = prod(shield_dims)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     controls = {
-        idx: _haar_from(rng, d_sh)
+        idx: haar_unitary(d_sh, rng)
         for idx in itertools.product(range(key_dim), repeat=parties)
     }
     layout = SystemLayout(zip(default_shield_labels(parties), shield_dims))
     if ext_dim is not None:
         layout = layout.concat(SystemLayout(((ext_label, int(ext_dim)),)))
-    d = layout.total_dim
-    rank = sigma_rank if sigma_rank is not None else d
-    sigma = _ginibre_density(rng, layout, rank)
+    rank = sigma_rank if sigma_rank is not None else layout.total_dim
+    sigma = random_density(layout, rank, rng)
     return PrivateStateSpec(key_dim, shield_dims, sigma, controls)
 
 

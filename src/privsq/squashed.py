@@ -17,7 +17,7 @@ amplitudes and through ``exp(iH)`` with the Daleckii-Krein formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import log, log2, prod, sqrt
 from typing import Iterable, Sequence
 
@@ -27,27 +27,20 @@ from scipy.optimize import minimize
 from .entropy import (
     ContinuityParams,
     DEFAULT_MULTI_CONSTANTS,
+    FLAVOR_DUAL,
+    FLAVOR_TOTAL,
     KIND_KEY_BIPARTITE,
     KIND_KEY_MULTI_DUAL,
     KIND_KEY_MULTI_TOTAL,
+    _disjoint,
+    _group_entropy,
+    _information,
     binary_entropy,
-    cond_entropy,
-    cond_mutual_info,
     continuity_bound,
 )
-from .layout import LayoutError, SystemLayout, as_labels
-from .tensor import (
-    EIG_CLIP,
-    DensityOperator,
-    Isometry,
-    entropy_bits,
-    purification_matrix,
-    reduce_matrix,
-)
-
-FLAVOR_TOTAL = "total"
-FLAVOR_DUAL = "dual"
-_FLAVORS = (FLAVOR_TOTAL, FLAVOR_DUAL)
+from .entropy import info_terms as _info_terms
+from .layout import LayoutError, SystemLayout, as_labels, fresh_label
+from .tensor import EIG_CLIP, DensityOperator, Isometry, entropy_bits, purification_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -187,24 +180,6 @@ def _extension_matrix(psi: np.ndarray, v: np.ndarray, d_env: int, d_sink: int) -
     return np.einsum("efs,gft->esgt", t, t.conj()).reshape(d, d)
 
 
-def _info_terms(
-    groups: Sequence[tuple[int, ...]], env: tuple[int, ...], flavor: str
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Conditional total or dual total correlation of ``groups`` given
-    ``env`` as ``(coefficient, subsystems)`` pairs: the information is the
-    sum of ``coefficient * H(subsystems)``.
-
-    * total: ``sum_g H(g|E) - H(all|E)``
-    * dual:  ``H(all|E) - sum_i H(g_i | other groups, E)``
-    """
-    k = len(groups)
-    every = env + tuple(p for g in groups for p in g)
-    if flavor == FLAVOR_TOTAL:
-        return [(1 - k, env), (-1, every)] + [(1, env + g) for g in groups]
-    rests = [tuple(p for j, g in enumerate(groups) if j != i for p in g) for i in range(k)]
-    return [(1 - k, every), (-1, env)] + [(1, env + r) for r in rests]
-
-
 def _matricize(t: np.ndarray, axes_keep: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
     rest = tuple(a for a in range(t.ndim) if a not in axes_keep)
     perm = axes_keep + rest
@@ -242,12 +217,6 @@ def _pure_marginal_entropy_grad(
     return float(-(w @ log_w)), grad.reshape(shape).transpose(np.argsort(perm))
 
 
-def _pure_info(t: np.ndarray, terms: Sequence[tuple[int, tuple[int, ...]]]) -> float:
-    """Information given by ``terms`` (see ``_info_terms``) on the pure
-    amplitude tensor ``t``; every entropy uses the cheaper side."""
-    return sum(c * _pure_marginal_entropy(t, axes) for c, axes in terms)
-
-
 def _squashing_value_and_grad(
     params: np.ndarray,
     psi: np.ndarray,
@@ -281,21 +250,6 @@ def _squashing_value_and_grad(
     return 0.5 * value, 0.5 * _params_grad(gamma)
 
 
-def _info_of_extension(
-    mat: np.ndarray,
-    dims: Sequence[int],
-    groups: Sequence[tuple[int, ...]],
-    env: tuple[int, ...],
-    flavor: str,
-) -> float:
-    """Conditional total or dual total correlation on a raw extension matrix,
-    with groups given as position tuples."""
-    return sum(
-        c * entropy_bits(reduce_matrix(mat, dims, pos))
-        for c, pos in _info_terms(groups, env, flavor)
-    )
-
-
 def squashing_value(
     rho: DensityOperator,
     groups: Sequence[Iterable[str] | str],
@@ -304,27 +258,33 @@ def squashing_value(
 ) -> float:
     """Half the conditional information of the squashed extension at a fixed
     ansatz: an upper bound on the corresponding squashed entanglement."""
-    if flavor not in _FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; have {_FLAVORS}")
-    gpos = [tuple(p + 1 for p in rho.layout.positions(g)) for g in groups]
     _check_groups_cover(rho, groups)
-    psi = purification_matrix(rho.matrix, d_ref=ansatz.d_purify)
-    mat = _extension_matrix(psi, ansatz.isometry_matrix(), ansatz.d_env, ansatz.d_sink)
-    dims = (ansatz.d_env,) + rho.layout.dims
-    return 0.5 * _info_of_extension(mat, dims, gpos, (0,), flavor)
+    env = fresh_label(rho.layout.labels, "E")
+    terms = _info_terms([as_labels(g) for g in groups], (env,), flavor)
+    ext = extend_by_squashing(rho, ansatz, env)
+    return 0.5 * _information(partial(_group_entropy, ext), terms)
 
 
 def _check_groups_cover(rho: DensityOperator, groups: Sequence[Iterable[str] | str]) -> None:
-    seen: set[str] = set()
-    for g in groups:
-        for lbl in as_labels(g):
-            if lbl in seen:
-                raise LayoutError(f"groups overlap on label {lbl!r}")
-            seen.add(lbl)
+    labels = [as_labels(g) for g in groups]
+    _disjoint(*labels)
+    seen = {lbl for g in labels for lbl in g}
     if seen != set(rho.layout.labels):
         raise LayoutError(
             f"groups {sorted(seen)} must cover all systems {sorted(rho.layout.labels)}"
         )
+
+
+def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tuple[int, int]:
+    """``(d_env, d_sink)``, each defaulting to ``d_purify``; refuses dims whose
+    product cannot carry the purifying dimension."""
+    d_env = int(d_env) if d_env is not None else d_purify
+    d_sink = int(d_sink) if d_sink is not None else d_purify
+    if d_env * d_sink < d_purify:
+        raise ValueError(
+            f"extension dims {d_env}x{d_sink} cannot carry the purifying dimension {d_purify}"
+        )
+    return d_env, d_sink
 
 
 # ---------------------------------------------------------------------------
@@ -443,26 +403,15 @@ def squashed_multi_upper(
     finite choice still yields a sound upper bound, so the dimensions used
     are recorded in the report.
     """
-    if flavor not in _FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; have {_FLAVORS}")
-    if len(groups) < 2:
-        raise ValueError("need at least two groups")
     _check_groups_cover(rho, groups)
-    cfg = cfg or OptimizerConfig()
-    d_purify = max(rho.rank(), 1)
-    d_env = int(d_env) if d_env is not None else d_purify
-    d_sink = int(d_sink) if d_sink is not None else d_purify
-    if d_env * d_sink < d_purify:
-        raise ValueError(
-            f"extension dims {d_env}x{d_sink} cannot carry the purifying dimension {d_purify}"
-        )
-
-    psi = purification_matrix(rho.matrix, d_ref=d_purify)
-    dims_sys = rho.layout.dims
     # axes of the pure amplitude tensor: 0 = env, 1 = sink, 2 + j = system j
     groups_axes = [tuple(p + 2 for p in rho.layout.positions(g)) for g in groups]
-    shape = (d_env, d_sink) + dims_sys
     terms = _info_terms(groups_axes, (0,), flavor)
+    cfg = cfg or OptimizerConfig()
+    psi = purification_matrix(rho.matrix)  # one row per nonzero eigenvalue
+    d_purify = psi.shape[0]
+    d_env, d_sink = _extension_dims(d_purify, d_env, d_sink)
+    shape = (d_env, d_sink) + rho.layout.dims
     records, best, x_best = _minimize_restarts(
         lambda x: _squashing_value_and_grad(x, psi, shape, terms),
         ansatz_param_count(d_env, d_sink),
@@ -546,45 +495,47 @@ def private_identity_residual(
     m = len(keys)
     if len(shields) != m or m < 2:
         raise ValueError("need matching key/shield labels for at least two parties")
-    key_dim = gamma_ext.layout.dim_of(keys[0])
-    lk = log2(key_dim)
-    g = gamma_ext
+    _disjoint(keys, shields, env)
+    lk = log2(gamma_ext.layout.dim_of(keys[0]))
 
+    def cmi(a, b, e):  # I(a;b|e)
+        return _info_terms([a, b], e, FLAVOR_TOTAL)
+
+    def ce(a, e):  # H(a|e)
+        return [(1, a + e), (-1, e)]
+
+    def minus(terms):
+        return [(-c, members) for c, members in terms]
+
+    # each identity reads "lhs = information of terms"
     if kind in (IDENTITY_BIPARTITE, IDENTITY_BIPARTITE_JOINT):
         if m != 2:
             raise ValueError(f"{kind} applies to two parties, got {m}")
         a, b = keys
         ap, bp = shields
         if kind == IDENTITY_BIPARTITE:
-            lhs = 2.0 * lk
-            rhs = cond_mutual_info(g, (a,), (b, bp), env) + cond_mutual_info(
-                g, (ap,), (b,), (a, bp) + env
-            )
+            terms = cmi((a,), (b, bp), env) + cmi((ap,), (b,), (a, bp) + env)
         else:
-            lhs = cond_mutual_info(g, (a, ap), (b, bp), env)
-            rhs = 2.0 * lk + cond_mutual_info(g, (ap,), (bp,), (a,) + env)
-        return abs(lhs - rhs)
-
-    lhs = m * lk
-    first = keys[0]
-    if kind == IDENTITY_MULTI_TOTAL:
-        rhs = 0.0
-        for i in range(1, m):
-            rhs += cond_entropy(g, (keys[i],), (shields[i], first) + env)
-            rhs += cond_mutual_info(g, (first,), (keys[i], shields[i]), env)
-        rhs -= cond_entropy(g, keys[1:], (first,) + shields + env)
-        return abs(lhs - rhs)
-
-    rhs = cond_entropy(g, keys[1:], (first,) + shields[1:] + env)
-    rhs += cond_mutual_info(g, (first,), keys[1:] + shields[1:], env)
-    for i in range(1, m):
-        rhs -= cond_entropy(g, (keys[i],), (first,) + shields + env)
-        other_keys = tuple(keys[j] for j in range(1, m) if j != i)
-        other_shields = tuple(shields[j] for j in range(m) if j != i)
-        rhs += cond_mutual_info(
-            g, (keys[i], shields[i]), other_keys, (first,) + other_shields + env
-        )
-    return abs(lhs - rhs)
+            terms = cmi((a, ap), (b, bp), env) + minus(cmi((ap,), (bp,), (a,) + env))
+        lhs = 2.0 * lk
+    else:
+        first = keys[0]
+        if kind == IDENTITY_MULTI_TOTAL:
+            terms = []
+            for i in range(1, m):
+                terms += ce((keys[i],), (shields[i], first) + env)
+                terms += cmi((first,), (keys[i], shields[i]), env)
+            terms += minus(ce(keys[1:], (first,) + shields + env))
+        else:
+            terms = ce(keys[1:], (first,) + shields[1:] + env)
+            terms += cmi((first,), keys[1:] + shields[1:], env)
+            for i in range(1, m):
+                other_keys = tuple(keys[j] for j in range(1, m) if j != i)
+                other_shields = tuple(shields[j] for j in range(m) if j != i)
+                terms += minus(ce((keys[i],), (first,) + shields + env))
+                terms += cmi((keys[i], shields[i]), other_keys, (first,) + other_shields + env)
+        lhs = m * lk
+    return abs(lhs - _information(partial(_group_entropy, gamma_ext), terms))
 
 
 # ---------------------------------------------------------------------------
@@ -683,12 +634,7 @@ def channel_squashed_upper(
     d_keep = prod(out_dims[i] for i in keep_pos)
     d_ref = d_in  # reference system of the pure input, same dimension as the channel input
     d_purify = d_ref * d_keep
-    d_env = int(d_env) if d_env is not None else d_purify
-    d_sink = int(d_sink) if d_sink is not None else d_purify
-    if d_env * d_sink < d_purify:
-        raise ValueError(
-            f"extension dims {d_env}x{d_sink} cannot carry the purifying dimension {d_purify}"
-        )
+    d_env, d_sink = _extension_dims(d_purify, d_env, d_sink)
     n_ansatz = ansatz_param_count(d_env, d_sink)
     v_chan = channel.matrix
     # regroup the output to (reference+kept | sunk)
@@ -717,7 +663,9 @@ def channel_squashed_upper(
         """Finite-difference ascent over inputs at a fixed ansatz."""
         v = _isometry_from_params(ansatz_params, d_env, d_sink, d_purify)
         return minimize(
-            lambda x: -0.5 * _pure_info((v @ output_purification(x)).reshape(shape), terms),
+            lambda x: -0.5 * _information(
+                partial(_pure_marginal_entropy, (v @ output_purification(x)).reshape(shape)), terms
+            ),
             psi_params, method="L-BFGS-B", options=options,
         )
 

@@ -4,7 +4,7 @@ Density operators, pure-state vectors, and isometries carry a
 :class:`~privsq.layout.SystemLayout`; all reductions and permutations are
 label-driven.  Everything here is a pure function of its inputs, values are
 immutable after construction, and randomness enters only through explicit
-integer seeds (PCG64, see :func:`haar_unitary`).
+integer seeds or a caller's generator (PCG64, see :func:`haar_unitary`).
 
 Conventions
 -----------
@@ -321,16 +321,18 @@ def dephase(rho: DensityOperator, labels: str | Iterable[str]) -> DensityOperato
     return DensityOperator(t.reshape(d, d), rho.layout)
 
 
-def haar_unitary(d: int, seed: int) -> np.ndarray:
+def haar_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-random ``d x d`` unitary, deterministic in ``seed``.
 
     Sampled as a complex Ginibre matrix followed by QR with the R-diagonal
     phase correction, which makes the distribution exactly Haar.  The PRNG
-    is numpy's PCG64, a named, seedable, cross-platform-stable generator.
+    is numpy's PCG64, a named, seedable, cross-platform-stable generator:
+    an integer seed starts the stream ``PCG64(seed)``, and a ``Generator``
+    is drawn from in place (as in every sampler here).
     """
     if d < 1:
         raise ValueError(f"dimension {d} < 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(g)
     diag = np.diag(r).copy()
@@ -338,23 +340,25 @@ def haar_unitary(d: int, seed: int) -> np.ndarray:
     return q * (diag / np.abs(diag))
 
 
-def random_density(layout: SystemLayout, rank: int, seed: int) -> DensityOperator:
+def random_density(
+    layout: SystemLayout, rank: int, seed: int | np.random.Generator
+) -> DensityOperator:
     """Random density operator of the requested rank (Ginibre ``G G^dag / Tr``),
     deterministic in ``seed``."""
     d = layout.total_dim
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} out of range 1..{d}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     mat = g @ g.conj().T
     mat /= mat.trace().real
     return DensityOperator(mat, layout)
 
 
-def random_pure(layout: SystemLayout, seed: int) -> PureStateVector:
+def random_pure(layout: SystemLayout, seed: int | np.random.Generator) -> PureStateVector:
     """Haar-random pure state on the given layout, deterministic in ``seed``."""
     d = layout.total_dim
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     amp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureStateVector(amp / np.linalg.norm(amp), layout)
 

@@ -163,3 +163,24 @@ def test_env_var_seed(tmp_path, monkeypatch, capsys):
     assert run_cli(["gen", "--private", "--seed", "7", "--out", str(state)]) == 0
     via_flag = read_state(str(state)).matrix
     assert np.array_equal(via_env, via_flag)
+
+
+def test_gen_refuses_out_of_range_sigma_rank(tmp_path, capsys):
+    out = tmp_path / "g.state"
+    for rank in ("0", "100"):
+        code = run_cli(["gen", "--private", "--shield-dims", "2,2", "--sigma-rank", rank,
+                        "--out", str(out)])
+        assert code == 2
+        assert f"rank {rank} out of range 1..4" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_bound_channel_rate_alias_is_gone(tmp_path, capsys):
+    assert run_cli(["bound", "--channel-rate", "--esq", "1.0", "--eps", "0.01", "--n", "100"]) == 2
+    capsys.readouterr()
+    rep = tmp_path / "b.json"
+    assert run_cli(["bound", "--rate", "--esq", "1.0", "--eps", "0.01", "--n", "100",
+                    "--out", str(rep)]) == 0
+    assert capsys.readouterr().out == "rhs = 1.26208616714  (rate bound, n = 100)\n"
+    data = json.loads(rep.read_text())
+    assert data["kind"] == "rate" and data["rhs"] == 1.2620861671403416

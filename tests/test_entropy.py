@@ -22,6 +22,7 @@ from privsq import (
     uniform_classical,
     vn_entropy,
 )
+from privsq.tensor import entropy_bits, reduce_matrix
 
 H2_QUARTER = 0.8112781244591328  # -x log2 x - (1-x) log2 (1-x) at x = 1/4
 
@@ -216,3 +217,26 @@ def test_partition():
     p.validate_against(layout)
     with pytest.raises(LayoutError):
         Partition([("A", ("nope",))]).validate_against(layout)
+
+
+def _h(rho, labels):
+    """Entropy of the marginal on ``labels``, written out from the raw cores."""
+    pos = rho.layout.positions(labels)
+    return entropy_bits(reduce_matrix(rho.matrix, rho.layout.dims, pos)) if pos else 0.0
+
+
+def test_informations_match_written_out_entropy_sums():
+    layout = SystemLayout([("A", 2), ("B", 3), ("C", 2), ("E", 2)])
+    for i in range(8):
+        rho = random_density(layout, (i % 24) + 1, seed=300 + i)
+        for e in ((), ("E",)):
+            h = lambda *labels: _h(rho, tuple(labels) + e)
+            assert abs(cond_entropy(rho, ("A", "B"), e) - (h("A", "B") - h())) < 1e-12
+            cmi = h("A") + h("B") - h() - h("A", "B")
+            assert abs(cond_mutual_info(rho, "A", "B", e) - cmi) < 1e-12
+            assert abs(total_correlation(rho, ["A", "B"], e) - cmi) < 1e-12
+            assert abs(dual_total_correlation(rho, ["A", "B"], e) - cmi) < 1e-12
+            total = h("A") + h("B") + h("C") - 2 * h() - h("A", "B", "C")
+            assert abs(total_correlation(rho, ["A", "B", "C"], e) - total) < 1e-12
+            dual = h("B", "C") + h("A", "C") + h("A", "B") - 2 * h("A", "B", "C") - h()
+            assert abs(dual_total_correlation(rho, ["A", "B", "C"], e) - dual) < 1e-12

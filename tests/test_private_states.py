@@ -273,3 +273,44 @@ def test_approx_private_state():
         assert abs(omega.matrix.trace() - 1.0) < 1e-10
         assert np.linalg.eigvalsh(omega.matrix).min() > -1e-12
         assert abs(1.0 - fidelity(gamma, omega) - eps) < 1e-12
+
+
+def _reference_spec_draws(key_dim, shield_dims, seed, rank, ext_dim=None):
+    """Controls and shield matrix drawn as the seed contract fixes them: one
+    PCG64 stream, Haar controls in key-index order, then the Ginibre shield
+    state (the samplers written out independently of privsq)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    d_sh = int(np.prod(shield_dims))
+    controls = {}
+    for idx in itertools.product(range(key_dim), repeat=len(shield_dims)):
+        g = (rng.standard_normal((d_sh, d_sh)) + 1j * rng.standard_normal((d_sh, d_sh))) / np.sqrt(2)
+        q, r = np.linalg.qr(g)
+        diag = np.diag(r).copy()
+        diag[np.abs(diag) < 1e-300] = 1.0
+        controls[idx] = q * (diag / np.abs(diag))
+    d = d_sh * (ext_dim or 1)
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    mat = g @ g.conj().T
+    return controls, mat / mat.trace().real
+
+
+def test_random_private_spec_seed_contract():
+    for key_dim, shield_dims, seed, rank, ext_dim in (
+        (2, (2, 2), 0, 4, None),
+        (3, (2, 3), 5, 2, None),
+        (2, (2, 2, 2), 9, 3, 2),
+    ):
+        spec = random_private_spec(key_dim, shield_dims, seed, sigma_rank=rank, ext_dim=ext_dim)
+        controls, mat = _reference_spec_draws(key_dim, shield_dims, seed, rank, ext_dim)
+        assert spec.controls.keys() == controls.keys()
+        for idx, u in controls.items():
+            assert np.array_equal(spec.controls[idx], u)
+        assert np.array_equal(spec.shield_state.matrix, mat)
+    # an integer seed and a fresh generator of that seed draw the same sample
+    assert np.array_equal(haar_unitary(4, 3), haar_unitary(4, np.random.Generator(np.random.PCG64(3))))
+
+
+def test_random_private_spec_rank_out_of_range():
+    for rank in (0, 5):
+        with pytest.raises(ValueError, match=f"rank {rank} out of range 1..4"):
+            random_private_spec(2, (2, 2), seed=1, sigma_rank=rank)

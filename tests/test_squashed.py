@@ -36,7 +36,7 @@ from privsq.squashed import (
     _squashing_value_and_grad,
     ansatz_param_count,
 )
-from privsq.tensor import purification_matrix
+from privsq.tensor import entropy_bits, purification_matrix
 from scipy.linalg import expm, expm_frechet
 
 import itertools
@@ -519,6 +519,30 @@ def test_identity_residual_multi_dual_reduces_to_bipartite():
     r1 = private_identity_residual(gamma, "bipartite", spec.key_labels, spec.shield_labels, "E")
     r2 = private_identity_residual(gamma, "multi_dual", spec.key_labels, spec.shield_labels, "E")
     assert abs(r1 - r2) < 1e-9
+
+
+def test_identity_residual_entropy_count(monkeypatch):
+    """Each identity is one term list: member sets whose coefficients cancel
+    (e.g. H(ABB'E) in the bipartite identity) are never evaluated."""
+    import privsq.entropy
+
+    calls = []
+
+    def counting(mat):
+        calls.append(mat.shape[0])
+        return entropy_bits(mat)
+
+    monkeypatch.setattr(privsq.entropy, "entropy_bits", counting)
+    expected = {"bipartite": 6, "bipartite_joint": 6, "multi_total": 8, "multi_dual": 10}
+    for kind, count in expected.items():
+        parties = 2 if kind.startswith("bipartite") else 3
+        spec = random_private_spec(2, (2,) * parties, seed=131, ext_dim=2)
+        gamma = private_state_extension(spec)
+        calls.clear()
+        assert private_identity_residual(
+            gamma, kind, spec.key_labels, spec.shield_labels, "E"
+        ) < 1e-6
+        assert len(calls) == count, kind
 
 
 def test_identity_residual_validation():
