@@ -22,6 +22,7 @@ from .layout import LayoutError, SystemLayout, fresh_label
 from .metric import fidelity, trace_distance
 from .tensor import (
     DensityOperator,
+    _seeded_rng,
     dephase,
     haar_unitary,
     kron,
@@ -299,12 +300,15 @@ def approx_private_state(
 def random_private_spec(
     key_dim: int,
     shield_dims: Sequence[int],
-    seed: int,
+    seed: int | np.random.Generator,
     sigma_rank: int | None = None,
     ext_dim: int | None = None,
     ext_label: str = "E",
 ) -> PrivateStateSpec:
     """Seeded random spec: Haar twisting controls and a Ginibre shield state.
+
+    ``seed`` is an integer or a ``numpy.random.Generator`` (drawn from in
+    place); anything else raises ``TypeError``, as in the samplers.
 
     With ``ext_dim`` set, the shield state is sampled on shields plus an
     extension system of that dimension (its shield marginal then defines the
@@ -314,7 +318,7 @@ def random_private_spec(
     shield_dims = tuple(int(d) for d in shield_dims)
     parties = len(shield_dims)
     d_sh = prod(shield_dims)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     controls = {
         idx: haar_unitary(d_sh, rng)
         for idx in itertools.product(range(key_dim), repeat=parties)

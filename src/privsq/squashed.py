@@ -12,6 +12,11 @@ the generator with several seeded restarts yields sound, reproducible upper
 bounds.  The descent uses L-BFGS-B with the objective's exact gradient:
 entropy derivatives of the pure-state marginals, chained through the
 amplitudes and through ``exp(iH)`` with the Daleckii-Krein formula.
+
+The channel search alternates that descent with an exact-gradient ascent
+over pure channel inputs.  It purifies each output state with the
+channel's own sunk outputs, restricted to the span they can reach, so the
+purification is linear in the input and no evaluation diagonalizes it.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .entropy import (
 )
 from .entropy import info_terms as _info_terms
 from .layout import LayoutError, SystemLayout, as_labels, fresh_label
-from .tensor import EIG_CLIP, DensityOperator, Isometry, entropy_bits, purification_matrix
+from .tensor import EIG_CLIP, DensityOperator, Isometry, purification_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +191,12 @@ def _matricize(t: np.ndarray, axes_keep: tuple[int, ...]) -> tuple[np.ndarray, t
     return t.transpose(perm).reshape(prod(t.shape[a] for a in axes_keep), -1), perm
 
 
-def _pure_marginal_entropy(t: np.ndarray, axes_keep: tuple[int, ...]) -> float:
-    """Entropy of a marginal of the pure state with amplitude tensor ``t``,
-    computed from the Gram matrix of the smaller matricization side."""
-    m, _ = _matricize(t, axes_keep)
-    return entropy_bits(m @ m.conj().T if m.shape[0] <= m.shape[1] else m.conj().T @ m)
-
-
 def _pure_marginal_entropy_grad(
     t: np.ndarray, axes_keep: tuple[int, ...]
 ) -> tuple[float, np.ndarray]:
-    """``_pure_marginal_entropy`` and its gradient ``G`` in the amplitudes,
-    ``dS = Re <G, dt>``.
+    """Entropy of a marginal of the pure state with amplitude tensor ``t``,
+    computed from the Gram matrix of the smaller matricization side, and
+    its gradient ``G`` in the amplitudes, ``dS = Re <G, dt>``.
 
     With the Gram matrix ``g = M M^dagger``, ``dS = -Tr[(log2 g + 1/ln 2) dg]``
     gives ``G = -2 L M`` (``-2 M L`` for ``g = M^dagger M``), ``L`` being
@@ -215,6 +214,19 @@ def _pure_marginal_entropy_grad(
     grad = -2.0 * (el @ m if left else m @ el)
     shape = tuple(t.shape[a] for a in perm)
     return float(-(w @ log_w)), grad.reshape(shape).transpose(np.argsort(perm))
+
+
+def _information_and_grad(
+    t: np.ndarray, terms: Sequence[tuple[int, tuple[int, ...]]]
+) -> tuple[float, np.ndarray]:
+    """The information ``terms`` (axis sets of ``t``) of the pure state with
+    amplitude tensor ``t``, and its gradient in the amplitudes."""
+    value, grad_t = 0.0, np.zeros_like(t)
+    for c, axes in terms:
+        s, g = _pure_marginal_entropy_grad(t, axes)
+        value += c * s
+        grad_t += c * g
+    return value, grad_t
 
 
 def _squashing_value_and_grad(
@@ -237,11 +249,7 @@ def _squashing_value_and_grad(
     d_purify = psi.shape[0]
     w, q = np.linalg.eigh(_hermitian_from_params(params, n))
     t = (_leading_columns(w, q, d_purify) @ psi).reshape(shape)
-    value, grad_t = 0.0, np.zeros_like(t)
-    for c, axes in terms:
-        s, g = _pure_marginal_entropy_grad(t, axes)
-        value += c * s
-        grad_t += c * g
+    value, grad_t = _information_and_grad(t, terms)
     grad_v = grad_t.reshape(n, -1) @ psi.conj().T
     # gradient on U is grad_v padded with zero columns, so Q^dagger G_U Q
     # only needs the first d_purify rows of Q
@@ -602,6 +610,70 @@ def key_rate_bound(esq_value: float, eps: float, rounds: int) -> float:
 # channel quantity (heuristic)
 # ---------------------------------------------------------------------------
 
+def _sunk_coupling(
+    v_chan: np.ndarray, out_dims: tuple[int, ...], keep_pos: list[int]
+) -> np.ndarray:
+    """The channel dilation ``D``, regrouped to ``(sunk | kept, input)``,
+    restricted to the span of sunk outputs it can reach: ``C = W^dagger D``
+    with ``W`` the left singular vectors of ``D`` whose ``s^2`` exceed the
+    clip, shaped ``(d_purify, d_keep, d_in)``.
+
+    For an input ``u`` on reference (x) input, the channel output regrouped
+    to ``(reference (x) kept | sunk)`` is a purification of the state on
+    reference (x) kept outputs, with the sunk outputs as purifier; within
+    the reachable span its amplitudes are ``psi[p, r, k] = sum_a C[p, k, a]
+    u[r, a]``, linear in ``u``, and ``d_purify <= d_in * d_keep``.
+    """
+    d_in = v_chan.shape[1]
+    sunk_pos = [i for i in range(len(out_dims)) if i not in keep_pos]
+    d_keep = prod(out_dims[i] for i in keep_pos)
+    dil = v_chan.reshape(out_dims + (d_in,)).transpose(sunk_pos + keep_pos + [len(out_dims)])
+    dil = dil.reshape(-1, d_keep * d_in)
+    w, s, _ = np.linalg.svd(dil, full_matrices=False)
+    support = w[:, s ** 2 > EIG_CLIP]
+    return (support.conj().T @ dil).reshape(-1, d_keep, d_in)
+
+
+def _channel_purification(
+    params: np.ndarray, coupling: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Purification ``psi`` (rows: reachable sunk span, columns: reference
+    (x) kept) of the channel output at the input with real coordinates
+    ``params`` (real parts, then imaginary parts, of a ``d_ref x d_in``
+    matrix), together with the unit input ``u`` and the norm it was
+    divided by."""
+    half = params.size // 2
+    x = (params[:half] + 1j * params[half:]).reshape(-1, coupling.shape[2])
+    norm = float(np.linalg.norm(x))
+    u = x / norm
+    psi = np.einsum("pka,ra->prk", coupling, u).reshape(coupling.shape[0], -1)
+    return psi, u, norm
+
+
+def _channel_input_value_and_grad(
+    params: np.ndarray,
+    v: np.ndarray,
+    coupling: np.ndarray,
+    shape: tuple[int, ...],
+    terms: Sequence[tuple[int, tuple[int, ...]]],
+) -> tuple[float, np.ndarray]:
+    """Half the information ``terms`` of the squashed extension, by the fixed
+    isometry ``v``, of the channel output at input ``params``, and its exact
+    gradient in ``params``.
+
+    The gradient runs back from the amplitudes ``t = v psi`` to ``psi``,
+    through the coupling to the unit input ``u`` and through ``u = x/|x|``
+    (which removes the radial component) to the real coordinates of ``x``.
+    """
+    psi, u, norm = _channel_purification(params, coupling)
+    value, grad_t = _information_and_grad((v @ psi).reshape(shape), terms)
+    grad_psi = v.conj().T @ grad_t.reshape(v.shape[0], -1)
+    grad_psi = grad_psi.reshape(coupling.shape[0], u.shape[0], -1)
+    grad_u = np.einsum("prk,pka->ra", grad_psi, coupling.conj())
+    grad_x = (grad_u - np.vdot(u, grad_u).real * u) / norm
+    return 0.5 * value, 0.5 * np.concatenate((grad_x.real.ravel(), grad_x.imag.ravel()))
+
+
 def channel_squashed_upper(
     channel: Isometry,
     keep: Iterable[str] | str | None = None,
@@ -611,9 +683,15 @@ def channel_squashed_upper(
     rounds: int = 3,
 ) -> BoundReport:
     """Alternating search for the channel's squashed-entanglement quantity:
-    ascent over pure inputs (reference dimension equal to the input
-    dimension) alternating with descent over squashing ansaetze on the
-    output state.
+    exact-gradient ascent over pure inputs (reference dimension equal to
+    the input dimension) alternating with exact-gradient descent over
+    squashing ansaetze on the output state.
+
+    The output state on reference (x) kept outputs is purified by the
+    channel's own sunk outputs, restricted once per call to the span they
+    can reach (one SVD of the dilation), so no evaluation diagonalizes the
+    state; the reported ``d_purify`` is the dimension of that span, at
+    most ``d_in * d_keep``.
 
     The outer problem is a maximum, so the returned value is HEURISTIC:
     neither a certified upper nor lower bound.  The input dimension is
@@ -629,25 +707,12 @@ def channel_squashed_upper(
         if lbl not in out_labels:
             raise LayoutError(f"kept label {lbl!r} not among channel outputs {out_labels}")
 
-    out_dims = channel.output_layout.dims
     keep_pos = [i for i, lbl in enumerate(out_labels) if lbl in keep]
-    d_keep = prod(out_dims[i] for i in keep_pos)
+    coupling = _sunk_coupling(channel.matrix, channel.output_layout.dims, keep_pos)
+    d_purify, d_keep, _ = coupling.shape
     d_ref = d_in  # reference system of the pure input, same dimension as the channel input
-    d_purify = d_ref * d_keep
     d_env, d_sink = _extension_dims(d_purify, d_env, d_sink)
     n_ansatz = ansatz_param_count(d_env, d_sink)
-    v_chan = channel.matrix
-    # regroup the output to (reference+kept | sunk)
-    sunk_pos = [i for i in range(len(out_dims)) if i not in keep_pos]
-    order = [0] + [1 + i for i in keep_pos] + [1 + i for i in sunk_pos]
-
-    def output_purification(psi_params: np.ndarray) -> np.ndarray:
-        vec = psi_params[:d_ref * d_in] + 1j * psi_params[d_ref * d_in:]
-        vec = vec / np.linalg.norm(vec)
-        amp = vec.reshape(d_ref, d_in) @ v_chan.T  # rows: reference, cols: channel output
-        t = amp.reshape((d_ref,) + out_dims).transpose(order).reshape(d_ref * d_keep, -1)
-        # purification of the state on reference (x) kept outputs
-        return purification_matrix(t @ t.conj().T, d_ref=d_purify)
 
     shape = (d_env, d_sink, d_ref, d_keep)
     terms = _info_terms([(2,), (3,)], (0,), FLAVOR_TOTAL)
@@ -655,19 +720,19 @@ def channel_squashed_upper(
 
     def descend(psi_params: np.ndarray, x0: np.ndarray):
         """Exact-gradient descent over ansaetze at a fixed input."""
-        psi = output_purification(psi_params)
+        psi = _channel_purification(psi_params, coupling)[0]
         return minimize(lambda x: _squashing_value_and_grad(x, psi, shape, terms), x0,
                         jac=True, method="L-BFGS-B", options=options)
 
     def ascend(psi_params: np.ndarray, ansatz_params: np.ndarray):
-        """Finite-difference ascent over inputs at a fixed ansatz."""
+        """Exact-gradient ascent over inputs at a fixed ansatz."""
         v = _isometry_from_params(ansatz_params, d_env, d_sink, d_purify)
-        return minimize(
-            lambda x: -0.5 * _information(
-                partial(_pure_marginal_entropy, (v @ output_purification(x)).reshape(shape)), terms
-            ),
-            psi_params, method="L-BFGS-B", options=options,
-        )
+
+        def negated(x):
+            value, grad = _channel_input_value_and_grad(x, v, coupling, shape, terms)
+            return -value, -grad
+
+        return minimize(negated, psi_params, jac=True, method="L-BFGS-B", options=options)
 
     records = []
     best_value, best_restart = -np.inf, 0

@@ -321,6 +321,17 @@ def dephase(rho: DensityOperator, labels: str | Iterable[str]) -> DensityOperato
     return DensityOperator(t.reshape(d, d), rho.layout)
 
 
+def _seeded_rng(seed: int | np.random.Generator) -> np.random.Generator:
+    """The PCG64 generator of an integer seed, or a caller's generator as is.
+
+    Anything else, ``None`` included, raises ``TypeError``: numpy would draw
+    ``None`` from OS entropy, and the sample would not be reproducible.
+    """
+    if not isinstance(seed, (int, np.integer, np.random.Generator)):
+        raise TypeError(f"seed must be an int or a numpy Generator, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def haar_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-random ``d x d`` unitary, deterministic in ``seed``.
 
@@ -328,11 +339,12 @@ def haar_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:
     phase correction, which makes the distribution exactly Haar.  The PRNG
     is numpy's PCG64, a named, seedable, cross-platform-stable generator:
     an integer seed starts the stream ``PCG64(seed)``, and a ``Generator``
-    is drawn from in place (as in every sampler here).
+    is drawn from in place (as in every sampler here); any other seed,
+    ``None`` included, raises ``TypeError``.
     """
     if d < 1:
         raise ValueError(f"dimension {d} < 1")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
     q, r = np.linalg.qr(g)
     diag = np.diag(r).copy()
@@ -348,7 +360,7 @@ def random_density(
     d = layout.total_dim
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} out of range 1..{d}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     mat = g @ g.conj().T
     mat /= mat.trace().real
@@ -358,7 +370,7 @@ def random_density(
 def random_pure(layout: SystemLayout, seed: int | np.random.Generator) -> PureStateVector:
     """Haar-random pure state on the given layout, deterministic in ``seed``."""
     d = layout.total_dim
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     amp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureStateVector(amp / np.linalg.norm(amp), layout)
 

@@ -314,3 +314,10 @@ def test_random_private_spec_rank_out_of_range():
     for rank in (0, 5):
         with pytest.raises(ValueError, match=f"rank {rank} out of range 1..4"):
             random_private_spec(2, (2, 2), seed=1, sigma_rank=rank)
+
+
+def test_random_private_spec_refuses_a_missing_seed():
+    # seed=None would draw twisting controls and shield state from OS entropy
+    for seed in (None, 2.0):
+        with pytest.raises(TypeError, match="seed must be an int or a numpy Generator"):
+            random_private_spec(2, (2, 2), seed)

@@ -13,6 +13,7 @@ from privsq import (
     dual_total_correlation,
     extend_by_squashing,
     ghz_state,
+    haar_unitary,
     key_length_bound,
     key_rate_bound,
     kron,
@@ -30,17 +31,20 @@ from privsq import (
 )
 from privsq.private_states import PrivateStateSpec, approx_private_state, private_state
 from privsq.squashed import (
+    _channel_input_value_and_grad,
+    _channel_purification,
     _expi_divided_differences,
     _info_terms,
     _isometry_from_params,
     _squashing_value_and_grad,
+    _sunk_coupling,
     ansatz_param_count,
 )
 from privsq.tensor import entropy_bits, purification_matrix
 from scipy.linalg import expm, expm_frechet
 
 import itertools
-from math import log2, sqrt
+from math import log2, prod, sqrt
 
 
 def random_ansatz(d_purify, d_env, d_sink, seed, scale=0.5):
@@ -261,30 +265,33 @@ def test_full_iteration_budget_is_not_cut_by_evaluation_cap():
         rep.restarts[0].nfev, rep.restarts[0].njev, rep.restarts[0].message)
 
 
-def test_channel_search_purifies_once_per_descent(monkeypatch):
-    # the input is fixed during a descent over ansaetze, so its output state
-    # is purified once per descent; the finite-difference ascent over inputs
-    # purifies once per evaluation
+def test_channel_search_never_purifies(monkeypatch):
+    # the channel's sunk outputs purify its output state, so neither the
+    # descents over ansaetze nor the ascents over inputs diagonalize it, and
+    # both run on exact gradients
     import privsq.squashed as sq
 
-    purified, descents, ascent_evals = [], [], []
+    purified, jacs = [], []
 
     def counted_purification(*args, **kwargs):
         purified.append(1)
         return purification_matrix(*args, **kwargs)
 
     def counted_minimize(fun, x0, jac=None, **kwargs):
-        res = sq_minimize(fun, x0, jac=jac, **kwargs)
-        (descents if jac else ascent_evals).append(1 if jac else int(res.nfev))
-        return res
+        jacs.append(jac)
+        return sq_minimize(fun, x0, jac=jac, **kwargs)
 
     sq_minimize = sq.minimize
     monkeypatch.setattr(sq, "purification_matrix", counted_purification)
     monkeypatch.setattr(sq, "minimize", counted_minimize)
+    restarts, rounds = 2, 2
     channel_squashed_upper(identity_channel(), d_env=2, d_sink=2,
-                           cfg=OptimizerConfig(restarts=2, max_iters=30, seed=3), rounds=2)
-    assert len(descents) == 2 * (2 + 3)
-    assert len(purified) == len(descents) + sum(ascent_evals)
+                           cfg=OptimizerConfig(restarts=restarts, max_iters=30, seed=3),
+                           rounds=rounds)
+    assert purified == []
+    # per restart: a descent and an ascent per round, then three final descents
+    assert len(jacs) == restarts * (2 * rounds + 3)
+    assert all(jac is True for jac in jacs)
 
 
 # ---------------------------------------------------------------------------
@@ -645,3 +652,105 @@ def test_channel_dimension_guard():
     chan = Isometry(np.eye(5), lo, SystemLayout([("B", 5)]))
     with pytest.raises(ValueError, match="guard"):
         channel_squashed_upper(chan)
+
+
+def random_three_output_channel():
+    # the first two columns of a Haar unitary on B (x) G1 (x) G2
+    v = haar_unitary(8, 21)[:, :2]
+    return Isometry(
+        v, SystemLayout([("Ain", 2)]), SystemLayout([("B", 2), ("G1", 2), ("G2", 2)])
+    )
+
+
+def idle_sink_channel():
+    # |a> -> |a>_B |0>_G: the sunk G is two-dimensional but only |0> is reached
+    v = np.zeros((4, 2), dtype=complex)
+    v[0, 0] = v[2, 1] = 1.0
+    return Isometry(v, SystemLayout([("Ain", 2)]), SystemLayout([("B", 2), ("G", 2)]))
+
+
+# (channel, kept outputs)
+CHANNEL_CASES = {
+    "random_keep_one": (random_three_output_channel, ("B",)),
+    "random_keep_two": (random_three_output_channel, ("B", "G2")),
+    "identity": (identity_channel, ("B",)),
+    "depolarizing": (depolarizing_channel_full, ("B",)),
+    "replacement": (replacement_channel, ("B",)),
+    "idle_sink": (idle_sink_channel, ("B",)),
+}
+
+
+def channel_coupling(case):
+    make, keep = CHANNEL_CASES[case]
+    chan = make()
+    keep_pos = [chan.output_layout.position(lbl) for lbl in keep]
+    return chan, keep_pos, _sunk_coupling(chan.matrix, chan.output_layout.dims, keep_pos)
+
+
+def channel_input_objective(case, d_env, d_sink, seed):
+    """The ascent's value-and-gradient kernel at a random fixed ansatz."""
+    chan, _, coupling = channel_coupling(case)
+    d_purify, d_keep, d_in = coupling.shape
+    rng = np.random.Generator(np.random.PCG64(seed))
+    v = _isometry_from_params(0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)),
+                              d_env, d_sink, d_purify)
+    terms = _info_terms([(2,), (3,)], (0,), "total")
+    shape = (d_env, d_sink, d_in, d_keep)
+    return lambda x: _channel_input_value_and_grad(x, v, coupling, shape, terms)
+
+
+@pytest.mark.parametrize(
+    "case", ["random_keep_one", "random_keep_two", "identity", "depolarizing"]
+)
+def test_channel_input_gradient_matches_central_differences(case):
+    f = channel_input_objective(case, 2, 2, seed=31)
+    rng = np.random.Generator(np.random.PCG64(32))
+    for _ in range(2):
+        x = rng.standard_normal(8)
+        _, grad = f(x)
+        fd = central_differences(f, x)
+        assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+        # the objective is blind to the input's scale: no radial component
+        assert abs(grad @ x) < 1e-12 * np.linalg.norm(grad) * np.linalg.norm(x)
+
+
+def test_channel_input_gradient_vanishes_on_replacement_channel():
+    # the kept output is |0> for every input, so I(R;B|E) = 0 at every input
+    # and every ansatz: value, exact gradient and differences all vanish
+    f = channel_input_objective("replacement", 2, 2, seed=33)
+    x = np.random.Generator(np.random.PCG64(34)).standard_normal(8)
+    value, grad = f(x)
+    assert abs(value) < 1e-12
+    assert np.abs(grad).max() < 1e-12
+    assert np.abs(central_differences(f, x)).max() < 1e-7
+
+
+@pytest.mark.parametrize("case", sorted(CHANNEL_CASES))
+def test_sunk_output_purification_reproduces_output_state(case):
+    chan, keep_pos, coupling = channel_coupling(case)
+    out_dims = chan.output_layout.dims
+    d_in = chan.input_layout.total_dim
+    d_keep = prod(out_dims[i] for i in keep_pos)
+    sunk_pos = [i for i in range(len(out_dims)) if i not in keep_pos]
+    assert coupling.shape[0] <= d_in * d_keep
+    rng = np.random.Generator(np.random.PCG64(35))
+    for _ in range(3):
+        x = rng.standard_normal(2 * d_in * d_in)
+        psi, u, _ = _channel_purification(x, coupling)
+        # the state on reference (x) kept outputs, straight from the dilation
+        amp = (u @ chan.matrix.T).reshape((d_in,) + out_dims)
+        amp = amp.transpose([0] + [1 + i for i in keep_pos] + [1 + i for i in sunk_pos])
+        amp = amp.reshape(d_in * d_keep, -1)
+        assert np.abs(psi.T @ psi.conj() - amp @ amp.conj().T).max() < 1e-12
+
+
+def test_channel_report_dims_are_the_reachable_sunk_span():
+    # identity: no sunk output; depolarizing: all four sunk states reachable;
+    # replacement: the sunk G only carries the input, 2 < d_ref * d_keep = 4;
+    # idle sink: the unreached sunk state |1> is dropped
+    cfg = OptimizerConfig(restarts=1, max_iters=5, seed=1)
+    for make, dims in ((identity_channel, (1, 2, 2)), (depolarizing_channel_full, (4, 2, 2)),
+                       (replacement_channel, (2, 2, 2)), (idle_sink_channel, (1, 2, 2))):
+        rep = channel_squashed_upper(make(), d_env=2, d_sink=2, cfg=cfg, rounds=1)
+        assert rep.dims == dims
+        assert rep.ansatz.d_purify == dims[0]

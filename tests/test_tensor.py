@@ -303,6 +303,23 @@ def test_random_density_rank_and_invariants():
         random_density(lo, 5, seed=1)
 
 
+@pytest.mark.parametrize("seed", [None, 1.0, "1", np.random.PCG64(1)])
+@pytest.mark.parametrize("sampler", ["haar_unitary", "random_density", "random_pure"])
+def test_samplers_refuse_seeds_that_are_not_int_or_generator(sampler, seed):
+    # None would draw from OS entropy and break reproducibility
+    lo = SystemLayout([("A", 2)])
+    draw = {
+        "haar_unitary": lambda s: haar_unitary(2, s),
+        "random_density": lambda s: random_density(lo, 2, s).matrix,
+        "random_pure": lambda s: random_pure(lo, s).amplitudes,
+    }[sampler]
+    with pytest.raises(TypeError, match="seed must be an int or a numpy Generator"):
+        draw(seed)
+    # accepted: python and numpy integers, and a generator, all on PCG64(3)
+    assert np.array_equal(draw(3), draw(np.int64(3)))
+    assert np.array_equal(draw(3), draw(np.random.default_rng(3)))
+
+
 def test_density_operator_validation():
     lo = SystemLayout([("A", 2)])
     with pytest.raises(ValueError):
