@@ -34,13 +34,14 @@ from .private_states import (
     random_private_spec,
 )
 from .squashed import (
+    ITERATION_LIMIT,
     OptimizerConfig,
     channel_squashed_upper,
     key_length_bound,
     key_rate_bound,
     squashed_multi_upper,
 )
-from .stateio import StateFileError, read_isometry, read_state, write_report, write_state
+from .stateio import read_isometry, read_state, write_report, write_state
 from .suites import SUITES
 from .tensor import partial_trace
 
@@ -130,10 +131,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", required=True, choices=sorted(SUITES))
-    ver.add_argument("--instances", type=int, default=None)
+    ver.add_argument("--instances", type=int, default=None, help="instance count (all suites but thm1)")
     ver.add_argument("--tol", type=float, default=None, help="override the suite's residual tolerance")
-    ver.add_argument("--restarts", type=int, default=1, help="optimizer restarts (thm1 suite)")
-    ver.add_argument("--iters", type=int, default=12, help="optimizer iterations (thm1 suite)")
+    ver.add_argument("--restarts", type=int, default=None, help="optimizer restarts (thm1 only; default 1)")
+    ver.add_argument("--iters", type=int, default=None, help="optimizer iterations (thm1 only; default 12)")
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--out", default=None)
 
@@ -242,6 +243,18 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
+def _warn_unconverged(restarts, iters: int) -> None:
+    """Name on stderr the restarts that stopped on the iteration limit, and
+    give scipy's message for every other restart that did not converge."""
+    capped = [r.index for r in restarts if not r.converged and ITERATION_LIMIT in r.message]
+    if capped:
+        print(f"warning: restarts that reached the iteration limit --iters {iters}: "
+              f"{', '.join(map(str, capped))}", file=sys.stderr)
+    for r in restarts:
+        if not r.converged and r.index not in capped:
+            print(f"warning: restart {r.index} did not converge: {r.message}", file=sys.stderr)
+
+
 def _cmd_esq(args) -> int:
     seed = _default_seed(args.seed)
     cfg = OptimizerConfig(
@@ -269,8 +282,7 @@ def _cmd_esq(args) -> int:
             cfg=cfg,
         )
         print(f"squashed upper bound ({args.flavor}) = {rep.value:.12g}")
-    if not rep.optimizer_ok:
-        print("warning: at least one restart did not report convergence", file=sys.stderr)
+    _warn_unconverged(rep.restarts, args.iters)
     if args.out:
         write_report(
             args.out,
@@ -291,11 +303,16 @@ def _cmd_verify(args) -> int:
     seed = _default_seed(args.seed)
     name = args.suite
     kwargs: dict = {"seed": seed}
-    if args.instances is not None and name != "thm1":
-        kwargs["instances"] = args.instances
+    takes = ("--restarts", "--iters") if name == "thm1" else ("--instances",)
+    for flag, key, value in (("--instances", "instances", args.instances),
+                             ("--restarts", "restarts", args.restarts),
+                             ("--iters", "max_iters", args.iters)):
+        if value is None:
+            continue
+        if flag not in takes:
+            raise ValueError(f"verify --suite {name} does not take {flag}")
+        kwargs[key] = value
     if name == "thm1":
-        kwargs["restarts"] = args.restarts
-        kwargs["max_iters"] = args.iters
         if args.tol is not None:
             kwargs["tol"] = args.tol
     elif args.tol is not None:
@@ -373,9 +390,6 @@ def run_cli(argv: list[str]) -> int:
     }
     try:
         return handlers[args.command](args)
-    except StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, LayoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -86,9 +86,6 @@ class SystemLayout:
             raise LayoutError(f"label collision on concatenation: {sorted(overlap)}")
         return SystemLayout(self.systems + other.systems)
 
-    def group_dim(self, labels: str | Iterable[str]) -> int:
-        return prod(self.systems[i][1] for i in self.positions(labels))
-
 
 def fresh_label(taken: Iterable[str], base: str = "R") -> str:
     """A label starting with ``base`` that does not collide with ``taken``."""

@@ -17,11 +17,15 @@ The channel search alternates that descent with an exact-gradient ascent
 over pure channel inputs.  It purifies each output state with the
 channel's own sunk outputs, restricted to the span they can reach, so the
 purification is linear in the input and no evaluation diagonalizes it.
+
+Both searches make every L-BFGS-B run through one driver (``_lbfgsb``, one
+option set), seed and start their restarts the same way and assemble their
+reports in one place (``_search``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache, partial
 from math import log, log2, prod, sqrt
 from typing import Iterable, Sequence
@@ -284,10 +288,12 @@ def _check_groups_cover(rho: DensityOperator, groups: Sequence[Iterable[str] | s
 
 
 def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tuple[int, int]:
-    """``(d_env, d_sink)``, each defaulting to ``d_purify``; refuses dims whose
-    product cannot carry the purifying dimension."""
+    """``(d_env, d_sink)``, each defaulting to ``d_purify``; refuses dims
+    below 1 and dims whose product cannot carry the purifying dimension."""
     d_env = int(d_env) if d_env is not None else d_purify
     d_sink = int(d_sink) if d_sink is not None else d_purify
+    if min(d_env, d_sink) < 1:
+        raise ValueError(f"extension dims d_env={d_env}, d_sink={d_sink} must both be at least 1")
     if d_env * d_sink < d_purify:
         raise ValueError(
             f"extension dims {d_env}x{d_sink} cannot carry the purifying dimension {d_purify}"
@@ -299,22 +305,30 @@ def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tup
 # multi-start minimization
 # ---------------------------------------------------------------------------
 
+# Fresh starts draw each coordinate from N(0, INIT_SCALE^2); every L-BFGS-B
+# run of both searches stops on ``max_iters``, ``tol`` (ftol) or LBFGSB_GTOL.
+INIT_SCALE = 0.5
+LBFGSB_GTOL = 1e-8
+ITERATION_LIMIT = "ITERATIONS REACHED LIMIT"  # in scipy's message when max_iters stops a run
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multi-start descent; all runs are deterministic in
-    ``seed`` (restart ``j`` starts from PCG64 stream ``seed + j``)."""
+    """Knobs shared by the state and channel searches: restart count,
+    L-BFGS-B iteration limit (``maxiter``) and relative reduction tolerance
+    (``ftol``), and the master seed.  All runs are deterministic in
+    ``seed``: restart ``j`` draws from PCG64 stream ``seed + j``."""
 
     restarts: int = 8
     max_iters: int = 500
     tol: float = 1e-7
-    init_scale: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        if self.tol <= 0 or self.init_scale <= 0:
-            raise ValueError("tol and init_scale must be positive")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -333,7 +347,7 @@ class RestartRecord:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Outcome of a variational bound run: the reported value is the minimum
+    """Outcome of a variational bound run: the reported value is the best
     over restarts (ties broken by lowest restart index) and is reproducible
     from the master seed."""
 
@@ -349,50 +363,48 @@ class BoundReport:
     heuristic: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "value": self.value,
-            "flavor": self.flavor,
-            "dims": {"d_purify": self.dims[0], "d_env": self.dims[1], "d_sink": self.dims[2]},
-            "seed": self.seed,
-            "best_restart": self.best_restart,
-            "optimizer_ok": self.optimizer_ok,
-            "heuristic": self.heuristic,
-            "restarts": [
-                {
-                    "index": r.index,
-                    "value": r.value,
-                    "iterations": r.iterations,
-                    "converged": r.converged,
-                    "nfev": r.nfev,
-                    "njev": r.njev,
-                    "message": r.message,
-                }
-                for r in self.restarts
-            ],
-        }
+        """Every field but the ansatz, with ``dims`` by name and one row per
+        restart, listed last."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("ansatz", "restarts")}
+        out["dims"] = dict(zip(("d_purify", "d_env", "d_sink"), self.dims))
+        out["restarts"] = [asdict(r) for r in self.restarts]
+        return out
 
 
-def _minimize_restarts(fn, n_params: int, cfg: OptimizerConfig):
-    """Seeded L-BFGS-B restarts of ``fn``, which returns the value and its
-    exact gradient."""
-    records = []
-    solutions = []
+def _fresh_start(rng: np.random.Generator, n_params: int) -> np.ndarray:
+    return INIT_SCALE * rng.standard_normal(n_params)
+
+
+def _lbfgsb(fn, x0: np.ndarray, cfg: OptimizerConfig):
+    """One L-BFGS-B run of ``fn``, which returns the value and its exact
+    gradient.  Every run of both searches is made here, through the
+    module-level name ``minimize``."""
+    options = {"maxiter": cfg.max_iters, "ftol": cfg.tol, "gtol": LBFGSB_GTOL}
+    return minimize(fn, x0, jac=True, method="L-BFGS-B", options=options)
+
+
+def _search(restart, cfg: OptimizerConfig, sense: int, dims: tuple[int, int, int],
+            **report) -> BoundReport:
+    """Seeded restarts: ``restart(rng)`` returns its L-BFGS-B runs and the
+    final one.  A restart records the value, convergence and message of its
+    final run and the iterations and evaluations of all its runs; the best
+    restart minimizes ``sense * value`` (lowest index first) and gives the
+    reported ansatz."""
+    records, solutions = [], []
     for j in range(cfg.restarts):
-        rng = np.random.Generator(np.random.PCG64(cfg.seed + j))
-        x0 = cfg.init_scale * rng.standard_normal(n_params)
-        res = minimize(
-            fn,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": cfg.max_iters, "ftol": cfg.tol, "gtol": 1e-7},
-        )
-        records.append(RestartRecord(j, float(res.fun), int(res.nit), bool(res.success),
-                                     int(res.nfev), int(res.njev), str(res.message)))
-        solutions.append(np.asarray(res.x))
-    best = min(range(len(records)), key=lambda j: (records[j].value, j))
-    return records, best, solutions[best]
+        runs, final = restart(np.random.Generator(np.random.PCG64(cfg.seed + j)))
+        records.append(RestartRecord(
+            j, float(final.fun), sum(int(r.nit) for r in runs), bool(final.success),
+            sum(int(r.nfev) for r in runs), sum(int(r.njev) for r in runs), str(final.message),
+        ))
+        solutions.append(final.x)
+    best = min(range(cfg.restarts), key=lambda j: (sense * records[j].value, j))
+    return BoundReport(
+        value=records[best].value, dims=dims, seed=cfg.seed, restarts=tuple(records),
+        best_restart=best, optimizer_ok=all(r.converged for r in records),
+        ansatz=SquashingAnsatz(*dims, solutions[best]), **report,
+    )
 
 
 def squashed_multi_upper(
@@ -420,22 +432,17 @@ def squashed_multi_upper(
     d_purify = psi.shape[0]
     d_env, d_sink = _extension_dims(d_purify, d_env, d_sink)
     shape = (d_env, d_sink) + rho.layout.dims
-    records, best, x_best = _minimize_restarts(
-        lambda x: _squashing_value_and_grad(x, psi, shape, terms),
-        ansatz_param_count(d_env, d_sink),
-        cfg,
-    )
-    ansatz = SquashingAnsatz(d_purify, d_env, d_sink, x_best)
-    return BoundReport(
+    n_params = ansatz_param_count(d_env, d_sink)
+
+    def restart(rng):
+        res = _lbfgsb(lambda x: _squashing_value_and_grad(x, psi, shape, terms),
+                      _fresh_start(rng, n_params), cfg)
+        return [res], res
+
+    return _search(
+        restart, cfg, 1, (d_purify, d_env, d_sink),
         description=description or f"squashed upper bound ({flavor}) over {len(groups)} groups",
-        value=records[best].value,
         flavor=flavor,
-        dims=(d_purify, d_env, d_sink),
-        seed=cfg.seed,
-        restarts=tuple(records),
-        best_restart=best,
-        optimizer_ok=all(r.converged for r in records),
-        ansatz=ansatz,
     )
 
 
@@ -716,13 +723,11 @@ def channel_squashed_upper(
 
     shape = (d_env, d_sink, d_ref, d_keep)
     terms = _info_terms([(2,), (3,)], (0,), FLAVOR_TOTAL)
-    options = {"maxiter": cfg.max_iters, "ftol": cfg.tol, "gtol": 1e-8}
 
     def descend(psi_params: np.ndarray, x0: np.ndarray):
         """Exact-gradient descent over ansaetze at a fixed input."""
         psi = _channel_purification(psi_params, coupling)[0]
-        return minimize(lambda x: _squashing_value_and_grad(x, psi, shape, terms), x0,
-                        jac=True, method="L-BFGS-B", options=options)
+        return _lbfgsb(lambda x: _squashing_value_and_grad(x, psi, shape, terms), x0, cfg)
 
     def ascend(psi_params: np.ndarray, ansatz_params: np.ndarray):
         """Exact-gradient ascent over inputs at a fixed ansatz."""
@@ -732,15 +737,11 @@ def channel_squashed_upper(
             value, grad = _channel_input_value_and_grad(x, v, coupling, shape, terms)
             return -value, -grad
 
-        return minimize(negated, psi_params, jac=True, method="L-BFGS-B", options=options)
+        return _lbfgsb(negated, psi_params, cfg)
 
-    records = []
-    best_value, best_restart = -np.inf, 0
-    best_ansatz_params = None
-    for j in range(cfg.restarts):
-        rng = np.random.Generator(np.random.PCG64(cfg.seed + j))
+    def restart(rng):
         psi_params = rng.standard_normal(2 * d_ref * d_in)
-        ansatz_params = cfg.init_scale * rng.standard_normal(n_ansatz)
+        ansatz_params = _fresh_start(rng, n_ansatz)
         runs = []
         for _ in range(rounds):
             runs.append(descend(psi_params, ansatz_params))
@@ -750,31 +751,14 @@ def channel_squashed_upper(
         # final descents (current ansatz plus fresh starts) so the reported
         # value is a well-minimized squashed bound at this input
         finals = [descend(psi_params, x0) for x0 in (
-            ansatz_params,
-            cfg.init_scale * rng.standard_normal(n_ansatz),
-            cfg.init_scale * rng.standard_normal(n_ansatz),
+            ansatz_params, _fresh_start(rng, n_ansatz), _fresh_start(rng, n_ansatz),
         )]
-        final = min(finals, key=lambda r: float(r.fun))
-        runs += finals
-        value = float(final.fun)
-        records.append(RestartRecord(
-            j, value, sum(int(r.nit) for r in runs), bool(final.success),
-            sum(int(r.nfev) for r in runs), sum(int(r.njev) for r in runs), str(final.message),
-        ))
-        if value > best_value:
-            best_value, best_restart, best_ansatz_params = value, j, np.asarray(final.x)
+        return runs + finals, min(finals, key=lambda r: float(r.fun))
 
-    ansatz = SquashingAnsatz(d_purify, d_env, d_sink, best_ansatz_params)
-    return BoundReport(
+    return _search(
+        restart, cfg, -1, (d_purify, d_env, d_sink),
         description="channel squashed-entanglement search (heuristic)",
-        value=best_value,
         flavor=FLAVOR_TOTAL,
-        dims=(d_purify, d_env, d_sink),
-        seed=cfg.seed,
-        restarts=tuple(records),
-        best_restart=best_restart,
-        optimizer_ok=all(r.converged for r in records),
-        ansatz=ansatz,
         heuristic=True,
     )
 

@@ -53,6 +53,12 @@ def _layout_from_payload(obj: Any, path: str, field: str = "layout") -> SystemLa
         raise StateFileError(f"{path}: invalid {field!r} entry ({exc})") from exc
 
 
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def write_state(path: str, rho: DensityOperator) -> None:
     payload = {
         "format": STATE_FORMAT,
@@ -60,9 +66,7 @@ def write_state(path: str, rho: DensityOperator) -> None:
         "layout": [[lbl, d] for lbl, d in rho.layout.systems],
         **_matrix_payload(rho.matrix),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def write_isometry(path: str, v: Isometry) -> None:
@@ -73,9 +77,7 @@ def write_isometry(path: str, v: Isometry) -> None:
         "output_layout": [[lbl, d] for lbl, d in v.output_layout.systems],
         **_matrix_payload(v.matrix),
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def _load_payload(path: str) -> dict:
@@ -129,10 +131,7 @@ def read_isometry(path: str) -> Isometry:
 
 def write_report(path: str, report: dict) -> None:
     """Deterministic JSON rendering; the caller supplies seed and tolerances."""
-    payload = {"tool": f"privsq {__version__}", **report}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"tool": f"privsq {__version__}", **report})
 
 
 __all__ = [

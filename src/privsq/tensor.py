@@ -121,10 +121,6 @@ class DensityOperator:
     def dim(self) -> int:
         return self.layout.total_dim
 
-    def rank(self, clip: float = EIG_CLIP) -> int:
-        w = np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2)
-        return int(np.sum(w > clip))
-
 
 @dataclass(frozen=True)
 class PureStateVector:

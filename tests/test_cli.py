@@ -184,3 +184,57 @@ def test_bound_channel_rate_alias_is_gone(tmp_path, capsys):
     assert capsys.readouterr().out == "rhs = 1.26208616714  (rate bound, n = 100)\n"
     data = json.loads(rep.read_text())
     assert data["kind"] == "rate" and data["rhs"] == 1.2620861671403416
+
+
+def test_esq_refuses_non_positive_extension_dims(tmp_path, capsys):
+    state = tmp_path / "g.state"
+    run_cli(["gen", "--private", "--seed", "7", "--out", str(state)])
+    capsys.readouterr()
+    code = run_cli(["esq", "--in", str(state), "--groups", "A=A1+A1p;B=A2+A2p",
+                    "--d-env", "-2", "--d-sink", "-2", "--restarts", "1", "--iters", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: extension dims d_env=-2, d_sink=-2 must both be at least 1\n")
+
+
+def test_verify_refuses_options_it_would_ignore(tmp_path, capsys):
+    for suite, flag, value in (("fvg", "--restarts", "9"), ("lemmas", "--iters", "3"),
+                               ("thm1", "--instances", "5")):
+        assert run_cli(["verify", "--suite", suite, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: verify --suite {suite} does not take {flag}\n"
+    # thm1's own defaults (1 restart, 12 iterations) apply when the options are omitted
+    r1, r2 = tmp_path / "t1.json", tmp_path / "t2.json"
+    assert run_cli(["verify", "--suite", "thm1", "--seed", "2", "--out", str(r1)]) == 0
+    assert run_cli(["verify", "--suite", "thm1", "--seed", "2", "--restarts", "1",
+                    "--iters", "12", "--out", str(r2)]) == 0
+    assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_esq_names_restarts_at_the_iteration_limit(tmp_path, capsys):
+    state = tmp_path / "g.state"
+    run_cli(["gen", "--private", "--seed", "7", "--out", str(state)])
+    capsys.readouterr()
+    out = tmp_path / "r.json"
+    assert run_cli(["esq", "--in", str(state), "--groups", "A=A1+A1p;B=A2+A2p",
+                    "--d-env", "2", "--d-sink", "2", "--restarts", "3", "--iters", "2",
+                    "--seed", "3", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: restarts that reached the iteration limit --iters 2: 0, 1, 2\n"
+    rows = json.loads(out.read_text())["report"]["restarts"]
+    assert [(r["iterations"], r["converged"]) for r in rows] == [(2, False)] * 3
+
+
+def test_unconverged_restarts_other_than_the_limit_carry_scipy_message(capsys):
+    from privsq.cli import _warn_unconverged
+    from privsq.squashed import RestartRecord
+
+    restarts = [
+        RestartRecord(0, 1.0, 9, True, 10, 10, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
+        RestartRecord(1, 1.0, 5, False, 6, 6, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+        RestartRecord(2, 1.0, 3, False, 40, 40, "ABNORMAL: "),
+    ]
+    _warn_unconverged(restarts, 5)
+    assert capsys.readouterr().err == (
+        "warning: restarts that reached the iteration limit --iters 5: 1\n"
+        "warning: restart 2 did not converge: ABNORMAL: \n"
+    )

@@ -294,6 +294,63 @@ def test_channel_search_never_purifies(monkeypatch):
     assert all(jac is True for jac in jacs)
 
 
+def test_both_searches_share_one_lbfgsb_option_set(monkeypatch):
+    # every run of the state search and of the channel search (descents,
+    # ascents and final descents) goes through one driver with one option set
+    import privsq.squashed as sq
+
+    calls = []
+
+    def recorded_minimize(fun, x0, **kwargs):
+        calls.append((np.array(x0), kwargs))
+        return sq_minimize(fun, x0, **kwargs)
+
+    sq_minimize = sq.minimize
+    monkeypatch.setattr(sq, "minimize", recorded_minimize)
+    cfg = OptimizerConfig(restarts=2, max_iters=20, tol=1e-6, seed=4)
+    lo = SystemLayout([("A", 2), ("B", 2)])
+    squashed_upper(random_density(lo, 3, seed=2), "A", "B", d_env=2, d_sink=2, cfg=cfg)
+    assert len(calls) == cfg.restarts
+    # restart j starts from N(0, 0.5^2) coordinates drawn from PCG64(seed + j)
+    for j, (x0, _) in enumerate(calls):
+        rng = np.random.Generator(np.random.PCG64(cfg.seed + j))
+        assert np.array_equal(x0, 0.5 * rng.standard_normal(ansatz_param_count(2, 2)))
+    channel_squashed_upper(identity_channel(), d_env=2, d_sink=2, cfg=cfg, rounds=1)
+    assert len(calls) == cfg.restarts + cfg.restarts * (2 * 1 + 3)
+    options = {"maxiter": 20, "ftol": 1e-6, "gtol": 1e-8}
+    for _, kwargs in calls:
+        assert kwargs == {"jac": True, "method": "L-BFGS-B", "options": options}
+    assert not hasattr(cfg, "init_scale")
+
+
+REPORT_KEYS = ["description", "value", "flavor", "dims", "seed", "best_restart",
+               "optimizer_ok", "heuristic", "restarts"]
+RESTART_KEYS = ["index", "value", "iterations", "converged", "nfev", "njev", "message"]
+
+
+def test_report_rows_have_fixed_keys():
+    cfg = OptimizerConfig(restarts=2, max_iters=10, seed=1)
+    lo = SystemLayout([("A", 2), ("B", 2)])
+    state = squashed_upper(random_density(lo, 3, seed=5), "A", "B", d_env=2, d_sink=2, cfg=cfg)
+    channel = channel_squashed_upper(identity_channel(), d_env=2, d_sink=2, cfg=cfg, rounds=1)
+    for rep in (state, channel):
+        row = rep.to_dict()
+        assert list(row) == REPORT_KEYS
+        assert row["dims"] == dict(zip(("d_purify", "d_env", "d_sink"), rep.dims))
+        assert row["heuristic"] is (rep is channel)
+        assert [list(r) for r in row["restarts"]] == [RESTART_KEYS] * cfg.restarts
+        assert [r["value"] for r in row["restarts"]] == [r.value for r in rep.restarts]
+
+
+def test_non_positive_extension_dims_are_refused():
+    lo = SystemLayout([("A", 2), ("B", 2)])
+    rho = random_density(lo, 1, seed=3)  # product -2 * -2 = 4 >= rank 1
+    with pytest.raises(ValueError, match="d_env=-2, d_sink=-2 must both be at least 1"):
+        squashed_upper(rho, "A", "B", d_env=-2, d_sink=-2)
+    with pytest.raises(ValueError, match="d_env=2, d_sink=0 must both be at least 1"):
+        channel_squashed_upper(identity_channel(), d_env=2, d_sink=0)
+
+
 # ---------------------------------------------------------------------------
 # anchors
 # ---------------------------------------------------------------------------
