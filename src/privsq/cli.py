@@ -5,13 +5,20 @@ Subcommands: ``gen`` (private states, extensions, approximate states),
 ``esq`` (bipartite/multipartite/channel squashed-entanglement estimators),
 ``verify`` (identity and inequality suites), ``bound`` (key-bound
 arithmetic).  Exit codes: 0 success, 1 failed verification suite, 2 usage
-or input error.  ``--seed`` defaults to the PRIVSQ_SEED environment
-variable (then 0); given the seed, every command is bit-reproducible.
+or input error, including an option the chosen mode would ignore.
+
+Every command runs through :func:`run_cli`.  It resolves ``--seed`` (default:
+the PRIVSQ_SEED environment variable, then 0) onto ``args.seed``, calls the
+command's ``_cmd_*`` handler, which computes, prints and returns ``(exit
+code, report)``, and writes the report with its ``command`` and ``seed`` to
+the JSON file named by ``--out`` (``gen --report``: there ``--out`` names the
+state file).  Given the seed, every command is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from math import log2
@@ -34,6 +41,7 @@ from .private_states import (
     random_private_spec,
 )
 from .squashed import (
+    FLAVOR_TOTAL,
     ITERATION_LIMIT,
     OptimizerConfig,
     channel_squashed_upper,
@@ -83,15 +91,29 @@ def _default_seed(value: int | None) -> int:
     return int(os.environ.get("PRIVSQ_SEED", "0"))
 
 
+def _refuse(mode: str, args, *flags: str) -> None:
+    """Refuse, with exit 2, any of ``flags`` given to a mode that ignores it."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ValueError(f"{mode} does not take {flag}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privsq",
         description="Private states, entropies, and squashed-entanglement bounds.",
     )
     parser.add_argument("--version", action="version", version=f"privsq {__version__}")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="default: PRIVSQ_SEED, then 0")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate states and write them to a state file")
+    def command(name: str, summary: str, report_flag: str = "--out") -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, help=summary, parents=[seeded])
+        cmd.add_argument(report_flag, dest="report", default=None, help="optional JSON report file")
+        return cmd
+
+    gen = command("gen", "generate states and write them to a state file", "--report")
     mode = gen.add_mutually_exclusive_group(required=True)
     mode.add_argument("--private", action="store_true", help="private state")
     mode.add_argument("--extension", action="store_true", help="private-state extension")
@@ -99,46 +121,40 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--k", type=int, default=2, help="key dimension (default 2)")
     gen.add_argument("--shield-dims", default="2,2", help="one shield dimension per party, e.g. 2,2")
     gen.add_argument("--sigma-rank", type=int, default=None, help="rank of the shield state")
-    gen.add_argument("--ext-dim", type=int, default=2, help="extension dimension (with --extension)")
-    gen.add_argument("--p", type=float, default=0.1, help="mixing noise (with --approx)")
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--ext-dim", type=int, default=None,
+                     help="extension dimension (with --extension; default 2)")
+    gen.add_argument("--p", type=float, default=None, help="mixing noise (with --approx; default 0.1)")
     gen.add_argument("--out", required=True, help="output state file")
-    gen.add_argument("--report", default=None, help="optional JSON report file")
 
-    ent = sub.add_parser("entropy", help="evaluate an entropic quantity on a state file")
+    ent = command("entropy", "evaluate an entropic quantity on a state file")
     ent.add_argument("--in", dest="infile", required=True)
     ent.add_argument(
         "--quantity", required=True, choices=("vn", "cond", "cmi", "total", "dual")
     )
     ent.add_argument("--groups", default=None, help="e.g. 'A=A1+A1p;B=A2+A2p'")
     ent.add_argument("--cond", default="", help="conditioning labels, e.g. 'E'")
-    ent.add_argument("--seed", type=int, default=None)
-    ent.add_argument("--out", default=None, help="optional JSON report file")
 
-    esq = sub.add_parser("esq", help="variational squashed-entanglement upper bound")
+    esq = command("esq", "variational squashed-entanglement upper bound")
     esq.add_argument("--in", dest="infile", required=True, help="state file (or isometry with --channel)")
     esq.add_argument("--channel", action="store_true", help="treat input as a channel dilation isometry")
     esq.add_argument("--groups", default=None, help="party groups, e.g. 'A=A1+A1p;B=A2+A2p'")
     esq.add_argument("--keep", default=None, help="channel output labels to keep (with --channel)")
-    esq.add_argument("--flavor", choices=("total", "dual"), default="total")
+    esq.add_argument("--flavor", choices=("total", "dual"), default=None,
+                     help="without --channel; default total")
     esq.add_argument("--d-env", type=int, default=None)
     esq.add_argument("--d-sink", type=int, default=None)
     esq.add_argument("--restarts", type=int, default=8)
     esq.add_argument("--iters", type=int, default=500)
     esq.add_argument("--ftol", type=float, default=1e-7)
-    esq.add_argument("--seed", type=int, default=None)
-    esq.add_argument("--out", default=None)
 
-    ver = sub.add_parser("verify", help="run a verification suite")
+    ver = command("verify", "run a verification suite")
     ver.add_argument("--suite", required=True, choices=sorted(SUITES))
     ver.add_argument("--instances", type=int, default=None, help="instance count (all suites but thm1)")
     ver.add_argument("--tol", type=float, default=None, help="override the suite's residual tolerance")
     ver.add_argument("--restarts", type=int, default=None, help="optimizer restarts (thm1 only; default 1)")
     ver.add_argument("--iters", type=int, default=None, help="optimizer iterations (thm1 only; default 12)")
-    ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--out", default=None)
 
-    bnd = sub.add_parser("bound", help="key-bound arithmetic")
+    bnd = command("bound", "key-bound arithmetic")
     kind = bnd.add_mutually_exclusive_group(required=True)
     kind.add_argument("--thm1", action="store_true", help="key-length bound for approximate private states")
     kind.add_argument("--rate", action="store_true", help="finite-round key-rate bound")
@@ -152,33 +168,33 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--c1", type=int, default=4)
     bnd.add_argument("--c2", type=int, default=4)
     bnd.add_argument("--n", type=int, default=1, help="number of rounds (rate bounds)")
-    bnd.add_argument("--seed", type=int, default=None)
-    bnd.add_argument("--out", default=None)
 
     return parser
 
 
-def _cmd_gen(args) -> int:
-    seed = _default_seed(args.seed)
+def _cmd_gen(args) -> tuple[int, dict]:
+    mode = next(m for m in ("private", "extension", "approx") if getattr(args, m))
+    if mode != "approx":
+        _refuse(f"gen --{mode}", args, "--p")
+    if mode != "extension":
+        _refuse(f"gen --{mode}", args, "--ext-dim")
     shield_dims = _parse_dims(args.shield_dims)
-    report: dict = {"command": "gen", "seed": seed, "k": args.k, "shield_dims": list(shield_dims)}
+    report: dict = {"k": args.k, "shield_dims": list(shield_dims), "mode": mode}
     if args.extension:
-        spec = random_private_spec(args.k, shield_dims, seed, args.sigma_rank, ext_dim=args.ext_dim)
+        ext_dim = 2 if args.ext_dim is None else args.ext_dim
+        spec = random_private_spec(args.k, shield_dims, args.seed, args.sigma_rank, ext_dim=ext_dim)
         state = private_state_extension(spec)
-        report["mode"] = "extension"
-        report["ext_dim"] = args.ext_dim
+        report["ext_dim"] = ext_dim
     else:
-        spec = random_private_spec(args.k, shield_dims, seed, args.sigma_rank)
+        spec = random_private_spec(args.k, shield_dims, args.seed, args.sigma_rank)
         if args.approx:
-            state, eps = approx_private_state(spec, args.p, seed + 1)
-            report["mode"] = "approx"
-            report["noise"] = args.p
+            noise = 0.1 if args.p is None else args.p
+            state, eps = approx_private_state(spec, noise, args.seed + 1)
+            report["noise"] = noise
             report["eps"] = eps
             print(f"eps = {eps:.12g}")
         else:
             state = private_state(spec)
-            report["mode"] = "private"
-    if not args.extension:
         dev = privacy_deviation(
             private_state(spec) if args.approx else state,
             args.k,
@@ -192,13 +208,10 @@ def _cmd_gen(args) -> int:
     report["layout"] = [[lbl, d] for lbl, d in state.layout.systems]
     report["tolerances"] = {"privacy": 1e-9}
     print(f"wrote {args.out} ({state.dim} x {state.dim})")
-    if args.report:
-        write_report(args.report, report)
-    return 0
+    return 0, report
 
 
-def _cmd_entropy(args) -> int:
-    seed = _default_seed(args.seed)
+def _cmd_entropy(args) -> tuple[int, dict]:
     rho = read_state(args.infile)
     cond = _parse_labels(args.cond) if args.cond else ()
     partition = _parse_groups(args.groups) if args.groups else None
@@ -226,21 +239,14 @@ def _cmd_entropy(args) -> int:
     else:
         value = dual_total_correlation(rho, label_groups, cond)
     print(f"{q} = {value:.12g} bits")
-    if args.out:
-        write_report(
-            args.out,
-            {
-                "command": "entropy",
-                "quantity": q,
-                "in": args.infile,
-                "groups": {name: list(labels) for name, labels in partition.groups} if partition else {},
-                "cond": list(cond),
-                "value": value,
-                "seed": seed,
-                "tolerances": {},
-            },
-        )
-    return 0
+    return 0, {
+        "quantity": q,
+        "in": args.infile,
+        "groups": {name: list(labels) for name, labels in partition.groups} if partition else {},
+        "cond": list(cond),
+        "value": value,
+        "tolerances": {},
+    }
 
 
 def _warn_unconverged(restarts, iters: int) -> None:
@@ -255,10 +261,13 @@ def _warn_unconverged(restarts, iters: int) -> None:
             print(f"warning: restart {r.index} did not converge: {r.message}", file=sys.stderr)
 
 
-def _cmd_esq(args) -> int:
-    seed = _default_seed(args.seed)
+def _cmd_esq(args) -> tuple[int, dict]:
+    if args.channel:
+        _refuse("esq --channel", args, "--groups", "--flavor")
+    else:
+        _refuse("esq on a state", args, "--keep")
     cfg = OptimizerConfig(
-        restarts=args.restarts, max_iters=args.iters, tol=args.ftol, seed=seed
+        restarts=args.restarts, max_iters=args.iters, tol=args.ftol, seed=args.seed
     )
     if args.channel:
         chan = read_isometry(args.infile)
@@ -273,54 +282,38 @@ def _cmd_esq(args) -> int:
             raise ValueError("esq on a state needs --groups")
         partition = _parse_groups(args.groups)
         partition.validate_against(rho.layout)
+        flavor = args.flavor or FLAVOR_TOTAL
         rep = squashed_multi_upper(
             rho,
             [labels for _, labels in partition.groups],
-            flavor=args.flavor,
+            flavor=flavor,
             d_env=args.d_env,
             d_sink=args.d_sink,
             cfg=cfg,
         )
-        print(f"squashed upper bound ({args.flavor}) = {rep.value:.12g}")
+        print(f"squashed upper bound ({flavor}) = {rep.value:.12g}")
     _warn_unconverged(rep.restarts, args.iters)
-    if args.out:
-        write_report(
-            args.out,
-            {
-                "command": "esq",
-                "in": args.infile,
-                "channel": bool(args.channel),
-                "groups": args.groups,
-                "report": rep.to_dict(),
-                "seed": seed,
-                "tolerances": {"ftol": args.ftol},
-            },
-        )
-    return 0
+    return 0, {
+        "in": args.infile,
+        "channel": bool(args.channel),
+        "groups": args.groups,
+        "report": rep.to_dict(),
+        "tolerances": {"ftol": args.ftol},
+    }
 
 
-def _cmd_verify(args) -> int:
-    seed = _default_seed(args.seed)
+def _cmd_verify(args) -> tuple[int, dict]:
     name = args.suite
-    kwargs: dict = {"seed": seed}
-    takes = ("--restarts", "--iters") if name == "thm1" else ("--instances",)
-    for flag, key, value in (("--instances", "instances", args.instances),
-                             ("--restarts", "restarts", args.restarts),
-                             ("--iters", "max_iters", args.iters)):
-        if value is None:
-            continue
-        if flag not in takes:
-            raise ValueError(f"verify --suite {name} does not take {flag}")
-        kwargs[key] = value
-    if name == "thm1":
-        if args.tol is not None:
-            kwargs["tol"] = args.tol
-    elif args.tol is not None:
-        if name == "lemmas":
-            kwargs["tol_bipartite"] = args.tol
-            kwargs["tol_multi"] = 10 * args.tol
-        else:
-            kwargs["tol"] = args.tol
+    params = inspect.signature(SUITES[name]).parameters
+    kwargs: dict = {"seed": args.seed}
+    for flag, key in (("--instances", "instances"), ("--restarts", "restarts"),
+                      ("--iters", "max_iters"), ("--tol", "tol")):
+        if key not in params:
+            _refuse(f"verify --suite {name}", args, flag)
+        elif getattr(args, flag[2:]) is not None:
+            kwargs[key] = getattr(args, flag[2:])
+    if args.instances is not None and args.instances < 1:
+        raise ValueError(f"verify --instances must be at least 1, got {args.instances}")
     result = SUITES[name](**kwargs)
     width = max(len(r.identity) for r in result.rows)
     for r in result.rows:
@@ -330,17 +323,13 @@ def _cmd_verify(args) -> int:
             f"max_residual={r.worst:.3e}  tol={r.tol:.1e}  {status}"
         )
     print(f"suite {name}: {'pass' if result.passed else 'FAIL'}")
-    if args.out:
-        report = result.to_dict()
-        report["command"] = "verify"
-        report["tolerances"] = {r.identity: r.tol for r in result.rows}
-        write_report(args.out, report)
-    return 0 if result.passed else 1
+    report = result.to_dict()
+    report["tolerances"] = {r.identity: r.tol for r in result.rows}
+    return (0 if result.passed else 1), report
 
 
-def _cmd_bound(args) -> int:
-    seed = _default_seed(args.seed)
-    report: dict = {"command": "bound", "seed": seed, "esq": args.esq, "eps": args.eps, "tolerances": {}}
+def _cmd_bound(args) -> tuple[int, dict]:
+    report: dict = {"esq": args.esq, "eps": args.eps, "tolerances": {}}
     if args.thm1:
         mode = args.mode.replace("-", "_")
         rhs = key_length_bound(
@@ -369,9 +358,7 @@ def _cmd_bound(args) -> int:
         rhs = key_rate_bound(args.esq, args.eps, args.n)
         print(f"rhs = {rhs:.12g}  (rate bound, n = {args.n})")
         report.update({"kind": "rate", "n": args.n, "rhs": rhs})
-    if args.out:
-        write_report(args.out, report)
-    return 0
+    return 0, report
 
 
 def run_cli(argv: list[str]) -> int:
@@ -389,10 +376,14 @@ def run_cli(argv: list[str]) -> int:
         "bound": _cmd_bound,
     }
     try:
-        return handlers[args.command](args)
+        args.seed = _default_seed(args.seed)
+        code, report = handlers[args.command](args)
+        if args.report:
+            write_report(args.report, {**report, "command": args.command, "seed": args.seed})
     except (ValueError, LayoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 def main() -> None:

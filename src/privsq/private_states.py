@@ -303,7 +303,6 @@ def random_private_spec(
     seed: int | np.random.Generator,
     sigma_rank: int | None = None,
     ext_dim: int | None = None,
-    ext_label: str = "E",
 ) -> PrivateStateSpec:
     """Seeded random spec: Haar twisting controls and a Ginibre shield state.
 
@@ -311,9 +310,9 @@ def random_private_spec(
     place); anything else raises ``TypeError``, as in the samplers.
 
     With ``ext_dim`` set, the shield state is sampled on shields plus an
-    extension system of that dimension (its shield marginal then defines the
-    underlying private state), so ``private_state_extension(spec)`` works
-    directly.
+    extension system ``E`` of that dimension (its shield marginal then
+    defines the underlying private state), so
+    ``private_state_extension(spec)`` works directly.
     """
     shield_dims = tuple(int(d) for d in shield_dims)
     parties = len(shield_dims)
@@ -325,7 +324,7 @@ def random_private_spec(
     }
     layout = SystemLayout(zip(default_shield_labels(parties), shield_dims))
     if ext_dim is not None:
-        layout = layout.concat(SystemLayout(((ext_label, int(ext_dim)),)))
+        layout = layout.concat(SystemLayout((("E", int(ext_dim)),)))
     rank = sigma_rank if sigma_rank is not None else layout.total_dim
     sigma = random_density(layout, rank, rng)
     return PrivateStateSpec(key_dim, shield_dims, sigma, controls)

@@ -25,7 +25,7 @@ reports in one place (``_search``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache, partial
 from math import log, log2, prod, sqrt
 from typing import Iterable, Sequence
@@ -387,16 +387,18 @@ def _lbfgsb(fn, x0: np.ndarray, cfg: OptimizerConfig):
 def _search(restart, cfg: OptimizerConfig, sense: int, dims: tuple[int, int, int],
             **report) -> BoundReport:
     """Seeded restarts: ``restart(rng)`` returns its L-BFGS-B runs and the
-    final one.  A restart records the value, convergence and message of its
-    final run and the iterations and evaluations of all its runs; the best
-    restart minimizes ``sense * value`` (lowest index first) and gives the
-    reported ansatz."""
+    final one, whose value and point it reports.  A restart has converged
+    only if all its runs converged; its message is that of its first
+    unconverged run, or the final run's if none; its iterations and
+    evaluations sum over all its runs.  The best restart minimizes
+    ``sense * value`` (lowest index first) and gives the reported ansatz."""
     records, solutions = [], []
     for j in range(cfg.restarts):
         runs, final = restart(np.random.Generator(np.random.PCG64(cfg.seed + j)))
+        stopped = next((r for r in runs if not r.success), final)
         records.append(RestartRecord(
-            j, float(final.fun), sum(int(r.nit) for r in runs), bool(final.success),
-            sum(int(r.nfev) for r in runs), sum(int(r.njev) for r in runs), str(final.message),
+            j, float(final.fun), sum(int(r.nit) for r in runs), bool(stopped.success),
+            sum(int(r.nfev) for r in runs), sum(int(r.njev) for r in runs), str(stopped.message),
         ))
         solutions.append(final.x)
     best = min(range(cfg.restarts), key=lambda j: (sense * records[j].value, j))
@@ -414,7 +416,6 @@ def squashed_multi_upper(
     d_env: int | None = None,
     d_sink: int | None = None,
     cfg: OptimizerConfig | None = None,
-    description: str = "",
 ) -> BoundReport:
     """Variational upper bound on the multipartite squashed entanglement of
     the chosen flavor over the given groups.
@@ -441,7 +442,7 @@ def squashed_multi_upper(
 
     return _search(
         restart, cfg, 1, (d_purify, d_env, d_sink),
-        description=description or f"squashed upper bound ({flavor}) over {len(groups)} groups",
+        description=f"squashed upper bound ({flavor}) over {len(groups)} groups",
         flavor=flavor,
     )
 
@@ -453,19 +454,18 @@ def squashed_upper(
     d_env: int | None = None,
     d_sink: int | None = None,
     cfg: OptimizerConfig | None = None,
-    description: str = "",
 ) -> BoundReport:
     """Variational upper bound on the bipartite squashed entanglement,
     ``min over restarts of (1/2) I(A;B|E)`` on the squashed extension."""
-    return squashed_multi_upper(
+    rep = squashed_multi_upper(
         rho,
         [as_labels(group_a), as_labels(group_b)],
         flavor=FLAVOR_TOTAL,
         d_env=d_env,
         d_sink=d_sink,
         cfg=cfg,
-        description=description or "bipartite squashed upper bound",
     )
+    return replace(rep, description="bipartite squashed upper bound")
 
 
 # ---------------------------------------------------------------------------

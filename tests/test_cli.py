@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from privsq import privacy_deviation
 from privsq.cli import run_cli
@@ -238,3 +239,136 @@ def test_unconverged_restarts_other_than_the_limit_carry_scipy_message(capsys):
         "warning: restarts that reached the iteration limit --iters 5: 1\n"
         "warning: restart 2 did not converge: ABNORMAL: \n"
     )
+
+
+GROUPS = "A=A1+A1p;B=A2+A2p"
+
+# one invocation per command; "{state}" is a private state, "{report}" the report path
+REPORTING_COMMANDS = {
+    "gen": ["gen", "--private", "--out", "{state}.new", "--report", "{report}"],
+    "entropy": ["entropy", "--in", "{state}", "--quantity", "vn", "--out", "{report}"],
+    "esq": ["esq", "--in", "{state}", "--groups", GROUPS, "--d-env", "2", "--d-sink", "2",
+            "--restarts", "1", "--iters", "3", "--out", "{report}"],
+    "verify": ["verify", "--suite", "fvg", "--instances", "2", "--out", "{report}"],
+    "bound": ["bound", "--rate", "--esq", "1.0", "--eps", "0.01", "--out", "{report}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORTING_COMMANDS))
+def test_every_command_reports_command_seed_and_tolerances(command, tmp_path, monkeypatch):
+    state = tmp_path / "g.state"
+    assert run_cli(["gen", "--private", "--seed", "7", "--out", str(state)]) == 0
+    report = tmp_path / "r.json"
+    argv = [a.format(state=state, report=report) for a in REPORTING_COMMANDS[command]]
+    monkeypatch.delenv("PRIVSQ_SEED", raising=False)
+    assert run_cli(argv + ["--seed", "6"]) == 0
+    via_flag = report.read_bytes()
+    rep = json.loads(via_flag)
+    assert rep["command"] == command and rep["seed"] == 6
+    assert isinstance(rep["tolerances"], dict)
+    report.unlink()
+    monkeypatch.setenv("PRIVSQ_SEED", "6")
+    assert run_cli(argv) == 0
+    assert report.read_bytes() == via_flag
+    # the flag wins over the environment
+    assert run_cli(argv + ["--seed", "8"]) == 0
+    assert json.loads(report.read_text())["seed"] == 8
+
+
+def test_malformed_env_seed_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PRIVSQ_SEED", "abc")
+    report = tmp_path / "b.json"
+    assert run_cli(["bound", "--rate", "--esq", "1.0", "--eps", "0.01", "--out", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not report.exists()
+    assert run_cli(["bound", "--rate", "--esq", "1.0", "--eps", "0.01", "--seed", "1"]) == 0
+
+
+def test_verify_refuses_instances_below_one(tmp_path, capsys):
+    report = tmp_path / "v.json"
+    for suite, count in (("lemmas", "0"), ("ssa", "-3")):
+        assert run_cli(["verify", "--suite", suite, "--instances", count, "--out", str(report)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verify --instances must be at least 1, got {count}\n"
+        assert not report.exists()
+
+
+def test_verify_lemmas_tol_sets_the_multipartite_rows_ten_times_looser(tmp_path):
+    report = tmp_path / "v.json"
+    assert run_cli(["verify", "--suite", "lemmas", "--instances", "4", "--seed", "1",
+                    "--tol", "1e-8", "--out", str(report)]) == 0
+    rows = json.loads(report.read_text())["rows"]
+    assert [r["tolerance"] for r in rows] == [1e-8, 1e-8, 10 * 1e-8, 10 * 1e-8]
+
+
+def test_verify_reads_the_options_a_suite_takes_through_a_wrapper(monkeypatch, capsys):
+    # a functools.wraps wrapper (as a tracer installs) keeps the suite's signature
+    import functools
+
+    from privsq.cli import SUITES
+
+    calls = []
+
+    def traced(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append(kwargs)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fvg", "thm1"):
+        monkeypatch.setitem(SUITES, name, traced(SUITES[name]))
+    assert run_cli(["verify", "--suite", "fvg", "--instances", "3", "--tol", "1e-8",
+                    "--seed", "2"]) == 0
+    assert calls == [{"seed": 2, "instances": 3, "tol": 1e-8}]
+    assert run_cli(["verify", "--suite", "thm1", "--instances", "3"]) == 2
+    assert capsys.readouterr().err == "error: verify --suite thm1 does not take --instances\n"
+    assert len(calls) == 1
+
+
+def test_esq_and_gen_refuse_options_their_mode_ignores(tmp_path, capsys):
+    state = tmp_path / "g.state"
+    run_cli(["gen", "--private", "--seed", "7", "--out", str(state)])
+    chan = tmp_path / "id.isom"
+    write_isometry(
+        str(chan),
+        Isometry(np.eye(2), SystemLayout([("Ain", 2)]), SystemLayout([("B", 2)])),
+    )
+    capsys.readouterr()
+    out, report = tmp_path / "new.state", tmp_path / "r.json"
+    cases = (
+        (["esq", "--in", str(state), "--groups", GROUPS, "--keep", "B"],
+         "esq on a state does not take --keep"),
+        (["esq", "--channel", "--in", str(chan), "--groups", "A=X;B=Y"],
+         "esq --channel does not take --groups"),
+        (["esq", "--channel", "--in", str(chan), "--flavor", "dual"],
+         "esq --channel does not take --flavor"),
+        (["gen", "--private", "--p", "0.7"], "gen --private does not take --p"),
+        (["gen", "--extension", "--p", "0.7"], "gen --extension does not take --p"),
+        (["gen", "--private", "--ext-dim", "9"], "gen --private does not take --ext-dim"),
+        (["gen", "--approx", "--ext-dim", "9"], "gen --approx does not take --ext-dim"),
+    )
+    for argv, message in cases:
+        flags = ["--out", str(out), "--report", str(report)] if argv[0] == "gen" else ["--out", str(report)]
+        assert run_cli(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not out.exists() and not report.exists()
+
+
+def test_esq_channel_names_restarts_at_the_iteration_limit(tmp_path, capsys):
+    chan = tmp_path / "id.isom"
+    write_isometry(
+        str(chan),
+        Isometry(np.eye(2), SystemLayout([("Ain", 2)]), SystemLayout([("B", 2)])),
+    )
+    out = tmp_path / "r.json"
+    assert run_cli(["esq", "--channel", "--in", str(chan), "--d-env", "2", "--d-sink", "2",
+                    "--restarts", "2", "--iters", "2", "--seed", "3", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err == "warning: restarts that reached the iteration limit --iters 2: 0, 1\n"
+    rep = json.loads(out.read_text())["report"]
+    assert rep["optimizer_ok"] is False
+    assert [r["converged"] for r in rep["restarts"]] == [False, False]

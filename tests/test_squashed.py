@@ -331,9 +331,16 @@ RESTART_KEYS = ["index", "value", "iterations", "converged", "nfev", "njev", "me
 def test_report_rows_have_fixed_keys():
     cfg = OptimizerConfig(restarts=2, max_iters=10, seed=1)
     lo = SystemLayout([("A", 2), ("B", 2)])
-    state = squashed_upper(random_density(lo, 3, seed=5), "A", "B", d_env=2, d_sink=2, cfg=cfg)
+    rho = random_density(lo, 3, seed=5)
+    state = squashed_upper(rho, "A", "B", d_env=2, d_sink=2, cfg=cfg)
+    multi = squashed_multi_upper(rho, ["A", "B"], "dual", d_env=2, d_sink=2, cfg=cfg)
     channel = channel_squashed_upper(identity_channel(), d_env=2, d_sink=2, cfg=cfg, rounds=1)
-    for rep in (state, channel):
+    assert [rep.description for rep in (state, multi, channel)] == [
+        "bipartite squashed upper bound",
+        "squashed upper bound (dual) over 2 groups",
+        "channel squashed-entanglement search (heuristic)",
+    ]
+    for rep in (state, multi, channel):
         row = rep.to_dict()
         assert list(row) == REPORT_KEYS
         assert row["dims"] == dict(zip(("d_purify", "d_env", "d_sink"), rep.dims))
@@ -702,6 +709,37 @@ def test_channel_replacement():
         cfg=OptimizerConfig(restarts=2, max_iters=80, seed=7), rounds=2,
     )
     assert rep.value <= 0.01
+
+
+def test_channel_restart_converges_only_if_all_its_runs_did(monkeypatch):
+    # a channel restart is several L-BFGS-B runs (a descent and an ascent per
+    # round, then three final descents); a run stopped on max_iters shows in
+    # its restart's record even where the final descent it reports converged
+    import privsq.squashed as sq
+
+    results = []
+
+    def recorded_minimize(*args, **kwargs):
+        results.append(sq_minimize(*args, **kwargs))
+        return results[-1]
+
+    sq_minimize = sq.minimize
+    monkeypatch.setattr(sq, "minimize", recorded_minimize)
+    cfg = OptimizerConfig(restarts=2, max_iters=5, seed=1)
+    rep = channel_squashed_upper(depolarizing_channel_full(), d_env=2, d_sink=2, cfg=cfg, rounds=2)
+    per_restart = 2 * 2 + 3
+    assert len(results) == cfg.restarts * per_restart
+    reported_final_converged = []
+    for rec in rep.restarts:
+        runs = results[rec.index * per_restart:(rec.index + 1) * per_restart]
+        stopped = [r for r in runs if not r.success]
+        assert stopped and rec.converged is False
+        assert rec.message == str(stopped[0].message)
+        assert (rec.nfev, rec.njev) == (sum(r.nfev for r in runs), sum(r.njev for r in runs))
+        reported = [r for r in runs[-3:] if float(r.fun) == rec.value]
+        reported_final_converged.append(bool(reported[0].success))
+    assert rep.optimizer_ok is False
+    assert any(reported_final_converged)  # the case a final-run-only record hides
 
 
 def test_channel_dimension_guard():
