@@ -187,20 +187,14 @@ def _cmd_gen(args) -> tuple[int, dict]:
         report["ext_dim"] = ext_dim
     else:
         spec = random_private_spec(args.k, shield_dims, args.seed, args.sigma_rank)
+        gamma = state = private_state(spec)
         if args.approx:
             noise = 0.1 if args.p is None else args.p
-            state, eps = approx_private_state(spec, noise, args.seed + 1)
+            state, eps = approx_private_state(spec, noise, args.seed + 1, gamma)
             report["noise"] = noise
             report["eps"] = eps
             print(f"eps = {eps:.12g}")
-        else:
-            state = private_state(spec)
-        dev = privacy_deviation(
-            private_state(spec) if args.approx else state,
-            args.k,
-            spec.key_labels,
-            spec.shield_labels,
-        )
+        dev = privacy_deviation(gamma, args.k, spec.key_labels, spec.shield_labels)
         report["privacy_deviation_of_private_state"] = dev
         print(f"privacy deviation of the underlying private state = {dev:.3e}")
     write_state(args.out, state)

@@ -277,14 +277,16 @@ def privacy_deviation(
 
 
 def approx_private_state(
-    spec: PrivateStateSpec, noise: float, seed: int
+    spec: PrivateStateSpec, noise: float, seed: int, gamma: DensityOperator | None = None
 ) -> tuple[DensityOperator, float]:
     """Noisy private state ``(1-p) gamma + p tau`` with a seeded random
     full-rank ``tau``, and the fidelity deficit ``eps = 1 - F(gamma, omega)``
-    reported exactly as computed."""
+    reported exactly as computed.  ``gamma`` is ``private_state(spec)``,
+    built here unless the caller already holds it."""
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise {noise} outside [0, 1]")
-    gamma = private_state(spec)
+    if gamma is None:
+        gamma = private_state(spec)
     tau = random_density(gamma.layout, gamma.dim, seed)
     omega = DensityOperator(
         (1.0 - noise) * gamma.matrix + noise * tau.matrix, gamma.layout

@@ -20,7 +20,11 @@ purification is linear in the input and no evaluation diagonalizes it.
 
 Both searches make every L-BFGS-B run through one driver (``_lbfgsb``, one
 option set), seed and start their restarts the same way and assemble their
-reports in one place (``_search``).
+reports in one place (``_search``).  That driver calls the module-level
+``minimize``, which imports ``scipy.optimize`` on its first call, so
+importing privsq and the commands that run no search never load it.
+``minimize`` is the one deferred binding; the tests and the benchmark's
+span tracer patch it.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from math import log, log2, prod, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .entropy import (
     ContinuityParams,
@@ -374,6 +377,14 @@ class BoundReport:
 
 def _fresh_start(rng: np.random.Generator, n_params: int) -> np.ndarray:
     return INIT_SCALE * rng.standard_normal(n_params)
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call: loading
+    scipy.optimize takes most of a cold start that runs no search."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _lbfgsb(fn, x0: np.ndarray, cfg: OptimizerConfig):

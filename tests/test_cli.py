@@ -46,6 +46,64 @@ def test_gen_extension_and_approx(tmp_path):
     assert 0.0 < rep["eps"] < 1.0
 
 
+def test_gen_approx_builds_the_private_state_once(tmp_path, monkeypatch):
+    from privsq import cli, private_states
+
+    build = private_states.private_state
+    builds = []
+
+    def counted(spec):
+        builds.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(private_states, "private_state", counted)
+    monkeypatch.setattr(cli, "private_state", counted)
+    assert run_cli(["gen", "--approx", "--seed", "1", "--out", str(tmp_path / "a.state")]) == 0
+    assert len(builds) == 1
+
+
+# Run in a fresh interpreter: the test process has long since loaded scipy.optimize.
+COLD_START = """
+import json, sys
+import privsq, privsq.cli
+
+loaded = {"import": "scipy.optimize" in sys.modules}
+for name, argv in json.loads(sys.argv[1]):
+    assert privsq.cli.run_cli(argv) == 0, name
+    loaded[name] = "scipy.optimize" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_searches_load_scipy_optimize(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import privsq
+
+    state, out = str(tmp_path / "g.state"), str(tmp_path / "o")
+    commands = [
+        ("gen --private", ["gen", "--private", "--seed", "7", "--out", state]),
+        ("gen --extension", ["gen", "--extension", "--ext-dim", "2", "--out", out]),
+        ("gen --approx", ["gen", "--approx", "--out", out]),
+        ("entropy", ["entropy", "--in", state, "--quantity", "vn"]),
+        ("bound --thm1", ["bound", "--thm1", "--esq", "0.9", "--eps", "0.01", "--k", "2"]),
+        ("bound --rate", ["bound", "--rate", "--esq", "1.0", "--eps", "0.01", "--n", "100"]),
+        ("verify lemmas", ["verify", "--suite", "lemmas", "--instances", "1"]),
+        ("esq", ["esq", "--in", state, "--groups", GROUPS, "--d-env", "2", "--d-sink", "2",
+                 "--restarts", "1", "--iters", "3"]),
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(privsq.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(commands)],
+                          env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": False, **{name: name == "esq" for name, _ in commands}}
+
+
 def test_entropy_command(tmp_path, capsys):
     out = tmp_path / "g.state"
     run_cli(["gen", "--private", "--seed", "7", "--out", str(out)])
@@ -114,7 +172,26 @@ def test_verify_thm1_suite(tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["pass"] is True
-    assert len(rep["rows"]) == 3
+    assert len(rep["rows"]) == 4
+
+
+def test_verify_thm1_row_at_noise_0_001_can_fail(tmp_path, monkeypatch):
+    # log2 K - f(sqrt(eps), K) is +0.58 bits at noise 0.001 and negative at the
+    # other three levels, so an upper bound of 0.3 bits fails that row alone
+    from types import SimpleNamespace
+
+    from privsq import suites
+
+    monkeypatch.setattr(suites, "squashed_upper", lambda *a, **k: SimpleNamespace(value=0.3))
+    out = tmp_path / "t.json"
+    assert run_cli(["verify", "--suite", "thm1", "--seed", "0", "--out", str(out)]) == 1
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["identity"], r["pass"]) for r in rows] == [
+        ("key-bound chain, noise 0.01", True),
+        ("key-bound chain, noise 0.05", True),
+        ("key-bound chain, noise 0.1", True),
+        ("key-bound chain, noise 0.001", False),
+    ]
 
 
 def test_verify_report_byte_identical(tmp_path):
