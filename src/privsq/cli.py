@@ -25,6 +25,7 @@ from math import log2
 
 from . import __version__
 from .entropy import (
+    DEFAULT_MULTI_CONSTANTS,
     Partition,
     cond_entropy,
     cond_mutual_info,
@@ -143,9 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="without --channel; default total")
     esq.add_argument("--d-env", type=int, default=None)
     esq.add_argument("--d-sink", type=int, default=None)
-    esq.add_argument("--restarts", type=int, default=8)
-    esq.add_argument("--iters", type=int, default=500)
-    esq.add_argument("--ftol", type=float, default=1e-7)
+    esq.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    esq.add_argument("--iters", type=int, default=OptimizerConfig.max_iters)
+    esq.add_argument("--ftol", type=float, default=OptimizerConfig.tol)
 
     ver = command("verify", "run a verification suite")
     ver.add_argument("--suite", required=True, choices=sorted(SUITES))
@@ -165,8 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("bipartite", "multi-total", "multi-dual"), default="bipartite"
     )
     bnd.add_argument("--m", type=int, default=None, help="party count (multi modes)")
-    bnd.add_argument("--c1", type=int, default=4)
-    bnd.add_argument("--c2", type=int, default=4)
+    bnd.add_argument("--c1", type=int, default=DEFAULT_MULTI_CONSTANTS[0])
+    bnd.add_argument("--c2", type=int, default=DEFAULT_MULTI_CONSTANTS[1])
     bnd.add_argument("--n", type=int, default=1, help="number of rounds (rate bounds)")
 
     return parser

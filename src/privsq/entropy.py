@@ -180,6 +180,11 @@ def binary_entropy(x: float) -> float:
     return float(-x * log2(x) - (1.0 - x) * log2(1.0 - x))
 
 
+def _h2_term(eps: float) -> float:
+    """``(1+eps) h2(eps/(1+eps))``, in the continuity and key-rate bounds."""
+    return (1.0 + eps) * binary_entropy(eps / (1.0 + eps))
+
+
 # Continuity-bound kinds.  The linear term's coefficient and the doubling of
 # the binary-entropy term depend on which quantity is being bounded.
 KIND_COND_ENTROPY = "cond_entropy"
@@ -244,7 +249,7 @@ def continuity_bound(p: ContinuityParams) -> float:
       ``m [c1 eps log_dim + c2 (1+eps) h2(eps/(1+eps))]``
     """
     eps = p.eps
-    h_term = (1.0 + eps) * binary_entropy(eps / (1.0 + eps)) if eps > 0 else 0.0
+    h_term = _h2_term(eps)
     if p.kind == KIND_COND_ENTROPY:
         return 2.0 * eps * p.log_dim + h_term
     if p.kind in (KIND_COND_MUTUAL_INFO, KIND_KEY_BIPARTITE):

@@ -17,6 +17,7 @@ from .layout import LayoutError, SystemLayout, fresh_label
 from .tensor import (
     DensityOperator,
     PureStateVector,
+    _unchecked,
     permute_systems,
     psd_sqrt,
     purification_matrix,
@@ -88,11 +89,10 @@ def uhlmann_align(rho: DensityOperator, sigma: DensityOperator) -> FidelityPair:
     m_rho = purification_matrix(rho.matrix, d_ref=d)
     m_sigma = purification_matrix(sigma.matrix, d_ref=d)
     u, overlap = _align_unitary(m_rho, m_sigma)
-    aligned = u @ m_rho
     return FidelityPair(
         fidelity=overlap**2,
-        phi_rho=PureStateVector(aligned.reshape(-1), layout),
-        phi_sigma=PureStateVector(m_sigma.reshape(-1), layout),
+        phi_rho=_unchecked(PureStateVector, layout, (u @ m_rho).reshape(-1)),
+        phi_sigma=_unchecked(PureStateVector, layout, m_sigma.reshape(-1)),
         u_ref=u,
     )
 
@@ -136,7 +136,7 @@ def matched_extension(rho_ext: DensityOperator, sigma_marginal: DensityOperator)
 
     mat = np.einsum("rba,rcd->bacd", aligned, aligned.conj()).reshape(d_b * d_a, d_b * d_a)
     ba_layout = rho_ext.layout.sublayout(b_labels).concat(sigma_marginal.layout)
-    sigma_ext = DensityOperator(mat, ba_layout)
+    sigma_ext = _unchecked(DensityOperator, ba_layout, mat)
     return permute_systems(sigma_ext, rho_ext.layout.labels)
 
 

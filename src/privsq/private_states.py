@@ -23,6 +23,7 @@ from .metric import fidelity, trace_distance
 from .tensor import (
     DensityOperator,
     _seeded_rng,
+    _unchecked,
     dephase,
     haar_unitary,
     kron,
@@ -40,15 +41,19 @@ def default_shield_labels(parties: int) -> tuple[str, ...]:
     return tuple(f"A{i + 1}p" for i in range(parties))
 
 
+def _check_counts(key_dim: int, parties: int) -> None:
+    if key_dim < 2:
+        raise ValueError(f"key dimension {key_dim} < 2")
+    if parties < 2:
+        raise ValueError(f"party count {parties} < 2")
+
+
 def ghz_state(
     key_dim: int, parties: int, labels: Sequence[str] | None = None
 ) -> DensityOperator:
     """Rank-one maximally correlated entangled state of ``parties`` qudits,
     with matrix entries ``1/K`` on the all-equal index block."""
-    if key_dim < 2:
-        raise ValueError(f"key dimension {key_dim} < 2")
-    if parties < 2:
-        raise ValueError(f"party count {parties} < 2")
+    _check_counts(key_dim, parties)
     labels = tuple(labels) if labels is not None else default_key_labels(parties)
     if len(labels) != parties:
         raise ValueError(f"{len(labels)} labels for {parties} parties")
@@ -56,7 +61,7 @@ def ghz_state(
     amp = np.zeros(layout.total_dim, dtype=complex)
     step = (key_dim**parties - 1) // (key_dim - 1)  # flat index of |i i ... i>
     amp[::step] = 1.0 / np.sqrt(key_dim)
-    return DensityOperator(np.outer(amp, amp.conj()), layout)
+    return _unchecked(DensityOperator, layout, np.outer(amp, amp.conj()))
 
 
 def max_entangled(key_dim: int, labels: Sequence[str] = ("A", "B")) -> DensityOperator:
@@ -73,7 +78,7 @@ def uniform_classical(key_dim: int, layout: SystemLayout) -> DensityOperator:
     step = (key_dim ** len(layout) - 1) // (key_dim - 1) if len(layout) > 1 else 1
     for i in range(key_dim):
         mat[i * step, i * step] = 1.0 / key_dim
-    return DensityOperator(mat, layout)
+    return _unchecked(DensityOperator, layout, mat)
 
 
 @dataclass(frozen=True)
@@ -107,10 +112,7 @@ class PrivateStateSpec:
         key_dim = int(key_dim)
         shield_dims = tuple(int(d) for d in shield_dims)
         parties = len(shield_dims)
-        if key_dim < 2:
-            raise ValueError(f"key dimension {key_dim} < 2")
-        if parties < 2:
-            raise ValueError(f"party count {parties} < 2")
+        _check_counts(key_dim, parties)
         key_labels = (
             tuple(key_labels) if key_labels is not None else default_key_labels(parties)
         )
@@ -142,12 +144,7 @@ class PrivateStateSpec:
                 raise ValueError(f"control {idx} is not unitary within 1e-10")
             controls[idx] = u
 
-        object.__setattr__(self, "key_dim", key_dim)
-        object.__setattr__(self, "shield_dims", shield_dims)
-        object.__setattr__(self, "shield_state", shield_state)
-        object.__setattr__(self, "controls", controls)
-        object.__setattr__(self, "key_labels", key_labels)
-        object.__setattr__(self, "shield_labels", shield_labels)
+        _unchecked(self, key_dim, shield_dims, shield_state, controls, key_labels, shield_labels)
 
     @property
     def parties(self) -> int:
@@ -192,12 +189,12 @@ def private_state(spec: PrivateStateSpec) -> DensityOperator:
 
 def _twisted(spec: PrivateStateSpec, sigma: DensityOperator) -> DensityOperator:
     """``U (Phi (x) sigma) U^dag``, ``U`` acting as identity on the systems
-    of ``sigma`` past the shields.  Only the twisted result is validated."""
+    of ``sigma`` past the shields, built unchecked from checked inputs."""
     phi = ghz_state(spec.key_dim, spec.parties, spec.key_labels)
     d_ext = prod(sigma.layout.dims[spec.parties:])
     u = np.kron(twisting_unitary(spec), np.eye(d_ext))
     mat = u @ np.kron(phi.matrix, sigma.matrix) @ u.conj().T
-    return DensityOperator(mat, phi.layout.concat(sigma.layout))
+    return _unchecked(DensityOperator, phi.layout.concat(sigma.layout), mat)
 
 
 def private_state_extension(
@@ -288,9 +285,8 @@ def approx_private_state(
     if gamma is None:
         gamma = private_state(spec)
     tau = random_density(gamma.layout, gamma.dim, seed)
-    omega = DensityOperator(
-        (1.0 - noise) * gamma.matrix + noise * tau.matrix, gamma.layout
-    )
+    mixed = (1.0 - noise) * gamma.matrix + noise * tau.matrix
+    omega = _unchecked(DensityOperator, gamma.layout, mixed)
     # clip floating-point overshoot of F past 1 so eps stays in [0, 1]
     return omega, min(max(1.0 - fidelity(gamma, omega), 0.0), 1.0)
 
@@ -329,7 +325,9 @@ def random_private_spec(
         layout = layout.concat(SystemLayout((("E", int(ext_dim)),)))
     rank = sigma_rank if sigma_rank is not None else layout.total_dim
     sigma = random_density(layout, rank, rng)
-    return PrivateStateSpec(key_dim, shield_dims, sigma, controls)
+    _check_counts(key_dim, parties)
+    return _unchecked(PrivateStateSpec, int(key_dim), shield_dims, sigma, controls,
+                      default_key_labels(parties), default_shield_labels(parties))
 
 
 __all__ = [

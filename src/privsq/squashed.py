@@ -46,13 +46,13 @@ from .entropy import (
     KIND_KEY_MULTI_TOTAL,
     _disjoint,
     _group_entropy,
+    _h2_term,
     _information,
-    binary_entropy,
     continuity_bound,
 )
 from .entropy import info_terms as _info_terms
 from .layout import LayoutError, SystemLayout, as_labels, fresh_label
-from .tensor import EIG_CLIP, DensityOperator, Isometry, purification_matrix
+from .tensor import EIG_CLIP, DensityOperator, Isometry, _unchecked, purification_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -76,23 +76,13 @@ class SquashingAnsatz:
     params: np.ndarray
 
     def __init__(self, d_purify: int, d_env: int, d_sink: int, params: np.ndarray):
-        d_purify, d_env, d_sink = int(d_purify), int(d_env), int(d_sink)
-        if min(d_purify, d_env, d_sink) < 1:
-            raise ValueError("all ansatz dimensions must be >= 1")
-        if d_env * d_sink < d_purify:
-            raise ValueError(
-                f"output dimension {d_env}*{d_sink} is below the purifying dimension {d_purify}"
-            )
+        d_purify = int(d_purify)
+        d_env, d_sink = _extension_dims(d_purify, int(d_env), int(d_sink))
         count = ansatz_param_count(d_env, d_sink)
-        params = np.asarray(params, dtype=float).reshape(-1)
+        params = np.array(params, dtype=float).reshape(-1)
         if params.shape != (count,):
             raise ValueError(f"expected {count} parameters, got {params.shape[0]}")
-        params = params.copy()
-        params.setflags(write=False)
-        object.__setattr__(self, "d_purify", d_purify)
-        object.__setattr__(self, "d_env", d_env)
-        object.__setattr__(self, "d_sink", d_sink)
-        object.__setattr__(self, "params", params)
+        _unchecked(self, d_purify, d_env, d_sink, params)
 
     @property
     def n_params(self) -> int:
@@ -104,11 +94,9 @@ class SquashingAnsatz:
     def to_isometry(
         self, input_label: str = "Epur", env_label: str = "E", sink_label: str = "F"
     ) -> Isometry:
-        return Isometry(
-            self.isometry_matrix(),
-            SystemLayout(((input_label, self.d_purify),)),
-            SystemLayout(((env_label, self.d_env), (sink_label, self.d_sink))),
-        )
+        return _unchecked(Isometry, SystemLayout(((input_label, self.d_purify),)),
+                          SystemLayout(((env_label, self.d_env), (sink_label, self.d_sink))),
+                          self.isometry_matrix())
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +170,7 @@ def extend_by_squashing(
     psi = purification_matrix(rho.matrix, d_ref=ansatz.d_purify)
     mat = _extension_matrix(psi, ansatz.isometry_matrix(), ansatz.d_env, ansatz.d_sink)
     layout = SystemLayout(((env_label, ansatz.d_env),)).concat(rho.layout)
-    return DensityOperator(mat, layout)
+    return _unchecked(DensityOperator, layout, mat)
 
 
 def _extension_matrix(psi: np.ndarray, v: np.ndarray, d_env: int, d_sink: int) -> np.ndarray:
@@ -293,6 +281,8 @@ def _check_groups_cover(rho: DensityOperator, groups: Sequence[Iterable[str] | s
 def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tuple[int, int]:
     """``(d_env, d_sink)``, each defaulting to ``d_purify``; refuses dims
     below 1 and dims whose product cannot carry the purifying dimension."""
+    if d_purify < 1:
+        raise ValueError(f"purifying dimension {d_purify} must be at least 1")
     d_env = int(d_env) if d_env is not None else d_purify
     d_sink = int(d_sink) if d_sink is not None else d_purify
     if min(d_env, d_sink) < 1:
@@ -416,7 +406,7 @@ def _search(restart, cfg: OptimizerConfig, sense: int, dims: tuple[int, int, int
     return BoundReport(
         value=records[best].value, dims=dims, seed=cfg.seed, restarts=tuple(records),
         best_restart=best, optimizer_ok=all(r.converged for r in records),
-        ansatz=SquashingAnsatz(*dims, solutions[best]), **report,
+        ansatz=_unchecked(SquashingAnsatz, *dims, solutions[best]), **report,
     )
 
 
@@ -620,7 +610,7 @@ def key_rate_bound(esq_value: float, eps: float, rounds: int) -> float:
         raise ValueError(
             f"key rate bound requires 1 - 2*sqrt(eps) > 0; eps = {eps} gives {denom:.6g}"
         )
-    correction = 2.0 * (1.0 + root) * binary_entropy(root / (1.0 + root)) / (rounds * denom)
+    correction = 2.0 * _h2_term(root) / (rounds * denom)
     return esq_value / denom + correction
 
 

@@ -2,7 +2,9 @@
 
 Density operators, pure-state vectors, and isometries carry a
 :class:`~privsq.layout.SystemLayout`; all reductions and permutations are
-label-driven.  Everything here is a pure function of its inputs, values are
+label-driven.  The public constructors validate; operations build their
+results, valid by construction, from validated values without validating
+again.  Everything here is a pure function of its inputs, values are
 immutable after construction, and randomness enters only through explicit
 integer seeds or a caller's generator (PCG64, see :func:`haar_unitary`).
 
@@ -16,7 +18,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,10 +31,16 @@ TOL_PSD = 1e-10
 EIG_CLIP = 1e-12
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
+def _unchecked(target, *values):
+    """``target`` (an instance under construction, or a frozen dataclass to
+    instantiate without its ``__init__``) with its fields set to ``values``
+    in declaration order, arrays made read-only in place; nothing is checked."""
+    obj = object.__new__(target) if isinstance(target, type) else target
+    for field, value in zip(fields(obj), values, strict=True):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, field.name, value)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +109,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __init__(self, matrix: np.ndarray, layout: SystemLayout):
-        mat = _frozen(matrix)
+        mat = np.array(matrix, dtype=complex)
         d = layout.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match layout dimension {d}")
@@ -114,8 +122,7 @@ class DensityOperator:
         wmin = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
         if wmin < -TOL_PSD:
             raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {wmin:.3e}")
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "matrix", mat)
+        _unchecked(self, layout, mat)
 
     @property
     def dim(self) -> int:
@@ -130,7 +137,7 @@ class PureStateVector:
     amplitudes: np.ndarray
 
     def __init__(self, amplitudes: np.ndarray, layout: SystemLayout):
-        amp = _frozen(amplitudes).reshape(-1)
+        amp = np.array(amplitudes, dtype=complex).reshape(-1)
         if amp.shape != (layout.total_dim,):
             raise ValueError(
                 f"amplitude length {amp.shape[0]} does not match layout dimension {layout.total_dim}"
@@ -138,11 +145,11 @@ class PureStateVector:
         nrm = np.linalg.norm(amp)
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"state vector norm {nrm:.12g} is not 1 within 1e-10")
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "amplitudes", amp)
+        _unchecked(self, layout, amp)
 
     def density(self) -> DensityOperator:
-        return DensityOperator(np.outer(self.amplitudes, self.amplitudes.conj()), self.layout)
+        amp = self.amplitudes
+        return _unchecked(DensityOperator, self.layout, np.outer(amp, amp.conj()))
 
 
 @dataclass(frozen=True)
@@ -157,16 +164,14 @@ class Isometry:
     matrix: np.ndarray
 
     def __init__(self, matrix: np.ndarray, input_layout: SystemLayout, output_layout: SystemLayout):
-        mat = _frozen(matrix)
+        mat = np.array(matrix, dtype=complex)
         shape = (output_layout.total_dim, input_layout.total_dim)
         if mat.shape != shape:
             raise ValueError(f"isometry shape {mat.shape} does not match layouts {shape}")
         dev = np.abs(mat.conj().T @ mat - np.eye(shape[1])).max()
         if dev > 1e-10:
             raise ValueError(f"V^dag V deviates from identity by {dev:.3e}")
-        object.__setattr__(self, "input_layout", input_layout)
-        object.__setattr__(self, "output_layout", output_layout)
-        object.__setattr__(self, "matrix", mat)
+        _unchecked(self, input_layout, output_layout, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +186,10 @@ def kron(a, b):
     not collide).
     """
     if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        return DensityOperator(np.kron(a.matrix, b.matrix), a.layout.concat(b.layout))
+        return _unchecked(DensityOperator, a.layout.concat(b.layout), np.kron(a.matrix, b.matrix))
     if isinstance(a, PureStateVector) and isinstance(b, PureStateVector):
-        return PureStateVector(np.kron(a.amplitudes, b.amplitudes), a.layout.concat(b.layout))
+        amp = np.kron(a.amplitudes, b.amplitudes)
+        return _unchecked(PureStateVector, a.layout.concat(b.layout), amp)
     return np.kron(np.asarray(a), np.asarray(b))
 
 
@@ -194,7 +200,7 @@ def partial_trace(rho: DensityOperator, keep: str | Iterable[str]) -> DensityOpe
         raise LayoutError("keep must name at least one system")
     pos = rho.layout.positions(keep)
     mat = reduce_matrix(rho.matrix, rho.layout.dims, pos)
-    return DensityOperator(mat, rho.layout.sublayout(keep))
+    return _unchecked(DensityOperator, rho.layout.sublayout(keep), mat)
 
 
 def permute_systems(rho: DensityOperator, order: Iterable[str]) -> DensityOperator:
@@ -204,7 +210,7 @@ def permute_systems(rho: DensityOperator, order: Iterable[str]) -> DensityOperat
         raise LayoutError(f"{order} is not a permutation of {rho.layout.labels}")
     perm = [rho.layout.position(lbl) for lbl in order]
     mat = permute_matrix(rho.matrix, rho.layout.dims, perm)
-    return DensityOperator(mat, SystemLayout(rho.layout.systems[p] for p in perm))
+    return _unchecked(DensityOperator, SystemLayout(rho.layout.systems[p] for p in perm), mat)
 
 
 def eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +259,7 @@ def purify(rho: DensityOperator, ref_label: str = "R") -> PureStateVector:
         raise LayoutError(f"reference label {ref_label!r} collides with the state's systems")
     m = purification_matrix(rho.matrix)
     layout = SystemLayout(((ref_label, m.shape[0]),)).concat(rho.layout)
-    return PureStateVector(m.reshape(-1), layout)
+    return _unchecked(PureStateVector, layout, m.reshape(-1))
 
 
 def apply_stinespring(
@@ -291,7 +297,7 @@ def apply_stinespring(
     big = np.kron(v.matrix, np.eye(d_rest))
     mat = big @ ordered.matrix @ big.conj().T
     layout = v.output_layout.concat(rho.layout.sublayout(rest)) if rest else v.output_layout
-    out = DensityOperator(mat, layout)
+    out = _unchecked(DensityOperator, layout, mat)
     discard = as_labels(discard)
     if discard:
         keep = [lbl for lbl in layout.labels if lbl not in discard]
@@ -314,7 +320,7 @@ def dephase(rho: DensityOperator, labels: str | Iterable[str]) -> DensityOperato
         shape[p + n] = dims[p]
         t = t * np.eye(dims[p]).reshape(shape)
     d = rho.layout.total_dim
-    return DensityOperator(t.reshape(d, d), rho.layout)
+    return _unchecked(DensityOperator, rho.layout, t.reshape(d, d))
 
 
 def _seeded_rng(seed: int | np.random.Generator) -> np.random.Generator:
@@ -360,7 +366,7 @@ def random_density(
     g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     mat = g @ g.conj().T
     mat /= mat.trace().real
-    return DensityOperator(mat, layout)
+    return _unchecked(DensityOperator, layout, mat)
 
 
 def random_pure(layout: SystemLayout, seed: int | np.random.Generator) -> PureStateVector:
@@ -368,7 +374,7 @@ def random_pure(layout: SystemLayout, seed: int | np.random.Generator) -> PureSt
     d = layout.total_dim
     rng = _seeded_rng(seed)
     amp = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return PureStateVector(amp / np.linalg.norm(amp), layout)
+    return _unchecked(PureStateVector, layout, amp / np.linalg.norm(amp))
 
 
 __all__ = [

@@ -6,7 +6,14 @@ import pytest
 from privsq import privacy_deviation
 from privsq.cli import run_cli
 from privsq.stateio import read_state, write_isometry
-from privsq import Isometry, SystemLayout
+from privsq import (
+    DensityOperator,
+    Isometry,
+    PrivateStateSpec,
+    PureStateVector,
+    SquashingAnsatz,
+    SystemLayout,
+)
 
 
 def test_gen_private_passes_privacy_check(tmp_path):
@@ -449,3 +456,23 @@ def test_esq_channel_names_restarts_at_the_iteration_limit(tmp_path, capsys):
     rep = json.loads(out.read_text())["report"]
     assert rep["optimizer_ok"] is False
     assert [r["converged"] for r in rep["restarts"]] == [False, False]
+
+
+def test_only_data_entering_from_outside_is_checked(tmp_path, monkeypatch, capsys):
+    """The checked constructors run on input, never on values the library
+    derives from checked values: a lemmas run builds every state it uses
+    without one check, and reading a state file checks it exactly once."""
+    state = tmp_path / "g.state"
+    assert run_cli(["gen", "--private", "--seed", "7", "--out", str(state)]) == 0
+    checked = (DensityOperator, PureStateVector, Isometry, PrivateStateSpec, SquashingAnsatz)
+    counts = dict.fromkeys((cls.__name__ for cls in checked), 0)
+    for cls in checked:
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    assert run_cli(["verify", "--suite", "lemmas", "--instances", "1", "--seed", "1"]) == 0
+    assert counts == dict.fromkeys(counts, 0)
+    assert run_cli(["entropy", "--in", str(state), "--quantity", "vn"]) == 0
+    assert counts == {**dict.fromkeys(counts, 0), "DensityOperator": 1}

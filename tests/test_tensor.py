@@ -328,6 +328,10 @@ def test_density_operator_validation():
         DensityOperator(np.diag([0.7, 0.7]), lo)  # trace 1.4
     with pytest.raises(ValueError):
         DensityOperator(np.diag([1.5, -0.5]), lo)  # negative eigenvalue
+    with pytest.raises(ValueError, match=r"V\^dag V deviates from identity"):
+        Isometry(np.array([[1.0, 0.0], [0.0, 0.5]]), lo, lo)
+    with pytest.raises(ValueError, match="state vector norm 2 is not 1"):
+        PureStateVector(np.array([2.0, 0.0]), lo)
 
 
 def test_kron_pure_state_vectors():
