@@ -43,10 +43,11 @@ print("-" * 70)
 print("Identity residuals on random private-state extensions")
 print("-" * 70)
 spec = random_private_spec(2, (2, 2), seed=1, ext_dim=2)
-gamma = private_state_extension(spec)
+residuals = private_identity_residual(
+    private_state_extension(spec), spec.key_labels, spec.shield_labels, "E"
+)
 for kind in ("bipartite", "bipartite_joint"):
-    r = private_identity_residual(gamma, kind, spec.key_labels, spec.shield_labels, "E")
-    print(f"  {kind:16s} residual = {r:.2e}")
+    print(f"  {kind:16s} residual = {residuals[kind]:.2e}")
 
 print()
 print("-" * 70)

@@ -314,6 +314,7 @@ def random_private_spec(
     """
     shield_dims = tuple(int(d) for d in shield_dims)
     parties = len(shield_dims)
+    _check_counts(key_dim, parties)
     d_sh = prod(shield_dims)
     rng = _seeded_rng(seed)
     controls = {
@@ -325,7 +326,6 @@ def random_private_spec(
         layout = layout.concat(SystemLayout((("E", int(ext_dim)),)))
     rank = sigma_rank if sigma_rank is not None else layout.total_dim
     sigma = random_density(layout, rank, rng)
-    _check_counts(key_dim, parties)
     return _unchecked(PrivateStateSpec, int(key_dim), shield_dims, sigma, controls,
                       default_key_labels(parties), default_shield_labels(parties))
 

@@ -30,7 +30,7 @@ span tracer patch it.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from math import log, log2, prod, sqrt
 from typing import Iterable, Sequence
 
@@ -44,6 +44,7 @@ from .entropy import (
     KIND_KEY_BIPARTITE,
     KIND_KEY_MULTI_DUAL,
     KIND_KEY_MULTI_TOTAL,
+    Terms,
     _disjoint,
     _group_entropy,
     _h2_term,
@@ -477,42 +478,11 @@ IDENTITY_BIPARTITE = "bipartite"
 IDENTITY_BIPARTITE_JOINT = "bipartite_joint"
 IDENTITY_MULTI_TOTAL = "multi_total"
 IDENTITY_MULTI_DUAL = "multi_dual"
-_IDENTITIES = (
-    IDENTITY_BIPARTITE,
-    IDENTITY_BIPARTITE_JOINT,
-    IDENTITY_MULTI_TOTAL,
-    IDENTITY_MULTI_DUAL,
-)
 
 
-def private_identity_residual(
-    gamma_ext: DensityOperator,
-    kind: str,
-    keys: Sequence[str],
-    shields: Sequence[str],
-    env: Iterable[str] | str = "E",
-) -> float:
-    """``|LHS - RHS|`` of an entropic identity that holds exactly for every
-    extension of a private state.
-
-    ``keys`` and ``shields`` list the key and shield labels in party order,
-    ``env`` the extension system(s).  Kinds:
-
-    * ``bipartite``:        ``2 log2 K  vs  I(A;BB'|E) + I(A';B|AB'E)``
-    * ``bipartite_joint``:  ``I(AA';BB'|E)  vs  2 log2 K + I(A';B'|AE)``
-    * ``multi_total``:      the ``m log2 K`` identity whose right side uses
-      conditional entropies and pairwise informations against party 1
-    * ``multi_dual``:       the ``m log2 K`` identity dual to it
-    """
-    if kind not in _IDENTITIES:
-        raise ValueError(f"unknown identity kind {kind!r}; have {_IDENTITIES}")
-    keys, shields = tuple(keys), tuple(shields)
-    env = as_labels(env)
-    m = len(keys)
-    if len(shields) != m or m < 2:
-        raise ValueError("need matching key/shield labels for at least two parties")
-    _disjoint(keys, shields, env)
-    lk = log2(gamma_ext.layout.dim_of(keys[0]))
+def _identity_terms(keys: tuple, shields: tuple, env: tuple) -> dict[str, Terms]:
+    """The right sides of the private-state identities for ``m`` parties;
+    each one's left side is ``m log2 K``."""
 
     def cmi(a, b, e):  # I(a;b|e)
         return _info_terms([a, b], e, FLAVOR_TOTAL)
@@ -523,35 +493,62 @@ def private_identity_residual(
     def minus(terms):
         return [(-c, members) for c, members in terms]
 
-    # each identity reads "lhs = information of terms"
-    if kind in (IDENTITY_BIPARTITE, IDENTITY_BIPARTITE_JOINT):
-        if m != 2:
-            raise ValueError(f"{kind} applies to two parties, got {m}")
-        a, b = keys
-        ap, bp = shields
-        if kind == IDENTITY_BIPARTITE:
-            terms = cmi((a,), (b, bp), env) + cmi((ap,), (b,), (a, bp) + env)
-        else:
-            terms = cmi((a, ap), (b, bp), env) + minus(cmi((ap,), (bp,), (a,) + env))
-        lhs = 2.0 * lk
-    else:
-        first = keys[0]
-        if kind == IDENTITY_MULTI_TOTAL:
-            terms = []
-            for i in range(1, m):
-                terms += ce((keys[i],), (shields[i], first) + env)
-                terms += cmi((first,), (keys[i], shields[i]), env)
-            terms += minus(ce(keys[1:], (first,) + shields + env))
-        else:
-            terms = ce(keys[1:], (first,) + shields[1:] + env)
-            terms += cmi((first,), keys[1:] + shields[1:], env)
-            for i in range(1, m):
-                other_keys = tuple(keys[j] for j in range(1, m) if j != i)
-                other_shields = tuple(shields[j] for j in range(m) if j != i)
-                terms += minus(ce((keys[i],), (first,) + shields + env))
-                terms += cmi((keys[i], shields[i]), other_keys, (first,) + other_shields + env)
-        lhs = m * lk
-    return abs(lhs - _information(partial(_group_entropy, gamma_ext), terms))
+    m, first = len(keys), keys[0]
+    total: Terms = []
+    for i in range(1, m):
+        total += ce((keys[i],), (shields[i], first) + env)
+        total += cmi((first,), (keys[i], shields[i]), env)
+    total += minus(ce(keys[1:], (first,) + shields + env))
+    dual = ce(keys[1:], (first,) + shields[1:] + env)
+    dual += cmi((first,), keys[1:] + shields[1:], env)
+    for i in range(1, m):
+        other_keys = tuple(keys[j] for j in range(1, m) if j != i)
+        other_shields = tuple(shields[j] for j in range(m) if j != i)
+        dual += minus(ce((keys[i],), (first,) + shields + env))
+        dual += cmi((keys[i], shields[i]), other_keys, (first,) + other_shields + env)
+    terms = {IDENTITY_MULTI_TOTAL: total, IDENTITY_MULTI_DUAL: dual}
+    if m == 2:
+        (a, b), (ap, bp) = keys, shields
+        terms[IDENTITY_BIPARTITE] = cmi((a,), (b, bp), env) + cmi((ap,), (b,), (a, bp) + env)
+        terms[IDENTITY_BIPARTITE_JOINT] = (cmi((a, ap), (b, bp), env)
+                                           + minus(cmi((ap,), (bp,), (a,) + env)))
+    return terms
+
+
+def private_identity_residual(
+    gamma_ext: DensityOperator,
+    keys: Sequence[str],
+    shields: Sequence[str],
+    env: Iterable[str] | str = "E",
+) -> dict[str, float]:
+    """``{kind: |LHS - RHS|}`` over the entropic identities that hold
+    exactly for every extension of an ``m``-party private state.
+
+    ``keys`` and ``shields`` list the key and shield labels in party order,
+    ``env`` the extension system(s).  Every ``m >= 2`` gets
+
+    * ``multi_total``: the ``m log2 K`` identity whose right side uses
+      conditional entropies and pairwise informations against party 1
+    * ``multi_dual``:  the ``m log2 K`` identity dual to it
+
+    and two parties also get
+
+    * ``bipartite``:        ``2 log2 K  vs  I(A;BB'|E) + I(A';B|AB'E)``
+    * ``bipartite_joint``:  ``I(AA';BB'|E)  vs  2 log2 K + I(A';B'|AE)``
+
+    Each distinct marginal is diagonalized once, however many identities
+    share it.
+    """
+    keys, shields = tuple(keys), tuple(shields)
+    env = as_labels(env)
+    m = len(keys)
+    if len(shields) != m or m < 2:
+        raise ValueError("need matching key/shield labels for at least two parties")
+    _disjoint(keys, shields, env)
+    lhs = m * log2(gamma_ext.layout.dim_of(keys[0]))
+    entropy_of = cache(partial(_group_entropy, gamma_ext))
+    return {kind: abs(lhs - _information(entropy_of, terms))
+            for kind, terms in _identity_terms(keys, shields, env).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .layout import SystemLayout
-from .tensor import DensityOperator, Isometry
+from .tensor import DensityOperator, Isometry, _finite
 
 STATE_FORMAT = "privsq-state/1"
 
@@ -35,9 +35,10 @@ def _matrix_payload(mat: np.ndarray) -> dict[str, Any]:
 
 def _matrix_from_payload(obj: dict, path: str) -> np.ndarray:
     try:
-        re = np.array(obj["re"], dtype=float)
-        im = np.array(obj["im"], dtype=float)
-    except (KeyError, ValueError) as exc:
+        # checked before re + 1j * im, which turns an infinite entry into NaN
+        re = _finite(obj["re"], "'re'", float)
+        im = _finite(obj["im"], "'im'", float)
+    except (KeyError, TypeError, ValueError) as exc:
         raise StateFileError(f"{path}: missing or malformed 're'/'im' arrays ({exc})") from exc
     if re.shape != im.shape or re.ndim != 2:
         raise StateFileError(
@@ -48,7 +49,11 @@ def _matrix_from_payload(obj: dict, path: str) -> np.ndarray:
 
 def _layout_from_payload(obj: Any, path: str, field: str = "layout") -> SystemLayout:
     try:
-        return SystemLayout((str(lbl), int(d)) for lbl, d in obj)
+        systems = [(str(lbl), d) for lbl, d in obj]
+        for lbl, d in systems:
+            if type(d) is not int:  # not a float, bool or string that int() would take
+                raise TypeError(f"dimension {d!r} of system {lbl!r} is not a JSON integer")
+        return SystemLayout(systems)
     except (TypeError, ValueError) as exc:
         raise StateFileError(f"{path}: invalid {field!r} entry ({exc})") from exc
 

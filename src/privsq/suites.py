@@ -87,23 +87,18 @@ def suite_lemmas(instances: int = 100, seed: int = 0, tol: float = 1e-7) -> Suit
     on a quarter as many instances).  The bipartite rows are held to
     ``tol`` and the larger three-party states to ``10 * tol``."""
     multi_instances = max(instances // 4, 1)
-    worst = {"bipartite": 0.0, "bipartite_joint": 0.0, "multi_total": 0.0, "multi_dual": 0.0}
-    for i in range(instances):
-        spec = random_private_spec(
-            2, (2, 2), seed=seed + i, ext_dim=2, sigma_rank=_cycle_rank(i, 8)
-        )
-        gamma = private_state_extension(spec)
-        for kind in ("bipartite", "bipartite_joint"):
-            r = private_identity_residual(gamma, kind, spec.key_labels, spec.shield_labels, "E")
-            worst[kind] = max(worst[kind], r)
-    for i in range(multi_instances):
-        spec = random_private_spec(
-            2, (2, 2, 2), seed=seed + 10_000 + i, ext_dim=2, sigma_rank=_cycle_rank(i, 16)
-        )
-        gamma = private_state_extension(spec)
-        for kind in ("multi_total", "multi_dual"):
-            r = private_identity_residual(gamma, kind, spec.key_labels, spec.shield_labels, "E")
-            worst[kind] = max(worst[kind], r)
+    worst: dict[str, float] = {}
+    for parties, count, offset, ranks, kinds in (
+        (2, instances, 0, 8, ("bipartite", "bipartite_joint")),
+        (3, multi_instances, 10_000, 16, ("multi_total", "multi_dual")),
+    ):
+        for i in range(count):
+            spec = random_private_spec(2, (2,) * parties, seed=seed + offset + i, ext_dim=2,
+                                       sigma_rank=_cycle_rank(i, ranks))
+            residuals = private_identity_residual(
+                private_state_extension(spec), spec.key_labels, spec.shield_labels)
+            for kind in kinds:
+                worst[kind] = max(worst.get(kind, 0.0), residuals[kind])
     rows = (
         SuiteRow("bipartite key identity", instances, worst["bipartite"], tol),
         SuiteRow("bipartite joint-cmi identity", instances, worst["bipartite_joint"], tol),

@@ -43,6 +43,15 @@ def _unchecked(target, *values):
     return obj
 
 
+def _finite(values, what: str, dtype: type = complex) -> np.ndarray:
+    """``values`` as a new array; refuses NaN and infinite entries, which
+    every tolerance comparison after this one would let through."""
+    arr = np.array(values, dtype=dtype)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has non-finite entries (NaN or infinity)")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # raw-matrix cores, shared by the typed operations and the entropy module
 # ---------------------------------------------------------------------------
@@ -101,15 +110,16 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
 class DensityOperator:
     """A density matrix together with the layout of its subsystems.
 
-    Construction validates hermiticity (max entry deviation ``1e-10``),
-    unit trace (``1e-10``), and positivity (min eigenvalue ``>= -1e-10``).
+    Construction validates finite entries, hermiticity (max entry deviation
+    ``1e-10``), unit trace (``1e-10``), and positivity (min eigenvalue
+    ``>= -1e-10``).
     """
 
     layout: SystemLayout
     matrix: np.ndarray
 
     def __init__(self, matrix: np.ndarray, layout: SystemLayout):
-        mat = np.array(matrix, dtype=complex)
+        mat = _finite(matrix, "density matrix")
         d = layout.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match layout dimension {d}")
@@ -137,7 +147,7 @@ class PureStateVector:
     amplitudes: np.ndarray
 
     def __init__(self, amplitudes: np.ndarray, layout: SystemLayout):
-        amp = np.array(amplitudes, dtype=complex).reshape(-1)
+        amp = _finite(amplitudes, "state vector").reshape(-1)
         if amp.shape != (layout.total_dim,):
             raise ValueError(
                 f"amplitude length {amp.shape[0]} does not match layout dimension {layout.total_dim}"
@@ -164,7 +174,7 @@ class Isometry:
     matrix: np.ndarray
 
     def __init__(self, matrix: np.ndarray, input_layout: SystemLayout, output_layout: SystemLayout):
-        mat = np.array(matrix, dtype=complex)
+        mat = _finite(matrix, "isometry")
         shape = (output_layout.total_dim, input_layout.total_dim)
         if mat.shape != shape:
             raise ValueError(f"isometry shape {mat.shape} does not match layouts {shape}")

@@ -59,11 +59,10 @@ def bipartite_identity_run():
     for i in range(100):
         spec = random_private_spec(2, (2, 2), seed=SEED + i, ext_dim=2,
                                    sigma_rank=(i % 8) + 1)
-        gamma = private_state_extension(spec)
+        residuals = private_identity_residual(private_state_extension(spec),
+                                              spec.key_labels, spec.shield_labels, "E")
         for kind in worst:
-            r = private_identity_residual(gamma, kind, spec.key_labels,
-                                          spec.shield_labels, "E")
-            worst[kind] = max(worst[kind], r)
+            worst[kind] = max(worst[kind], residuals[kind])
     return worst, time.monotonic() - start
 
 
@@ -74,11 +73,10 @@ def multipartite_identity_run():
     for i in range(25):
         spec = random_private_spec(2, (2, 2, 2), seed=SEED + 500 + i, ext_dim=2,
                                    sigma_rank=(i % 16) + 1)
-        gamma = private_state_extension(spec)
+        residuals = private_identity_residual(private_state_extension(spec),
+                                              spec.key_labels, spec.shield_labels, "E")
         for kind in worst:
-            r = private_identity_residual(gamma, kind, spec.key_labels,
-                                          spec.shield_labels, "E")
-            worst[kind] = max(worst[kind], r)
+            worst[kind] = max(worst[kind], residuals[kind])
     return worst, time.monotonic() - start
 
 

@@ -127,6 +127,25 @@ def test_entropy_command(tmp_path, capsys):
     assert code == 0
 
 
+def test_non_finite_and_non_integer_files_exit_2_naming_the_file(tmp_path, capsys):
+    # a NaN diagonal used to read as vn = 0 bits, a 2.9-dim system as a qubit,
+    # and a NaN isometry failed inside the SVD without naming its file
+    state = {"format": "privsq-state/1", "kind": "density", "layout": [["A", 2]],
+             "re": [[float("nan"), 0.0], [0.0, float("nan")]], "im": [[0.0] * 2] * 2}
+    frac = {**state, "layout": [["A", 2.9]], "re": [[0.5, 0.0], [0.0, 0.5]]}
+    chan = {**state, "kind": "isometry", "input_layout": [["Ain", 1]],
+            "output_layout": [["B", 2]], "re": [[float("nan")], [0.0]], "im": [[0.0], [0.0]]}
+    for name, payload, argv in (
+        ("nan.state", state, ["entropy", "--quantity", "vn"]),
+        ("frac.state", frac, ["entropy", "--quantity", "vn"]),
+        ("nan.isom", chan, ["esq", "--channel", "--keep", "B", "--restarts", "1"]),
+    ):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        assert run_cli(argv + ["--in", str(path)]) == 2
+        assert f"{path}: " in capsys.readouterr().err
+
+
 def test_esq_command_and_determinism(tmp_path):
     state = tmp_path / "g.state"
     run_cli(["gen", "--private", "--seed", "7", "--out", str(state)])

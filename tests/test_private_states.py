@@ -321,3 +321,20 @@ def test_random_private_spec_refuses_a_missing_seed():
     for seed in (None, 2.0):
         with pytest.raises(TypeError, match="seed must be an int or a numpy Generator"):
             random_private_spec(2, (2, 2), seed)
+
+
+def test_random_private_spec_checks_counts_before_drawing(monkeypatch):
+    import privsq.private_states
+
+    draws = []
+
+    def counting(d, rng):
+        draws.append(d)
+        return haar_unitary(d, rng)
+
+    monkeypatch.setattr(privsq.private_states, "haar_unitary", counting)
+    with pytest.raises(ValueError, match="key dimension 1 < 2"):
+        random_private_spec(1, (2, 2), seed=0)
+    with pytest.raises(ValueError, match="party count 1 < 2"):
+        random_private_spec(2, (2,), seed=0)
+    assert draws == []

@@ -536,65 +536,57 @@ def trivial_extended_spec(key_dim, shield_dims, ext_dim, seed):
     return PrivateStateSpec(key_dim, shield_dims, sigma, controls)
 
 
-def test_identity_residuals_trivial_twist():
-    spec = trivial_extended_spec(2, (2, 2), 2, seed=81)
+def residuals_of(spec):
     gamma = private_state_extension(spec)
-    for kind in ("bipartite", "bipartite_joint"):
-        assert private_identity_residual(
-            gamma, kind, spec.key_labels, spec.shield_labels, "E"
-        ) < 1e-10
-    spec3 = trivial_extended_spec(2, (2, 2, 2), 2, seed=82)
-    gamma3 = private_state_extension(spec3)
-    for kind in ("multi_total", "multi_dual"):
-        assert private_identity_residual(
-            gamma3, kind, spec3.key_labels, spec3.shield_labels, "E"
-        ) < 1e-10
+    return private_identity_residual(gamma, spec.key_labels, spec.shield_labels, "E")
+
+
+BIPARTITE_KINDS = ("bipartite", "bipartite_joint")
+MULTI_KINDS = ("multi_total", "multi_dual")
+
+
+def test_identity_residuals_trivial_twist():
+    residuals = residuals_of(trivial_extended_spec(2, (2, 2), 2, seed=81))
+    for kind in BIPARTITE_KINDS:
+        assert residuals[kind] < 1e-10
+    residuals = residuals_of(trivial_extended_spec(2, (2, 2, 2), 2, seed=82))
+    for kind in MULTI_KINDS:
+        assert residuals[kind] < 1e-10
 
 
 def test_identity_residuals_random_specs():
     for i in range(5):
-        spec = random_private_spec(2, (2, 2), seed=90 + i, ext_dim=2)
-        gamma = private_state_extension(spec)
-        for kind in ("bipartite", "bipartite_joint"):
-            assert private_identity_residual(
-                gamma, kind, spec.key_labels, spec.shield_labels, "E"
-            ) < 1e-8
+        residuals = residuals_of(random_private_spec(2, (2, 2), seed=90 + i, ext_dim=2))
+        for kind in BIPARTITE_KINDS:
+            assert residuals[kind] < 1e-8
     for i in range(3):
-        spec = random_private_spec(2, (2, 2, 2), seed=95 + i, ext_dim=2)
-        gamma = private_state_extension(spec)
-        for kind in ("multi_total", "multi_dual"):
-            assert private_identity_residual(
-                gamma, kind, spec.key_labels, spec.shield_labels, "E"
-            ) < 1e-6
+        residuals = residuals_of(random_private_spec(2, (2, 2, 2), seed=95 + i, ext_dim=2))
+        for kind in MULTI_KINDS:
+            assert residuals[kind] < 1e-6
 
 
 def test_identity_residuals_wider_families():
     # higher key dimension, asymmetric shields, and four parties
-    spec = random_private_spec(3, (2, 3), seed=111, ext_dim=2)
-    gamma = private_state_extension(spec)
-    for kind in ("bipartite", "bipartite_joint"):
-        assert private_identity_residual(
-            gamma, kind, spec.key_labels, spec.shield_labels, "E"
-        ) < 1e-8
-    spec = random_private_spec(2, (2, 2, 2, 2), seed=112, ext_dim=2, sigma_rank=5)
-    gamma = private_state_extension(spec)
-    for kind in ("multi_total", "multi_dual"):
-        assert private_identity_residual(
-            gamma, kind, spec.key_labels, spec.shield_labels, "E"
-        ) < 1e-6
+    residuals = residuals_of(random_private_spec(3, (2, 3), seed=111, ext_dim=2))
+    for kind in BIPARTITE_KINDS:
+        assert residuals[kind] < 1e-8
+    residuals = residuals_of(
+        random_private_spec(2, (2, 2, 2, 2), seed=112, ext_dim=2, sigma_rank=5)
+    )
+    for kind in MULTI_KINDS:
+        assert residuals[kind] < 1e-6
 
 
 def test_identity_residual_multi_dual_reduces_to_bipartite():
-    spec = random_private_spec(2, (2, 2), seed=99, ext_dim=2)
-    gamma = private_state_extension(spec)
-    r1 = private_identity_residual(gamma, "bipartite", spec.key_labels, spec.shield_labels, "E")
-    r2 = private_identity_residual(gamma, "multi_dual", spec.key_labels, spec.shield_labels, "E")
-    assert abs(r1 - r2) < 1e-9
+    residuals = residuals_of(random_private_spec(2, (2, 2), seed=99, ext_dim=2))
+    assert abs(residuals["bipartite"] - residuals["multi_dual"]) < 1e-9
 
 
 def test_identity_residual_entropy_count(monkeypatch):
-    """Each identity is one term list: member sets whose coefficients cancel
-    (e.g. H(ABB'E) in the bipartite identity) are never evaluated."""
+    """One call evaluates every identity of an extension, and each distinct
+    marginal once: the four two-party identities share 6 marginals, the two
+    three-party ones 14.  Member sets whose coefficients cancel (e.g.
+    H(ABB'E) in the bipartite identity) are never evaluated."""
     import privsq.entropy
 
     calls = []
@@ -604,25 +596,25 @@ def test_identity_residual_entropy_count(monkeypatch):
         return entropy_bits(mat)
 
     monkeypatch.setattr(privsq.entropy, "entropy_bits", counting)
-    expected = {"bipartite": 6, "bipartite_joint": 6, "multi_total": 8, "multi_dual": 10}
-    for kind, count in expected.items():
-        parties = 2 if kind.startswith("bipartite") else 3
+    for parties, count in ((2, 6), (3, 14)):
         spec = random_private_spec(2, (2,) * parties, seed=131, ext_dim=2)
-        gamma = private_state_extension(spec)
         calls.clear()
-        assert private_identity_residual(
-            gamma, kind, spec.key_labels, spec.shield_labels, "E"
-        ) < 1e-6
-        assert len(calls) == count, kind
+        residuals = residuals_of(spec)
+        assert max(residuals.values()) < 1e-6
+        assert len(calls) == count, parties
 
 
 def test_identity_residual_validation():
     spec = random_private_spec(2, (2, 2, 2), seed=101, ext_dim=2)
     gamma = private_state_extension(spec)
+    assert set(residuals_of(spec)) == set(MULTI_KINDS)
+    assert set(residuals_of(random_private_spec(2, (2, 2), seed=101, ext_dim=2))) == set(
+        BIPARTITE_KINDS + MULTI_KINDS
+    )
     with pytest.raises(ValueError):
-        private_identity_residual(gamma, "bipartite", spec.key_labels, spec.shield_labels, "E")
+        private_identity_residual(gamma, spec.key_labels, spec.shield_labels[:2], "E")
     with pytest.raises(ValueError):
-        private_identity_residual(gamma, "nope", spec.key_labels, spec.shield_labels, "E")
+        private_identity_residual(gamma, spec.key_labels[:1], spec.shield_labels[:1], "E")
 
 
 # ---------------------------------------------------------------------------

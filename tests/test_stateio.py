@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from privsq import Isometry, SystemLayout, haar_unitary, random_density
 from privsq.stateio import (
@@ -96,3 +99,97 @@ def test_report_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     loaded = json.loads(p1.read_text())
     assert loaded["tool"].startswith("privsq ")
+
+
+# ---------------------------------------------------------------------------
+# properties: random layouts round-trip; mutated payloads are refused
+# ---------------------------------------------------------------------------
+
+PROPERTIES = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+DIMS = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def layout_of(prefix, dims):
+    return SystemLayout((f"{prefix}{i}", d) for i, d in enumerate(dims))
+
+
+def random_isometry(in_dims, out_dims, seed):
+    vin, vout = layout_of("In", in_dims), layout_of("Out", out_dims)
+    return Isometry(haar_unitary(vout.total_dim, seed)[:, :vin.total_dim], vin, vout)
+
+
+@PROPERTIES
+@given(dims=DIMS, seed=SEEDS, data=st.data())
+def test_state_roundtrip_property(tmp_path_factory, dims, seed, data):
+    layout = layout_of("S", dims)
+    rank = data.draw(st.integers(1, layout.total_dim), label="rank")
+    rho = random_density(layout, rank, seed)
+    path = tmp_path_factory.mktemp("roundtrip") / "s.state"
+    write_state(str(path), rho)
+    back = read_state(str(path))
+    assert back.layout == rho.layout
+    assert np.array_equal(back.matrix, rho.matrix)
+
+
+@PROPERTIES
+@given(in_dims=DIMS, out_dims=DIMS, seed=SEEDS)
+def test_isometry_roundtrip_property(tmp_path_factory, in_dims, out_dims, seed):
+    assume(np.prod(in_dims) <= np.prod(out_dims))
+    v = random_isometry(in_dims, out_dims, seed)
+    path = tmp_path_factory.mktemp("roundtrip") / "v.isom"
+    write_isometry(str(path), v)
+    back = read_isometry(str(path))
+    assert (back.input_layout, back.output_layout) == (v.input_layout, v.output_layout)
+    assert np.array_equal(back.matrix, v.matrix)
+
+
+MUTATIONS = ("drop_key", "ragged", "mismatched", "non_finite", "bad_dim", "format")
+
+
+def mutate(payload, how, data):
+    """``payload`` with one defect of kind ``how``, the details drawn from ``data``."""
+    layouts = [k for k in ("layout", "input_layout", "output_layout") if k in payload]
+    if how == "drop_key":
+        # a density file may leave out its kind; every other key is required
+        keys = [k for k in payload if (k, payload.get("kind")) != ("kind", "density")]
+        del payload[data.draw(st.sampled_from(keys), label="key")]
+    elif how == "ragged":
+        rows = payload[data.draw(st.sampled_from(("re", "im")), label="part")]
+        rows[data.draw(st.integers(0, len(rows) - 1), label="row")].pop()
+    elif how == "mismatched":
+        payload[data.draw(st.sampled_from(("re", "im")), label="part")].pop()
+    elif how == "non_finite":
+        rows = payload[data.draw(st.sampled_from(("re", "im")), label="part")]
+        i = data.draw(st.integers(0, len(rows) - 1), label="row")
+        j = data.draw(st.integers(0, len(rows[i]) - 1), label="col")
+        rows[i][j] = data.draw(st.sampled_from((float("nan"), float("inf"), float("-inf"))))
+    elif how == "bad_dim":
+        systems = payload[data.draw(st.sampled_from(layouts), label="layout")]
+        system = systems[data.draw(st.integers(0, len(systems) - 1), label="system")]
+        d = system[1]
+        system[1] = data.draw(st.sampled_from((float(d), d + 0.5, d == 1, str(d))), label="dim")
+    else:
+        payload["format"] = data.draw(st.sampled_from(("privsq-state/2", "", None, 1)))
+    return payload
+
+
+@pytest.mark.parametrize("isometry", (False, True))
+@pytest.mark.parametrize("how", MUTATIONS)
+@settings(PROPERTIES, max_examples=15)
+@given(dims=DIMS, in_dims=DIMS, seed=SEEDS, data=st.data())
+def test_mutated_payloads_raise_state_file_error(tmp_path_factory, how, isometry, dims,
+                                                 in_dims, seed, data):
+    path = tmp_path_factory.mktemp("mutated") / "f.json"
+    if isometry:
+        assume(np.prod(in_dims) <= np.prod(dims))
+        write_isometry(str(path), random_isometry(in_dims, dims, seed))
+        read = read_isometry
+    else:
+        layout = layout_of("S", dims)
+        write_state(str(path), random_density(layout, layout.total_dim, seed))
+        read = read_state
+    payload = mutate(json.loads(path.read_text()), how, data)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StateFileError, match=re.escape(str(path))):
+        read(str(path))

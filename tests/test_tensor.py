@@ -334,6 +334,19 @@ def test_density_operator_validation():
         PureStateVector(np.array([2.0, 0.0]), lo)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_constructors_refuse_non_finite_entries(bad):
+    # every tolerance comparison is False on NaN, so only an explicit check refuses it
+    lo = SystemLayout([("A", 2)])
+    rho = np.diag([bad, 0.5])
+    with pytest.raises(ValueError, match="density matrix has non-finite entries"):
+        DensityOperator(rho, lo)
+    with pytest.raises(ValueError, match="state vector has non-finite entries"):
+        PureStateVector(np.array([bad, 1.0]), lo)
+    with pytest.raises(ValueError, match="isometry has non-finite entries"):
+        Isometry(np.array([[1.0, 0.0], [0.0, bad]]), lo, lo)
+
+
 def test_kron_pure_state_vectors():
     a = random_pure(SystemLayout([("A", 2)]), seed=1)
     b = random_pure(SystemLayout([("B", 3)]), seed=2)
