@@ -7,11 +7,11 @@ Run with: python demos/03_entropies_and_continuity.py
 from math import log2
 
 from privsq import (
-    ContinuityParams,
     SystemLayout,
+    cmi_continuity,
     cond_entropy,
+    cond_entropy_continuity,
     cond_mutual_info,
-    continuity_bound,
     dual_total_correlation,
     ghz_state,
     max_entangled,
@@ -48,12 +48,12 @@ rho = random_density(layout, rank=4, seed=20)
 omega = random_density(layout, rank=2, seed=21)
 eps = trace_distance(rho, omega)
 delta = abs(cond_entropy(rho, "A", "B") - cond_entropy(omega, "A", "B"))
-bound = continuity_bound(ContinuityParams("cond_entropy", eps, log2(2)))
+bound = cond_entropy_continuity(eps, log2(2))
 print(f"  measured eps = {eps:.4f}")
 print(f"  |Delta H(A|B)| = {delta:.4f}  <=  bound {bound:.4f}")
 
 delta_i = abs(
     cond_mutual_info(rho, "A", "B") - cond_mutual_info(omega, "A", "B")
 )
-bound_i = continuity_bound(ContinuityParams("cond_mutual_info", eps, log2(2)))
+bound_i = cmi_continuity(eps, log2(2))
 print(f"  |Delta I(A;B)|  = {delta_i:.4f}  <=  bound {bound_i:.4f}")

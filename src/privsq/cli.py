@@ -25,7 +25,6 @@ from math import log2
 
 from . import __version__
 from .entropy import (
-    DEFAULT_MULTI_CONSTANTS,
     Partition,
     cond_entropy,
     cond_mutual_info,
@@ -166,8 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("bipartite", "multi-total", "multi-dual"), default="bipartite"
     )
     bnd.add_argument("--m", type=int, default=None, help="party count (multi modes)")
-    bnd.add_argument("--c1", type=int, default=DEFAULT_MULTI_CONSTANTS[0])
-    bnd.add_argument("--c2", type=int, default=DEFAULT_MULTI_CONSTANTS[1])
     bnd.add_argument("--n", type=int, default=1, help="number of rounds (rate bounds)")
 
     return parser
@@ -327,9 +324,7 @@ def _cmd_bound(args) -> tuple[int, dict]:
     report: dict = {"esq": args.esq, "eps": args.eps, "tolerances": {}}
     if args.thm1:
         mode = args.mode.replace("-", "_")
-        rhs = key_length_bound(
-            args.esq, args.eps, args.k, mode=mode, parties=args.m, constants=(args.c1, args.c2)
-        )
+        rhs = key_length_bound(args.esq, args.eps, args.k, mode=mode, parties=args.m)
         target = log2(args.k)
         arrangement = (
             "log2(K) <= esq + f(sqrt(eps), K)"
@@ -343,7 +338,6 @@ def _cmd_bound(args) -> tuple[int, dict]:
                 "mode": mode,
                 "k": args.k,
                 "m": args.m,
-                "constants": [args.c1, args.c2],
                 "rhs": rhs,
                 "log2_k": target,
                 "arrangement": arrangement,

@@ -35,16 +35,6 @@ class Partition:
         _disjoint(*(labels for _, labels in norm))
         object.__setattr__(self, "groups", norm)
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.groups)
-
-    def group(self, name: str) -> tuple[str, ...]:
-        for n, labels in self.groups:
-            if n == name:
-                return labels
-        raise KeyError(f"no group named {name!r}; have {self.names}")
-
     def validate_against(self, layout: SystemLayout) -> None:
         for _, labels in self.groups:
             layout.positions(labels)  # raises LayoutError on unknown labels
@@ -181,81 +171,31 @@ def binary_entropy(x: float) -> float:
 
 
 def _h2_term(eps: float) -> float:
-    """``(1+eps) h2(eps/(1+eps))``, in the continuity and key-rate bounds."""
+    """``g(eps) = (1+eps) h2(eps/(1+eps))``, in the continuity and key-rate bounds."""
     return (1.0 + eps) * binary_entropy(eps / (1.0 + eps))
 
 
-# Continuity-bound kinds.  The linear term's coefficient and the doubling of
-# the binary-entropy term depend on which quantity is being bounded.
-KIND_COND_ENTROPY = "cond_entropy"
-KIND_COND_MUTUAL_INFO = "cond_mutual_info"
-KIND_KEY_BIPARTITE = "key_bipartite"
-KIND_KEY_MULTI_TOTAL = "key_multi_total"
-KIND_KEY_MULTI_DUAL = "key_multi_dual"
-
-_KINDS = (
-    KIND_COND_ENTROPY,
-    KIND_COND_MUTUAL_INFO,
-    KIND_KEY_BIPARTITE,
-    KIND_KEY_MULTI_TOTAL,
-    KIND_KEY_MULTI_DUAL,
-)
-
-# Default multipliers for the multipartite key bounds.  Only the existence of
-# positive integer constants is asserted by the theory; these defaults are
-# configuration, not claims, and every report records the values used.
-DEFAULT_MULTI_CONSTANTS = (4, 4)
+def _continuity(eps: float, log_dim: float, g_weight: float) -> float:
+    """``2 eps log_dim + g_weight g(eps)``, the uniform continuity form at
+    trace distance ``eps`` (Winter, arXiv:1507.07775)."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"eps {eps} outside [0, 1]")
+    if not log_dim >= 0.0:
+        raise ValueError(f"log_dim {log_dim} must be >= 0")
+    return 2.0 * eps * log_dim + g_weight * _h2_term(eps)
 
 
-@dataclass(frozen=True)
-class ContinuityParams:
-    """Inputs to :func:`continuity_bound`.
-
-    ``log_dim`` is the base-2 logarithm of the dimension entering the linear
-    term (the conditioned system, the smaller of the two systems, or the key
-    dimension, depending on ``kind``).  ``parties`` and ``constants`` apply
-    to the multipartite key kinds only.
-    """
-
-    kind: str
-    eps: float
-    log_dim: float
-    parties: int | None = None
-    constants: tuple[int, int] = DEFAULT_MULTI_CONSTANTS
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown continuity kind {self.kind!r}; have {_KINDS}")
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError(f"eps {self.eps} outside [0, 1]")
-        if self.log_dim < 0:
-            raise ValueError(f"log_dim {self.log_dim} < 0")
-        if self.kind in (KIND_KEY_MULTI_TOTAL, KIND_KEY_MULTI_DUAL):
-            if self.parties is None or self.parties < 2:
-                raise ValueError(f"kind {self.kind!r} needs parties >= 2")
-            c1, c2 = self.constants
-            if c1 < 1 or c2 < 1:
-                raise ValueError(f"constants {self.constants} must be positive integers")
+def cond_entropy_continuity(eps: float, log_dim: float) -> float:
+    """Largest change of ``H(A|B)`` between states at trace distance ``eps``:
+    ``2 eps log_dim + g(eps)`` with ``log_dim = log2 d_A``."""
+    return _continuity(eps, log_dim, 1.0)
 
 
-def continuity_bound(p: ContinuityParams) -> float:
-    """Uniform continuity bound of the requested kind at perturbation ``eps``.
-
-    * ``cond_entropy``:      ``2 eps log_dim + (1+eps) h2(eps/(1+eps))``
-    * ``cond_mutual_info``:  ``2 eps log_dim + 2 (1+eps) h2(eps/(1+eps))``
-    * ``key_bipartite``:     same form as ``cond_mutual_info`` with
-      ``log_dim = log2 K``
-    * ``key_multi_total`` / ``key_multi_dual``:
-      ``m [c1 eps log_dim + c2 (1+eps) h2(eps/(1+eps))]``
-    """
-    eps = p.eps
-    h_term = _h2_term(eps)
-    if p.kind == KIND_COND_ENTROPY:
-        return 2.0 * eps * p.log_dim + h_term
-    if p.kind in (KIND_COND_MUTUAL_INFO, KIND_KEY_BIPARTITE):
-        return 2.0 * eps * p.log_dim + 2.0 * h_term
-    c1, c2 = p.constants
-    return p.parties * (c1 * eps * p.log_dim + c2 * h_term)
+def cmi_continuity(eps: float, log_dim: float) -> float:
+    """Largest change of ``I(A;B|E)`` between states at trace distance
+    ``eps``: ``2 eps log_dim + 2 g(eps)`` with ``log_dim`` the base-2 log of
+    the smaller of ``d_A`` and ``d_B``."""
+    return _continuity(eps, log_dim, 2.0)
 
 
 __all__ = [
@@ -267,14 +207,8 @@ __all__ = [
     "dual_total_correlation",
     "info_terms",
     "binary_entropy",
-    "ContinuityParams",
-    "continuity_bound",
-    "DEFAULT_MULTI_CONSTANTS",
+    "cond_entropy_continuity",
+    "cmi_continuity",
     "FLAVOR_TOTAL",
     "FLAVOR_DUAL",
-    "KIND_COND_ENTROPY",
-    "KIND_COND_MUTUAL_INFO",
-    "KIND_KEY_BIPARTITE",
-    "KIND_KEY_MULTI_TOTAL",
-    "KIND_KEY_MULTI_DUAL",
 ]

@@ -22,6 +22,7 @@ from .layout import LayoutError, SystemLayout, fresh_label
 from .metric import fidelity, trace_distance
 from .tensor import (
     DensityOperator,
+    _finite,
     _seeded_rng,
     _unchecked,
     dephase,
@@ -137,7 +138,7 @@ class PrivateStateSpec:
         for idx in itertools.product(range(key_dim), repeat=parties):
             if idx not in controls:
                 raise ValueError(f"missing twisting control for key indices {idx}")
-            u = np.asarray(controls[idx], dtype=complex)
+            u = _finite(controls[idx], f"control {idx}")  # NaN passes the unitarity test
             if u.shape != (d_sh, d_sh):
                 raise ValueError(f"control {idx} has shape {u.shape}, expected {(d_sh, d_sh)}")
             if np.abs(u.conj().T @ u - np.eye(d_sh)).max() > 1e-10:

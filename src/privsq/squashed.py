@@ -31,25 +31,20 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache, lru_cache, partial
-from math import log, log2, prod, sqrt
+from math import inf, log, log2, prod, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .entropy import (
-    ContinuityParams,
-    DEFAULT_MULTI_CONSTANTS,
     FLAVOR_DUAL,
     FLAVOR_TOTAL,
-    KIND_KEY_BIPARTITE,
-    KIND_KEY_MULTI_DUAL,
-    KIND_KEY_MULTI_TOTAL,
     Terms,
     _disjoint,
     _group_entropy,
     _h2_term,
     _information,
-    continuity_bound,
+    cmi_continuity,
 )
 from .entropy import info_terms as _info_terms
 from .layout import LayoutError, SystemLayout, as_labels, fresh_label
@@ -561,34 +556,40 @@ MODE_MULTI_DUAL = "multi_dual"
 _MODES = (MODE_BIPARTITE, MODE_MULTI_TOTAL, MODE_MULTI_DUAL)
 
 
+def _check_esq(esq_value: float) -> None:
+    if not 0.0 <= esq_value < inf:
+        raise ValueError(f"esq {esq_value} must be finite and >= 0")
+
+
 def key_length_bound(
     esq_value: float,
     eps: float,
     key_dim: int,
     mode: str = MODE_BIPARTITE,
     parties: int | None = None,
-    constants: tuple[int, int] = DEFAULT_MULTI_CONSTANTS,
 ) -> float:
     """Right-hand side of the key-length bound for an ``eps``-approximate
     private state, arranged so the comparison is against ``log2 K``.
 
-    Bipartite: ``esq + f(sqrt(eps), K)`` with the key-bipartite continuity
-    term.  Multipartite: ``(2/m) (esq + f(sqrt(eps), K, m))`` with the
-    total or dual continuity term and the supplied constants.
+    Bipartite: ``esq + f(sqrt(eps), K)`` with ``f`` the CMI continuity term
+    :func:`cmi_continuity` at ``log_dim = log2 K``.  Multipartite, either
+    flavor: ``(2/m) (esq + 2m f(sqrt(eps), K))``.  That is the form the
+    former default constants ``(4, 4)`` gave; no derivation in this package
+    backs it yet (ROADMAP item 2).
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; have {_MODES}")
+    _check_esq(esq_value)
+    if key_dim < 2:
+        raise ValueError(f"key dimension {key_dim} < 2")
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps {eps} outside [0, 1]")
-    root = sqrt(eps)
+    f = cmi_continuity(sqrt(eps), log2(key_dim))
     if mode == MODE_BIPARTITE:
-        f = continuity_bound(ContinuityParams(KIND_KEY_BIPARTITE, root, log2(key_dim)))
         return esq_value + f
-    if parties is None:
-        raise ValueError(f"mode {mode!r} needs the party count")
-    kind = KIND_KEY_MULTI_TOTAL if mode == MODE_MULTI_TOTAL else KIND_KEY_MULTI_DUAL
-    f = continuity_bound(ContinuityParams(kind, root, log2(key_dim), parties, constants))
-    return (2.0 / parties) * (esq_value + f)
+    if parties is None or parties < 2:
+        raise ValueError(f"mode {mode!r} needs a party count of at least 2, got {parties}")
+    return (2.0 / parties) * (esq_value + 2 * parties * f)
 
 
 def key_rate_bound(esq_value: float, eps: float, rounds: int) -> float:
@@ -597,6 +598,7 @@ def key_rate_bound(esq_value: float, eps: float, rounds: int) -> float:
 
     Only valid when ``1 - 2 sqrt(eps) > 0``; larger ``eps`` raises.
     """
+    _check_esq(esq_value)
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps {eps} outside [0, 1]")
     if rounds < 1:

@@ -33,12 +33,22 @@ def _matrix_payload(mat: np.ndarray) -> dict[str, Any]:
     }
 
 
+def _numbers(rows: Any, what: str) -> np.ndarray:
+    """``rows`` as a finite float array; refuses the strings, booleans and
+    nulls that a float conversion would coerce."""
+    arr = np.array(rows, dtype=object)
+    bad = [x for x in arr.flat if type(x) not in (int, float)]
+    if bad:
+        raise TypeError(f"{what} entry {bad[0]!r} is not a JSON number")
+    return _finite(arr, what, float)
+
+
 def _matrix_from_payload(obj: dict, path: str) -> np.ndarray:
     try:
         # checked before re + 1j * im, which turns an infinite entry into NaN
-        re = _finite(obj["re"], "'re'", float)
-        im = _finite(obj["im"], "'im'", float)
-    except (KeyError, TypeError, ValueError) as exc:
+        re = _numbers(obj["re"], "'re'")
+        im = _numbers(obj["im"], "'im'")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateFileError(f"{path}: missing or malformed 're'/'im' arrays ({exc})") from exc
     if re.shape != im.shape or re.ndim != 2:
         raise StateFileError(
@@ -49,9 +59,13 @@ def _matrix_from_payload(obj: dict, path: str) -> np.ndarray:
 
 def _layout_from_payload(obj: Any, path: str, field: str = "layout") -> SystemLayout:
     try:
-        systems = [(str(lbl), d) for lbl, d in obj]
+        systems = [(lbl, d) for lbl, d in obj]
         for lbl, d in systems:
-            if type(d) is not int:  # not a float, bool or string that int() would take
+            # not a null or number that str() would take
+            if type(lbl) is not str:
+                raise TypeError(f"label {lbl!r} is not a JSON string")
+            # not a float, bool or string that int() would take
+            if type(d) is not int:
                 raise TypeError(f"dimension {d!r} of system {lbl!r} is not a JSON integer")
         return SystemLayout(systems)
     except (TypeError, ValueError) as exc:

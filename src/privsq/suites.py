@@ -15,13 +15,10 @@ from dataclasses import dataclass
 from math import log2, sqrt
 
 from .entropy import (
-    ContinuityParams,
-    KIND_COND_ENTROPY,
-    KIND_COND_MUTUAL_INFO,
-    KIND_KEY_BIPARTITE,
+    cmi_continuity,
     cond_entropy,
+    cond_entropy_continuity,
     cond_mutual_info,
-    continuity_bound,
     dual_total_correlation,
     total_correlation,
 )
@@ -33,7 +30,7 @@ from .private_states import (
     random_private_spec,
     uniform_classical,
 )
-from .squashed import OptimizerConfig, private_identity_residual, squashed_upper
+from .squashed import OptimizerConfig, key_length_bound, private_identity_residual, squashed_upper
 from .tensor import random_density
 
 
@@ -206,31 +203,26 @@ def suite_continuity(instances: int = 200, seed: int = 0, tol: float = 1e-9) -> 
     """Entropy continuity bounds at the measured trace distance: conditional
     entropy on (2,2) and (3,2) pairs, conditional mutual information on
     (2,2,2) triples."""
+    cases = (
+        ("cond-entropy continuity, dims 2x2", (("A", 2), ("B", 2)), cond_entropy,
+         ("A", "B"), cond_entropy_continuity, 1.0),
+        ("cond-entropy continuity, dims 3x2", (("A", 3), ("B", 2)), cond_entropy,
+         ("A", "B"), cond_entropy_continuity, log2(3)),
+        ("cmi continuity, dims 2x2x2", (("A", 2), ("B", 2), ("E", 2)), cond_mutual_info,
+         ("A", "B", "E"), cmi_continuity, 1.0),
+    )
     rows = []
-    for d_a, d_b in ((2, 2), (3, 2)):
-        layout = SystemLayout((("A", d_a), ("B", d_b)))
+    for name, systems, quantity, groups, continuity, log_dim in cases:
+        layout = SystemLayout(systems)
         d = layout.total_dim
         violation = 0.0
         for i in range(instances):
             rho = random_density(layout, _cycle_rank(i, d), seed + 2 * i)
             omega = random_density(layout, _cycle_rank(i + 3, d), seed + 2 * i + 1)
             eps = min(trace_distance(rho, omega), 1.0)
-            bound = continuity_bound(ContinuityParams(KIND_COND_ENTROPY, eps, log2(d_a)))
-            delta = abs(cond_entropy(rho, "A", "B") - cond_entropy(omega, "A", "B"))
-            violation = max(violation, delta - bound)
-        rows.append(SuiteRow(f"cond-entropy continuity, dims {d_a}x{d_b}", instances, violation, tol))
-
-    layout = SystemLayout((("A", 2), ("B", 2), ("E", 2)))
-    d = layout.total_dim
-    violation = 0.0
-    for i in range(instances):
-        rho = random_density(layout, _cycle_rank(i, d), seed + 2 * i)
-        omega = random_density(layout, _cycle_rank(i + 3, d), seed + 2 * i + 1)
-        eps = min(trace_distance(rho, omega), 1.0)
-        bound = continuity_bound(ContinuityParams(KIND_COND_MUTUAL_INFO, eps, 1.0))
-        delta = abs(cond_mutual_info(rho, "A", "B", "E") - cond_mutual_info(omega, "A", "B", "E"))
-        violation = max(violation, delta - bound)
-    rows.append(SuiteRow("cmi continuity, dims 2x2x2", instances, violation, tol))
+            delta = abs(quantity(rho, *groups) - quantity(omega, *groups))
+            violation = max(violation, delta - continuity(eps, log_dim))
+        rows.append(SuiteRow(name, instances, violation, tol))
     return SuiteResult("continuity", seed, tuple(rows))
 
 
@@ -263,8 +255,7 @@ def suite_thm1(
             d_sink=d_sink,
             cfg=cfg,
         )
-        f1 = continuity_bound(ContinuityParams(KIND_KEY_BIPARTITE, sqrt(eps), log2(2)))
-        violation = 2.0 * log2(2) - (2.0 * rep.value + 2.0 * f1)
+        violation = 2.0 * log2(2) - 2.0 * key_length_bound(rep.value, eps, 2)
         rows.append(SuiteRow(f"key-bound chain, noise {p}", 1, max(violation, 0.0), tol))
     return SuiteResult("thm1", seed, tuple(rows))
 

@@ -133,7 +133,7 @@ def test_criterion_06_fuchs_van_de_graaf():
     assert res.passed
 
 
-def test_criterion_07_continuity_bounds():
+def test_criterion_07_entropy_continuity():
     res = suite_continuity(instances=200, seed=SEED, tol=1e-9)
     worst = max(r.worst for r in res.rows)
     report(7, res.passed, f"max violation {worst:.3e} over 600 pairs")

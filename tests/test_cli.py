@@ -82,6 +82,33 @@ print(json.dumps(loaded))
 """
 
 
+THM1 = ["bound", "--thm1", "--eps", "0.01"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (THM1 + ["--esq", "nan"], "esq nan"),
+        (THM1 + ["--esq", "inf"], "esq inf"),
+        (THM1 + ["--esq", "-5"], "esq -5.0"),
+        (THM1 + ["--esq", "0.9", "--k", "1"], "key dimension 1 < 2"),
+        (["bound", "--rate", "--esq", "nan", "--eps", "0.01"], "esq nan"),
+        (THM1 + ["--esq", "0.9", "--mode", "multi-total", "--m", "1"], "party count"),
+    ],
+)
+def test_bound_refuses_invalid_input(argv, message, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "kind" not in err
+
+
+def test_bound_constants_flags_are_gone(capsys):
+    for flag in ("--c1", "--c2"):
+        assert run_cli(THM1 + ["--esq", "0.9", "--mode", "multi-total", "--m", "3",
+                               flag, "4"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_only_the_searches_load_scipy_optimize(tmp_path):
     import os
     import subprocess
@@ -242,6 +269,7 @@ def test_bound_commands(tmp_path, capsys):
                     "--out", str(rep)]) == 0
     data = json.loads(rep.read_text())
     assert "arrangement" in data and data["rhs"] > 0.9
+    assert "constants" not in data
 
     assert run_cli(["bound", "--thm1", "--esq", "0.9", "--eps", "0.01", "--k", "2",
                     "--mode", "multi-total", "--m", "3"]) == 0

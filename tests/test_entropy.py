@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from privsq import (
-    ContinuityParams,
     DensityOperator,
     LayoutError,
     Partition,
     SystemLayout,
     binary_entropy,
+    cmi_continuity,
     cond_entropy,
+    cond_entropy_continuity,
     cond_mutual_info,
-    continuity_bound,
     dual_total_correlation,
     ghz_state,
     kron,
@@ -149,38 +149,30 @@ def test_binary_entropy():
         binary_entropy(-0.1)
 
 
-def test_continuity_bound_values():
-    # zero perturbation vanishes for every kind
-    assert continuity_bound(ContinuityParams("key_bipartite", 0.0, 1.0)) == 0.0
-    assert continuity_bound(
-        ContinuityParams("key_multi_total", 0.0, 1.0, parties=3, constants=(4, 4))
-    ) == 0.0
+def test_continuity_values():
+    # both forms vanish at zero perturbation
+    assert cond_entropy_continuity(0.0, 1.0) == 0.0
+    assert cmi_continuity(0.0, 1.0) == 0.0
+    assert cmi_continuity(0.0, 3.0) == 0.0
 
-    # eps = 1, K = 2: 2*1*1 + 2*2*h2(1/2) = 6
-    assert abs(continuity_bound(ContinuityParams("key_bipartite", 1.0, 1.0)) - 6.0) < 1e-12
+    # eps = 1, log_dim = 1: g(1) = 2 h2(1/2) = 2, so 2 + 2 = 4 and 2 + 2*2 = 6
+    assert cond_entropy_continuity(1.0, 1.0) == 4.0
+    assert cmi_continuity(1.0, 1.0) == 6.0
 
-    # the conditional-entropy kind carries a single binary-entropy term
+    # the conditional-entropy form carries one binary-entropy term, CMI two
     eps = 0.3
     h = (1 + eps) * binary_entropy(eps / (1 + eps))
-    got = continuity_bound(ContinuityParams("cond_entropy", eps, 2.0))
-    assert abs(got - (2 * eps * 2.0 + h)) < 1e-12
-    got = continuity_bound(ContinuityParams("cond_mutual_info", eps, 2.0))
-    assert abs(got - (2 * eps * 2.0 + 2 * h)) < 1e-12
-
-    # multipartite kinds scale linearly in the party count and constants
-    got = continuity_bound(ContinuityParams("key_multi_dual", eps, 1.0, parties=3, constants=(2, 5)))
-    assert abs(got - 3 * (2 * eps + 5 * h)) < 1e-12
+    assert abs(cond_entropy_continuity(eps, 2.0) - (2 * eps * 2.0 + h)) < 1e-12
+    assert abs(cmi_continuity(eps, 2.0) - (2 * eps * 2.0 + 2 * h)) < 1e-12
 
 
 def test_continuity_params_validation():
-    with pytest.raises(ValueError):
-        ContinuityParams("nope", 0.1, 1.0)
-    with pytest.raises(ValueError):
-        ContinuityParams("key_bipartite", 1.5, 1.0)
-    with pytest.raises(ValueError):
-        ContinuityParams("key_multi_total", 0.1, 1.0)  # parties missing
-    with pytest.raises(ValueError):
-        ContinuityParams("key_multi_total", 0.1, 1.0, parties=3, constants=(0, 4))
+    # eps outside [0, 1] or NaN, and a negative or NaN log_dim, are refused
+    bad = [(1.5, 1.0), (-0.1, 1.0), (float("nan"), 1.0), (0.1, -1.0), (0.1, float("nan"))]
+    for continuity in (cond_entropy_continuity, cmi_continuity):
+        for eps, log_dim in bad:
+            with pytest.raises(ValueError):
+                continuity(eps, log_dim)
 
 
 def test_afw_bound_on_random_pairs():
@@ -189,28 +181,24 @@ def test_afw_bound_on_random_pairs():
         rho = random_density(layout, (i % 4) + 1, seed=200 + 2 * i)
         omega = random_density(layout, ((i + 2) % 4) + 1, seed=201 + 2 * i)
         eps = min(trace_distance(rho, omega), 1.0)
-        bound = continuity_bound(ContinuityParams("cond_entropy", eps, 1.0))
+        bound = cond_entropy_continuity(eps, 1.0)
         delta = abs(cond_entropy(rho, "A", "B") - cond_entropy(omega, "A", "B"))
         assert delta <= bound + 1e-9
 
 
-def test_cmi_continuity_bound_on_random_triples():
+def test_cmi_continuity_on_random_triples():
     layout = SystemLayout([("A", 2), ("B", 2), ("E", 2)])
     for i in range(60):
         rho = random_density(layout, (i % 8) + 1, seed=400 + 2 * i)
         omega = random_density(layout, ((i + 3) % 8) + 1, seed=401 + 2 * i)
         eps = min(trace_distance(rho, omega), 1.0)
-        bound = continuity_bound(ContinuityParams("cond_mutual_info", eps, 1.0))
+        bound = cmi_continuity(eps, 1.0)
         delta = abs(cond_mutual_info(rho, "A", "B", "E") - cond_mutual_info(omega, "A", "B", "E"))
         assert delta <= bound + 1e-9
 
 
 def test_partition():
     p = Partition([("A", ("A1", "A1p")), ("B", ("A2",))])
-    assert p.names == ("A", "B")
-    assert p.group("A") == ("A1", "A1p")
-    with pytest.raises(KeyError):
-        p.group("C")
     with pytest.raises(LayoutError):
         Partition([("A", ("X",)), ("B", ("X",))])
     layout = SystemLayout([("A1", 2), ("A1p", 2), ("A2", 2)])

@@ -111,6 +111,16 @@ def test_twisting_controls_validated():
         PrivateStateSpec(2, (2, 2), spec.shield_state, controls)
 
 
+def test_twisting_controls_refuse_non_finite_entries():
+    # NaN makes every comparison of the unitarity test False, so it used to pass
+    spec = identity_spec()
+    for bad in (np.nan, np.inf):
+        controls = dict(spec.controls)
+        controls[(0, 1)] = np.full((4, 4), bad)
+        with pytest.raises(ValueError, match=r"control \(0, 1\) has non-finite entries"):
+            PrivateStateSpec(2, (2, 2), spec.shield_state, controls)
+
+
 def test_private_state_trivial_twist_is_product():
     spec = identity_spec(sigma_seed=3)
     gamma = private_state(spec)

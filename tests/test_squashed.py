@@ -490,19 +490,16 @@ def test_key_bound_chain_for_every_ansatz():
 
 
 def test_multipartite_key_bound_chain_for_every_ansatz():
-    # displayed three-party inequality: m log2 K <= info + 2 f(sqrt(eps), K, m)
-    # holds for every extension; checked on random squashed extensions with
-    # the default (4, 4) constants for both information flavors
-    from privsq import ContinuityParams, continuity_bound
-
+    # displayed three-party inequality: m log2 K <= info + 2 * 2m f(sqrt(eps), K)
+    # holds for every extension; checked on random squashed extensions for
+    # both information flavors
     spec = random_private_spec(2, (2, 2, 2), seed=301)
     omega, eps = approx_private_state(spec, 0.05, seed=302)
     groups = [(k, s) for k, s in zip(spec.key_labels, spec.shield_labels)]
-    kinds = {"total": "key_multi_total", "dual": "key_multi_dual"}
-    for seed, (flavor, kind) in enumerate(kinds.items()):
+    for seed, flavor in enumerate(("total", "dual")):
         ans = random_ansatz(64, 8, 8, seed=310 + seed, scale=0.4)
         info = 2.0 * squashing_value(omega, groups, ans, flavor=flavor)
-        f = continuity_bound(ContinuityParams(kind, sqrt(eps), log2(2), parties=3))
+        f = 2 * 3 * f_key_bipartite(eps, 2)
         assert 3 * log2(2) <= info + 2 * f + 1e-6
 
 
@@ -626,20 +623,41 @@ def test_key_length_bound_values():
     expect = 0.7 + 0.2 + 2 * 1.1 * binary_entropy(0.1 / 1.1)
     assert abs(key_length_bound(0.7, 0.01, 2) - expect) < 1e-12
 
-    # multipartite arrangement: (2/m) (esq + f)
-    m, c1, c2 = 3, 4, 4
-    root = sqrt(0.01)
-    f2 = m * (c1 * root * 1.0 + c2 * (1 + root) * binary_entropy(root / (1 + root)))
+    # eps = 1, K = 2: f(1, 2) = 2*1*1 + 2*g(1) = 6, where g(1) = 2 h2(1/2) = 2
+    for e in (0.0, 0.7):
+        assert key_length_bound(e, 1.0, 2) == e + 6
+        # multipartite, either flavor: (2/m) (esq + 2m f) = (2/3) (esq + 36)
+        for mode in ("multi_total", "multi_dual"):
+            assert key_length_bound(e, 1.0, 2, mode=mode, parties=3) == (2 / 3) * (e + 36)
+
+    # the multipartite term is 2m times the bipartite one at any eps
+    m, root = 3, sqrt(0.01)
+    f2 = 2 * m * (2 * root * 1.0 + 2 * (1 + root) * binary_entropy(root / (1 + root)))
     got = key_length_bound(0.9, 0.01, 2, mode="multi_total", parties=m)
     assert abs(got - (2.0 / m) * (0.9 + f2)) < 1e-12
-    got = key_length_bound(0.9, 0.01, 2, mode="multi_dual", parties=m, constants=(2, 3))
-    f3 = m * (2 * root * 1.0 + 3 * (1 + root) * binary_entropy(root / (1 + root)))
-    assert abs(got - (2.0 / m) * (0.9 + f3)) < 1e-12
 
     with pytest.raises(ValueError):
         key_length_bound(1.0, 0.01, 2, mode="multi_total")  # parties missing
     with pytest.raises(ValueError):
         key_length_bound(1.0, 2.0, 2)
+
+
+@pytest.mark.parametrize("esq", [float("nan"), float("inf"), -float("inf"), -5.0])
+def test_key_bounds_refuse_non_finite_or_negative_esq(esq):
+    with pytest.raises(ValueError, match="esq"):
+        key_length_bound(esq, 0.01, 2)
+    with pytest.raises(ValueError, match="esq"):
+        key_rate_bound(esq, 0.01, 100)
+
+
+def test_key_length_bound_refuses_small_key_or_party_count():
+    for k in (1, 0, -2):
+        with pytest.raises(ValueError, match="key dimension"):
+            key_length_bound(0.9, 0.01, k)
+    for m in (1, 0):
+        with pytest.raises(ValueError, match="party count") as exc:
+            key_length_bound(0.9, 0.01, 2, mode="multi_total", parties=m)
+        assert "kind" not in str(exc.value)
 
 
 def test_key_rate_bound_values():

@@ -84,6 +84,41 @@ def test_violated_invariant_is_named(tmp_path):
         read_state(str(path))
 
 
+def test_entries_must_be_json_numbers_and_labels_json_strings(tmp_path):
+    # a float conversion would read "0.5" as 0.5 and true as 1.0, and str()
+    # would turn a null label into the system "None"
+    path = tmp_path / "coerced.state"
+    good = {
+        "format": "privsq-state/1",
+        "kind": "density",
+        "layout": [["A", 2]],
+        "re": [[0.5, 0.0], [0.0, 0.5]],
+        "im": [[0.0, 0.0], [0.0, 0.0]],
+    }
+    path.write_text(json.dumps(good))
+    assert read_state(str(path)).layout.labels == ("A",)
+    entries = {"'re' entry '0.5'": ("re", "0.5"), "'re' entry True": ("re", True),
+               "'im' entry False": ("im", False), "'im' entry None": ("im", None)}
+    for message, (part, value) in entries.items():
+        payload = json.loads(json.dumps(good))
+        payload[part][0][0] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StateFileError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+            read_state(str(path))
+    # a JSON integer beyond the float range raised OverflowError, not naming the file
+    payload = json.loads(json.dumps(good))
+    payload["re"][0][0] = 10 ** 400
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StateFileError, match=re.escape(f"{path}: ") + ".*too large"):
+        read_state(str(path))
+    for label in (None, 1, ["A"]):
+        payload = json.loads(json.dumps(good))
+        payload["layout"][0][0] = label
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StateFileError, match=re.escape(f"{path}: ") + ".*not a JSON string"):
+            read_state(str(path))
+
+
 def test_missing_layout(tmp_path):
     path = tmp_path / "bad.state"
     path.write_text(json.dumps({"format": "privsq-state/1", "re": [[1.0]], "im": [[0.0]]}))
@@ -144,7 +179,8 @@ def test_isometry_roundtrip_property(tmp_path_factory, in_dims, out_dims, seed):
     assert np.array_equal(back.matrix, v.matrix)
 
 
-MUTATIONS = ("drop_key", "ragged", "mismatched", "non_finite", "bad_dim", "format")
+MUTATIONS = ("drop_key", "ragged", "mismatched", "non_finite", "non_number", "bad_dim",
+             "bad_label", "format")
 
 
 def mutate(payload, how, data):
@@ -159,16 +195,25 @@ def mutate(payload, how, data):
         rows[data.draw(st.integers(0, len(rows) - 1), label="row")].pop()
     elif how == "mismatched":
         payload[data.draw(st.sampled_from(("re", "im")), label="part")].pop()
-    elif how == "non_finite":
+    elif how in ("non_finite", "non_number"):
         rows = payload[data.draw(st.sampled_from(("re", "im")), label="part")]
         i = data.draw(st.integers(0, len(rows) - 1), label="row")
         j = data.draw(st.integers(0, len(rows[i]) - 1), label="col")
-        rows[i][j] = data.draw(st.sampled_from((float("nan"), float("inf"), float("-inf"))))
+        if how == "non_finite":
+            rows[i][j] = data.draw(st.sampled_from((float("nan"), float("inf"), float("-inf"))))
+        else:
+            # what a float conversion would coerce: the entry's string, a bool, null
+            x = rows[i][j]
+            rows[i][j] = data.draw(st.sampled_from((str(x), True, False, None)), label="entry")
     elif how == "bad_dim":
         systems = payload[data.draw(st.sampled_from(layouts), label="layout")]
         system = systems[data.draw(st.integers(0, len(systems) - 1), label="system")]
         d = system[1]
         system[1] = data.draw(st.sampled_from((float(d), d + 0.5, d == 1, str(d))), label="dim")
+    elif how == "bad_label":
+        systems = payload[data.draw(st.sampled_from(layouts), label="layout")]
+        system = systems[data.draw(st.integers(0, len(systems) - 1), label="system")]
+        system[0] = data.draw(st.sampled_from((None, 0, 1.5, True, [system[0]])), label="label")
     else:
         payload["format"] = data.draw(st.sampled_from(("privsq-state/2", "", None, 1)))
     return payload
