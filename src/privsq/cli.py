@@ -21,7 +21,7 @@ import argparse
 import inspect
 import os
 import sys
-from math import log2
+from math import inf, log2
 
 from . import __version__
 from .entropy import (
@@ -132,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quantity", required=True, choices=("vn", "cond", "cmi", "total", "dual")
     )
     ent.add_argument("--groups", default=None, help="e.g. 'A=A1+A1p;B=A2+A2p'")
-    ent.add_argument("--cond", default="", help="conditioning labels, e.g. 'E'")
+    ent.add_argument("--cond", default=None, help="conditioning labels, e.g. 'E' (not with vn)")
 
     esq = command("esq", "variational squashed-entanglement upper bound")
     esq.add_argument("--in", dest="infile", required=True, help="state file (or isometry with --channel)")
@@ -160,12 +160,11 @@ def _build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--rate", action="store_true", help="finite-round key-rate bound")
     bnd.add_argument("--esq", type=float, required=True, help="squashed-entanglement value")
     bnd.add_argument("--eps", type=float, required=True)
-    bnd.add_argument("--k", type=int, default=2, help="key dimension (thm1)")
-    bnd.add_argument(
-        "--mode", choices=("bipartite", "multi-total", "multi-dual"), default="bipartite"
-    )
-    bnd.add_argument("--m", type=int, default=None, help="party count (multi modes)")
-    bnd.add_argument("--n", type=int, default=1, help="number of rounds (rate bounds)")
+    bnd.add_argument("--k", type=int, default=None, help="key dimension (thm1; default 2)")
+    bnd.add_argument("--mode", choices=("bipartite", "multi-total", "multi-dual"), default=None,
+                     help="thm1; default bipartite")
+    bnd.add_argument("--m", type=int, default=None, help="party count (thm1 multi modes)")
+    bnd.add_argument("--n", type=int, default=None, help="number of rounds (rate; default 1)")
 
     return parser
 
@@ -204,6 +203,8 @@ def _cmd_gen(args) -> tuple[int, dict]:
 
 
 def _cmd_entropy(args) -> tuple[int, dict]:
+    if args.quantity == "vn":
+        _refuse("entropy --quantity vn", args, "--cond")
     rho = read_state(args.infile)
     cond = _parse_labels(args.cond) if args.cond else ()
     partition = _parse_groups(args.groups) if args.groups else None
@@ -306,6 +307,8 @@ def _cmd_verify(args) -> tuple[int, dict]:
             kwargs[key] = getattr(args, flag[2:])
     if args.instances is not None and args.instances < 1:
         raise ValueError(f"verify --instances must be at least 1, got {args.instances}")
+    if args.tol is not None and not 0.0 <= args.tol < inf:
+        raise ValueError(f"verify --tol must be finite and >= 0, got {args.tol}")
     result = SUITES[name](**kwargs)
     width = max(len(r.identity) for r in result.rows)
     for r in result.rows:
@@ -323,9 +326,13 @@ def _cmd_verify(args) -> tuple[int, dict]:
 def _cmd_bound(args) -> tuple[int, dict]:
     report: dict = {"esq": args.esq, "eps": args.eps, "tolerances": {}}
     if args.thm1:
-        mode = args.mode.replace("-", "_")
-        rhs = key_length_bound(args.esq, args.eps, args.k, mode=mode, parties=args.m)
-        target = log2(args.k)
+        _refuse("bound --thm1", args, "--n")
+        mode = (args.mode or "bipartite").replace("-", "_")
+        if mode == "bipartite":
+            _refuse("bound --thm1 in bipartite mode", args, "--m")
+        k = 2 if args.k is None else args.k
+        rhs = key_length_bound(args.esq, args.eps, k, mode=mode, parties=args.m)
+        target = log2(k)
         arrangement = (
             "log2(K) <= esq + f(sqrt(eps), K)"
             if mode == "bipartite"
@@ -336,7 +343,7 @@ def _cmd_bound(args) -> tuple[int, dict]:
             {
                 "kind": "thm1",
                 "mode": mode,
-                "k": args.k,
+                "k": k,
                 "m": args.m,
                 "rhs": rhs,
                 "log2_k": target,
@@ -344,9 +351,11 @@ def _cmd_bound(args) -> tuple[int, dict]:
             }
         )
     else:
-        rhs = key_rate_bound(args.esq, args.eps, args.n)
-        print(f"rhs = {rhs:.12g}  (rate bound, n = {args.n})")
-        report.update({"kind": "rate", "n": args.n, "rhs": rhs})
+        _refuse("bound --rate", args, "--k", "--mode", "--m")
+        n = 1 if args.n is None else args.n
+        rhs = key_rate_bound(args.esq, args.eps, n)
+        print(f"rhs = {rhs:.12g}  (rate bound, n = {n})")
+        report.update({"kind": "rate", "n": n, "rhs": rhs})
     return 0, report
 
 

@@ -9,14 +9,15 @@ canonical purification, and traces out ``F``.  Half the conditional
 (multipartite) information of the result is an upper bound on the
 corresponding squashed entanglement *for every ansatz*, so minimizing over
 the generator with several seeded restarts yields sound, reproducible upper
-bounds.  The descent uses L-BFGS-B with the objective's exact gradient:
-entropy derivatives of the pure-state marginals, chained through the
-amplitudes and through ``exp(iH)`` with the Daleckii-Krein formula.
-
-The channel search alternates that descent with an exact-gradient ascent
-over pure channel inputs.  It purifies each output state with the
-channel's own sunk outputs, restricted to the span they can reach, so the
-purification is linear in the input and no evaluation diagonalizes it.
+bounds.  One kernel, ``_extension_value_and_grads``, gives half the
+information of the pure extension ``t = V psi`` and its gradients in the
+isometry ``V`` and the purification ``psi``.  Each parameterization is one
+forward map that returns its pullback: ``_isometry`` (through ``exp(iH)``
+by the Daleckii-Krein formula) and ``_channel_purification``.  The state
+search descends over ``V``; the channel search alternates that with an
+ascent over pure channel inputs, purifying each output with the channel's
+own sunk outputs restricted to the span they reach, so the purification
+is linear in the input and no evaluation diagonalizes it.
 
 Both searches make every L-BFGS-B run through one driver (``_lbfgsb``, one
 option set), seed and start their restarts the same way and assemble their
@@ -85,7 +86,7 @@ class SquashingAnsatz:
         return self.params.shape[0]
 
     def isometry_matrix(self) -> np.ndarray:
-        return _isometry_from_params(self.params, self.d_env, self.d_sink, self.d_purify)
+        return _isometry(self.params, self.d_env * self.d_sink, self.d_purify)[0]
 
     def to_isometry(
         self, input_label: str = "Epur", env_label: str = "E", sink_label: str = "F"
@@ -122,16 +123,6 @@ def _params_grad(gamma: np.ndarray) -> np.ndarray:
     return np.concatenate((gamma.diagonal().real, (up + low).real, (up - low).imag))
 
 
-def _leading_columns(w: np.ndarray, q: np.ndarray, d_purify: int) -> np.ndarray:
-    """First ``d_purify`` columns of ``exp(iH)`` from the eigenpairs of ``H``."""
-    return (q * np.exp(1j * w)) @ q[:d_purify].conj().T
-
-
-def _isometry_from_params(params: np.ndarray, d_env: int, d_sink: int, d_purify: int) -> np.ndarray:
-    w, q = np.linalg.eigh(_hermitian_from_params(params, d_env * d_sink))
-    return _leading_columns(w, q, d_purify)
-
-
 def _expi_divided_differences(w: np.ndarray) -> np.ndarray:
     """Daleckii-Krein matrix of ``x -> exp(ix)`` at the eigenvalues ``w``:
     ``F[j, k] = (e^{i w_j} - e^{i w_k}) / (w_j - w_k)``, and ``i e^{i w_j}``
@@ -141,6 +132,25 @@ def _expi_divided_differences(w: np.ndarray) -> np.ndarray:
     half_sum = (w[:, None] + w[None, :]) / 2
     half_gap = (w[:, None] - w[None, :]) / 2
     return 1j * np.exp(1j * half_sum) * np.sinc(half_gap / np.pi)
+
+
+def _isometry(params: np.ndarray, n: int, d_purify: int):
+    """The first ``d_purify`` columns ``V`` of ``exp(iH)``, ``H`` the ``n x n``
+    generator with coordinates ``params``, and the pullback taking ``G_V``
+    (``df = Re <G_V, dV>``) to the gradient in ``params``.
+
+    The pullback is the Daleckii-Krein formula in the eigenbasis of ``H``.
+    The gradient on ``U = exp(iH)`` is ``G_V`` padded with zero columns, so
+    ``Q^dagger G_U Q`` only needs the first ``d_purify`` rows of ``Q``.
+    """
+    w, q = np.linalg.eigh(_hermitian_from_params(params, n))
+    head = q[:d_purify]
+
+    def pullback(g_v: np.ndarray) -> np.ndarray:
+        rotated = q.conj().T @ g_v @ head
+        return _params_grad(q @ (_expi_divided_differences(w).conj() * rotated) @ q.conj().T)
+
+    return (q * np.exp(1j * w)) @ head.conj().T, pullback
 
 
 def ansatz_param_count(d_env: int, d_sink: int) -> int:
@@ -207,46 +217,31 @@ def _pure_marginal_entropy_grad(
     return float(-(w @ log_w)), grad.reshape(shape).transpose(np.argsort(perm))
 
 
-def _information_and_grad(
-    t: np.ndarray, terms: Sequence[tuple[int, tuple[int, ...]]]
-) -> tuple[float, np.ndarray]:
-    """The information ``terms`` (axis sets of ``t``) of the pure state with
-    amplitude tensor ``t``, and its gradient in the amplitudes."""
+def _extension_value_and_grads(v: np.ndarray, psi: np.ndarray, shape: tuple[int, ...],
+                               terms: Terms) -> tuple[float, np.ndarray, np.ndarray]:
+    """Half the information ``terms`` (axis sets of ``t``) of the pure
+    extension with amplitudes ``t = v @ psi``, shaped ``shape`` = (env,
+    sink, systems...), and its gradients ``G_v`` and ``G_psi``, with
+    ``df = Re <G_v, dv> + Re <G_psi, dpsi>``.  ``v`` maps the purifying
+    system (the rows of ``psi``) into env (x) sink."""
+    t = (v @ psi).reshape(shape)
     value, grad_t = 0.0, np.zeros_like(t)
     for c, axes in terms:
         s, g = _pure_marginal_entropy_grad(t, axes)
         value += c * s
         grad_t += c * g
-    return value, grad_t
+    grad_t = 0.5 * grad_t.reshape(v.shape[0], -1)
+    return 0.5 * value, grad_t @ psi.conj().T, v.conj().T @ grad_t
 
 
-def _squashing_value_and_grad(
-    params: np.ndarray,
-    psi: np.ndarray,
-    shape: tuple[int, ...],
-    terms: Sequence[tuple[int, tuple[int, ...]]],
-) -> tuple[float, np.ndarray]:
+def _squashing_value_and_grad(params: np.ndarray, psi: np.ndarray, shape: tuple[int, ...],
+                              terms: Terms) -> tuple[float, np.ndarray]:
     """Half the information ``terms`` of the squashed extension of the
-    purification ``psi`` (rows: purifying system) at ``params``, and its
-    exact gradient in ``params``.
-
-    ``shape`` is the amplitude tensor's shape, (env, sink, systems...).  The
-    gradient runs back from the marginal entropies to the amplitudes
-    ``t = V psi``, to the isometry ``V`` (leading columns of ``U = exp(iH)``)
-    and, with the Daleckii-Krein formula in the eigenbasis of ``H``, to the
-    coordinates of ``H``.
-    """
-    n = shape[0] * shape[1]
-    d_purify = psi.shape[0]
-    w, q = np.linalg.eigh(_hermitian_from_params(params, n))
-    t = (_leading_columns(w, q, d_purify) @ psi).reshape(shape)
-    value, grad_t = _information_and_grad(t, terms)
-    grad_v = grad_t.reshape(n, -1) @ psi.conj().T
-    # gradient on U is grad_v padded with zero columns, so Q^dagger G_U Q
-    # only needs the first d_purify rows of Q
-    rotated = q.conj().T @ grad_v @ q[:d_purify]
-    gamma = q @ (_expi_divided_differences(w).conj() * rotated) @ q.conj().T
-    return 0.5 * value, 0.5 * _params_grad(gamma)
+    purification ``psi`` (rows: purifying system) at the ansatz ``params``,
+    and its exact gradient in ``params``."""
+    v, pullback = _isometry(params, shape[0] * shape[1], psi.shape[0])
+    value, g_v, _ = _extension_value_and_grads(v, psi, shape, terms)
+    return value, pullback(g_v)
 
 
 def squashing_value(
@@ -316,8 +311,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < inf:
+            raise ValueError(f"tol {self.tol} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -641,44 +636,24 @@ def _sunk_coupling(
     return (support.conj().T @ dil).reshape(-1, d_keep, d_in)
 
 
-def _channel_purification(
-    params: np.ndarray, coupling: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _channel_purification(params: np.ndarray, coupling: np.ndarray):
     """Purification ``psi`` (rows: reachable sunk span, columns: reference
-    (x) kept) of the channel output at the input with real coordinates
-    ``params`` (real parts, then imaginary parts, of a ``d_ref x d_in``
-    matrix), together with the unit input ``u`` and the norm it was
-    divided by."""
+    (x) kept) of the channel output at the unit input ``u = x/|x|``, with
+    ``params`` the real, then imaginary, parts of the ``d_ref x d_in``
+    matrix ``x``; and the pullback taking ``G_psi`` through the coupling
+    and the normalization (which removes the radial part) to ``params``."""
     half = params.size // 2
     x = (params[:half] + 1j * params[half:]).reshape(-1, coupling.shape[2])
     norm = float(np.linalg.norm(x))
     u = x / norm
-    psi = np.einsum("pka,ra->prk", coupling, u).reshape(coupling.shape[0], -1)
-    return psi, u, norm
+    psi = np.einsum("pka,ra->prk", coupling, u)
 
+    def pullback(g_psi: np.ndarray) -> np.ndarray:
+        g_u = np.einsum("prk,pka->ra", g_psi.reshape(psi.shape), coupling.conj())
+        g_x = (g_u - np.vdot(u, g_u).real * u) / norm
+        return np.concatenate((g_x.real.ravel(), g_x.imag.ravel()))
 
-def _channel_input_value_and_grad(
-    params: np.ndarray,
-    v: np.ndarray,
-    coupling: np.ndarray,
-    shape: tuple[int, ...],
-    terms: Sequence[tuple[int, tuple[int, ...]]],
-) -> tuple[float, np.ndarray]:
-    """Half the information ``terms`` of the squashed extension, by the fixed
-    isometry ``v``, of the channel output at input ``params``, and its exact
-    gradient in ``params``.
-
-    The gradient runs back from the amplitudes ``t = v psi`` to ``psi``,
-    through the coupling to the unit input ``u`` and through ``u = x/|x|``
-    (which removes the radial component) to the real coordinates of ``x``.
-    """
-    psi, u, norm = _channel_purification(params, coupling)
-    value, grad_t = _information_and_grad((v @ psi).reshape(shape), terms)
-    grad_psi = v.conj().T @ grad_t.reshape(v.shape[0], -1)
-    grad_psi = grad_psi.reshape(coupling.shape[0], u.shape[0], -1)
-    grad_u = np.einsum("prk,pka->ra", grad_psi, coupling.conj())
-    grad_x = (grad_u - np.vdot(u, grad_u).real * u) / norm
-    return 0.5 * value, 0.5 * np.concatenate((grad_x.real.ravel(), grad_x.imag.ravel()))
+    return psi.reshape(coupling.shape[0], -1), pullback
 
 
 def channel_squashed_upper(
@@ -731,11 +706,12 @@ def channel_squashed_upper(
 
     def ascend(psi_params: np.ndarray, ansatz_params: np.ndarray):
         """Exact-gradient ascent over inputs at a fixed ansatz."""
-        v = _isometry_from_params(ansatz_params, d_env, d_sink, d_purify)
+        v = _isometry(ansatz_params, d_env * d_sink, d_purify)[0]
 
         def negated(x):
-            value, grad = _channel_input_value_and_grad(x, v, coupling, shape, terms)
-            return -value, -grad
+            psi, pullback = _channel_purification(x, coupling)
+            value, _, g_psi = _extension_value_and_grads(v, psi, shape, terms)
+            return -value, -pullback(g_psi)
 
         return _lbfgsb(negated, psi_params, cfg)
 

@@ -73,9 +73,11 @@ def _layout_from_payload(obj: Any, path: str, field: str = "layout") -> SystemLa
 
 
 def _write_json(path: str, payload: dict) -> None:
+    """Serialized before the file is opened: a NaN or infinity (not JSON)
+    raises ``ValueError`` and leaves no file behind."""
+    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_state(path: str, rho: DensityOperator) -> None:

@@ -105,16 +105,11 @@ def suite_lemmas(instances: int = 100, seed: int = 0, tol: float = 1e-7) -> Suit
     return SuiteResult("lemmas", seed, rows)
 
 
-def suite_ssa(
-    instances: int = 500,
-    seed: int = 0,
-    instances_232: int = 200,
-    tol: float = 1e-9,
-) -> SuiteResult:
+def suite_ssa(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
     """Non-negativity of conditional mutual information on random tripartite
-    states with dims (2,2,2) and (2,3,2)."""
+    states with dims (2,2,2) (``instances`` of them) and (2,3,2) (200)."""
     rows = []
-    for dims, count, tag in (((2, 2, 2), instances, "dims 2x2x2"), ((2, 3, 2), instances_232, "dims 2x3x2")):
+    for dims, count, tag in (((2, 2, 2), instances, "dims 2x2x2"), ((2, 3, 2), 200, "dims 2x3x2")):
         layout = SystemLayout((("A", dims[0]), ("B", dims[1]), ("E", dims[2])))
         d = layout.total_dim
         violation = 0.0
@@ -149,12 +144,10 @@ def suite_chain(instances: int = 100, seed: int = 0, tol: float = 1e-8) -> Suite
     return SuiteResult("chain", seed, rows)
 
 
-def suite_dual(
-    instances: int = 100, seed: int = 0, tol: float = 1e-8, tol_anchor: float = 1e-10
-) -> SuiteResult:
+def suite_dual(instances: int = 100, seed: int = 0, tol: float = 1e-8) -> SuiteResult:
     """The dual formula (total + dual = sum of one-vs-rest cmi) on random
     4-partite qubit states, plus the exact anchor on the key-basis-dephased
-    three-party maximally correlated state (2 + 1 = 3)."""
+    three-party maximally correlated state (2 + 1 = 3), held to 1e-10."""
     layout = SystemLayout((("A1", 2), ("A2", 2), ("A3", 2), ("E", 2)))
     d = layout.total_dim
     groups = ["A1", "A2", "A3"]
@@ -177,7 +170,7 @@ def suite_dual(
     anchor_res = max(abs(tc - 2.0), abs(dc - 1.0), abs(tc + dc - cross), abs(cross - 3.0))
     rows = (
         SuiteRow("dual formula", instances, worst, tol),
-        SuiteRow("dephased-GHZ anchor 2 + 1 = 3", 1, anchor_res, tol_anchor),
+        SuiteRow("dephased-GHZ anchor 2 + 1 = 3", 1, anchor_res, 1e-10),
     )
     return SuiteResult("dual", seed, rows)
 
@@ -226,35 +219,23 @@ def suite_continuity(instances: int = 200, seed: int = 0, tol: float = 1e-9) -> 
     return SuiteResult("continuity", seed, tuple(rows))
 
 
-def suite_thm1(
-    noise_levels: tuple[float, ...] = (0.01, 0.05, 0.1, 0.001),
-    seed: int = 0,
-    tol: float = 1e-6,
-    restarts: int = 1,
-    max_iters: int = 12,
-    d_env: int = 4,
-    d_sink: int = 4,
-) -> SuiteResult:
+def suite_thm1(seed: int = 0, tol: float = 1e-6, restarts: int = 1,
+               max_iters: int = 12) -> SuiteResult:
     """End-to-end key-bound chain: for noisy two-party private states, the
-    optimized squashed extension must satisfy
+    optimized squashed extension (``d_env = d_sink = 4``) must satisfy
     ``2 log2 K <= I(AA';BB'|E) + 2 f(sqrt(eps), K)`` with the measured
     fidelity deficit ``eps``.  At seed 0, ``log2 K - f(sqrt(eps), K)`` is
-    negative at the first three default noise levels, so those rows hold for
+    negative at the first three noise levels, so those rows hold for
     any non-negative bound; at noise 0.001 (``eps`` = 7.7e-4) it is +0.58
     bits, so that row fails for any bound below it."""
     rows = []
-    for k, p in enumerate(noise_levels):
+    for k, p in enumerate((0.01, 0.05, 0.1, 0.001)):
         spec = random_private_spec(2, (2, 2), seed=seed + k)
         omega, eps = approx_private_state(spec, p, seed=seed + 1000 + k)
         cfg = OptimizerConfig(restarts=restarts, max_iters=max_iters, seed=seed + k)
-        rep = squashed_upper(
-            omega,
-            (spec.key_labels[0], spec.shield_labels[0]),
-            (spec.key_labels[1], spec.shield_labels[1]),
-            d_env=d_env,
-            d_sink=d_sink,
-            cfg=cfg,
-        )
+        rep = squashed_upper(omega, (spec.key_labels[0], spec.shield_labels[0]),
+                             (spec.key_labels[1], spec.shield_labels[1]), d_env=4, d_sink=4,
+                             cfg=cfg)
         violation = 2.0 * log2(2) - 2.0 * key_length_bound(rep.value, eps, 2)
         rows.append(SuiteRow(f"key-bound chain, noise {p}", 1, max(violation, 0.0), tol))
     return SuiteResult("thm1", seed, tuple(rows))

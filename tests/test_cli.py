@@ -102,6 +102,67 @@ def test_bound_refuses_invalid_input(argv, message, capsys):
     assert message in err and "kind" not in err
 
 
+RATE = ["bound", "--rate", "--esq", "1.0", "--eps", "0.01"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (THM1 + ["--esq", "0.9", "--m", "3"], "bound --thm1 in bipartite mode does not take --m"),
+        (THM1 + ["--esq", "0.9", "--mode", "bipartite", "--m", "3"],
+         "bound --thm1 in bipartite mode does not take --m"),
+        (THM1 + ["--esq", "0.9", "--n", "7"], "bound --thm1 does not take --n"),
+        (RATE + ["--k", "5"], "bound --rate does not take --k"),
+        (RATE + ["--mode", "multi-dual"], "bound --rate does not take --mode"),
+        (RATE + ["--m", "3"], "bound --rate does not take --m"),
+        (["entropy", "--in", "{state}", "--quantity", "vn", "--cond", "E"],
+         "entropy --quantity vn does not take --cond"),
+    ],
+    ids=["thm1-m", "thm1-bipartite-m", "thm1-n", "rate-k", "rate-mode", "rate-m", "vn-cond"],
+)
+def test_bound_and_entropy_refuse_options_their_mode_ignores(argv, message, tmp_path, capsys):
+    state, report = tmp_path / "g.state", tmp_path / "r.json"
+    assert run_cli(["gen", "--private", "--seed", "7", "--out", str(state)]) == 0
+    capsys.readouterr()
+    argv = [a.format(state=state) for a in argv]
+    assert run_cli(argv + ["--out", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not report.exists()
+
+
+def test_bound_defaults_resolve_to_the_former_reports(tmp_path):
+    for implicit, explicit in ((THM1 + ["--esq", "0.9"],
+                                THM1 + ["--esq", "0.9", "--k", "2", "--mode", "bipartite"]),
+                               (RATE, RATE + ["--n", "1"])):
+        r1, r2 = tmp_path / "implicit.json", tmp_path / "explicit.json"
+        assert run_cli(implicit + ["--out", str(r1)]) == 0
+        assert run_cli(explicit + ["--out", str(r2)]) == 0
+        assert r1.read_bytes() == r2.read_bytes()
+    assert json.loads(r1.read_text())["n"] == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+def test_verify_refuses_non_finite_or_negative_tol(value, tmp_path, capsys):
+    report = tmp_path / "v.json"
+    argv = ["verify", "--suite", "fvg", "--instances", "1", f"--tol={value}", "--out", str(report)]
+    assert run_cli(argv) == 2
+    assert "verify --tol must be finite and >= 0" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_esq_refuses_a_non_finite_or_non_positive_ftol(value, tmp_path, capsys):
+    state, report = tmp_path / "g.state", tmp_path / "e.json"
+    assert run_cli(["gen", "--private", "--seed", "7", "--out", str(state)]) == 0
+    capsys.readouterr()
+    assert run_cli(["esq", "--in", str(state), "--groups", GROUPS, "--d-env", "2",
+                    "--d-sink", "2", "--restarts", "1", "--iters", "3", f"--ftol={value}",
+                    "--out", str(report)]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_bound_constants_flags_are_gone(capsys):
     for flag in ("--c1", "--c2"):
         assert run_cli(THM1 + ["--esq", "0.9", "--mode", "multi-total", "--m", "3",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from privsq import (
+    DensityOperator,
     Isometry,
     OptimizerConfig,
     SquashingAnsatz,
@@ -31,11 +32,11 @@ from privsq import (
 )
 from privsq.private_states import PrivateStateSpec, approx_private_state, private_state
 from privsq.squashed import (
-    _channel_input_value_and_grad,
     _channel_purification,
     _expi_divided_differences,
+    _extension_value_and_grads,
     _info_terms,
-    _isometry_from_params,
+    _isometry,
     _squashing_value_and_grad,
     _sunk_coupling,
     ansatz_param_count,
@@ -201,6 +202,45 @@ def test_exact_gradient_matches_central_differences(case, flavor):
         assert np.abs(grad).min() > 0
 
 
+def complex_central_differences(f, z, h=1e-6):
+    """``G`` with ``df = Re <G, dz>``, entry by entry, from central
+    differences of ``f`` along the real and the imaginary unit steps."""
+    grad = np.zeros(z.shape, dtype=complex)
+    for idx in np.ndindex(z.shape):
+        for unit in (1.0, 1j):
+            dz = np.zeros(z.shape, dtype=complex)
+            dz[idx] = unit * h
+            grad[idx] += unit * (f(z + dz) - f(z - dz)) / (2 * h)
+    return grad
+
+
+@pytest.mark.parametrize("flavor", ["total", "dual"])
+@pytest.mark.parametrize("case", range(len(GRADIENT_CASES)))
+def test_extension_kernel_gradients_match_central_differences(case, flavor):
+    # a random purification, not the canonical one the state search builds,
+    # and a random isometry: G_v and G_psi against differences in each entry
+    rho, groups, d_env, d_sink, d_purify = GRADIENT_CASES[case]
+    axes = [tuple(p + 2 for p in rho.layout.positions(g)) for g in groups]
+    shape = (d_env, d_sink) + rho.layout.dims
+    terms = _info_terms(axes, (0,), flavor)
+    rng = np.random.Generator(np.random.PCG64(200 + case))
+    psi = rng.standard_normal((d_purify, rho.dim)) + 1j * rng.standard_normal((d_purify, rho.dim))
+    psi /= np.linalg.norm(psi)
+    v = _isometry(0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)),
+                  d_env * d_sink, d_purify)[0]
+    value, g_v, g_psi = _extension_value_and_grads(v, psi, shape, terms)
+    # the value against the density-matrix path on the same extension
+    t = (v @ psi).reshape(d_env, d_sink, -1)
+    ext = DensityOperator(np.einsum("efs,gft->esgt", t, t.conj()).reshape(d_env * rho.dim, -1),
+                          SystemLayout([("E", d_env)]).concat(rho.layout))
+    info = total_correlation if flavor == "total" else dual_total_correlation
+    assert abs(value - 0.5 * info(ext, groups, "E")) < 1e-12
+    for grad, f, z in ((g_v, lambda z: _extension_value_and_grads(z, psi, shape, terms)[0], v),
+                       (g_psi, lambda z: _extension_value_and_grads(v, z, shape, terms)[0], psi)):
+        fd = complex_central_differences(f, z)
+        assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
 def test_exact_gradient_at_degenerate_generator():
     # params = 0: H = 0, every eigenvalue pair is degenerate
     rho, groups, d_env, d_sink, d_purify = GRADIENT_CASES[0]
@@ -239,13 +279,19 @@ def test_daleckii_krein_matches_expm_frechet():
             assert np.abs(got - want).max() < 1e-12
 
 
-def test_isometry_is_leading_columns_of_exp_ih():
+def test_isometry_is_the_first_columns_of_exp_ih():
     rng = np.random.Generator(np.random.PCG64(12))
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = g + g.conj().T
-    v = _isometry_from_params(hermitian_params(h), 3, 2, 4)
+    v = _isometry(hermitian_params(h), 6, 4)[0]
     assert np.abs(v - expm(1j * h)[:, :4]).max() < 1e-12
     assert ansatz_param_count(3, 2) == 36
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-7])
+def test_optimizer_config_refuses_a_non_finite_or_non_positive_tol(tol):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        OptimizerConfig(tol=tol)
 
 
 def test_full_iteration_budget_is_not_cut_by_evaluation_cap():
@@ -793,15 +839,22 @@ def channel_coupling(case):
 
 
 def channel_input_objective(case, d_env, d_sink, seed):
-    """The ascent's value-and-gradient kernel at a random fixed ansatz."""
+    """The ascent's objective at a random fixed ansatz: the kernel's
+    ``G_psi`` pulled back through the channel purification."""
     chan, _, coupling = channel_coupling(case)
     d_purify, d_keep, d_in = coupling.shape
     rng = np.random.Generator(np.random.PCG64(seed))
-    v = _isometry_from_params(0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)),
-                              d_env, d_sink, d_purify)
+    v = _isometry(0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)),
+                  d_env * d_sink, d_purify)[0]
     terms = _info_terms([(2,), (3,)], (0,), "total")
     shape = (d_env, d_sink, d_in, d_keep)
-    return lambda x: _channel_input_value_and_grad(x, v, coupling, shape, terms)
+
+    def f(x):
+        psi, pullback = _channel_purification(x, coupling)
+        value, _, g_psi = _extension_value_and_grads(v, psi, shape, terms)
+        return value, pullback(g_psi)
+
+    return f
 
 
 @pytest.mark.parametrize(
@@ -841,7 +894,9 @@ def test_sunk_output_purification_reproduces_output_state(case):
     rng = np.random.Generator(np.random.PCG64(35))
     for _ in range(3):
         x = rng.standard_normal(2 * d_in * d_in)
-        psi, u, _ = _channel_purification(x, coupling)
+        psi = _channel_purification(x, coupling)[0]
+        u = (x[:d_in * d_in] + 1j * x[d_in * d_in:]).reshape(d_in, d_in)
+        u /= np.linalg.norm(u)
         # the state on reference (x) kept outputs, straight from the dilation
         amp = (u @ chan.matrix.T).reshape((d_in,) + out_dims)
         amp = amp.transpose([0] + [1 + i for i in keep_pos] + [1 + i for i in sunk_pos])

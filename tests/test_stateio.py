@@ -136,6 +136,14 @@ def test_report_is_deterministic(tmp_path):
     assert loaded["tool"].startswith("privsq ")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_report_refuses_non_finite_numbers_before_writing(value, tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_report(str(path), {"command": "x", "seed": 1, "tolerances": {"ftol": value}})
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # properties: random layouts round-trip; mutated payloads are refused
 # ---------------------------------------------------------------------------
