@@ -22,7 +22,7 @@ print(f"key marginal entropy per party: "
       f"{vn_entropy(partial_trace(gamma, 'A1')):.3f} bits")
 
 print()
-print("an extension twists sigma's extension with the same unitary:")
+print("an extension: the twist acts as identity on sigma's extension system E")
 spec_ext = random_private_spec(key_dim=2, shield_dims=(2, 2), seed=6, ext_dim=2)
 gamma_ext = private_state_extension(spec_ext)
 print("  extension layout:", gamma_ext.layout.labels)
@@ -33,7 +33,7 @@ print("  tracing E returns a private state with deviation",
 print()
 print("approximate private states: mixing toward a random full-rank state")
 for p in (0.0, 0.05, 0.2):
-    omega, eps = approx_private_state(spec, p, seed=7)
+    omega, eps = approx_private_state(gamma, p, seed=7)
     dev = privacy_deviation(omega, 2, spec.key_labels, spec.shield_labels)
     print(f"  noise p = {p:4.2f}: fidelity deficit eps = {eps:.4f}, "
           f"privacy deviation = {dev:.4f}")

@@ -21,6 +21,7 @@ from privsq import (
     key_rate_bound,
     max_entangled,
     private_identity_residual,
+    private_state,
     private_state_extension,
     random_private_spec,
     squashed_upper,
@@ -54,7 +55,7 @@ print("-" * 70)
 print("Key bounds for approximate private states")
 print("-" * 70)
 spec = random_private_spec(2, (2, 2), seed=2)
-omega, eps = approx_private_state(spec, 0.05, seed=3)
+omega, eps = approx_private_state(private_state(spec), 0.05, seed=3)
 rep = squashed_upper(
     omega, ("A1", "A1p"), ("A2", "A2p"), d_env=4, d_sink=4,
     cfg=OptimizerConfig(restarts=1, max_iters=15, seed=4),

@@ -75,7 +75,10 @@ def _parse_groups(text: str) -> Partition:
 
 
 def _parse_labels(text: str) -> tuple[str, ...]:
-    return tuple(lbl for lbl in text.split("+") if lbl)
+    labels = tuple(lbl for lbl in text.split("+") if lbl)
+    if not labels:
+        raise ValueError(f"label list {text!r} names no label")
+    return labels
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -187,7 +190,7 @@ def _cmd_gen(args) -> tuple[int, dict]:
         gamma = state = private_state(spec)
         if args.approx:
             noise = 0.1 if args.p is None else args.p
-            state, eps = approx_private_state(spec, noise, args.seed + 1, gamma)
+            state, eps = approx_private_state(gamma, noise, args.seed + 1)
             report["noise"] = noise
             report["eps"] = eps
             print(f"eps = {eps:.12g}")
@@ -206,7 +209,7 @@ def _cmd_entropy(args) -> tuple[int, dict]:
     if args.quantity == "vn":
         _refuse("entropy --quantity vn", args, "--cond")
     rho = read_state(args.infile)
-    cond = _parse_labels(args.cond) if args.cond else ()
+    cond = _parse_labels(args.cond) if args.cond is not None else ()
     partition = _parse_groups(args.groups) if args.groups else None
     if partition is not None:
         partition.validate_against(rho.layout)
@@ -220,8 +223,9 @@ def _cmd_entropy(args) -> tuple[int, dict]:
         else:
             value = vn_entropy(rho)
     elif q == "cond":
-        if len(label_groups) != 1:
-            raise ValueError("cond needs exactly one group plus --cond")
+        if len(label_groups) != 1 or args.cond is None:
+            raise ValueError("cond needs exactly one group plus --cond "
+                             "(H(A) is --quantity vn with one group)")
         value = cond_entropy(rho, label_groups[0], cond)
     elif q == "cmi":
         if len(label_groups) != 2:
@@ -264,7 +268,7 @@ def _cmd_esq(args) -> tuple[int, dict]:
     )
     if args.channel:
         chan = read_isometry(args.infile)
-        keep = _parse_labels(args.keep) if args.keep else None
+        keep = _parse_labels(args.keep) if args.keep is not None else None
         rep = channel_squashed_upper(
             chan, keep=keep, d_env=args.d_env, d_sink=args.d_sink, cfg=cfg
         )

@@ -1,20 +1,23 @@
 """Private states: twisted maximally entangled states with shield systems.
 
 A private state on ``m`` key systems of dimension ``K`` (plus one shield
-system per party) is a controlled-unitary "twist" of ``Phi (x) sigma``,
-where ``Phi`` is the ``m``-party maximally correlated entangled state and
-``sigma`` is an arbitrary shield state.  Measuring the keys of such a state
-yields a uniform, perfectly correlated distribution that is product with
-any purifying system; :func:`privacy_deviation` quantifies how far a given
-state is from satisfying that defining condition.
+system per party) is ``U (Phi (x) sigma) U^dag``, where ``Phi`` is the
+``m``-party maximally correlated entangled state, ``sigma`` is an arbitrary
+shield state and ``U`` twists the shields controlled by the keys.  ``Phi``
+lives on the all-equal key indices, so the state is ``(1/K) sum_ij
+|i..i><j..j| (x) U_i sigma U_j^dag`` and a :class:`PrivateStateSpec` holds
+just the ``K`` controls ``U_i``.  Measuring the keys yields a uniform,
+perfectly correlated distribution that is product with any purifying
+system; :func:`privacy_deviation` quantifies how far a given state is from
+satisfying that defining condition, and :func:`approx_private_state` mixes
+a private state with seeded noise.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import prod
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,9 +52,7 @@ def _check_counts(key_dim: int, parties: int) -> None:
         raise ValueError(f"party count {parties} < 2")
 
 
-def ghz_state(
-    key_dim: int, parties: int, labels: Sequence[str] | None = None
-) -> DensityOperator:
+def ghz_state(key_dim: int, parties: int, labels: Sequence[str] | None = None) -> DensityOperator:
     """Rank-one maximally correlated entangled state of ``parties`` qudits,
     with matrix entries ``1/K`` on the all-equal index block."""
     _check_counts(key_dim, parties)
@@ -85,44 +86,25 @@ def uniform_classical(key_dim: int, layout: SystemLayout) -> DensityOperator:
 @dataclass(frozen=True)
 class PrivateStateSpec:
     """Recipe for a private state: key dimension, shield systems, shield
-    state, and the controlled shield unitaries of the twist.
+    state, and the ``K`` twisting controls as a tuple of read-only arrays.
 
-    ``controls`` maps every key-index tuple ``(i_1, ..., i_m)`` to a unitary
-    on the joint shield space.  For two parties that is one unitary per pair
-    ``(i, j)``; the constructed state consumes only the diagonal blocks, but
-    the full family defines the twisting unitary.  ``shield_state`` lives on
-    the shield systems, optionally followed by extension systems.
+    ``controls[i]`` is the unitary on the joint shield space applied when
+    every key reads ``i``.  ``shield_state`` lives on the shield systems
+    ``A1p, A2p, ...``, optionally followed by extension systems.
     """
 
     key_dim: int
     shield_dims: tuple[int, ...]
     shield_state: DensityOperator
-    controls: Mapping[tuple[int, ...], np.ndarray]
-    key_labels: tuple[str, ...]
-    shield_labels: tuple[str, ...]
+    controls: tuple[np.ndarray, ...]
 
-    def __init__(
-        self,
-        key_dim: int,
-        shield_dims: Sequence[int],
-        shield_state: DensityOperator,
-        controls: Mapping[tuple[int, ...], np.ndarray],
-        key_labels: Sequence[str] | None = None,
-        shield_labels: Sequence[str] | None = None,
-    ):
+    def __init__(self, key_dim: int, shield_dims: Sequence[int],
+                 shield_state: DensityOperator, controls: Sequence[np.ndarray]):
         key_dim = int(key_dim)
         shield_dims = tuple(int(d) for d in shield_dims)
         parties = len(shield_dims)
         _check_counts(key_dim, parties)
-        key_labels = (
-            tuple(key_labels) if key_labels is not None else default_key_labels(parties)
-        )
-        shield_labels = (
-            tuple(shield_labels) if shield_labels is not None else default_shield_labels(parties)
-        )
-        if len(key_labels) != parties or len(shield_labels) != parties:
-            raise ValueError("label counts must match the party count")
-
+        shield_labels = default_shield_labels(parties)
         got = shield_state.layout.labels[:parties]
         if got != shield_labels:
             raise ValueError(
@@ -134,22 +116,28 @@ class PrivateStateSpec:
             )
 
         d_sh = prod(shield_dims)
-        controls = dict(controls)
-        for idx in itertools.product(range(key_dim), repeat=parties):
-            if idx not in controls:
-                raise ValueError(f"missing twisting control for key indices {idx}")
-            u = _finite(controls[idx], f"control {idx}")  # NaN passes the unitarity test
+        # NaN passes the unitarity test
+        controls = tuple(_finite(u, f"control {i}") for i, u in enumerate(controls))
+        if len(controls) != key_dim:
+            raise ValueError(f"{len(controls)} twisting controls for key dimension {key_dim}")
+        for i, u in enumerate(controls):
             if u.shape != (d_sh, d_sh):
-                raise ValueError(f"control {idx} has shape {u.shape}, expected {(d_sh, d_sh)}")
+                raise ValueError(f"control {i} has shape {u.shape}, expected {(d_sh, d_sh)}")
             if np.abs(u.conj().T @ u - np.eye(d_sh)).max() > 1e-10:
-                raise ValueError(f"control {idx} is not unitary within 1e-10")
-            controls[idx] = u
-
-        _unchecked(self, key_dim, shield_dims, shield_state, controls, key_labels, shield_labels)
+                raise ValueError(f"control {i} is not unitary within 1e-10")
+        _unchecked(self, key_dim, shield_dims, shield_state, controls)
 
     @property
     def parties(self) -> int:
         return len(self.shield_dims)
+
+    @property
+    def key_labels(self) -> tuple[str, ...]:
+        return default_key_labels(self.parties)
+
+    @property
+    def shield_labels(self) -> tuple[str, ...]:
+        return default_shield_labels(self.parties)
 
     @property
     def extension_labels(self) -> tuple[str, ...]:
@@ -162,72 +150,48 @@ class PrivateStateSpec:
         return partial_trace(self.shield_state, self.shield_labels)
 
 
-def twisting_unitary(spec: PrivateStateSpec) -> np.ndarray:
-    """The controlled unitary ``sum_idx |idx><idx| (x) U^idx`` on
-    keys-then-shields, block diagonal in the key basis."""
-    k, m = spec.key_dim, spec.parties
-    d_sh = prod(spec.shield_dims)
-    dim = k**m * d_sh
-    u = np.zeros((dim, dim), dtype=complex)
-    for idx in itertools.product(range(k), repeat=m):
-        flat = 0
-        for i in idx:
-            flat = flat * k + i
-        lo, hi = flat * d_sh, (flat + 1) * d_sh
-        u[lo:hi, lo:hi] = spec.controls[idx]
-    return u
-
-
 def private_state(spec: PrivateStateSpec) -> DensityOperator:
     """``U (Phi (x) sigma) U^dag`` with systems ordered keys-then-shields."""
     if spec.extension_labels:
-        raise ValueError(
-            "spec's shield state carries extension systems "
-            f"{spec.extension_labels}; use private_state_extension"
-        )
-    return _twisted(spec, spec.shield_state)
+        raise ValueError(f"spec's shield state carries extension systems "
+                         f"{spec.extension_labels}; use private_state_extension")
+    return _twisted(spec)
 
 
-def _twisted(spec: PrivateStateSpec, sigma: DensityOperator) -> DensityOperator:
-    """``U (Phi (x) sigma) U^dag``, ``U`` acting as identity on the systems
-    of ``sigma`` past the shields, built unchecked from checked inputs."""
-    phi = ghz_state(spec.key_dim, spec.parties, spec.key_labels)
-    d_ext = prod(sigma.layout.dims[spec.parties:])
-    u = np.kron(twisting_unitary(spec), np.eye(d_ext))
-    mat = u @ np.kron(phi.matrix, sigma.matrix) @ u.conj().T
-    return _unchecked(DensityOperator, phi.layout.concat(sigma.layout), mat)
+def private_state_extension(spec: PrivateStateSpec) -> DensityOperator:
+    """Extension of the private state: the spec's ``shield_state`` carries
+    extension systems, on which the twist acts as the identity.  Tracing
+    them out of the output gives the private state of the shield marginal."""
+    if not spec.extension_labels:
+        raise ValueError("spec has no extension systems; use private_state")
+    return _twisted(spec)
 
 
-def private_state_extension(
-    spec: PrivateStateSpec, sigma_ext: DensityOperator | None = None
-) -> DensityOperator:
-    """Extension of the private state, twisting ``Phi (x) sigma_ext`` with
-    the same unitary acting as identity on the extension systems.
+def _twisted(spec: PrivateStateSpec) -> DensityOperator:
+    """``U (Phi (x) sigma) U^dag`` for the twist ``U = sum_idx |idx><idx| (x)
+    U_idx`` acting as identity on the systems of ``sigma`` past the shields.
 
-    ``sigma_ext`` extends the spec's shield state; if omitted, the spec's
-    own ``shield_state`` must already carry extension systems.  Tracing the
-    extension systems of the output recovers :func:`private_state`.
+    ``Phi`` is ``a^2 = 1/K`` on the all-equal key indices and zero elsewhere, so
+    the only nonzero blocks are ``a^2 W_i sigma W_j^dag`` between ``|i..i>``
+    and ``|j..j>``, with ``W_i = controls[i] (x) I_ext``.
     """
-    m = spec.parties
-    if sigma_ext is None:
-        if not spec.extension_labels:
-            raise ValueError("spec has no extension systems and none were supplied")
-        sigma_ext = spec.shield_state
-    else:
-        got = sigma_ext.layout.labels[:m]
-        if got != spec.shield_labels or sigma_ext.layout.dims[:m] != spec.shield_dims:
-            raise ValueError(
-                f"extension must start with the shield systems {spec.shield_labels}"
-            )
-        if len(sigma_ext.layout) == m:
-            raise ValueError("supplied state carries no extension systems")
-        marg = partial_trace(sigma_ext, spec.shield_labels)
-        dev = np.abs(marg.matrix - spec.shield_marginal().matrix).max()
-        if dev > 1e-8:
-            raise ValueError(
-                f"marginal mismatch: extension's shield marginal deviates by {dev:.3e}"
-            )
-    return _twisted(spec, sigma_ext)
+    k, m, sigma = spec.key_dim, spec.parties, spec.shield_state.matrix
+    d = sigma.shape[0]
+    eye_ext = np.eye(d // prod(spec.shield_dims))
+    w = [np.kron(u, eye_ext) for u in spec.controls]
+    a = 1.0 / np.sqrt(k)
+    # a*a, not 1/K: Phi's entry exactly as ghz_state builds it (the two differ
+    # in the last bit at K = 2), so at K = 2 every block is bit for bit the
+    # one the full product U (Phi (x) sigma) U^dag gives
+    left = [wi @ ((a * a) * sigma) for wi in w]
+    step = (k**m - 1) // (k - 1)  # flat index of |i i ... i>
+    out = np.zeros((k**m, d, k**m, d), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            out[i * step, :, j * step, :] = left[i] @ w[j].conj().T
+    keys = SystemLayout((lbl, k) for lbl in spec.key_labels)
+    return _unchecked(DensityOperator, keys.concat(spec.shield_state.layout),
+                      out.reshape(k**m * d, k**m * d))
 
 
 def _deviation_of_purification(
@@ -274,17 +238,13 @@ def privacy_deviation(
     return _deviation_of_purification(phi.density(), ref, key_labels, key_dim)
 
 
-def approx_private_state(
-    spec: PrivateStateSpec, noise: float, seed: int, gamma: DensityOperator | None = None
-) -> tuple[DensityOperator, float]:
+def approx_private_state(gamma: DensityOperator, noise: float,
+                         seed: int) -> tuple[DensityOperator, float]:
     """Noisy private state ``(1-p) gamma + p tau`` with a seeded random
     full-rank ``tau``, and the fidelity deficit ``eps = 1 - F(gamma, omega)``
-    reported exactly as computed.  ``gamma`` is ``private_state(spec)``,
-    built here unless the caller already holds it."""
+    reported exactly as computed."""
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise {noise} outside [0, 1]")
-    if gamma is None:
-        gamma = private_state(spec)
     tau = random_density(gamma.layout, gamma.dim, seed)
     mixed = (1.0 - noise) * gamma.matrix + noise * tau.matrix
     omega = _unchecked(DensityOperator, gamma.layout, mixed)
@@ -306,7 +266,10 @@ def random_private_spec(
     """Seeded random spec: Haar twisting controls and a Ginibre shield state.
 
     ``seed`` is an integer or a ``numpy.random.Generator`` (drawn from in
-    place); anything else raises ``TypeError``, as in the samplers.
+    place); anything else raises ``TypeError``, as in the samplers.  One
+    Haar unitary is drawn for each of the ``K^m`` key-index tuples, in
+    key-index order, and the ``K`` all-equal ones are kept as the controls;
+    the shield state is drawn after them.
 
     With ``ext_dim`` set, the shield state is sampled on shields plus an
     extension system ``E`` of that dimension (its shield marginal then
@@ -318,17 +281,14 @@ def random_private_spec(
     _check_counts(key_dim, parties)
     d_sh = prod(shield_dims)
     rng = _seeded_rng(seed)
-    controls = {
-        idx: haar_unitary(d_sh, rng)
-        for idx in itertools.product(range(key_dim), repeat=parties)
-    }
+    step = (key_dim**parties - 1) // (key_dim - 1)  # flat index of |i i ... i>
+    draws = [haar_unitary(d_sh, rng) for _ in range(key_dim**parties)]
     layout = SystemLayout(zip(default_shield_labels(parties), shield_dims))
     if ext_dim is not None:
         layout = layout.concat(SystemLayout((("E", int(ext_dim)),)))
     rank = sigma_rank if sigma_rank is not None else layout.total_dim
     sigma = random_density(layout, rank, rng)
-    return _unchecked(PrivateStateSpec, int(key_dim), shield_dims, sigma, controls,
-                      default_key_labels(parties), default_shield_labels(parties))
+    return _unchecked(PrivateStateSpec, int(key_dim), shield_dims, sigma, tuple(draws[::step]))
 
 
 __all__ = [
@@ -336,7 +296,6 @@ __all__ = [
     "ghz_state",
     "max_entangled",
     "uniform_classical",
-    "twisting_unitary",
     "private_state",
     "private_state_extension",
     "privacy_deviation",

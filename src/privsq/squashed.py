@@ -685,6 +685,8 @@ def channel_squashed_upper(
         raise ValueError(f"input dimension {d_in} exceeds the desk-scale guard of 4")
     out_labels = channel.output_layout.labels
     keep = as_labels(keep) if keep is not None else (out_labels[0],)
+    if not keep:
+        raise LayoutError("keep must name at least one channel output")
     for lbl in keep:
         if lbl not in out_labels:
             raise LayoutError(f"kept label {lbl!r} not among channel outputs {out_labels}")

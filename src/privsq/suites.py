@@ -26,6 +26,7 @@ from .layout import SystemLayout
 from .metric import fidelity, trace_distance
 from .private_states import (
     approx_private_state,
+    private_state,
     private_state_extension,
     random_private_spec,
     uniform_classical,
@@ -231,7 +232,7 @@ def suite_thm1(seed: int = 0, tol: float = 1e-6, restarts: int = 1,
     rows = []
     for k, p in enumerate((0.01, 0.05, 0.1, 0.001)):
         spec = random_private_spec(2, (2, 2), seed=seed + k)
-        omega, eps = approx_private_state(spec, p, seed=seed + 1000 + k)
+        omega, eps = approx_private_state(private_state(spec), p, seed=seed + 1000 + k)
         cfg = OptimizerConfig(restarts=restarts, max_iters=max_iters, seed=seed + k)
         rep = squashed_upper(omega, (spec.key_labels[0], spec.shield_labels[0]),
                              (spec.key_labels[1], spec.shield_labels[1]), d_env=4, d_sink=4,

@@ -34,11 +34,13 @@ EIG_CLIP = 1e-12
 def _unchecked(target, *values):
     """``target`` (an instance under construction, or a frozen dataclass to
     instantiate without its ``__init__``) with its fields set to ``values``
-    in declaration order, arrays made read-only in place; nothing is checked."""
+    in declaration order, arrays (also those in a tuple) made read-only in
+    place; nothing is checked."""
     obj = object.__new__(target) if isinstance(target, type) else target
     for field, value in zip(fields(obj), values, strict=True):
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
         object.__setattr__(obj, field.name, value)
     return obj
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from privsq import privacy_deviation
+from privsq import cond_entropy, privacy_deviation
 from privsq.cli import run_cli
 from privsq.stateio import read_state, write_isometry
 from privsq import (
@@ -215,6 +215,30 @@ def test_entropy_command(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("cond", ["+", ""])
+def test_entropy_refuses_an_empty_cond(cond, tmp_path, capsys):
+    # an empty --cond used to print the unconditioned value and exit 0
+    state = tmp_path / "ge.state"
+    assert run_cli(["gen", "--extension", "--seed", "7", "--out", str(state)]) == 0
+    assert run_cli(["entropy", "--in", str(state), "--quantity", "cmi",
+                    "--groups", "A=A1+A1p;B=A2+A2p", "--cond", cond]) == 2
+    assert f"label list {cond!r} names no label" in capsys.readouterr().err
+
+
+def test_entropy_cond_quantity(tmp_path, capsys):
+    state, report = tmp_path / "ge.state", tmp_path / "r.json"
+    assert run_cli(["gen", "--extension", "--seed", "7", "--out", str(state)]) == 0
+    capsys.readouterr()
+    argv = ["entropy", "--in", str(state), "--quantity", "cond", "--groups", "A=A1+A1p"]
+    assert run_cli(argv + ["--cond", "E", "--out", str(report)]) == 0
+    expect = cond_entropy(read_state(str(state)), ("A1", "A1p"), ("E",))
+    assert capsys.readouterr().out == f"cond = {expect:.12g} bits\n"
+    assert json.loads(report.read_text())["value"] == expect
+    # without --cond, cond used to print H(A) and exit 0
+    assert run_cli(argv) == 2
+    assert "cond needs exactly one group plus --cond" in capsys.readouterr().err
+
+
 def test_non_finite_and_non_integer_files_exit_2_naming_the_file(tmp_path, capsys):
     # a NaN diagonal used to read as vn = 0 bits, a 2.9-dim system as a qubit,
     # and a NaN isometry failed inside the SVD without naming its file
@@ -264,6 +288,17 @@ def test_esq_channel_command(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["report"]["heuristic"] is True
     assert abs(rep["report"]["value"] - 1.0) < 1e-3
+
+
+def test_esq_channel_refuses_an_empty_keep(tmp_path, capsys):
+    # --keep "+" used to report -5.6e-17 on the identity channel, whose value is 1
+    chan = tmp_path / "id.isom"
+    write_isometry(
+        str(chan),
+        Isometry(np.eye(2), SystemLayout([("Ain", 2)]), SystemLayout([("B", 2)])),
+    )
+    assert run_cli(["esq", "--channel", "--in", str(chan), "--keep", "+"]) == 2
+    assert "label list '+' names no label" in capsys.readouterr().err
 
 
 def test_verify_suite_exit_codes(tmp_path):

@@ -54,8 +54,7 @@ def rechecked(value):
         return Isometry(value.matrix, value.input_layout, value.output_layout)
     if isinstance(value, SquashingAnsatz):
         return SquashingAnsatz(value.d_purify, value.d_env, value.d_sink, value.params)
-    return PrivateStateSpec(value.key_dim, value.shield_dims, value.shield_state,
-                            value.controls, value.key_labels, value.shield_labels)
+    return PrivateStateSpec(value.key_dim, value.shield_dims, value.shield_state, value.controls)
 
 
 @st.composite
@@ -116,7 +115,7 @@ def test_private_states_are_valid(key_dim, shield_dims, ext_dim, noise, seed):
     ext_spec = rechecked(random_private_spec(key_dim, shield_dims, seed, ext_dim=ext_dim))
     rechecked(private_state_extension(ext_spec))
     gamma = rechecked(private_state(spec))
-    omega, _ = approx_private_state(spec, noise, seed + 1, gamma)
+    omega, _ = approx_private_state(gamma, noise, seed + 1)
     rechecked(omega)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -21,7 +22,6 @@ from privsq import (
     private_state_extension,
     random_density,
     random_private_spec,
-    twisting_unitary,
     uniform_classical,
     vn_entropy,
 )
@@ -35,10 +35,7 @@ def identity_spec(key_dim=2, shield_dims=(2, 2), sigma_seed=1):
     d_sh = int(np.prod(shield_dims))
     labels = [f"A{i+1}p" for i in range(parties)]
     sigma = random_density(SystemLayout(zip(labels, shield_dims)), d_sh, seed=sigma_seed)
-    controls = {
-        idx: np.eye(d_sh) for idx in itertools.product(range(key_dim), repeat=parties)
-    }
-    return PrivateStateSpec(key_dim, shield_dims, sigma, controls)
+    return PrivateStateSpec(key_dim, shield_dims, sigma, [np.eye(d_sh)] * key_dim)
 
 
 def test_ghz_state_validation():
@@ -76,48 +73,23 @@ def test_ghz_reduces_to_max_entangled_and_entries():
         assert np.allclose(partial_trace(ghz, lbl).matrix, np.eye(2) / 2)
 
 
-def test_twisting_unitary_identity_and_unitarity():
-    spec = identity_spec()
-    assert np.allclose(twisting_unitary(spec), np.eye(16))
-
-    spec = random_private_spec(2, (2, 2), seed=7)
-    u = twisting_unitary(spec)
-    assert np.abs(u.conj().T @ u - np.eye(16)).max() < 1e-10
-
-
-def test_twisting_unitary_block_action():
-    spec = random_private_spec(2, (2, 2), seed=9)
-    u = twisting_unitary(spec)
-    d_sh = 4
-    for i in range(2):
-        for j in range(2):
-            for s in range(d_sh):
-                vec = np.zeros(16, dtype=complex)
-                vec[(2 * i + j) * d_sh + s] = 1.0
-                out = u @ vec
-                expect = np.zeros(16, dtype=complex)
-                expect[(2 * i + j) * d_sh : (2 * i + j + 1) * d_sh] = spec.controls[(i, j)][:, s]
-                assert np.abs(out - expect).max() < 1e-12
-
-
 def test_twisting_controls_validated():
     spec = identity_spec()
-    controls = dict(spec.controls)
-    del controls[(1, 1)]
-    with pytest.raises(ValueError, match="missing"):
-        PrivateStateSpec(2, (2, 2), spec.shield_state, controls)
-    controls[(1, 1)] = np.ones((4, 4))
-    with pytest.raises(ValueError, match="unitary"):
-        PrivateStateSpec(2, (2, 2), spec.shield_state, controls)
+    for count in (1, 3):
+        with pytest.raises(ValueError, match=f"{count} twisting controls for key dimension 2"):
+            PrivateStateSpec(2, (2, 2), spec.shield_state, [np.eye(4)] * count)
+    with pytest.raises(ValueError, match=r"control 1 has shape \(2, 2\)"):
+        PrivateStateSpec(2, (2, 2), spec.shield_state, [np.eye(4), np.eye(2)])
+    with pytest.raises(ValueError, match="control 1 is not unitary"):
+        PrivateStateSpec(2, (2, 2), spec.shield_state, [np.eye(4), np.ones((4, 4))])
 
 
 def test_twisting_controls_refuse_non_finite_entries():
     # NaN makes every comparison of the unitarity test False, so it used to pass
     spec = identity_spec()
     for bad in (np.nan, np.inf):
-        controls = dict(spec.controls)
-        controls[(0, 1)] = np.full((4, 4), bad)
-        with pytest.raises(ValueError, match=r"control \(0, 1\) has non-finite entries"):
+        controls = [np.eye(4), np.full((4, 4), bad)]
+        with pytest.raises(ValueError, match="control 1 has non-finite entries"):
             PrivateStateSpec(2, (2, 2), spec.shield_state, controls)
 
 
@@ -173,23 +145,9 @@ def test_privacy_deviation_fifty_random_specs():
         assert privacy_deviation(gamma, k, spec.key_labels, spec.shield_labels) < 1e-9
 
 
-def test_private_state_depends_only_on_diagonal_controls():
-    spec = random_private_spec(2, (2, 2), seed=63)
-    gamma = private_state(spec)
-    controls = dict(spec.controls)
-    rng_seeds = iter(range(900, 910))
-    for idx in list(controls):
-        if idx[0] != idx[1]:
-            controls[idx] = haar_unitary(4, next(rng_seeds))
-    other = PrivateStateSpec(
-        2, (2, 2), spec.shield_state, controls, spec.key_labels, spec.shield_labels
-    )
-    assert np.abs(private_state(other).matrix - gamma.matrix).max() < 1e-12
-
-
 def test_privacy_deviation_depolarized_value():
     spec = random_private_spec(2, (2, 2), seed=100)
-    omega, _ = approx_private_state(spec, 0.2, seed=101)
+    omega, _ = approx_private_state(private_state(spec), 0.2, seed=101)
     dev = privacy_deviation(omega, 2, spec.key_labels, spec.shield_labels)
     assert dev > 0.01
     assert abs(dev - 0.2482292246909534) < 1e-9  # frozen oracle run
@@ -197,7 +155,7 @@ def test_privacy_deviation_depolarized_value():
 
 def test_privacy_deviation_purification_independent():
     spec = random_private_spec(2, (2, 2), seed=100)
-    omega, _ = approx_private_state(spec, 0.2, seed=101)
+    omega, _ = approx_private_state(private_state(spec), 0.2, seed=101)
     ref = fresh_label(omega.layout.labels, "Epur")
     phi = purify(omega, ref)
     base = _deviation_of_purification(phi.density(), ref, spec.key_labels, 2)
@@ -216,10 +174,7 @@ def test_private_state_extension_marginal_and_form():
     assert gamma_ext.layout.labels == ("A1", "A2", "A1p", "A2p", "E")
     reduced = partial_trace(gamma_ext, ("A1", "A2", "A1p", "A2p"))
 
-    shieldspec = PrivateStateSpec(
-        2, (2, 2), spec.shield_marginal(), spec.controls, spec.key_labels, spec.shield_labels
-    )
-    gamma = private_state(shieldspec)
+    gamma = private_state(PrivateStateSpec(2, (2, 2), spec.shield_marginal(), spec.controls))
     assert np.abs(reduced.matrix - gamma.matrix).max() < 1e-10
 
 
@@ -239,23 +194,60 @@ def test_private_state_extension_env_marginal_key_independent():
     sigma_ext = spec.shield_state
     mats = []
     for i in range(2):
-        u = spec.controls[(i, i)]
+        u = spec.controls[i]
         big = np.kron(u, np.eye(3))
         rotated = DensityOperator(big @ sigma_ext.matrix @ big.conj().T, sigma_ext.layout)
         mats.append(partial_trace(rotated, "E").matrix)
     assert np.abs(mats[0] - mats[1]).max() < 1e-10
 
 
-def test_private_state_extension_explicit_argument_and_mismatch():
-    spec = random_private_spec(2, (2, 2), seed=37)
-    lo_ext = spec.shield_state.layout.concat(SystemLayout([("E", 2)]))
-    good = kron(spec.shield_state, random_density(SystemLayout([("E", 2)]), 2, seed=38))
-    gamma_ext = private_state_extension(spec, good)
-    assert gamma_ext.layout.labels[-1] == "E"
+def reference_twisted_state(spec, seed):
+    """``U (Phi (x) sigma) U^dag`` from ``np.kron`` and the full block-diagonal
+    twist over all ``K^m`` key indices, whose blocks off the all-equal indices
+    are fresh Haar unitaries, acting as identity on extension systems."""
+    k, m = spec.key_dim, spec.parties
+    d_sh = int(np.prod(spec.shield_dims))
+    d_ext = spec.shield_state.dim // d_sh
+    rng = np.random.default_rng(seed)
+    twist = np.zeros((k**m * d_sh,) * 2, dtype=complex)
+    amp = np.zeros(k**m)
+    for flat, idx in enumerate(itertools.product(range(k), repeat=m)):
+        equal = len(set(idx)) == 1
+        block = spec.controls[idx[0]] if equal else haar_unitary(d_sh, rng)
+        twist[flat * d_sh:(flat + 1) * d_sh, flat * d_sh:(flat + 1) * d_sh] = block
+        amp[flat] = 1.0 / np.sqrt(k) if equal else 0.0
+    u = np.kron(twist, np.eye(d_ext))
+    return u @ np.kron(np.outer(amp, amp), spec.shield_state.matrix) @ u.conj().T
 
-    bad = random_density(lo_ext, 8, seed=39)
-    with pytest.raises(ValueError, match="marginal mismatch"):
-        private_state_extension(spec, bad)
+
+@pytest.mark.parametrize("key_dim, shield_dims", [
+    (2, (2, 2)), (3, (2, 3)), (2, (2, 1, 2)), (3, (1, 2, 1)),
+])
+@pytest.mark.parametrize("ext_dim", [None, 2])
+def test_private_state_matches_the_full_twist(key_dim, shield_dims, ext_dim):
+    spec = random_private_spec(key_dim, shield_dims, seed=key_dim + len(shield_dims),
+                               ext_dim=ext_dim)
+    gamma = private_state_extension(spec) if ext_dim else private_state(spec)
+    keys = tuple(f"A{i + 1}" for i in range(len(shield_dims)))
+    assert gamma.layout.labels == keys + spec.shield_state.layout.labels
+    for seed in (0, 1):
+        assert np.abs(gamma.matrix - reference_twisted_state(spec, seed)).max() < 1e-14
+
+
+def test_spec_holds_one_read_only_control_per_key_value():
+    assert [f.name for f in dataclasses.fields(PrivateStateSpec)] == [
+        "key_dim", "shield_dims", "shield_state", "controls"]
+    drawn = random_private_spec(3, (2, 2), seed=3)
+    given = PrivateStateSpec(3, (2, 2), drawn.shield_state, list(drawn.controls))
+    for spec in (drawn, given):
+        assert isinstance(spec.controls, tuple) and len(spec.controls) == 3
+        assert spec.key_labels == ("A1", "A2") and spec.shield_labels == ("A1p", "A2p")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.controls = (np.eye(4),) * 3
+        with pytest.raises(TypeError):
+            spec.controls[1] = np.full((4, 4), np.nan)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.controls[1][0, 0] = np.nan
 
 
 def test_private_state_rejects_extension_spec():
@@ -270,14 +262,14 @@ def test_private_state_rejects_extension_spec():
 def test_approx_private_state():
     spec = random_private_spec(2, (2, 2), seed=51)
     gamma = private_state(spec)
-    omega, eps = approx_private_state(spec, 0.0, seed=52)
+    omega, eps = approx_private_state(gamma, 0.0, seed=52)
     assert eps == 0.0
     assert np.abs(omega.matrix - gamma.matrix).max() < 1e-12
 
     # eps nondecreasing along the segment toward the same tau
     last = -1.0
     for p in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
-        omega, eps = approx_private_state(spec, p, seed=53)
+        omega, eps = approx_private_state(gamma, p, seed=53)
         assert eps >= last - 1e-12
         last = eps
         assert abs(omega.matrix.trace() - 1.0) < 1e-10
@@ -286,9 +278,10 @@ def test_approx_private_state():
 
 
 def _reference_spec_draws(key_dim, shield_dims, seed, rank, ext_dim=None):
-    """Controls and shield matrix drawn as the seed contract fixes them: one
-    PCG64 stream, Haar controls in key-index order, then the Ginibre shield
-    state (the samplers written out independently of privsq)."""
+    """Unitaries and shield matrix drawn as the seed contract fixes them: one
+    PCG64 stream, one Haar unitary per key-index tuple in key-index order,
+    then the Ginibre shield state (the samplers written out independently of
+    privsq)."""
     rng = np.random.Generator(np.random.PCG64(seed))
     d_sh = int(np.prod(shield_dims))
     controls = {}
@@ -311,10 +304,11 @@ def test_random_private_spec_seed_contract():
         (2, (2, 2, 2), 9, 3, 2),
     ):
         spec = random_private_spec(key_dim, shield_dims, seed, sigma_rank=rank, ext_dim=ext_dim)
-        controls, mat = _reference_spec_draws(key_dim, shield_dims, seed, rank, ext_dim)
-        assert spec.controls.keys() == controls.keys()
-        for idx, u in controls.items():
-            assert np.array_equal(spec.controls[idx], u)
+        draws, mat = _reference_spec_draws(key_dim, shield_dims, seed, rank, ext_dim)
+        # the spec keeps the draws of the all-equal key indices, in key order
+        assert len(spec.controls) == key_dim
+        for i, u in enumerate(spec.controls):
+            assert np.array_equal(u, draws[(i,) * len(shield_dims)])
         assert np.array_equal(spec.shield_state.matrix, mat)
     # an integer seed and a fresh generator of that seed draw the same sample
     assert np.array_equal(haar_unitary(4, 3), haar_unitary(4, np.random.Generator(np.random.PCG64(3))))

@@ -4,6 +4,7 @@ import pytest
 from privsq import (
     DensityOperator,
     Isometry,
+    LayoutError,
     OptimizerConfig,
     SquashingAnsatz,
     SystemLayout,
@@ -44,7 +45,6 @@ from privsq.squashed import (
 from privsq.tensor import entropy_bits, purification_matrix
 from scipy.linalg import expm, expm_frechet
 
-import itertools
 from math import log2, prod, sqrt
 
 
@@ -298,7 +298,7 @@ def test_full_iteration_budget_is_not_cut_by_evaluation_cap():
     # with finite differences every max_iters=500 restart at (4, 4) stopped
     # on scipy's evaluation cap at iteration 29
     spec = random_private_spec(2, (2, 2), seed=61)
-    omega, _ = approx_private_state(spec, 0.05, seed=62)
+    omega, _ = approx_private_state(private_state(spec), 0.05, seed=62)
     rep = squashed_upper(omega, (spec.key_labels[0], spec.shield_labels[0]),
                          (spec.key_labels[1], spec.shield_labels[1]), d_env=4, d_sink=4,
                          cfg=OptimizerConfig(restarts=2, max_iters=500, seed=1))
@@ -523,7 +523,7 @@ def test_monotone_under_discarding_part_of_a_group():
 def test_key_bound_chain_for_every_ansatz():
     spec = random_private_spec(2, (2, 2), seed=61)
     for p in (0.02, 0.1):
-        omega, eps = approx_private_state(spec, p, seed=62)
+        omega, eps = approx_private_state(private_state(spec), p, seed=62)
         f1 = f_key_bipartite(eps, 2)
         for seed in range(3):
             ans = random_ansatz(16, 4, 4, seed=70 + seed)
@@ -540,7 +540,7 @@ def test_multipartite_key_bound_chain_for_every_ansatz():
     # holds for every extension; checked on random squashed extensions for
     # both information flavors
     spec = random_private_spec(2, (2, 2, 2), seed=301)
-    omega, eps = approx_private_state(spec, 0.05, seed=302)
+    omega, eps = approx_private_state(private_state(spec), 0.05, seed=302)
     groups = [(k, s) for k, s in zip(spec.key_labels, spec.shield_labels)]
     for seed, flavor in enumerate(("total", "dual")):
         ans = random_ansatz(64, 8, 8, seed=310 + seed, scale=0.4)
@@ -573,10 +573,7 @@ def trivial_extended_spec(key_dim, shield_dims, ext_dim, seed):
     labels = [f"A{i+1}p" for i in range(parties)]
     layout = SystemLayout(list(zip(labels, shield_dims)) + [("E", ext_dim)])
     sigma = random_density(layout, layout.total_dim, seed=seed)
-    controls = {
-        idx: np.eye(d_sh) for idx in itertools.product(range(key_dim), repeat=parties)
-    }
-    return PrivateStateSpec(key_dim, shield_dims, sigma, controls)
+    return PrivateStateSpec(key_dim, shield_dims, sigma, [np.eye(d_sh)] * key_dim)
 
 
 def residuals_of(spec):
@@ -803,6 +800,12 @@ def test_channel_dimension_guard():
     chan = Isometry(np.eye(5), lo, SystemLayout([("B", 5)]))
     with pytest.raises(ValueError, match="guard"):
         channel_squashed_upper(chan)
+
+
+def test_channel_refuses_an_empty_keep():
+    # an empty keep used to search a one-dimensional output and report ~0
+    with pytest.raises(LayoutError, match="keep must name at least one channel output"):
+        channel_squashed_upper(identity_channel(), keep=())
 
 
 def random_three_output_channel():
