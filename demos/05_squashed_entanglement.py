@@ -24,7 +24,7 @@ from privsq import (
     private_state,
     private_state_extension,
     random_private_spec,
-    squashed_upper,
+    squashed_multi_upper,
 )
 from privsq.private_states import approx_private_state
 
@@ -32,11 +32,11 @@ print("-" * 70)
 print("Upper bounds from squashing channels")
 print("-" * 70)
 phi = max_entangled(2)
-rep = squashed_upper(phi, "A", "B", cfg=OptimizerConfig(restarts=2, seed=0))
+rep = squashed_multi_upper(phi, ["A", "B"], cfg=OptimizerConfig(restarts=2, seed=0))
 print(f"maximally entangled pair: {rep.value:.6f} (pure input forces a product extension)")
 
 cl = dephase(phi, ("A", "B"))
-rep = squashed_upper(cl, "A", "B", d_env=2, cfg=OptimizerConfig(restarts=8, seed=0))
+rep = squashed_multi_upper(cl, ["A", "B"], d_env=2, cfg=OptimizerConfig(restarts=8, seed=0))
 print(f"classically correlated:   {rep.value:.2e} (a copy extension squashes everything)")
 
 print()
@@ -56,8 +56,8 @@ print("Key bounds for approximate private states")
 print("-" * 70)
 spec = random_private_spec(2, (2, 2), seed=2)
 omega, eps = approx_private_state(private_state(spec), 0.05, seed=3)
-rep = squashed_upper(
-    omega, ("A1", "A1p"), ("A2", "A2p"), d_env=4, d_sink=4,
+rep = squashed_multi_upper(
+    omega, [("A1", "A1p"), ("A2", "A2p")], d_env=4, d_sink=4,
     cfg=OptimizerConfig(restarts=1, max_iters=15, seed=4),
 )
 ext = extend_by_squashing(omega, rep.ansatz)

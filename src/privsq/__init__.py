@@ -25,7 +25,6 @@ from .tensor import (
 )
 from .metric import FidelityPair, fidelity, matched_extension, trace_distance, uhlmann_align
 from .entropy import (
-    Partition,
     binary_entropy,
     cmi_continuity,
     cond_entropy,
@@ -56,7 +55,6 @@ from .squashed import (
     key_rate_bound,
     private_identity_residual,
     squashed_multi_upper,
-    squashed_upper,
     squashing_value,
 )
 
@@ -83,7 +81,6 @@ __all__ = [
     "FidelityPair",
     "uhlmann_align",
     "matched_extension",
-    "Partition",
     "vn_entropy",
     "cond_entropy",
     "cond_mutual_info",
@@ -106,7 +103,6 @@ __all__ = [
     "BoundReport",
     "extend_by_squashing",
     "squashing_value",
-    "squashed_upper",
     "squashed_multi_upper",
     "private_identity_residual",
     "key_length_bound",

@@ -25,7 +25,7 @@ from math import inf, log2
 
 from . import __version__
 from .entropy import (
-    Partition,
+    _disjoint,
     cond_entropy,
     cond_mutual_info,
     dual_total_correlation,
@@ -54,24 +54,22 @@ from .suites import SUITES
 from .tensor import partial_trace
 
 
-def _parse_groups(text: str) -> Partition:
-    """Parse 'A=A1+A1p;B=A2+A2p' into a validated partition."""
-    groups = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" in part:
-            name, labels = part.split("=", 1)
-        else:
-            name, labels = part, part
-        labels = tuple(lbl for lbl in labels.split("+") if lbl)
-        if not labels:
+def _parse_groups(text: str) -> dict[str, tuple[str, ...]]:
+    """Parse 'A=A1+A1p;B=A2+A2p' into ``{name: labels}``; refuses an empty
+    group or list, a repeated name and a label named twice."""
+    groups: dict[str, tuple[str, ...]] = {}
+    for part in filter(None, (p.strip() for p in text.split(";"))):
+        name, labels = part.split("=", 1) if "=" in part else (part, part)
+        name = name.strip()
+        if name in groups:
+            raise ValueError(f"group name {name!r} given twice")
+        groups[name] = tuple(lbl for lbl in labels.split("+") if lbl)
+        if not groups[name]:
             raise ValueError(f"group {name!r} names no labels")
-        groups.append((name.strip(), labels))
     if not groups:
         raise ValueError("no groups given")
-    return Partition(groups)
+    _disjoint(*groups.values())
+    return groups
 
 
 def _parse_labels(text: str) -> tuple[str, ...]:
@@ -210,10 +208,8 @@ def _cmd_entropy(args) -> tuple[int, dict]:
         _refuse("entropy --quantity vn", args, "--cond")
     rho = read_state(args.infile)
     cond = _parse_labels(args.cond) if args.cond is not None else ()
-    partition = _parse_groups(args.groups) if args.groups else None
-    if partition is not None:
-        partition.validate_against(rho.layout)
-    label_groups = [labels for _, labels in partition.groups] if partition else []
+    groups = _parse_groups(args.groups) if args.groups else {}
+    label_groups = list(groups.values())
     q = args.quantity
     if q == "vn":
         if len(label_groups) > 1:
@@ -239,7 +235,7 @@ def _cmd_entropy(args) -> tuple[int, dict]:
     return 0, {
         "quantity": q,
         "in": args.infile,
-        "groups": {name: list(labels) for name, labels in partition.groups} if partition else {},
+        "groups": {name: list(labels) for name, labels in groups.items()},
         "cond": list(cond),
         "value": value,
         "tolerances": {},
@@ -277,12 +273,10 @@ def _cmd_esq(args) -> tuple[int, dict]:
         rho = read_state(args.infile)
         if not args.groups:
             raise ValueError("esq on a state needs --groups")
-        partition = _parse_groups(args.groups)
-        partition.validate_against(rho.layout)
         flavor = args.flavor or FLAVOR_TOTAL
         rep = squashed_multi_upper(
             rho,
-            [labels for _, labels in partition.groups],
+            list(_parse_groups(args.groups).values()),
             flavor=flavor,
             d_env=args.d_env,
             d_sink=args.d_sink,

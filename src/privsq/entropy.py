@@ -8,36 +8,16 @@ Outputs are raw reals: tiny negative residuals from floating point are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from math import log2
 from typing import Callable, Iterable, Sequence
 
-from .layout import LayoutError, SystemLayout, as_labels
+from .layout import LayoutError, as_labels
 from .tensor import DensityOperator, entropy_bits, reduce_matrix
 
 FLAVOR_TOTAL = "total"
 FLAVOR_DUAL = "dual"
 _FLAVORS = (FLAVOR_TOTAL, FLAVOR_DUAL)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Named, disjoint groups of system labels, e.g. ``A -> (A1, A1p)``."""
-
-    groups: tuple[tuple[str, tuple[str, ...]], ...]
-
-    def __init__(self, groups: Iterable[tuple[str, Iterable[str]]]):
-        norm = tuple((str(name), as_labels(labels)) for name, labels in groups)
-        names = [name for name, _ in norm]
-        if len(set(names)) != len(names):
-            raise LayoutError(f"duplicate group names in {names}")
-        _disjoint(*(labels for _, labels in norm))
-        object.__setattr__(self, "groups", norm)
-
-    def validate_against(self, layout: SystemLayout) -> None:
-        for _, labels in self.groups:
-            layout.positions(labels)  # raises LayoutError on unknown labels
 
 
 def _group_entropy(rho: DensityOperator, labels: tuple[str, ...]) -> float:
@@ -199,7 +179,6 @@ def cmi_continuity(eps: float, log_dim: float) -> float:
 
 
 __all__ = [
-    "Partition",
     "vn_entropy",
     "cond_entropy",
     "cond_mutual_info",

@@ -46,7 +46,7 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     return float(s.sum() ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityPair:
     """Optimally aligned purifications of two states on a common reference.
 

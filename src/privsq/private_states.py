@@ -52,6 +52,11 @@ def _check_counts(key_dim: int, parties: int) -> None:
         raise ValueError(f"party count {parties} < 2")
 
 
+def _all_equal_step(key_dim: int, systems: int) -> int:
+    """Flat-index step from ``|i i ... i>`` to ``|i+1 i+1 ... i+1>``."""
+    return sum(key_dim**j for j in range(systems))
+
+
 def ghz_state(key_dim: int, parties: int, labels: Sequence[str] | None = None) -> DensityOperator:
     """Rank-one maximally correlated entangled state of ``parties`` qudits,
     with matrix entries ``1/K`` on the all-equal index block."""
@@ -61,8 +66,7 @@ def ghz_state(key_dim: int, parties: int, labels: Sequence[str] | None = None) -
         raise ValueError(f"{len(labels)} labels for {parties} parties")
     layout = SystemLayout((lbl, key_dim) for lbl in labels)
     amp = np.zeros(layout.total_dim, dtype=complex)
-    step = (key_dim**parties - 1) // (key_dim - 1)  # flat index of |i i ... i>
-    amp[::step] = 1.0 / np.sqrt(key_dim)
+    amp[::_all_equal_step(key_dim, parties)] = 1.0 / np.sqrt(key_dim)
     return _unchecked(DensityOperator, layout, np.outer(amp, amp.conj()))
 
 
@@ -76,14 +80,16 @@ def uniform_classical(key_dim: int, layout: SystemLayout) -> DensityOperator:
     for lbl in layout.labels:
         if layout.dim_of(lbl) != key_dim:
             raise ValueError(f"system {lbl!r} has dimension {layout.dim_of(lbl)}, expected {key_dim}")
+    if not len(layout):
+        raise LayoutError("uniform_classical needs at least one system")
     mat = np.zeros((layout.total_dim,) * 2, dtype=complex)
-    step = (key_dim ** len(layout) - 1) // (key_dim - 1) if len(layout) > 1 else 1
+    step = _all_equal_step(key_dim, len(layout))
     for i in range(key_dim):
         mat[i * step, i * step] = 1.0 / key_dim
     return _unchecked(DensityOperator, layout, mat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrivateStateSpec:
     """Recipe for a private state: key dimension, shield systems, shield
     state, and the ``K`` twisting controls as a tuple of read-only arrays.
@@ -184,7 +190,7 @@ def _twisted(spec: PrivateStateSpec) -> DensityOperator:
     # in the last bit at K = 2), so at K = 2 every block is bit for bit the
     # one the full product U (Phi (x) sigma) U^dag gives
     left = [wi @ ((a * a) * sigma) for wi in w]
-    step = (k**m - 1) // (k - 1)  # flat index of |i i ... i>
+    step = _all_equal_step(k, m)
     out = np.zeros((k**m, d, k**m, d), dtype=complex)
     for i in range(k):
         for j in range(k):
@@ -281,7 +287,7 @@ def random_private_spec(
     _check_counts(key_dim, parties)
     d_sh = prod(shield_dims)
     rng = _seeded_rng(seed)
-    step = (key_dim**parties - 1) // (key_dim - 1)  # flat index of |i i ... i>
+    step = _all_equal_step(key_dim, parties)
     draws = [haar_unitary(d_sh, rng) for _ in range(key_dim**parties)]
     layout = SystemLayout(zip(default_shield_labels(parties), shield_dims))
     if ext_dim is not None:

@@ -30,7 +30,7 @@ span tracer patch it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cache, lru_cache, partial
 from math import inf, log, log2, prod, sqrt
 from typing import Iterable, Sequence
@@ -56,7 +56,7 @@ from .tensor import EIG_CLIP, DensityOperator, Isometry, _unchecked, purificatio
 # ansatz
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SquashingAnsatz:
     """Parameterized isometry from the purifying system into kept (x) sunk.
 
@@ -80,10 +80,6 @@ class SquashingAnsatz:
         if params.shape != (count,):
             raise ValueError(f"expected {count} parameters, got {params.shape[0]}")
         _unchecked(self, d_purify, d_env, d_sink, params)
-
-    @property
-    def n_params(self) -> int:
-        return self.params.shape[0]
 
     def isometry_matrix(self) -> np.ndarray:
         return _isometry(self.params, self.d_env * self.d_sink, self.d_purify)[0]
@@ -410,7 +406,8 @@ def squashed_multi_upper(
     cfg: OptimizerConfig | None = None,
 ) -> BoundReport:
     """Variational upper bound on the multipartite squashed entanglement of
-    the chosen flavor over the given groups.
+    the chosen flavor over the given groups; with two groups both flavors
+    give the bipartite bound, ``min (1/2) I(A;B|E)`` on the extension.
 
     The default extension dimensions are ``d_env = d_sink = rank(rho)``; any
     finite choice still yields a sound upper bound, so the dimensions used
@@ -437,27 +434,6 @@ def squashed_multi_upper(
         description=f"squashed upper bound ({flavor}) over {len(groups)} groups",
         flavor=flavor,
     )
-
-
-def squashed_upper(
-    rho: DensityOperator,
-    group_a: Iterable[str] | str,
-    group_b: Iterable[str] | str,
-    d_env: int | None = None,
-    d_sink: int | None = None,
-    cfg: OptimizerConfig | None = None,
-) -> BoundReport:
-    """Variational upper bound on the bipartite squashed entanglement,
-    ``min over restarts of (1/2) I(A;B|E)`` on the squashed extension."""
-    rep = squashed_multi_upper(
-        rho,
-        [as_labels(group_a), as_labels(group_b)],
-        flavor=FLAVOR_TOTAL,
-        d_env=d_env,
-        d_sink=d_sink,
-        cfg=cfg,
-    )
-    return replace(rep, description="bipartite squashed upper bound")
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +724,6 @@ __all__ = [
     "BoundReport",
     "extend_by_squashing",
     "squashing_value",
-    "squashed_upper",
     "squashed_multi_upper",
     "private_identity_residual",
     "key_length_bound",

@@ -31,7 +31,12 @@ from .private_states import (
     random_private_spec,
     uniform_classical,
 )
-from .squashed import OptimizerConfig, key_length_bound, private_identity_residual, squashed_upper
+from .squashed import (
+    OptimizerConfig,
+    key_length_bound,
+    private_identity_residual,
+    squashed_multi_upper,
+)
 from .tensor import random_density
 
 
@@ -234,9 +239,8 @@ def suite_thm1(seed: int = 0, tol: float = 1e-6, restarts: int = 1,
         spec = random_private_spec(2, (2, 2), seed=seed + k)
         omega, eps = approx_private_state(private_state(spec), p, seed=seed + 1000 + k)
         cfg = OptimizerConfig(restarts=restarts, max_iters=max_iters, seed=seed + k)
-        rep = squashed_upper(omega, (spec.key_labels[0], spec.shield_labels[0]),
-                             (spec.key_labels[1], spec.shield_labels[1]), d_env=4, d_sink=4,
-                             cfg=cfg)
+        rep = squashed_multi_upper(omega, list(zip(spec.key_labels, spec.shield_labels)),
+                                   d_env=4, d_sink=4, cfg=cfg)
         violation = 2.0 * log2(2) - 2.0 * key_length_bound(rep.value, eps, 2)
         rows.append(SuiteRow(f"key-bound chain, noise {p}", 1, max(violation, 0.0), tol))
     return SuiteResult("thm1", seed, tuple(rows))

@@ -7,6 +7,7 @@ results, valid by construction, from validated values without validating
 again.  Everything here is a pure function of its inputs, values are
 immutable after construction, and randomness enters only through explicit
 integer seeds or a caller's generator (PCG64, see :func:`haar_unitary`).
+Values that carry arrays, here and elsewhere, compare and hash by identity.
 
 Conventions
 -----------
@@ -108,7 +109,7 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A density matrix together with the layout of its subsystems.
 
@@ -141,7 +142,7 @@ class DensityOperator:
         return self.layout.total_dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureStateVector:
     """A unit vector on a labeled tensor-product space."""
 
@@ -164,7 +165,7 @@ class PureStateVector:
         return _unchecked(DensityOperator, self.layout, np.outer(amp, amp.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Isometry:
     """A matrix ``V`` with ``V^dag V = I`` mapping one labeled space to another.
 

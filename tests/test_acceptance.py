@@ -29,7 +29,6 @@ from privsq import (
     random_density,
     random_private_spec,
     squashed_multi_upper,
-    squashed_upper,
 )
 from privsq.cli import run_cli
 from privsq.suites import (
@@ -145,8 +144,8 @@ def test_criterion_07_entropy_continuity():
 # ---------------------------------------------------------------------------
 
 def test_criterion_08a_max_entangled_anchor():
-    rep = squashed_upper(max_entangled(2), "A", "B",
-                         cfg=OptimizerConfig(restarts=2, seed=SEED))
+    rep = squashed_multi_upper(max_entangled(2), ["A", "B"],
+                               cfg=OptimizerConfig(restarts=2, seed=SEED))
     ok = abs(rep.value - 1.0) < 1e-6
     report("8a", ok, f"maximally entangled pair upper bound {rep.value:.9f}")
     assert abs(rep.value - 1.0) < 1e-6
@@ -199,8 +198,8 @@ def test_criterion_08c_ghz_dual_anchor_as_pinned():
 def test_criterion_08d_classical_correlated_anchor():
     start = time.monotonic()
     cl = dephase(max_entangled(2), ("A", "B"))
-    rep = squashed_upper(cl, "A", "B", d_env=2,
-                         cfg=OptimizerConfig(restarts=8, seed=SEED))
+    rep = squashed_multi_upper(cl, ["A", "B"], d_env=2,
+                               cfg=OptimizerConfig(restarts=8, seed=SEED))
     elapsed = time.monotonic() - start
     ok = rep.value <= 0.01 and elapsed < 60.0
     report("8d", ok, f"classical correlated bound {rep.value:.3e}, {elapsed:.1f} s, 8 restarts")

@@ -258,6 +258,21 @@ def test_non_finite_and_non_integer_files_exit_2_naming_the_file(tmp_path, capsy
         assert f"{path}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("groups, message", [
+    ("A=A1+A1p;A=A2+A2p", "group name 'A' given twice"),
+    ("A=A1+A1p;B=A1+A2+A2p", "groups overlap on label 'A1'"),
+    ("A=A1+A1+A1p;B=A2+A2p", "groups overlap on label 'A1'"),
+    ("A=A1+A1p;B=A2+A2p+nope", "'nope'"),
+])
+def test_entropy_and_esq_refuse_malformed_groups(groups, message, tmp_path, capsys):
+    state = tmp_path / "g.state"
+    assert run_cli(["gen", "--private", "--seed", "7", "--out", str(state)]) == 0
+    for command in (["entropy", "--quantity", "cmi"], ["esq"]):
+        capsys.readouterr()
+        assert run_cli(command + ["--in", str(state), "--groups", groups]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_esq_command_and_determinism(tmp_path):
     state = tmp_path / "g.state"
     run_cli(["gen", "--private", "--seed", "7", "--out", str(state)])
@@ -331,7 +346,7 @@ def test_verify_thm1_row_at_noise_0_001_can_fail(tmp_path, monkeypatch):
 
     from privsq import suites
 
-    monkeypatch.setattr(suites, "squashed_upper", lambda *a, **k: SimpleNamespace(value=0.3))
+    monkeypatch.setattr(suites, "squashed_multi_upper", lambda *a, **k: SimpleNamespace(value=0.3))
     out = tmp_path / "t.json"
     assert run_cli(["verify", "--suite", "thm1", "--seed", "0", "--out", str(out)]) == 1
     rows = json.loads(out.read_text())["rows"]

@@ -33,7 +33,7 @@ from privsq import (
     purify,
     random_density,
     random_private_spec,
-    squashed_upper,
+    squashed_multi_upper,
     uhlmann_align,
 )
 from privsq.squashed import ansatz_param_count
@@ -134,6 +134,7 @@ def test_aligned_purifications_and_matched_extensions_are_valid(rho, data):
 
 def test_reported_ansatz_is_valid():
     rho = random_density(SystemLayout([("A", 2), ("B", 2)]), 2, seed=5)
-    rep = squashed_upper(rho, "A", "B", cfg=OptimizerConfig(restarts=2, max_iters=5, seed=1))
+    rep = squashed_multi_upper(rho, ["A", "B"],
+                               cfg=OptimizerConfig(restarts=2, max_iters=5, seed=1))
     rechecked(rep.ansatz)
     rechecked(rep.ansatz.to_isometry())

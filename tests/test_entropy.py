@@ -4,7 +4,6 @@ import pytest
 from privsq import (
     DensityOperator,
     LayoutError,
-    Partition,
     SystemLayout,
     binary_entropy,
     cmi_continuity,
@@ -195,16 +194,6 @@ def test_cmi_continuity_on_random_triples():
         bound = cmi_continuity(eps, 1.0)
         delta = abs(cond_mutual_info(rho, "A", "B", "E") - cond_mutual_info(omega, "A", "B", "E"))
         assert delta <= bound + 1e-9
-
-
-def test_partition():
-    p = Partition([("A", ("A1", "A1p")), ("B", ("A2",))])
-    with pytest.raises(LayoutError):
-        Partition([("A", ("X",)), ("B", ("X",))])
-    layout = SystemLayout([("A1", 2), ("A1p", 2), ("A2", 2)])
-    p.validate_against(layout)
-    with pytest.raises(LayoutError):
-        Partition([("A", ("nope",))]).validate_against(layout)
 
 
 def _h(rho, labels):

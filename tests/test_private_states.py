@@ -6,6 +6,7 @@ import pytest
 
 from privsq import (
     DensityOperator,
+    LayoutError,
     PrivateStateSpec,
     PureStateVector,
     SystemLayout,
@@ -108,6 +109,15 @@ def test_private_state_spectrum_matches_untwisted():
     assert np.abs(
         np.linalg.eigvalsh(gamma.matrix) - np.linalg.eigvalsh(base.matrix)
     ).max() < 1e-10
+
+
+def test_uniform_classical_at_key_dimension_one():
+    # K = 1: every system is one-dimensional and the state is [[1]]
+    for systems in (1, 2, 3):
+        layout = SystemLayout((f"A{i}", 1) for i in range(systems))
+        assert np.array_equal(uniform_classical(1, layout).matrix, [[1.0]])
+    with pytest.raises(LayoutError, match="at least one system"):
+        uniform_classical(2, SystemLayout([]))
 
 
 def test_private_state_key_measurement_statistics():

@@ -27,7 +27,6 @@ from privsq import (
     random_private_spec,
     random_pure,
     squashed_multi_upper,
-    squashed_upper,
     squashing_value,
     total_correlation,
 )
@@ -140,8 +139,8 @@ def test_optimizer_objective_agrees_with_squashing_value():
     # public density-matrix route at the returned ansatz
     lo = SystemLayout([("A", 2), ("B", 2)])
     rho = random_density(lo, 4, seed=11)
-    rep = squashed_upper(rho, "A", "B", d_env=2, d_sink=2,
-                         cfg=OptimizerConfig(restarts=2, max_iters=30, seed=4))
+    rep = squashed_multi_upper(rho, ["A", "B"], d_env=2, d_sink=2,
+                               cfg=OptimizerConfig(restarts=2, max_iters=30, seed=4))
     recomputed = squashing_value(rho, [("A",), ("B",)], rep.ansatz)
     assert abs(recomputed - rep.value) < 1e-9
 
@@ -299,9 +298,9 @@ def test_full_iteration_budget_is_not_cut_by_evaluation_cap():
     # on scipy's evaluation cap at iteration 29
     spec = random_private_spec(2, (2, 2), seed=61)
     omega, _ = approx_private_state(private_state(spec), 0.05, seed=62)
-    rep = squashed_upper(omega, (spec.key_labels[0], spec.shield_labels[0]),
-                         (spec.key_labels[1], spec.shield_labels[1]), d_env=4, d_sink=4,
-                         cfg=OptimizerConfig(restarts=2, max_iters=500, seed=1))
+    rep = squashed_multi_upper(omega, list(zip(spec.key_labels, spec.shield_labels)),
+                               d_env=4, d_sink=4,
+                               cfg=OptimizerConfig(restarts=2, max_iters=500, seed=1))
     for r in rep.restarts:
         assert "EVALUATIONS EXCEEDS LIMIT" not in r.message
         assert r.converged or r.iterations == 500
@@ -355,7 +354,7 @@ def test_both_searches_share_one_lbfgsb_option_set(monkeypatch):
     monkeypatch.setattr(sq, "minimize", recorded_minimize)
     cfg = OptimizerConfig(restarts=2, max_iters=20, tol=1e-6, seed=4)
     lo = SystemLayout([("A", 2), ("B", 2)])
-    squashed_upper(random_density(lo, 3, seed=2), "A", "B", d_env=2, d_sink=2, cfg=cfg)
+    squashed_multi_upper(random_density(lo, 3, seed=2), ["A", "B"], d_env=2, d_sink=2, cfg=cfg)
     assert len(calls) == cfg.restarts
     # restart j starts from N(0, 0.5^2) coordinates drawn from PCG64(seed + j)
     for j, (x0, _) in enumerate(calls):
@@ -378,15 +377,13 @@ def test_report_rows_have_fixed_keys():
     cfg = OptimizerConfig(restarts=2, max_iters=10, seed=1)
     lo = SystemLayout([("A", 2), ("B", 2)])
     rho = random_density(lo, 3, seed=5)
-    state = squashed_upper(rho, "A", "B", d_env=2, d_sink=2, cfg=cfg)
     multi = squashed_multi_upper(rho, ["A", "B"], "dual", d_env=2, d_sink=2, cfg=cfg)
     channel = channel_squashed_upper(identity_channel(), d_env=2, d_sink=2, cfg=cfg, rounds=1)
-    assert [rep.description for rep in (state, multi, channel)] == [
-        "bipartite squashed upper bound",
+    assert [rep.description for rep in (multi, channel)] == [
         "squashed upper bound (dual) over 2 groups",
         "channel squashed-entanglement search (heuristic)",
     ]
-    for rep in (state, multi, channel):
+    for rep in (multi, channel):
         row = rep.to_dict()
         assert list(row) == REPORT_KEYS
         assert row["dims"] == dict(zip(("d_purify", "d_env", "d_sink"), rep.dims))
@@ -399,7 +396,7 @@ def test_non_positive_extension_dims_are_refused():
     lo = SystemLayout([("A", 2), ("B", 2)])
     rho = random_density(lo, 1, seed=3)  # product -2 * -2 = 4 >= rank 1
     with pytest.raises(ValueError, match="d_env=-2, d_sink=-2 must both be at least 1"):
-        squashed_upper(rho, "A", "B", d_env=-2, d_sink=-2)
+        squashed_multi_upper(rho, ["A", "B"], d_env=-2, d_sink=-2)
     with pytest.raises(ValueError, match="d_env=2, d_sink=0 must both be at least 1"):
         channel_squashed_upper(identity_channel(), d_env=2, d_sink=0)
 
@@ -410,14 +407,14 @@ def test_non_positive_extension_dims_are_refused():
 
 def test_upper_bound_max_entangled():
     phi = max_entangled(2)
-    rep = squashed_upper(phi, "A", "B", cfg=OptimizerConfig(restarts=2, seed=1))
+    rep = squashed_multi_upper(phi, ["A", "B"], cfg=OptimizerConfig(restarts=2, seed=1))
     assert abs(rep.value - 1.0) < 1e-6
     assert rep.dims == (1, 1, 1)
 
 
 def test_upper_bound_classical_correlated():
     cl = dephase(max_entangled(2), ("A", "B"))
-    rep = squashed_upper(cl, "A", "B", d_env=2, cfg=OptimizerConfig(restarts=8, seed=2))
+    rep = squashed_multi_upper(cl, ["A", "B"], d_env=2, cfg=OptimizerConfig(restarts=8, seed=2))
     assert rep.value <= 0.01
     assert rep.value > -1e-9
 
@@ -425,7 +422,7 @@ def test_upper_bound_classical_correlated():
 def test_upper_bound_pure_product():
     prod = kron(random_pure(SystemLayout([("A", 2)]), 1).density(),
                 random_pure(SystemLayout([("B", 2)]), 2).density())
-    rep = squashed_upper(prod, "A", "B", cfg=OptimizerConfig(restarts=2, seed=3))
+    rep = squashed_multi_upper(prod, ["A", "B"], cfg=OptimizerConfig(restarts=2, seed=3))
     assert abs(rep.value) < 1e-8
 
 
@@ -463,7 +460,7 @@ def test_two_group_multi_matches_bipartite():
     lo = SystemLayout([("A", 2), ("B", 2)])
     rho = random_density(lo, 4, seed=13)
     cfg = OptimizerConfig(restarts=2, max_iters=40, seed=5)
-    a = squashed_upper(rho, "A", "B", d_env=2, d_sink=2, cfg=cfg)
+    a = squashed_multi_upper(rho, ["A", "B"], "dual", d_env=2, d_sink=2, cfg=cfg)
     b = squashed_multi_upper(rho, ["A", "B"], d_env=2, d_sink=2, cfg=cfg)
     assert abs(a.value - b.value) < 1e-12
 
@@ -489,9 +486,8 @@ def test_exact_private_states_bound_at_least_log_key():
     for seed in (0, 1, 2, 3):
         spec = random_private_spec(2, (2, 2), seed=seed)
         gamma = private_state(spec)
-        rep = squashed_upper(gamma, (spec.key_labels[0], spec.shield_labels[0]),
-                             (spec.key_labels[1], spec.shield_labels[1]),
-                             cfg=OptimizerConfig(restarts=2, seed=seed))
+        rep = squashed_multi_upper(gamma, list(zip(spec.key_labels, spec.shield_labels)),
+                                   cfg=OptimizerConfig(restarts=2, seed=seed))
         assert all(r.value >= 1.0 - 1e-9 for r in rep.restarts)
 
 
@@ -501,8 +497,8 @@ def test_subadditivity_direction_with_product_ansatz():
     rho1 = random_density(lo1, 2, seed=17)
     rho2 = random_density(lo2, 3, seed=18)
     cfg = OptimizerConfig(restarts=2, max_iters=60, seed=6)
-    rep1 = squashed_upper(rho1, "A1", "B1", d_env=2, d_sink=2, cfg=cfg)
-    rep2 = squashed_upper(rho2, "A2", "B2", d_env=3, d_sink=1, cfg=cfg)
+    rep1 = squashed_multi_upper(rho1, ["A1", "B1"], d_env=2, d_sink=2, cfg=cfg)
+    rep2 = squashed_multi_upper(rho2, ["A2", "B2"], d_env=3, d_sink=1, cfg=cfg)
     ext1 = extend_by_squashing(rho1, rep1.ansatz, env_label="E1")
     ext2 = extend_by_squashing(rho2, rep2.ansatz, env_label="E2")
     joint = kron(ext1, ext2)
@@ -514,7 +510,7 @@ def test_monotone_under_discarding_part_of_a_group():
     lo = SystemLayout([("A", 2), ("B1", 2), ("B2", 2)])
     rho = random_density(lo, 4, seed=19)
     cfg = OptimizerConfig(restarts=2, max_iters=40, seed=7)
-    rep = squashed_upper(rho, "A", ("B1", "B2"), d_env=2, d_sink=2, cfg=cfg)
+    rep = squashed_multi_upper(rho, ["A", ("B1", "B2")], d_env=2, d_sink=2, cfg=cfg)
     ext = extend_by_squashing(rho, rep.ansatz)
     v_dropped = 0.5 * cond_mutual_info(ext, "A", "B1", "E")
     assert v_dropped <= rep.value + 1e-6
@@ -553,8 +549,8 @@ def test_report_determinism():
     lo = SystemLayout([("A", 2), ("B", 2)])
     rho = random_density(lo, 4, seed=21)
     cfg = OptimizerConfig(restarts=3, max_iters=25, seed=8)
-    rep1 = squashed_upper(rho, "A", "B", d_env=2, d_sink=2, cfg=cfg)
-    rep2 = squashed_upper(rho, "A", "B", d_env=2, d_sink=2, cfg=cfg)
+    rep1 = squashed_multi_upper(rho, ["A", "B"], d_env=2, d_sink=2, cfg=cfg)
+    rep2 = squashed_multi_upper(rho, ["A", "B"], d_env=2, d_sink=2, cfg=cfg)
     assert rep1.to_dict() == rep2.to_dict()
     assert np.array_equal(rep1.ansatz.params, rep2.ansatz.params)
     assert rep1.best_restart == min(

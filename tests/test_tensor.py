@@ -373,3 +373,23 @@ def test_values_are_immutable():
     psi = random_pure(SystemLayout([("A", 2)]), seed=1)
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 0.0
+
+
+def test_array_carrying_values_compare_and_hash_by_identity():
+    from privsq import SquashingAnsatz, random_private_spec, uhlmann_align
+    from privsq.squashed import ansatz_param_count
+
+    lo = SystemLayout([("A", 2), ("B", 2)])
+    twins = [
+        lambda: random_density(lo, 2, 1),
+        lambda: random_pure(lo, 1),
+        lambda: Isometry(np.eye(2), SystemLayout([("A", 2)]), SystemLayout([("B", 2)])),
+        lambda: random_private_spec(2, (2, 2), seed=1),
+        lambda: SquashingAnsatz(2, 2, 1, np.zeros(ansatz_param_count(2, 1))),
+        lambda: uhlmann_align(random_density(lo, 2, 1), random_density(lo, 3, 2)),
+    ]
+    for make in twins:
+        x, y = make(), make()
+        assert (x == y) is False
+        assert (x == x) is True
+        assert isinstance(hash(x), int)
