@@ -13,7 +13,12 @@ bounds.  One kernel, ``_extension_value_and_grads``, gives half the
 information of the pure extension ``t = V psi`` and its gradients in the
 isometry ``V`` and the purification ``psi``.  Each parameterization is one
 forward map that returns its pullback: ``_isometry`` (through ``exp(iH)``
-by the Daleckii-Krein formula) and ``_channel_purification``.  The state
+by the Daleckii-Krein formula) and ``_channel_purification``.  What
+depends only on the shape and the terms (axis permutations, Gram sides,
+the index maps of ``H``) is cached, so one value and gradient makes one
+gather and one ``eigh`` for ``H`` and one ``exp(iw/2)`` for both ``V`` and
+the Daleckii-Krein matrix; per marginal one transpose-reshape, one Gram
+product, one ``eigh`` and a masked clip; and one scatter back.  The state
 search descends over ``V``; the channel search alternates that with an
 ascent over pure channel inputs, purifying each output with the channel's
 own sunk outputs restricted to the span they reach, so the purification
@@ -31,7 +36,7 @@ span tracer patch it.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from math import inf, log, log2, prod, sqrt
 from typing import Iterable, Sequence
 
@@ -92,42 +97,30 @@ class SquashingAnsatz:
                           self.isometry_matrix())
 
 
-@lru_cache(maxsize=None)
-def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strict upper-triangle indices of an ``n x n`` matrix, shared read-only."""
-    iu = np.triu_indices(n, 1)
-    for a in iu:
-        a.setflags(write=False)
-    return iu
+@cache
+def _generator_map(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``H`` as a gather from its ``n^2`` coordinates: the float view of the
+    ``n x n`` generator (re, im per entry, row-major) is ``params[index] *
+    sign``.  The gradient of ``df = Re Tr[gamma^dagger dH]`` is the adjoint
+    scatter, ``bincount(index, sign * g)`` with ``g`` the float view of
+    ``gamma``."""
+    rows, cols = np.triu_indices(n, 1)
+    upper, diag = n + np.arange(rows.size), np.arange(n)
+    index, sign = np.empty((n, n, 2), dtype=np.intp), np.zeros((n, n, 2))
+    index[diag, diag], sign[diag, diag] = diag[:, None], (1.0, 0.0)
+    index[rows, cols] = index[cols, rows] = np.stack((upper, upper + rows.size), -1)
+    sign[rows, cols], sign[cols, rows] = (1.0, 1.0), (1.0, -1.0)
+    return index.ravel(), sign.ravel()
 
 
-def _hermitian_from_params(params: np.ndarray, n: int) -> np.ndarray:
-    iu = _upper(n)
-    k = iu[0].size
-    h = np.zeros((n, n), dtype=complex)
-    h[iu] = params[n:n + k] + 1j * params[n + k:]
-    h += h.conj().T
-    h[np.diag_indices(n)] = params[:n]
-    return h
-
-
-def _params_grad(gamma: np.ndarray) -> np.ndarray:
-    """Gradient in the ``n^2`` coordinates of ``H`` of a function with
-    ``df = Re Tr[gamma^dagger dH]``."""
-    iu = _upper(gamma.shape[0])
-    up, low = gamma[iu], gamma.T[iu]
-    return np.concatenate((gamma.diagonal().real, (up + low).real, (up - low).imag))
-
-
-def _expi_divided_differences(w: np.ndarray) -> np.ndarray:
-    """Daleckii-Krein matrix of ``x -> exp(ix)`` at the eigenvalues ``w``:
-    ``F[j, k] = (e^{i w_j} - e^{i w_k}) / (w_j - w_k)``, and ``i e^{i w_j}``
-    on the diagonal, so that ``d exp(iH)[E] = Q (F * (Q^dagger E Q)) Q^dagger``.
-    Written as ``i e^{i(w_j + w_k)/2} sinc((w_j - w_k)/2)``, which tends to
-    ``i e^{i w_j}`` on (near-)degenerate pairs without cancellation."""
-    half_sum = (w[:, None] + w[None, :]) / 2
-    half_gap = (w[:, None] - w[None, :]) / 2
-    return 1j * np.exp(1j * half_sum) * np.sinc(half_gap / np.pi)
+def _expi_divided_differences(w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Daleckii-Krein matrix of ``x -> exp(ix)`` at the eigenvalues ``w``,
+    given ``e = exp(iw/2)``: ``F[j, k] = (e^{i w_j} - e^{i w_k}) / (w_j - w_k)``,
+    and ``i e^{i w_j}`` on the diagonal, so that ``d exp(iH)[E] = Q (F * (Q^dagger
+    E Q)) Q^dagger``.  Written as ``i e_j e_k sinc((w_j - w_k)/2)``, which tends
+    to ``i e^{i w_j}`` on (near-)degenerate pairs without cancellation."""
+    x = w / (2 * np.pi)
+    return 1j * np.outer(e, e) * np.sinc(x[:, None] - x[None, :])
 
 
 def _isometry(params: np.ndarray, n: int, d_purify: int):
@@ -139,14 +132,17 @@ def _isometry(params: np.ndarray, n: int, d_purify: int):
     The gradient on ``U = exp(iH)`` is ``G_V`` padded with zero columns, so
     ``Q^dagger G_U Q`` only needs the first ``d_purify`` rows of ``Q``.
     """
-    w, q = np.linalg.eigh(_hermitian_from_params(params, n))
-    head = q[:d_purify]
+    index, sign = _generator_map(n)
+    w, q = np.linalg.eigh((params[index] * sign).view(complex).reshape(n, n))
+    qh = q.conj().T
+    e = np.exp(0.5j * w)
 
     def pullback(g_v: np.ndarray) -> np.ndarray:
-        rotated = q.conj().T @ g_v @ head
-        return _params_grad(q @ (_expi_divided_differences(w).conj() * rotated) @ q.conj().T)
+        rotated = qh @ g_v @ q[:d_purify]
+        gamma = q @ (_expi_divided_differences(w, e).conj() * rotated) @ qh
+        return np.bincount(index, sign * gamma.view(float).ravel(), n * n)
 
-    return (q * np.exp(1j * w)) @ head.conj().T, pullback
+    return (q * (e * e)) @ qh[:, :d_purify], pullback
 
 
 def ansatz_param_count(d_env: int, d_sink: int) -> int:
@@ -182,35 +178,19 @@ def _extension_matrix(psi: np.ndarray, v: np.ndarray, d_env: int, d_sink: int) -
     return np.einsum("efs,gft->esgt", t, t.conj()).reshape(d, d)
 
 
-def _matricize(t: np.ndarray, axes_keep: tuple[int, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
-    rest = tuple(a for a in range(t.ndim) if a not in axes_keep)
-    perm = axes_keep + rest
-    return t.transpose(perm).reshape(prod(t.shape[a] for a in axes_keep), -1), perm
-
-
-def _pure_marginal_entropy_grad(
-    t: np.ndarray, axes_keep: tuple[int, ...]
-) -> tuple[float, np.ndarray]:
-    """Entropy of a marginal of the pure state with amplitude tensor ``t``,
-    computed from the Gram matrix of the smaller matricization side, and
-    its gradient ``G`` in the amplitudes, ``dS = Re <G, dt>``.
-
-    With the Gram matrix ``g = M M^dagger``, ``dS = -Tr[(log2 g + 1/ln 2) dg]``
-    gives ``G = -2 L M`` (``-2 M L`` for ``g = M^dagger M``), ``L`` being
-    ``log2 g + 1/ln 2`` on the eigenvalues above the clip; clipped
-    eigenvalues are dropped from the value, as in ``entropy_bits``, and
-    from the gradient.
-    """
-    m, perm = _matricize(t, axes_keep)
-    left = m.shape[0] <= m.shape[1]
-    w, q = np.linalg.eigh(m @ m.conj().T if left else m.conj().T @ m)
-    kept = w > EIG_CLIP
-    w, q = w[kept], q[:, kept]
-    log_w = np.log2(w)
-    el = (q * (log_w + 1.0 / log(2.0))) @ q.conj().T
-    grad = -2.0 * (el @ m if left else m @ el)
-    shape = tuple(t.shape[a] for a in perm)
-    return float(-(w @ log_w)), grad.reshape(shape).transpose(np.argsort(perm))
+@cache
+def _marginal_plan(shape: tuple[int, ...], terms: tuple) -> tuple[tuple, ...]:
+    """Per term of ``terms`` over the axes of a tensor shaped ``shape``: its
+    coefficient, the axis permutation that puts its axes first and its
+    inverse, the matricization shape, and whether the row side's Gram
+    matrix is the smaller one."""
+    plan = []
+    for c, axes in terms:
+        perm = tuple(axes) + tuple(a for a in range(len(shape)) if a not in axes)
+        rows = prod(shape[a] for a in axes)
+        cols = prod(shape) // rows
+        plan.append((c, perm, tuple(np.argsort(perm).tolist()), (rows, cols), rows <= cols))
+    return tuple(plan)
 
 
 def _extension_value_and_grads(v: np.ndarray, psi: np.ndarray, shape: tuple[int, ...],
@@ -219,14 +199,28 @@ def _extension_value_and_grads(v: np.ndarray, psi: np.ndarray, shape: tuple[int,
     extension with amplitudes ``t = v @ psi``, shaped ``shape`` = (env,
     sink, systems...), and its gradients ``G_v`` and ``G_psi``, with
     ``df = Re <G_v, dv> + Re <G_psi, dpsi>``.  ``v`` maps the purifying
-    system (the rows of ``psi``) into env (x) sink."""
+    system (the rows of ``psi``) into env (x) sink.
+
+    Each term's entropy comes from the Gram matrix ``g`` of the smaller side
+    of its matricization ``M``.  ``dS = -Tr[(log2 g + 1/ln 2) dg]`` gives
+    ``G_t = -2 L M`` (``-2 M L`` for ``g = M^dagger M``), ``L`` being
+    ``log2 g + 1/ln 2`` on the eigenvalues above the clip; clipped
+    eigenvalues are dropped from the value, as in ``entropy_bits``, and
+    from the gradient.
+    """
     t = (v @ psi).reshape(shape)
-    value, grad_t = 0.0, np.zeros_like(t)
-    for c, axes in terms:
-        s, g = _pure_marginal_entropy_grad(t, axes)
-        value += c * s
-        grad_t += c * g
-    grad_t = 0.5 * grad_t.reshape(v.shape[0], -1)
+    value, grad_t = 0.0, np.zeros(shape, dtype=complex)
+    for c, perm, inverse, mat_shape, left in _marginal_plan(shape, tuple(terms)):
+        permuted = t.transpose(perm)
+        m = permuted.reshape(mat_shape)
+        mh = m.conj().T
+        w, q = np.linalg.eigh(m @ mh if left else mh @ m)
+        kept = w > EIG_CLIP
+        log_w = np.log2(np.where(kept, w, 1.0))
+        value -= c * float(w @ log_w)
+        el = (q * np.where(kept, -c * (log_w + 1.0 / log(2.0)), 0.0)) @ q.conj().T
+        grad_t += (el @ m if left else m @ el).reshape(permuted.shape).transpose(inverse)
+    grad_t = grad_t.reshape(v.shape[0], -1)
     return 0.5 * value, grad_t @ psi.conj().T, v.conj().T @ grad_t
 
 
@@ -314,7 +308,8 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class RestartRecord:
     """One restart: its value, L-BFGS-B iterations, whether it converged,
-    objective and gradient evaluations, and scipy's termination message."""
+    objective and gradient evaluations, the largest absolute entry of the
+    gradient at its reported point, and scipy's termination message."""
 
     index: int
     value: float
@@ -322,6 +317,7 @@ class RestartRecord:
     converged: bool
     nfev: int
     njev: int
+    grad_norm: float
     message: str
 
 
@@ -386,7 +382,8 @@ def _search(restart, cfg: OptimizerConfig, sense: int, dims: tuple[int, int, int
         stopped = next((r for r in runs if not r.success), final)
         records.append(RestartRecord(
             j, float(final.fun), sum(int(r.nit) for r in runs), bool(stopped.success),
-            sum(int(r.nfev) for r in runs), sum(int(r.njev) for r in runs), str(stopped.message),
+            sum(int(r.nfev) for r in runs), sum(int(r.njev) for r in runs),
+            float(np.abs(final.jac).max()), str(stopped.message),
         ))
         solutions.append(final.x)
     best = min(range(cfg.restarts), key=lambda j: (sense * records[j].value, j))

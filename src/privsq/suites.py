@@ -46,19 +46,21 @@ class SuiteRow:
     instances: int
     worst: float
     tol: float
+    grad_norm: float | None = None  # of the reported restart, in rows that ran a search
 
     @property
     def passed(self) -> bool:
         return self.worst <= self.tol
 
     def to_dict(self) -> dict:
+        searched = {} if self.grad_norm is None else {"grad_norm": self.grad_norm}
         return {
             "identity": self.identity,
             "instances": self.instances,
             "max_residual": self.worst,
             "tolerance": self.tol,
             "pass": self.passed,
-        }
+        } | searched
 
 
 @dataclass(frozen=True)
@@ -242,7 +244,8 @@ def suite_thm1(seed: int = 0, tol: float = 1e-6, restarts: int = 1,
         rep = squashed_multi_upper(omega, list(zip(spec.key_labels, spec.shield_labels)),
                                    d_env=4, d_sink=4, cfg=cfg)
         violation = 2.0 * log2(2) - 2.0 * key_length_bound(rep.value, eps, 2)
-        rows.append(SuiteRow(f"key-bound chain, noise {p}", 1, max(violation, 0.0), tol))
+        rows.append(SuiteRow(f"key-bound chain, noise {p}", 1, max(violation, 0.0), tol,
+                             rep.restarts[rep.best_restart].grad_norm))
     return SuiteResult("thm1", seed, tuple(rows))
 
 

@@ -337,6 +337,8 @@ def test_verify_thm1_suite(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["pass"] is True
     assert len(rep["rows"]) == 4
+    # each row carries the final gradient of the restart whose value it used
+    assert all(0.0 <= r["grad_norm"] < np.inf for r in rep["rows"])
 
 
 def test_verify_thm1_row_at_noise_0_001_can_fail(tmp_path, monkeypatch):
@@ -346,7 +348,8 @@ def test_verify_thm1_row_at_noise_0_001_can_fail(tmp_path, monkeypatch):
 
     from privsq import suites
 
-    monkeypatch.setattr(suites, "squashed_multi_upper", lambda *a, **k: SimpleNamespace(value=0.3))
+    fake = SimpleNamespace(value=0.3, best_restart=0, restarts=[SimpleNamespace(grad_norm=0.0)])
+    monkeypatch.setattr(suites, "squashed_multi_upper", lambda *a, **k: fake)
     out = tmp_path / "t.json"
     assert run_cli(["verify", "--suite", "thm1", "--seed", "0", "--out", str(out)]) == 1
     rows = json.loads(out.read_text())["rows"]
@@ -472,9 +475,9 @@ def test_unconverged_restarts_other_than_the_limit_carry_scipy_message(capsys):
     from privsq.squashed import RestartRecord
 
     restarts = [
-        RestartRecord(0, 1.0, 9, True, 10, 10, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
-        RestartRecord(1, 1.0, 5, False, 6, 6, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
-        RestartRecord(2, 1.0, 3, False, 40, 40, "ABNORMAL: "),
+        RestartRecord(0, 1.0, 9, True, 10, 10, 1e-9, "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
+        RestartRecord(1, 1.0, 5, False, 6, 6, 1e-3, "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+        RestartRecord(2, 1.0, 3, False, 40, 40, 1e-3, "ABNORMAL: "),
     ]
     _warn_unconverged(restarts, 5)
     assert capsys.readouterr().err == (

@@ -213,6 +213,25 @@ def complex_central_differences(f, z, h=1e-6):
     return grad
 
 
+def density_path_value(v, psi, d_env, layout, groups, flavor):
+    """Half the information of the extension ``t = v @ psi`` (env, sink,
+    systems), from its explicit density matrix with the sink traced out."""
+    t = (v @ psi).reshape(d_env, v.shape[0] // d_env, -1)
+    dim = layout.total_dim
+    ext = DensityOperator(np.einsum("efs,gft->esgt", t, t.conj()).reshape(d_env * dim, -1),
+                          SystemLayout([("E", d_env)]).concat(layout))
+    info = total_correlation if flavor == "total" else dual_total_correlation
+    return 0.5 * info(ext, groups, "E")
+
+
+def random_kernel_inputs(rng, d_env, d_sink, d_purify, dim):
+    """A random normalized purification ``psi`` and a random ansatz isometry."""
+    psi = rng.standard_normal((d_purify, dim)) + 1j * rng.standard_normal((d_purify, dim))
+    v = _isometry(0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)),
+                  d_env * d_sink, d_purify)[0]
+    return v, psi / np.linalg.norm(psi)
+
+
 @pytest.mark.parametrize("flavor", ["total", "dual"])
 @pytest.mark.parametrize("case", range(len(GRADIENT_CASES)))
 def test_extension_kernel_gradients_match_central_differences(case, flavor):
@@ -222,22 +241,65 @@ def test_extension_kernel_gradients_match_central_differences(case, flavor):
     axes = [tuple(p + 2 for p in rho.layout.positions(g)) for g in groups]
     shape = (d_env, d_sink) + rho.layout.dims
     terms = _info_terms(axes, (0,), flavor)
-    rng = np.random.Generator(np.random.PCG64(200 + case))
-    psi = rng.standard_normal((d_purify, rho.dim)) + 1j * rng.standard_normal((d_purify, rho.dim))
-    psi /= np.linalg.norm(psi)
-    v = _isometry(0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)),
-                  d_env * d_sink, d_purify)[0]
+    v, psi = random_kernel_inputs(np.random.Generator(np.random.PCG64(200 + case)),
+                                  d_env, d_sink, d_purify, rho.dim)
     value, g_v, g_psi = _extension_value_and_grads(v, psi, shape, terms)
     # the value against the density-matrix path on the same extension
-    t = (v @ psi).reshape(d_env, d_sink, -1)
-    ext = DensityOperator(np.einsum("efs,gft->esgt", t, t.conj()).reshape(d_env * rho.dim, -1),
-                          SystemLayout([("E", d_env)]).concat(rho.layout))
-    info = total_correlation if flavor == "total" else dual_total_correlation
-    assert abs(value - 0.5 * info(ext, groups, "E")) < 1e-12
+    assert abs(value - density_path_value(v, psi, d_env, rho.layout, groups, flavor)) < 1e-12
     for grad, f, z in ((g_v, lambda z: _extension_value_and_grads(z, psi, shape, terms)[0], v),
                        (g_psi, lambda z: _extension_value_and_grads(v, z, shape, terms)[0], psi)):
         fd = complex_central_differences(f, z)
         assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
+
+
+def test_one_evaluation_diagonalizes_each_marginal_once(monkeypatch):
+    # one value and gradient diagonalizes the generator H (n x n, n = d_env
+    # d_sink) and, per information term, the smaller Gram matrix of that
+    # marginal.  Bipartite total information I(A;B|E) = S(AE) + S(BE) - S(E)
+    # - S(ABE), axes (env, sink, systems...):
+    # * shape (4, 4, 2, 2, 2, 2): H is 16; S(AE) and S(BE) split 16 | 16; S(E)
+    #   is 4 | 64 and S(ABE) is 64 | 4, that is S(F): {16: 3, 4: 2}
+    # * the channel shape (2, 2, 2, 2): H is 4; S(RE) and S(BE) split 4 | 4;
+    #   S(E) is 2 | 8 and S(RBE) is 8 | 2: {4: 3, 2: 2}
+    # so a search at (4, 4) on a 16 x 16 state makes 3 nfev + 1 diagonalizations
+    # at 16 (one more purifies the state) and 2 nfev at 4
+    eigh, sizes = np.linalg.eigh, []
+
+    def counted_eigh(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    rng = np.random.Generator(np.random.PCG64(40))
+    for d_env, d_sink, system_dims, d_purify, want in (
+            (4, 4, (2, 2, 2, 2), 16, {16: 3, 4: 2}), (2, 2, (2, 2), 4, {4: 3, 2: 2})):
+        k = len(system_dims) // 2
+        axes = [tuple(range(2, 2 + k)), tuple(range(2 + k, 2 + 2 * k))]
+        terms = _info_terms(axes, (0,), "total")
+        psi = random_kernel_inputs(rng, d_env, d_sink, d_purify, prod(system_dims))[1]
+        x = 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink))
+        sizes.clear()
+        _squashing_value_and_grad(x, psi, (d_env, d_sink) + system_dims, terms)
+        assert {n: sizes.count(n) for n in set(sizes)} == want
+
+
+def test_kernel_plans_follow_their_terms():
+    # evaluations at one shape with different terms, interleaved, each
+    # against the density-matrix path: a plan reused for other terms fails
+    lo = SystemLayout([("A", 2), ("B", 2), ("C", 2)])
+    d_env, d_sink, d_purify = 2, 3, 4
+    shape = (d_env, d_sink) + lo.dims
+    rng = np.random.Generator(np.random.PCG64(41))
+    inputs = [random_kernel_inputs(rng, d_env, d_sink, d_purify, lo.total_dim) for _ in range(2)]
+    splits = (["A", "B", "C"], [("A", "B"), "C"])
+    for v, psi in inputs:
+        for flavor in ("total", "dual", "total", "dual"):
+            for groups in splits:
+                axes = [tuple(p + 2 for p in lo.positions(g)) for g in groups]
+                value = _extension_value_and_grads(v, psi, shape,
+                                                   _info_terms(axes, (0,), flavor))[0]
+                want = density_path_value(v, psi, d_env, lo, groups, flavor)
+                assert abs(value - want) < 1e-12
 
 
 def test_exact_gradient_at_degenerate_generator():
@@ -273,7 +335,8 @@ def test_daleckii_krein_matches_expm_frechet():
         pairs = np.diag(np.tile([0.3, -1.2, 0.3 + 1e-9], n)[:n])
         for h in (g + g.conj().T, np.zeros((n, n)), pairs):
             w, q = np.linalg.eigh(h)
-            got = q @ (_expi_divided_differences(w) * (q.conj().T @ direction @ q)) @ q.conj().T
+            f = _expi_divided_differences(w, np.exp(0.5j * w))
+            got = q @ (f * (q.conj().T @ direction @ q)) @ q.conj().T
             want = expm_frechet(1j * h, 1j * direction, compute_expm=False)
             assert np.abs(got - want).max() < 1e-12
 
@@ -368,9 +431,31 @@ def test_both_searches_share_one_lbfgsb_option_set(monkeypatch):
     assert not hasattr(cfg, "init_scale")
 
 
+def test_restart_records_the_final_gradient(monkeypatch):
+    # grad_norm is the largest absolute entry of the final L-BFGS-B gradient
+    import privsq.squashed as sq
+
+    results = []
+
+    def recorded_minimize(*args, **kwargs):
+        results.append(sq_minimize(*args, **kwargs))
+        return results[-1]
+
+    sq_minimize = sq.minimize
+    monkeypatch.setattr(sq, "minimize", recorded_minimize)
+    lo = SystemLayout([("A", 2), ("B", 2)])
+    rep = squashed_multi_upper(random_density(lo, 3, seed=2), ["A", "B"], d_env=2, d_sink=2,
+                               cfg=OptimizerConfig(restarts=2, max_iters=20, seed=4))
+    want = [float(np.abs(res.jac).max()) for res in results]
+    assert [r.grad_norm for r in rep.restarts] == want
+    assert [r["grad_norm"] for r in rep.to_dict()["restarts"]] == want
+    assert all(g > 0.0 for g in want)
+
+
 REPORT_KEYS = ["description", "value", "flavor", "dims", "seed", "best_restart",
                "optimizer_ok", "heuristic", "restarts"]
-RESTART_KEYS = ["index", "value", "iterations", "converged", "nfev", "njev", "message"]
+RESTART_KEYS = ["index", "value", "iterations", "converged", "nfev", "njev", "grad_norm",
+                "message"]
 
 
 def test_report_rows_have_fixed_keys():
@@ -787,6 +872,7 @@ def test_channel_restart_converges_only_if_all_its_runs_did(monkeypatch):
         assert (rec.nfev, rec.njev) == (sum(r.nfev for r in runs), sum(r.njev for r in runs))
         reported = [r for r in runs[-3:] if float(r.fun) == rec.value]
         reported_final_converged.append(bool(reported[0].success))
+        assert rec.grad_norm == float(np.abs(reported[0].jac).max())
     assert rep.optimizer_ok is False
     assert any(reported_final_converged)  # the case a final-run-only record hides
 
