@@ -9,19 +9,21 @@ canonical purification, and traces out ``F``.  Half the conditional
 (multipartite) information of the result is an upper bound on the
 corresponding squashed entanglement *for every ansatz*, so minimizing over
 the generator with several seeded restarts yields sound, reproducible upper
-bounds.  One kernel, ``_extension_value_and_grads``, gives half the
-information of the pure extension ``t = V psi`` and its gradients in the
-isometry ``V`` and the purification ``psi``.  Each parameterization is one
-forward map that returns its pullback: ``_isometry`` (through ``exp(iH)``
-by the Daleckii-Krein formula) and ``_channel_purification``.  What
-depends only on the shape and the terms (axis permutations, Gram sides,
-the index maps of ``H``) is cached, so one value and gradient makes one
-gather and one ``eigh`` for ``H`` and one ``exp(iw/2)`` for both ``V`` and
-the Daleckii-Krein matrix; per marginal one transpose-reshape, one Gram
-product, one ``eigh`` and a masked clip; and one scatter back.  The state
-search descends over ``V``; the channel search alternates that with an
-ascent over pure channel inputs, purifying each output with the channel's
-own sunk outputs restricted to the span they reach, so the purification
+bounds.  One kernel, ``_extension_value_and_grad``, gives half the
+information of the pure extension ``t = V psi`` and its gradient ``G_t``.
+Each parameterization is one forward map that returns its pullback:
+``_isometry`` (through ``exp(iH)`` by the Daleckii-Krein formula) and
+``_channel_purification``.  What depends only on the shape and the terms
+(the gathers that matricize every term, the index maps of ``H``) is
+cached, so one value and gradient makes one gather and one ``eigh`` for
+``H`` and one ``exp(iw/2)`` for both ``V`` and the Daleckii-Krein matrix;
+one gather of every marginal from ``t``; per Gram size one stacked Gram
+product, one batched ``eigh`` and one stacked ``(q s) q^dagger M``; one
+clip over all eigenvalues; and one gather-and-sum back.  The state
+search descends over ``V``, with ``G_V = G_t psi^dagger``; the channel
+search alternates that with an ascent over pure channel inputs, with
+``G_psi = V^dagger G_t``, purifying each output with the channel's own
+sunk outputs restricted to the span they reach, so the purification
 is linear in the input and no evaluation diagonalizes it.
 
 Both searches make every L-BFGS-B run through one driver (``_lbfgsb``, one
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from functools import cache, partial
+from itertools import accumulate
 from math import inf, log, log2, prod, sqrt
 from typing import Iterable, Sequence
 
@@ -179,49 +182,55 @@ def _extension_matrix(psi: np.ndarray, v: np.ndarray, d_env: int, d_sink: int) -
 
 
 @cache
-def _marginal_plan(shape: tuple[int, ...], terms: tuple) -> tuple[tuple, ...]:
-    """Per term of ``terms`` over the axes of a tensor shaped ``shape``: its
-    coefficient, the axis permutation that puts its axes first and its
-    inverse, the matricization shape, and whether the row side's Gram
-    matrix is the smaller one."""
-    plan = []
+def _marginal_plan(shape: tuple[int, ...], terms: tuple) -> tuple:
+    """The index work of the kernel for ``terms`` (axis sets of a tensor
+    shaped ``shape``).  A pure tensor has ``S(X) = S(X^c)``, so each term is
+    matricized with its smaller side ``r`` first, and the terms are grouped
+    by ``r``, smallest first, as ``(k, r, size // r)`` (term count, Gram
+    side, other side).  Also holds one flat gather from ``t`` that lays out
+    every matricization, group after group; each eigenvalue's coefficient;
+    and the inverse gather, shaped ``(terms, size)``, whose row ``j`` brings
+    term ``j``'s block back to the axis order of ``t``."""
+    size, index, plan = prod(shape), np.arange(prod(shape)).reshape(shape), []
     for c, axes in terms:
-        perm = tuple(axes) + tuple(a for a in range(len(shape)) if a not in axes)
+        rest = tuple(a for a in range(len(shape)) if a not in axes)
         rows = prod(shape[a] for a in axes)
-        cols = prod(shape) // rows
-        plan.append((c, perm, tuple(np.argsort(perm).tolist()), (rows, cols), rows <= cols))
-    return tuple(plan)
+        r, perm = (rows, axes + rest) if rows * rows <= size else (size // rows, rest + axes)
+        plan.append((r, c, index.transpose(perm).ravel()))
+    plan.sort(key=lambda p: p[0])
+    sides, gathers = [r for r, _, _ in plan], np.stack([g for _, _, g in plan])
+    groups = tuple((sides.count(r), r, size // r) for r in sorted(set(sides)))
+    inverse = np.argsort(gathers, axis=1) + size * np.arange(len(plan))[:, None]
+    return groups, gathers.ravel(), np.repeat([float(c) for _, c, _ in plan], sides), inverse
 
 
-def _extension_value_and_grads(v: np.ndarray, psi: np.ndarray, shape: tuple[int, ...],
-                               terms: Terms) -> tuple[float, np.ndarray, np.ndarray]:
-    """Half the information ``terms`` (axis sets of ``t``) of the pure
-    extension with amplitudes ``t = v @ psi``, shaped ``shape`` = (env,
-    sink, systems...), and its gradients ``G_v`` and ``G_psi``, with
-    ``df = Re <G_v, dv> + Re <G_psi, dpsi>``.  ``v`` maps the purifying
-    system (the rows of ``psi``) into env (x) sink.
+def _extension_value_and_grad(t: np.ndarray, shape: tuple[int, ...],
+                              terms: Terms) -> tuple[float, np.ndarray]:
+    """Half the information ``terms`` (axis sets) of the pure extension with
+    amplitudes ``t``, laid out as a C-order tensor shaped ``shape`` = (env,
+    sink, systems...), and its gradient ``G_t`` in the layout of ``t``, with
+    ``df = Re <G_t, dt>``.  For ``t = v @ psi`` the chain rule gives
+    ``G_v = G_t psi^dagger`` and ``G_psi = v^dagger G_t``.
 
-    Each term's entropy comes from the Gram matrix ``g`` of the smaller side
-    of its matricization ``M``.  ``dS = -Tr[(log2 g + 1/ln 2) dg]`` gives
-    ``G_t = -2 L M`` (``-2 M L`` for ``g = M^dagger M``), ``L`` being
-    ``log2 g + 1/ln 2`` on the eigenvalues above the clip; clipped
-    eigenvalues are dropped from the value, as in ``entropy_bits``, and
-    from the gradient.
+    Each term's entropy comes from the Gram matrix ``g = M M^dagger`` of its
+    matricization ``M``, smaller side first, and the terms with one Gram
+    size are diagonalized as one stack.  ``dS = -Tr[(log2 g + 1/ln 2) dg]``
+    gives ``G_M = -2 L M``, ``L`` being ``log2 g + 1/ln 2`` on the
+    eigenvalues above the clip; clipped eigenvalues are dropped from the
+    value, as in ``entropy_bits``, and from the gradient.
     """
-    t = (v @ psi).reshape(shape)
-    value, grad_t = 0.0, np.zeros(shape, dtype=complex)
-    for c, perm, inverse, mat_shape, left in _marginal_plan(shape, tuple(terms)):
-        permuted = t.transpose(perm)
-        m = permuted.reshape(mat_shape)
-        mh = m.conj().T
-        w, q = np.linalg.eigh(m @ mh if left else mh @ m)
-        kept = w > EIG_CLIP
-        log_w = np.log2(np.where(kept, w, 1.0))
-        value -= c * float(w @ log_w)
-        el = (q * np.where(kept, -c * (log_w + 1.0 / log(2.0)), 0.0)) @ q.conj().T
-        grad_t += (el @ m if left else m @ el).reshape(permuted.shape).transpose(inverse)
-    grad_t = grad_t.reshape(v.shape[0], -1)
-    return 0.5 * value, grad_t @ psi.conj().T, v.conj().T @ grad_t
+    groups, gather, coef, inverse = _marginal_plan(shape, tuple(terms))
+    flat, ends = t.ravel()[gather], [0, *accumulate(k * r * cols for k, r, cols in groups)]
+    ms = [flat[a:b].reshape(group) for a, b, group in zip(ends, ends[1:], groups)]
+    eighs = [np.linalg.eigh(m @ m.conj().swapaxes(1, 2)) for m in ms]
+    w = np.concatenate([lam.ravel() for lam, _ in eighs])
+    kept = w > EIG_CLIP
+    log_w = np.log2(np.where(kept, w, 1.0))
+    s = np.where(kept, -coef * (log_w + 1.0 / log(2.0)), 0.0)
+    ends = [0, *accumulate(lam.size for lam, _ in eighs)]
+    g_t = np.concatenate([((q * s[a:b].reshape(lam.shape)[:, None]) @ q.conj().swapaxes(1, 2)
+                           @ m).ravel() for a, b, m, (lam, q) in zip(ends, ends[1:], ms, eighs)])
+    return -0.5 * float((coef * w) @ log_w), g_t[inverse].sum(0).reshape(t.shape)
 
 
 def _squashing_value_and_grad(params: np.ndarray, psi: np.ndarray, shape: tuple[int, ...],
@@ -230,8 +239,8 @@ def _squashing_value_and_grad(params: np.ndarray, psi: np.ndarray, shape: tuple[
     purification ``psi`` (rows: purifying system) at the ansatz ``params``,
     and its exact gradient in ``params``."""
     v, pullback = _isometry(params, shape[0] * shape[1], psi.shape[0])
-    value, g_v, _ = _extension_value_and_grads(v, psi, shape, terms)
-    return value, pullback(g_v)
+    value, g_t = _extension_value_and_grad(v @ psi, shape, terms)
+    return value, pullback(g_t @ psi.conj().T)
 
 
 def squashing_value(
@@ -682,11 +691,12 @@ def channel_squashed_upper(
     def ascend(psi_params: np.ndarray, ansatz_params: np.ndarray):
         """Exact-gradient ascent over inputs at a fixed ansatz."""
         v = _isometry(ansatz_params, d_env * d_sink, d_purify)[0]
+        vh = v.conj().T
 
         def negated(x):
             psi, pullback = _channel_purification(x, coupling)
-            value, _, g_psi = _extension_value_and_grads(v, psi, shape, terms)
-            return -value, -pullback(g_psi)
+            value, g_t = _extension_value_and_grad(v @ psi, shape, terms)
+            return -value, -pullback(vh @ g_t)
 
         return _lbfgsb(negated, psi_params, cfg)
 

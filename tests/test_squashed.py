@@ -34,9 +34,10 @@ from privsq.private_states import PrivateStateSpec, approx_private_state, privat
 from privsq.squashed import (
     _channel_purification,
     _expi_divided_differences,
-    _extension_value_and_grads,
+    _extension_value_and_grad,
     _info_terms,
     _isometry,
+    _marginal_plan,
     _squashing_value_and_grad,
     _sunk_coupling,
     ansatz_param_count,
@@ -243,11 +244,12 @@ def test_extension_kernel_gradients_match_central_differences(case, flavor):
     terms = _info_terms(axes, (0,), flavor)
     v, psi = random_kernel_inputs(np.random.Generator(np.random.PCG64(200 + case)),
                                   d_env, d_sink, d_purify, rho.dim)
-    value, g_v, g_psi = _extension_value_and_grads(v, psi, shape, terms)
+    value, g_t = _extension_value_and_grad(v @ psi, shape, terms)
+    g_v, g_psi = g_t @ psi.conj().T, v.conj().T @ g_t  # the chain rule through t = v psi
     # the value against the density-matrix path on the same extension
     assert abs(value - density_path_value(v, psi, d_env, rho.layout, groups, flavor)) < 1e-12
-    for grad, f, z in ((g_v, lambda z: _extension_value_and_grads(z, psi, shape, terms)[0], v),
-                       (g_psi, lambda z: _extension_value_and_grads(v, z, shape, terms)[0], psi)):
+    for grad, f, z in ((g_v, lambda z: _extension_value_and_grad(z @ psi, shape, terms)[0], v),
+                       (g_psi, lambda z: _extension_value_and_grad(v @ z, shape, terms)[0], psi)):
         fd = complex_central_differences(f, z)
         assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
 
@@ -255,32 +257,69 @@ def test_extension_kernel_gradients_match_central_differences(case, flavor):
 def test_one_evaluation_diagonalizes_each_marginal_once(monkeypatch):
     # one value and gradient diagonalizes the generator H (n x n, n = d_env
     # d_sink) and, per information term, the smaller Gram matrix of that
-    # marginal.  Bipartite total information I(A;B|E) = S(AE) + S(BE) - S(E)
-    # - S(ABE), axes (env, sink, systems...):
+    # marginal, in one stacked call per Gram size.  Bipartite total
+    # information I(A;B|E) = S(AE) + S(BE) - S(E) - S(ABE), axes (env, sink,
+    # systems...):
     # * shape (4, 4, 2, 2, 2, 2): H is 16; S(AE) and S(BE) split 16 | 16; S(E)
-    #   is 4 | 64 and S(ABE) is 64 | 4, that is S(F): {16: 3, 4: 2}
+    #   is 4 | 64 and S(ABE) is 64 | 4, that is S(F): matrices {16: 3, 4: 2}
+    #   in calls {16: 2, 4: 1} (H, the stack of two 16s, the stack of two 4s)
     # * the channel shape (2, 2, 2, 2): H is 4; S(RE) and S(BE) split 4 | 4;
-    #   S(E) is 2 | 8 and S(RBE) is 8 | 2: {4: 3, 2: 2}
+    #   S(E) is 2 | 8 and S(RBE) is 8 | 2: matrices {4: 3, 2: 2} in calls
+    #   {4: 2, 2: 1}
     # so a search at (4, 4) on a 16 x 16 state makes 3 nfev + 1 diagonalizations
-    # at 16 (one more purifies the state) and 2 nfev at 4
-    eigh, sizes = np.linalg.eigh, []
+    # at 16 (one more purifies the state) in 2 nfev + 1 calls, and 2 nfev at 4
+    # in nfev calls
+    eigh, calls, matrices = np.linalg.eigh, [], []
 
     def counted_eigh(a, *args, **kwargs):
-        sizes.append(a.shape[-1])
+        calls.append(a.shape[-1])
+        matrices.extend([a.shape[-1]] * prod(a.shape[:-2]))
         return eigh(a, *args, **kwargs)
+
+    def tally(sizes):
+        return {n: sizes.count(n) for n in set(sizes)}
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     rng = np.random.Generator(np.random.PCG64(40))
-    for d_env, d_sink, system_dims, d_purify, want in (
-            (4, 4, (2, 2, 2, 2), 16, {16: 3, 4: 2}), (2, 2, (2, 2), 4, {4: 3, 2: 2})):
+    for d_env, d_sink, system_dims, d_purify, want, want_calls in (
+            (4, 4, (2, 2, 2, 2), 16, {16: 3, 4: 2}, {16: 2, 4: 1}),
+            (2, 2, (2, 2), 4, {4: 3, 2: 2}, {4: 2, 2: 1})):
         k = len(system_dims) // 2
         axes = [tuple(range(2, 2 + k)), tuple(range(2 + k, 2 + 2 * k))]
         terms = _info_terms(axes, (0,), "total")
         psi = random_kernel_inputs(rng, d_env, d_sink, d_purify, prod(system_dims))[1]
         x = 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink))
-        sizes.clear()
+        calls.clear()
+        matrices.clear()
         _squashing_value_and_grad(x, psi, (d_env, d_sink) + system_dims, terms)
-        assert {n: sizes.count(n) for n in set(sizes)} == want
+        assert tally(matrices) == want
+        assert tally(calls) == want_calls
+
+
+def test_marginal_plan_groups_terms_by_gram_size():
+    # groups (term count, Gram side, other side), smallest Gram side first;
+    # bipartite total information at the state and channel shapes (see above)
+    total = _info_terms([(2, 3), (4, 5)], (0,), "total")
+    assert _marginal_plan((4, 4, 2, 2, 2, 2), tuple(total))[0] == ((2, 4, 64), (2, 16, 16))
+    channel = _info_terms([(2,), (3,)], (0,), "total")
+    assert _marginal_plan((2, 2, 2, 2), tuple(channel))[0] == ((2, 2, 8), (2, 4, 4))
+    # dual over three qubits at (2, 3): S(EABC) = S(F) is 3 | 16, S(E) is
+    # 2 | 24, and each S(E + two qubits) is 8 | 6, that is S(F + one qubit) 6 | 8
+    dual = _info_terms([(2,), (3,), (4,)], (0,), "dual")
+    assert _marginal_plan((2, 3, 2, 2, 2), tuple(dual))[0] == ((1, 2, 24), (1, 3, 16), (3, 6, 8))
+    # gathering t lays out every matricization; each row of the inverse map
+    # brings its term's block back to the axis order of t
+    rng = np.random.Generator(np.random.PCG64(42))
+    for shape, terms in (((4, 4, 2, 2, 2, 2), total), ((2, 2, 2, 2), channel),
+                         ((2, 3, 2, 2, 2), dual)):
+        groups, gather, coef, inverse = _marginal_plan(shape, tuple(terms))
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        flat = t.ravel()[gather]
+        assert inverse.shape == (len(terms), t.size)
+        assert flat.size == len(terms) * t.size
+        assert coef.size == sum(k * r for k, r, _ in groups)
+        for row in inverse:
+            assert np.array_equal(flat[row], t.ravel())
 
 
 def test_kernel_plans_follow_their_terms():
@@ -296,8 +335,8 @@ def test_kernel_plans_follow_their_terms():
         for flavor in ("total", "dual", "total", "dual"):
             for groups in splits:
                 axes = [tuple(p + 2 for p in lo.positions(g)) for g in groups]
-                value = _extension_value_and_grads(v, psi, shape,
-                                                   _info_terms(axes, (0,), flavor))[0]
+                value = _extension_value_and_grad(v @ psi, shape,
+                                                  _info_terms(axes, (0,), flavor))[0]
                 want = density_path_value(v, psi, d_env, lo, groups, flavor)
                 assert abs(value - want) < 1e-12
 
@@ -925,7 +964,7 @@ def channel_coupling(case):
 
 def channel_input_objective(case, d_env, d_sink, seed):
     """The ascent's objective at a random fixed ansatz: the kernel's
-    ``G_psi`` pulled back through the channel purification."""
+    ``G_psi = v^dagger G_t`` pulled back through the channel purification."""
     chan, _, coupling = channel_coupling(case)
     d_purify, d_keep, d_in = coupling.shape
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -936,8 +975,8 @@ def channel_input_objective(case, d_env, d_sink, seed):
 
     def f(x):
         psi, pullback = _channel_purification(x, coupling)
-        value, _, g_psi = _extension_value_and_grads(v, psi, shape, terms)
-        return value, pullback(g_psi)
+        value, g_t = _extension_value_and_grad(v @ psi, shape, terms)
+        return value, pullback(v.conj().T @ g_t)
 
     return f
 
