@@ -42,6 +42,7 @@ from .private_states import (
     privacy_deviation,
     private_state,
     private_state_extension,
+    purify_private_state,
     random_private_spec,
     uniform_classical,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "uniform_classical",
     "private_state",
     "private_state_extension",
+    "purify_private_state",
     "privacy_deviation",
     "approx_private_state",
     "random_private_spec",

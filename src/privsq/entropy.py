@@ -61,15 +61,23 @@ def info_terms(groups: Sequence[tuple], cond: tuple, flavor: str) -> Terms:
     return [(1 - k, every), (-1, cond)] + [(1, cond + r) for r in rests]
 
 
-def _information(entropy_of: Callable[[tuple], float], terms: Terms) -> float:
-    """``sum c * entropy_of(members)`` over ``terms``, with equal member
-    sets merged first: sets whose coefficients cancel, and the empty set,
-    are never evaluated.  ``entropy_of`` receives the members sorted."""
+def _merged(terms: Terms) -> dict[tuple, int]:
+    """``terms`` as ``{members: coefficient}`` with equal member sets merged
+    (members sorted), and without the sets whose coefficients cancel and
+    the empty set."""
     merged: dict[tuple, int] = {}
     for c, members in terms:
         key = tuple(sorted(members))
         merged[key] = merged.get(key, 0) + c
-    return sum((c * entropy_of(key) for key, c in merged.items() if c and key), 0.0)
+    return {key: c for key, c in merged.items() if c and key}
+
+
+def _information(entropy_of: Callable[[tuple], float], terms: Terms) -> float:
+    """``sum c * entropy_of(members)`` over ``terms``, with equal member
+    sets merged first (:func:`_merged`): sets whose coefficients cancel, and
+    the empty set, are never evaluated.  ``entropy_of`` receives the
+    members sorted."""
+    return sum((c * entropy_of(key) for key, c in _merged(terms).items()), 0.0)
 
 
 def vn_entropy(rho: DensityOperator) -> float:

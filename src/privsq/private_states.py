@@ -10,7 +10,9 @@ just the ``K`` controls ``U_i``.  Measuring the keys yields a uniform,
 perfectly correlated distribution that is product with any purifying
 system; :func:`privacy_deviation` quantifies how far a given state is from
 satisfying that defining condition, and :func:`approx_private_state` mixes
-a private state with seeded noise.
+a private state with seeded noise.  :func:`purify_private_state` builds the
+state's purification straight from the spec, without any matrix of the
+full dimension.
 """
 
 from __future__ import annotations
@@ -25,13 +27,15 @@ from .layout import LayoutError, SystemLayout, fresh_label
 from .metric import fidelity, trace_distance
 from .tensor import (
     DensityOperator,
+    PureStateVector,
     _finite,
+    _haar_from_normals,
     _seeded_rng,
     _unchecked,
     dephase,
-    haar_unitary,
     kron,
     partial_trace,
+    purification_matrix,
     purify,
     random_density,
 )
@@ -173,24 +177,29 @@ def private_state_extension(spec: PrivateStateSpec) -> DensityOperator:
     return _twisted(spec)
 
 
-def _twisted(spec: PrivateStateSpec) -> DensityOperator:
-    """``U (Phi (x) sigma) U^dag`` for the twist ``U = sum_idx |idx><idx| (x)
-    U_idx`` acting as identity on the systems of ``sigma`` past the shields.
+def _twist_parts(spec: PrivateStateSpec) -> tuple[list[np.ndarray], float, int]:
+    """The twist ``U = sum_idx |idx><idx| (x) U_idx`` on ``Phi (x) .`` for
+    :func:`_twisted` and :func:`purify_private_state`: ``W_i = controls[i]
+    (x) I_ext`` (the identity on the systems of ``sigma`` past the shields),
+    Phi's amplitude ``a = 1/sqrt(K)`` and the flat step between the
+    all-equal key indices, the only ones on which ``Phi`` is nonzero."""
+    d = spec.shield_state.dim
+    eye_ext = np.eye(d // prod(spec.shield_dims))
+    # the products np.kron(u, eye_ext) forms, without its per-call overhead
+    w = [(u[:, None, :, None] * eye_ext[None, :, None, :]).reshape(d, d) for u in spec.controls]
+    return w, 1.0 / np.sqrt(spec.key_dim), _all_equal_step(spec.key_dim, spec.parties)
 
-    ``Phi`` is ``a^2 = 1/K`` on the all-equal key indices and zero elsewhere, so
-    the only nonzero blocks are ``a^2 W_i sigma W_j^dag`` between ``|i..i>``
-    and ``|j..j>``, with ``W_i = controls[i] (x) I_ext``.
-    """
+
+def _twisted(spec: PrivateStateSpec) -> DensityOperator:
+    """``U (Phi (x) sigma) U^dag``: the only nonzero blocks are
+    ``a^2 W_i sigma W_j^dag`` between ``|i..i>`` and ``|j..j>``."""
     k, m, sigma = spec.key_dim, spec.parties, spec.shield_state.matrix
     d = sigma.shape[0]
-    eye_ext = np.eye(d // prod(spec.shield_dims))
-    w = [np.kron(u, eye_ext) for u in spec.controls]
-    a = 1.0 / np.sqrt(k)
+    w, a, step = _twist_parts(spec)
     # a*a, not 1/K: Phi's entry exactly as ghz_state builds it (the two differ
     # in the last bit at K = 2), so at K = 2 every block is bit for bit the
     # one the full product U (Phi (x) sigma) U^dag gives
     left = [wi @ ((a * a) * sigma) for wi in w]
-    step = _all_equal_step(k, m)
     out = np.zeros((k**m, d, k**m, d), dtype=complex)
     for i in range(k):
         for j in range(k):
@@ -198,6 +207,27 @@ def _twisted(spec: PrivateStateSpec) -> DensityOperator:
     keys = SystemLayout((lbl, k) for lbl in spec.key_labels)
     return _unchecked(DensityOperator, keys.concat(spec.shield_state.layout),
                       out.reshape(k**m * d, k**m * d))
+
+
+def purify_private_state(spec: PrivateStateSpec, ref_label: str = "R") -> PureStateVector:
+    """``U (|Phi> (x) |psi_sigma>)`` on ``ref_label``, the keys, the shields
+    and the spec's extension systems, in that order; ``psi_sigma`` is the
+    canonical purification of the spec's ``shield_state`` (one ``eigh`` of
+    it, the reference dimension being its rank).  Tracing out ``ref_label`` gives
+    :func:`private_state` or :func:`private_state_extension` of the spec,
+    and no matrix of the full dimension is formed: key value ``i``
+    contributes the block ``a W_i psi_sigma^T`` at the all-equal index.  A
+    ``ref_label`` that names one of the spec's systems raises
+    :class:`LayoutError`."""
+    k, m = spec.key_dim, spec.parties
+    psi = purification_matrix(spec.shield_state.matrix)  # rows: reference
+    w, a, step = _twist_parts(spec)
+    out = np.zeros((k**m, psi.shape[1], psi.shape[0]), dtype=complex)
+    for i, wi in enumerate(w):
+        out[i * step] = wi @ (a * psi.T)
+    layout = SystemLayout(((ref_label, psi.shape[0]),) + tuple((lbl, k) for lbl in spec.key_labels))
+    return _unchecked(PureStateVector, layout.concat(spec.shield_state.layout),
+                      out.reshape(-1, psi.shape[0]).T.ravel())
 
 
 def _deviation_of_purification(
@@ -275,7 +305,8 @@ def random_private_spec(
     place); anything else raises ``TypeError``, as in the samplers.  One
     Haar unitary is drawn for each of the ``K^m`` key-index tuples, in
     key-index order, and the ``K`` all-equal ones are kept as the controls;
-    the shield state is drawn after them.
+    the shield state is drawn after them.  Only the kept draws are
+    factored, as one stacked QR.
 
     With ``ext_dim`` set, the shield state is sampled on shields plus an
     extension system ``E`` of that dimension (its shield marginal then
@@ -287,14 +318,16 @@ def random_private_spec(
     _check_counts(key_dim, parties)
     d_sh = prod(shield_dims)
     rng = _seeded_rng(seed)
-    step = _all_equal_step(key_dim, parties)
-    draws = [haar_unitary(d_sh, rng) for _ in range(key_dim**parties)]
+    # the normals of all K^m Haar draws, in the stream order of K^m calls of
+    # haar_unitary; only the K all-equal ones are factored
+    normals = rng.standard_normal((key_dim**parties, 2, d_sh, d_sh))
+    controls = _haar_from_normals(normals[::_all_equal_step(key_dim, parties)])
     layout = SystemLayout(zip(default_shield_labels(parties), shield_dims))
     if ext_dim is not None:
         layout = layout.concat(SystemLayout((("E", int(ext_dim)),)))
     rank = sigma_rank if sigma_rank is not None else layout.total_dim
     sigma = random_density(layout, rank, rng)
-    return _unchecked(PrivateStateSpec, int(key_dim), shield_dims, sigma, tuple(draws[::step]))
+    return _unchecked(PrivateStateSpec, int(key_dim), shield_dims, sigma, tuple(controls))
 
 
 __all__ = [
@@ -304,6 +337,7 @@ __all__ = [
     "uniform_classical",
     "private_state",
     "private_state_extension",
+    "purify_private_state",
     "privacy_deviation",
     "approx_private_state",
     "random_private_spec",

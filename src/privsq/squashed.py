@@ -53,11 +53,20 @@ from .entropy import (
     _group_entropy,
     _h2_term,
     _information,
+    _merged,
     cmi_continuity,
 )
 from .entropy import info_terms as _info_terms
 from .layout import LayoutError, SystemLayout, as_labels, fresh_label
-from .tensor import EIG_CLIP, DensityOperator, Isometry, _unchecked, purification_matrix
+from .tensor import (
+    EIG_CLIP,
+    DensityOperator,
+    Isometry,
+    PureStateVector,
+    _unchecked,
+    purification_matrix,
+    purify,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +190,16 @@ def _extension_matrix(psi: np.ndarray, v: np.ndarray, d_env: int, d_sink: int) -
     return np.einsum("efs,gft->esgt", t, t.conj()).reshape(d, d)
 
 
+def _smaller_side_first(shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, tuple]:
+    """``(r, perm)`` for the marginal on ``axes`` of a pure tensor shaped
+    ``shape``.  ``S(X) = S(X^c)``, so its spectrum comes from the Gram
+    matrix of the smaller side of the matricization: ``r`` is that side's
+    dimension and ``perm`` the axis order that puts it first."""
+    rest = tuple(a for a in range(len(shape)) if a not in axes)
+    rows, size = prod(shape[a] for a in axes), prod(shape)
+    return (rows, axes + rest) if rows * rows <= size else (size // rows, rest + axes)
+
+
 @cache
 def _marginal_plan(shape: tuple[int, ...], terms: tuple) -> tuple:
     """The index work of the kernel for ``terms`` (axis sets of a tensor
@@ -193,9 +212,7 @@ def _marginal_plan(shape: tuple[int, ...], terms: tuple) -> tuple:
     term ``j``'s block back to the axis order of ``t``."""
     size, index, plan = prod(shape), np.arange(prod(shape)).reshape(shape), []
     for c, axes in terms:
-        rest = tuple(a for a in range(len(shape)) if a not in axes)
-        rows = prod(shape[a] for a in axes)
-        r, perm = (rows, axes + rest) if rows * rows <= size else (size // rows, rest + axes)
+        r, perm = _smaller_side_first(shape, axes)
         plan.append((r, c, index.transpose(perm).ravel()))
     plan.sort(key=lambda p: p[0])
     sides, gathers = [r for r, _, _ in plan], np.stack([g for _, _, g in plan])
@@ -452,9 +469,12 @@ IDENTITY_MULTI_TOTAL = "multi_total"
 IDENTITY_MULTI_DUAL = "multi_dual"
 
 
-def _identity_terms(keys: tuple, shields: tuple, env: tuple) -> dict[str, Terms]:
-    """The right sides of the private-state identities for ``m`` parties;
-    each one's left side is ``m log2 K``."""
+@cache
+def _identity_terms(keys: tuple, shields: tuple, env: tuple) -> tuple:
+    """The right sides of the private-state identities for ``m`` parties as
+    ``(kinds, marginals, coef)``: the right side of ``kinds[k]`` is ``coef[k]
+    @ S(marginals)`` over the distinct marginals (sorted label tuples) that
+    the identities share, and each one's left side is ``m log2 K``."""
 
     def cmi(a, b, e):  # I(a;b|e)
         return _info_terms([a, b], e, FLAVOR_TOTAL)
@@ -484,11 +504,42 @@ def _identity_terms(keys: tuple, shields: tuple, env: tuple) -> dict[str, Terms]
         terms[IDENTITY_BIPARTITE] = cmi((a,), (b, bp), env) + cmi((ap,), (b,), (a, bp) + env)
         terms[IDENTITY_BIPARTITE_JOINT] = (cmi((a, ap), (b, bp), env)
                                            + minus(cmi((ap,), (bp,), (a,) + env)))
-    return terms
+    merged = [_merged(t) for t in terms.values()]
+    marginals = sorted(set().union(*merged))
+    coef = np.array([[c.get(x, 0) for x in marginals] for c in merged], dtype=float)
+    coef.setflags(write=False)
+    return tuple(terms), tuple(marginals), coef
+
+
+@cache
+def _gram_groups(layout: SystemLayout, marginals: tuple[tuple[str, ...], ...]) -> tuple:
+    """The marginals (label sets) of a pure state on ``layout`` grouped by
+    the side ``r`` of their smaller Gram matrix, smallest first, as ``((r,
+    perms, slots), ...)``: marginal ``slots[i]`` is the amplitude tensor
+    transposed to ``perms[i]`` and read as ``r`` rows.  Only index tuples,
+    so an entry per layout stays small."""
+    sides = [(*_smaller_side_first(layout.dims, layout.positions(x)), j)
+             for j, x in enumerate(marginals)]
+    return tuple((r, tuple(p for s, p, _ in sides if s == r), [j for s, _, j in sides if s == r])
+                 for r in sorted({s for s, _, _ in sides}))
+
+
+def _pure_entropies(state: PureStateVector, marginals: tuple[tuple[str, ...], ...]) -> np.ndarray:
+    """Entropies in bits of the marginals (label sets) of a pure state, each
+    from the Gram matrix of its smaller side, with one stacked ``eigvalsh``
+    per Gram size; eigenvalues are clipped as in ``entropy_bits``."""
+    t = state.amplitudes.reshape(state.layout.dims)
+    out = np.empty(len(marginals))
+    for r, perms, slots in _gram_groups(state.layout, marginals):
+        m = np.stack([t.transpose(perm).reshape(r, -1) for perm in perms])
+        w = np.linalg.eigvalsh(m @ m.conj().swapaxes(1, 2))
+        kept = w > EIG_CLIP
+        out[slots] = -np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0).sum(1)
+    return out
 
 
 def private_identity_residual(
-    gamma_ext: DensityOperator,
+    state: PureStateVector | DensityOperator,
     keys: Sequence[str],
     shields: Sequence[str],
     env: Iterable[str] | str = "E",
@@ -496,8 +547,14 @@ def private_identity_residual(
     """``{kind: |LHS - RHS|}`` over the entropic identities that hold
     exactly for every extension of an ``m``-party private state.
 
-    ``keys`` and ``shields`` list the key and shield labels in party order,
-    ``env`` the extension system(s).  Every ``m >= 2`` gets
+    ``state`` carries the extension: a pure state on it and a purifying
+    system (as :func:`~privsq.private_states.purify_private_state` builds
+    from a spec), or the extension itself as a density operator, which is
+    purified once (one ``eigh`` of its full dimension).  ``keys`` and
+    ``shields`` list the key and shield labels in party order, ``env`` the
+    extension system(s); the key systems must share one dimension ``K``,
+    and every other system of ``state`` is traced out.  Every ``m >= 2``
+    gets
 
     * ``multi_total``: the ``m log2 K`` identity whose right side uses
       conditional entropies and pairwise informations against party 1
@@ -508,8 +565,10 @@ def private_identity_residual(
     * ``bipartite``:        ``2 log2 K  vs  I(A;BB'|E) + I(A';B|AB'E)``
     * ``bipartite_joint``:  ``I(AA';BB'|E)  vs  2 log2 K + I(A';B'|AE)``
 
-    Each distinct marginal is diagonalized once, however many identities
-    share it.
+    On the pure state ``S(X) = S(X^c)``, so each distinct marginal the
+    identities share is diagonalized once, from the Gram matrix of the
+    smaller side of its matricization, and never as a partial trace of the
+    full extension.
     """
     keys, shields = tuple(keys), tuple(shields)
     env = as_labels(env)
@@ -517,10 +576,14 @@ def private_identity_residual(
     if len(shields) != m or m < 2:
         raise ValueError("need matching key/shield labels for at least two parties")
     _disjoint(keys, shields, env)
-    lhs = m * log2(gamma_ext.layout.dim_of(keys[0]))
-    entropy_of = cache(partial(_group_entropy, gamma_ext))
-    return {kind: abs(lhs - _information(entropy_of, terms))
-            for kind, terms in _identity_terms(keys, shields, env).items()}
+    key_dims = {lbl: state.layout.dim_of(lbl) for lbl in keys}
+    if len(set(key_dims.values())) > 1:
+        raise ValueError(f"key systems of unequal dimension {key_dims}")
+    if isinstance(state, DensityOperator):
+        state = purify(state, fresh_label(state.layout.labels, "R"))
+    lhs = m * log2(key_dims[keys[0]])
+    kinds, marginals, coef = _identity_terms(keys, shields, env)
+    return dict(zip(kinds, np.abs(lhs - coef @ _pure_entropies(state, marginals)).tolist()))
 
 
 # ---------------------------------------------------------------------------

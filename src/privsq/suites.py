@@ -27,7 +27,7 @@ from .metric import fidelity, trace_distance
 from .private_states import (
     approx_private_state,
     private_state,
-    private_state_extension,
+    purify_private_state,
     random_private_spec,
     uniform_classical,
 )
@@ -90,7 +90,10 @@ def suite_lemmas(instances: int = 100, seed: int = 0, tol: float = 1e-7) -> Suit
     """Residuals of the four private-state identities on random extensions
     (two parties: K=2, qubit shields, qubit extension; three parties same,
     on a quarter as many instances).  The bipartite rows are held to
-    ``tol`` and the larger three-party states to ``10 * tol``."""
+    ``tol`` and the larger three-party states to ``10 * tol``.  Each
+    extension enters as the pure state :func:`purify_private_state` builds
+    from its spec, so its entropies come from small Gram matrices of the
+    purification and no matrix of the extension's dimension is formed."""
     multi_instances = max(instances // 4, 1)
     worst: dict[str, float] = {}
     for parties, count, offset, ranks, kinds in (
@@ -101,7 +104,7 @@ def suite_lemmas(instances: int = 100, seed: int = 0, tol: float = 1e-7) -> Suit
             spec = random_private_spec(2, (2,) * parties, seed=seed + offset + i, ext_dim=2,
                                        sigma_rank=_cycle_rank(i, ranks))
             residuals = private_identity_residual(
-                private_state_extension(spec), spec.key_labels, spec.shield_labels)
+                purify_private_state(spec), spec.key_labels, spec.shield_labels)
             for kind in kinds:
                 worst[kind] = max(worst.get(kind, 0.0), residuals[kind])
     rows = (

@@ -359,12 +359,18 @@ def haar_unitary(d: int, seed: int | np.random.Generator) -> np.ndarray:
     """
     if d < 1:
         raise ValueError(f"dimension {d} < 1")
-    rng = _seeded_rng(seed)
-    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
+    return _haar_from_normals(_seeded_rng(seed).standard_normal((2, d, d)))
+
+
+def _haar_from_normals(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from standard normals shaped ``(..., 2, d, d)`` (real
+    parts, then imaginary parts): the complex Ginibre matrix, its QR, and the
+    R-diagonal phase correction, stacked over the leading axes."""
+    g = (z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2)
     q, r = np.linalg.qr(g)
-    diag = np.diag(r).copy()
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[np.abs(diag) < 1e-300] = 1.0
-    return q * (diag / np.abs(diag))
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_density(

@@ -21,6 +21,7 @@ from privsq import (
     privacy_deviation,
     private_state,
     private_state_extension,
+    purify_private_state,
     random_density,
     random_private_spec,
     uniform_classical,
@@ -324,6 +325,46 @@ def test_random_private_spec_seed_contract():
     assert np.array_equal(haar_unitary(4, 3), haar_unitary(4, np.random.Generator(np.random.PCG64(3))))
 
 
+@pytest.mark.parametrize("key_dim, parties", ((2, 2), (2, 3), (3, 2)))
+def test_random_private_spec_matches_per_unitary_draws(key_dim, parties):
+    """The controls come from one stacked QR of the kept draws; they and the
+    shield state equal, bit for bit, a loop of haar_unitary over all K^m
+    key-index tuples followed by the shield state."""
+    for seed, rank, ext_dim in ((0, None, None), (7, 2, 2), (21, 1, 3)):
+        spec = random_private_spec(key_dim, (2,) * parties, seed, sigma_rank=rank, ext_dim=ext_dim)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        draws = [haar_unitary(2**parties, rng) for _ in range(key_dim**parties)]
+        sigma = random_density(spec.shield_state.layout, rank or spec.shield_state.dim, rng)
+        step = sum(key_dim**j for j in range(parties))
+        for u, v in zip(spec.controls, draws[::step], strict=True):
+            assert np.array_equal(u, v)
+        assert np.array_equal(spec.shield_state.matrix, sigma.matrix)
+
+
+@pytest.mark.parametrize("key_dim", (2, 3))
+@pytest.mark.parametrize("parties", (2, 3))
+@pytest.mark.parametrize("sigma_rank", (None, 1))
+@pytest.mark.parametrize("ext_dim", (None, 2))
+def test_purify_private_state_reduces_to_the_state(key_dim, parties, sigma_rank, ext_dim):
+    spec = random_private_spec(key_dim, (2,) * parties, seed=60 + parties, ext_dim=ext_dim,
+                               sigma_rank=sigma_rank)
+    pure = purify_private_state(spec)
+    rank = sigma_rank or spec.shield_state.dim
+    assert pure.layout.systems[0] == ("R", rank)
+    reduced = partial_trace(pure.density(), pure.layout.labels[1:])
+    state = private_state_extension(spec) if ext_dim else private_state(spec)
+    assert reduced.layout == state.layout
+    assert np.abs(reduced.matrix - state.matrix).max() < 1e-14
+
+
+def test_purify_private_state_refuses_colliding_reference():
+    spec = random_private_spec(2, (2, 2), seed=64, ext_dim=2)
+    assert purify_private_state(spec, "Q").layout.labels[0] == "Q"
+    for label in ("A1", "A2p", "E"):
+        with pytest.raises(LayoutError):
+            purify_private_state(spec, label)
+
+
 def test_random_private_spec_rank_out_of_range():
     for rank in (0, 5):
         with pytest.raises(ValueError, match=f"rank {rank} out of range 1..4"):
@@ -340,15 +381,22 @@ def test_random_private_spec_refuses_a_missing_seed():
 def test_random_private_spec_checks_counts_before_drawing(monkeypatch):
     import privsq.private_states
 
-    draws = []
+    calls = []
 
-    def counting(d, rng):
-        draws.append(d)
-        return haar_unitary(d, rng)
+    def recording(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
 
-    monkeypatch.setattr(privsq.private_states, "haar_unitary", counting)
+    # the generator is made, and the Haar controls factored, only after the checks
+    for name in ("_seeded_rng", "_haar_from_normals"):
+        monkeypatch.setattr(privsq.private_states, name,
+                            recording(name, getattr(privsq.private_states, name)))
     with pytest.raises(ValueError, match="key dimension 1 < 2"):
         random_private_spec(1, (2, 2), seed=0)
     with pytest.raises(ValueError, match="party count 1 < 2"):
         random_private_spec(2, (2,), seed=0)
-    assert draws == []
+    assert calls == []
+    random_private_spec(2, (2, 2), seed=0)
+    assert calls == ["_seeded_rng", "_haar_from_normals"]

@@ -23,6 +23,7 @@ from privsq import (
     partial_trace,
     private_identity_residual,
     private_state_extension,
+    purify_private_state,
     random_density,
     random_private_spec,
     random_pure,
@@ -743,25 +744,90 @@ def test_identity_residual_multi_dual_reduces_to_bipartite():
 
 
 def test_identity_residual_entropy_count(monkeypatch):
-    """One call evaluates every identity of an extension, and each distinct
-    marginal once: the four two-party identities share 6 marginals, the two
-    three-party ones 14.  Member sets whose coefficients cancel (e.g.
-    H(ABB'E) in the bipartite identity) are never evaluated."""
-    import privsq.entropy
+    """One call evaluates every identity of an extension and diagonalizes
+    each distinct marginal once, as a Gram matrix of the purification no
+    larger than its smaller side: the four two-party identities share 6
+    marginals, the two three-party ones 14.  Member sets whose coefficients
+    cancel (e.g. H(ABB'E) in the bipartite identity) are never evaluated.
+    A pure input costs no eigh; a density operator one, the eigh that
+    purifies it."""
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
+    matrices, purified = [], []
 
-    calls = []
+    def counted_eigvalsh(a, *args, **kwargs):
+        matrices.extend([a.shape[-1]] * int(np.prod(a.shape[:-2])))
+        return eigvalsh(a, *args, **kwargs)
 
-    def counting(mat):
-        calls.append(mat.shape[0])
-        return entropy_bits(mat)
+    def counted_eigh(a, *args, **kwargs):
+        purified.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(privsq.entropy, "entropy_bits", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     for parties, count in ((2, 6), (3, 14)):
         spec = random_private_spec(2, (2,) * parties, seed=131, ext_dim=2)
-        calls.clear()
-        residuals = residuals_of(spec)
-        assert max(residuals.values()) < 1e-6
-        assert len(calls) == count, parties
+        pure, gamma = purify_private_state(spec), private_state_extension(spec)
+        for state, eighs in ((pure, []), (gamma, [gamma.dim])):
+            matrices.clear()
+            purified.clear()
+            residuals = private_identity_residual(state, spec.key_labels, spec.shield_labels, "E")
+            assert max(residuals.values()) < 1e-6
+            assert len(matrices) == count, parties
+            assert max(matrices) ** 2 <= pure.layout.total_dim
+            assert purified == eighs
+
+
+def test_identity_residual_refuses_unequal_key_dimensions():
+    # the left side m log2 K needs one K; keys of dimensions 2 and 3 have none
+    layout = SystemLayout([("R", 2), ("A1", 2), ("A2", 3), ("A1p", 2), ("A2p", 2), ("E", 2)])
+    pure = random_pure(layout, seed=3)
+    mixed = partial_trace(pure.density(), layout.labels[1:])
+    for state in (pure, mixed):
+        with pytest.raises(ValueError, match="unequal dimension"):
+            private_identity_residual(state, ("A1", "A2"), ("A1p", "A2p"), "E")
+
+
+@pytest.mark.parametrize("key_dim", (2, 3))
+@pytest.mark.parametrize("parties", (2, 3))
+@pytest.mark.parametrize("sigma_rank", (None, 1))
+def test_identity_residual_pure_and_density_inputs_agree(key_dim, parties, sigma_rank):
+    spec = random_private_spec(key_dim, (2,) * parties, seed=140 + key_dim + parties,
+                               ext_dim=2, sigma_rank=sigma_rank)
+    pure = private_identity_residual(purify_private_state(spec), spec.key_labels,
+                                     spec.shield_labels, "E")
+    mixed = residuals_of(spec)
+    assert set(pure) == set(mixed)
+    for kind in pure:
+        assert abs(pure[kind] - mixed[kind]) < 1e-12, kind
+        assert pure[kind] < 1e-12, kind
+
+
+def test_identity_residual_matches_partial_trace_entropies():
+    """Off private states the residuals are of order one; on random pure
+    states with a purifying system they must equal the same identities
+    written out with the partial-trace entropies of the extension."""
+    keys, shields = ("A1", "A2"), ("A1p", "A2p")
+    layout = SystemLayout([("R", 3), ("A1", 2), ("A2", 2), ("A1p", 2), ("A2p", 3), ("E", 2)])
+    for seed in range(4):
+        pure = random_pure(layout, seed=150 + seed)
+        ext = partial_trace(pure.density(), layout.labels[1:])
+        got = private_identity_residual(pure, keys, shields, "E")
+        bipartite = (cond_mutual_info(ext, "A1", ("A2", "A2p"), "E")
+                     + cond_mutual_info(ext, "A1p", "A2", ("A1", "A2p", "E")))
+        joint = (cond_mutual_info(ext, ("A1", "A1p"), ("A2", "A2p"), "E")
+                 - cond_mutual_info(ext, "A1p", "A2p", ("A1", "E")))
+        assert abs(got["bipartite"] - abs(2.0 - bipartite)) < 1e-12
+        assert abs(got["bipartite_joint"] - abs(2.0 - joint)) < 1e-12
+        assert got["bipartite"] > 1e-3
+
+
+def test_identity_residual_refuses_unknown_labels():
+    spec = random_private_spec(2, (2, 2), seed=160, ext_dim=2)
+    pure = purify_private_state(spec)
+    with pytest.raises(LayoutError):
+        private_identity_residual(pure, spec.key_labels, spec.shield_labels, "F")
+    with pytest.raises(LayoutError):
+        private_identity_residual(pure, spec.key_labels, spec.shield_labels, ("E", "A1"))
 
 
 def test_identity_residual_validation():
