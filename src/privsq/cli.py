@@ -192,7 +192,7 @@ def _cmd_gen(args) -> tuple[int, dict]:
             report["noise"] = noise
             report["eps"] = eps
             print(f"eps = {eps:.12g}")
-        dev = privacy_deviation(gamma, args.k, spec.key_labels, spec.shield_labels)
+        dev = privacy_deviation(gamma, spec.key_labels)
         report["privacy_deviation_of_private_state"] = dev
         print(f"privacy deviation of the underlying private state = {dev:.3e}")
     write_state(args.out, state)

@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .layout import LayoutError, SystemLayout, fresh_label
-from .metric import fidelity, trace_distance
+from .layout import LayoutError, SystemLayout
+from .metric import fidelity
 from .tensor import (
     DensityOperator,
     PureStateVector,
@@ -32,11 +32,8 @@ from .tensor import (
     _haar_from_normals,
     _seeded_rng,
     _unchecked,
-    dephase,
-    kron,
     partial_trace,
     purification_matrix,
-    purify,
     random_density,
 )
 
@@ -230,48 +227,41 @@ def purify_private_state(spec: PrivateStateSpec, ref_label: str = "R") -> PureSt
                       out.reshape(-1, psi.shape[0]).T.ravel())
 
 
-def _deviation_of_purification(
-    phi_density: DensityOperator,
-    ref_label: str,
-    key_labels: tuple[str, ...],
-    key_dim: int,
-) -> float:
-    measured = dephase(phi_density, key_labels)
-    reduced = partial_trace(measured, (ref_label,) + key_labels)
-    omega_e = partial_trace(reduced, ref_label)
-    target = kron(omega_e, uniform_classical(key_dim, reduced.layout.sublayout(key_labels)))
-    return trace_distance(reduced, target)
+def _deviation(psi: np.ndarray, layout: SystemLayout, key_labels: tuple[str, ...]) -> float:
+    """Privacy deviation from a purification matrix ``psi`` (rows: the
+    purifying system, columns: the flat index of ``layout``).  With ``M_x``
+    the columns of key string ``x``, dephasing the keys and tracing the rest
+    leaves ``sum_x |x><x| (x) M_x M_x^dag``, so the deviation is ``(1/2)
+    sum_x ||M_x M_x^dag - [x = i..i] omega / K||_1``, ``omega = sum_x M_x
+    M_x^dag``: one stacked ``eigvalsh`` of ``K^m`` blocks of size ``rank``."""
+    pos = layout.positions(key_labels)
+    k, m, r = layout.dims[pos[0]], len(pos), psi.shape[0]
+    t = np.moveaxis(psi.reshape((r,) + layout.dims), [p + 1 for p in pos], range(1, m + 1))
+    mx = t.reshape(r, k**m, -1).swapaxes(0, 1)
+    blocks = mx @ mx.conj().swapaxes(1, 2)
+    blocks[::_all_equal_step(k, m)] -= blocks.sum(0) / k
+    return float(np.abs(np.linalg.eigvalsh(blocks)).sum() / 2)
 
 
-def privacy_deviation(
-    rho: DensityOperator,
-    key_dim: int,
-    key_labels: Sequence[str],
-    shield_labels: Sequence[str],
-) -> float:
-    """Distance of ``rho`` from satisfying the defining privacy condition.
-
-    The canonical purification of ``rho`` is built, the computational
-    measurement channel is applied to every key system, the shields are
-    traced out, and the result is compared (in trace distance) to the
-    uniform perfectly correlated key distribution in product with the
-    purifying system's own marginal.  The value is zero exactly when the
-    condition holds; purifications other than the canonical one differ by
-    an isometry on the purifying system, which cannot change the outcome.
-    """
-    key_labels, shield_labels = tuple(key_labels), tuple(shield_labels)
-    if set(key_labels) & set(shield_labels):
-        raise LayoutError("key and shield labels overlap")
-    if set(key_labels) | set(shield_labels) != set(rho.layout.labels):
-        raise LayoutError("key and shield labels must cover all systems")
-    for lbl in key_labels:
-        if rho.layout.dim_of(lbl) != key_dim:
-            raise ValueError(
-                f"key system {lbl!r} has dimension {rho.layout.dim_of(lbl)}, expected {key_dim}"
-            )
-    ref = fresh_label(rho.layout.labels, "Epur")
-    phi = purify(rho, ref)
-    return _deviation_of_purification(phi.density(), ref, key_labels, key_dim)
+def privacy_deviation(rho: DensityOperator, key_labels: Sequence[str]) -> float:
+    """Trace distance of the keys ``key_labels`` of ``rho``'s purification,
+    measured in the computational basis, from the uniform perfectly
+    correlated key distribution in product with the purifying system; every
+    other system of ``rho`` is a shield.  Zero exactly when the defining
+    privacy condition holds, and the same for every purification (they
+    differ by an isometry on the purifying system).  The keys must share one
+    dimension ``K`` (else ``ValueError``); an empty list, a repeated or an
+    unknown label raises :class:`LayoutError`.  The purification's density
+    matrix is never formed (see ``_deviation``)."""
+    key_labels = tuple(key_labels)
+    if not key_labels:
+        raise LayoutError("privacy_deviation needs at least one key system")
+    if len(set(key_labels)) != len(key_labels):
+        raise LayoutError(f"key labels {key_labels} repeat a system")
+    key_dims = {lbl: rho.layout.dim_of(lbl) for lbl in key_labels}
+    if len(set(key_dims.values())) > 1:
+        raise ValueError(f"key systems of unequal dimension {key_dims}")
+    return _deviation(purification_matrix(rho.matrix), rho.layout, key_labels)
 
 
 def approx_private_state(gamma: DensityOperator, noise: float,

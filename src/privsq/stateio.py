@@ -74,10 +74,14 @@ def _layout_from_payload(obj: Any, path: str, field: str = "layout") -> SystemLa
 
 def _write_json(path: str, payload: dict) -> None:
     """Serialized before the file is opened: a NaN or infinity (not JSON)
-    raises ``ValueError`` and leaves no file behind."""
+    raises ``ValueError`` and leaves no file behind; an unwritable path
+    raises :class:`StateFileError`."""
     text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise StateFileError(f"{path}: cannot write file ({exc})") from exc
 
 
 def write_state(path: str, rho: DensityOperator) -> None:

@@ -93,7 +93,10 @@ def suite_lemmas(instances: int = 100, seed: int = 0, tol: float = 1e-7) -> Suit
     ``tol`` and the larger three-party states to ``10 * tol``.  Each
     extension enters as the pure state :func:`purify_private_state` builds
     from its spec, so its entropies come from small Gram matrices of the
-    purification and no matrix of the extension's dimension is formed."""
+    purification and no matrix of the extension's dimension is formed.
+    At two parties the four identities are one entropy sum, as
+    ``I(AA';BB'|E) - I(A';B'|AE) = I(A;BB'|E) + I(A';B|AB'E)`` by the chain
+    rule, so the two bipartite rows always read the same residual."""
     multi_instances = max(instances // 4, 1)
     worst: dict[str, float] = {}
     for parties, count, offset, ranks, kinds in (

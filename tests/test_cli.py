@@ -25,7 +25,7 @@ def test_gen_private_passes_privacy_check(tmp_path):
     assert code == 0
     rho = read_state(str(out))
     assert rho.layout.labels == ("A1", "A2", "A1p", "A2p")
-    dev = privacy_deviation(rho, 2, ("A1", "A2"), ("A1p", "A2p"))
+    dev = privacy_deviation(rho, ("A1", "A2"))
     assert dev < 1e-9
 
 
@@ -518,6 +518,37 @@ def test_every_command_reports_command_seed_and_tolerances(command, tmp_path, mo
     # the flag wins over the environment
     assert run_cli(argv + ["--seed", "8"]) == 0
     assert json.loads(report.read_text())["seed"] == 8
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize("command", sorted(REPORTING_COMMANDS))
+def test_unwritable_report_path_exits_2(command, where, tmp_path, capsys):
+    state = tmp_path / "g.state"
+    assert run_cli(["gen", "--private", "--seed", "7", "--out", str(state)]) == 0
+    report = tmp_path / "missing" / "r.json" if where == "missing directory" else tmp_path
+    argv = [a.format(state=state, report=report) for a in REPORTING_COMMANDS[command]]
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith(f"error: {report}: cannot write file (")
+
+
+def test_gen_unwritable_state_path_exits_2_without_traceback(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import privsq
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(privsq.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for out in (tmp_path / "missing" / "x.state", tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "privsq", "gen", "--private", "--out", str(out)],
+                              env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert f"error: {out}: cannot write file (" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_malformed_env_seed_exits_2(tmp_path, monkeypatch, capsys):

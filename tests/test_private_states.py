@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from privsq import (
     DensityOperator,
     LayoutError,
     PrivateStateSpec,
-    PureStateVector,
     SystemLayout,
     approx_private_state,
     dephase,
@@ -24,12 +24,13 @@ from privsq import (
     purify_private_state,
     random_density,
     random_private_spec,
+    trace_distance,
     uniform_classical,
     vn_entropy,
 )
 from privsq.layout import fresh_label
-from privsq.private_states import _deviation_of_purification
-from privsq.tensor import purify
+from privsq.private_states import _deviation
+from privsq.tensor import purification_matrix, purify
 
 
 def identity_spec(key_dim=2, shield_dims=(2, 2), sigma_seed=1):
@@ -136,16 +137,29 @@ def test_private_state_key_measurement_statistics():
                 assert np.abs(t[i, i, :, j, j, :]).max() < 1e-12
 
 
+def _density_chain_deviation(rho, key_labels):
+    """Reference: the privacy condition spelled out on the density matrix of
+    the canonical purification, which has size (rank * D)^2."""
+    key_labels = tuple(key_labels)
+    ref = fresh_label(rho.layout.labels, "Epur")
+    measured = dephase(purify(rho, ref).density(), key_labels)
+    reduced = partial_trace(measured, (ref,) + key_labels)
+    key_dim = rho.layout.dim_of(key_labels[0])
+    target = kron(partial_trace(reduced, ref),
+                  uniform_classical(key_dim, reduced.layout.sublayout(key_labels)))
+    return trace_distance(reduced, target)
+
+
 def test_privacy_deviation_anchors():
     for seed, k in [(21, 2), (22, 3)]:
         spec = random_private_spec(k, (2, 2), seed=seed)
         gamma = private_state(spec)
-        assert privacy_deviation(gamma, k, spec.key_labels, spec.shield_labels) < 1e-10
+        assert privacy_deviation(gamma, spec.key_labels) < 1e-10
 
     # maximally entangled state with trivial (dim-1) shields is private
     spec = random_private_spec(2, (1, 1), seed=23)
     gamma = private_state(spec)
-    assert privacy_deviation(gamma, 2, spec.key_labels, spec.shield_labels) < 1e-10
+    assert privacy_deviation(gamma, spec.key_labels) < 1e-10
 
 
 def test_privacy_deviation_fifty_random_specs():
@@ -153,13 +167,13 @@ def test_privacy_deviation_fifty_random_specs():
         k = 2 if i % 2 == 0 else 3
         spec = random_private_spec(k, (2, 2), seed=700 + i, sigma_rank=(i % 4) + 1)
         gamma = private_state(spec)
-        assert privacy_deviation(gamma, k, spec.key_labels, spec.shield_labels) < 1e-9
+        assert privacy_deviation(gamma, spec.key_labels) < 1e-9
 
 
 def test_privacy_deviation_depolarized_value():
     spec = random_private_spec(2, (2, 2), seed=100)
     omega, _ = approx_private_state(private_state(spec), 0.2, seed=101)
-    dev = privacy_deviation(omega, 2, spec.key_labels, spec.shield_labels)
+    dev = privacy_deviation(omega, spec.key_labels)
     assert dev > 0.01
     assert abs(dev - 0.2482292246909534) < 1e-9  # frozen oracle run
 
@@ -167,16 +181,63 @@ def test_privacy_deviation_depolarized_value():
 def test_privacy_deviation_purification_independent():
     spec = random_private_spec(2, (2, 2), seed=100)
     omega, _ = approx_private_state(private_state(spec), 0.2, seed=101)
-    ref = fresh_label(omega.layout.labels, "Epur")
-    phi = purify(omega, ref)
-    base = _deviation_of_purification(phi.density(), ref, spec.key_labels, 2)
-    r = phi.layout.dim_of(ref)
-    m = phi.amplitudes.reshape(r, -1)
+    psi = purification_matrix(omega.matrix)
+    base = _deviation(psi, omega.layout, spec.key_labels)
     for s in range(5):
-        u = haar_unitary(r, 500 + s)
-        rotated = PureStateVector((u @ m).reshape(-1), phi.layout)
-        dev = _deviation_of_purification(rotated.density(), ref, spec.key_labels, 2)
+        u = haar_unitary(psi.shape[0], 500 + s)
+        dev = _deviation(u @ psi, omega.layout, spec.key_labels)
         assert abs(dev - base) < 1e-10
+
+
+@pytest.mark.parametrize("key_dim, shield_dims", [
+    (2, (1, 1)), (2, (2, 2)), (2, (1, 2)), (2, (1, 1, 1)), (2, (2, 1, 1)),
+    (3, (1, 1)), (3, (1, 2)), (3, (2, 2)), (3, (1, 1, 1)),
+])
+def test_privacy_deviation_matches_density_chain(key_dim, shield_dims):
+    """Private states (full-rank and rank-one shield states) and their
+    noisy mixtures, up to noise 0.12, agree with the density-chain reference."""
+    for seed, rank in itertools.product(range(2), (None, 1)):
+        spec = random_private_spec(key_dim, shield_dims, seed=900 + seed, sigma_rank=rank)
+        gamma = private_state(spec)
+        for noise in (0.0, 0.03, 0.12):
+            rho = approx_private_state(gamma, noise, seed=950 + seed)[0] if noise else gamma
+            expect = _density_chain_deviation(rho, spec.key_labels)
+            assert abs(privacy_deviation(rho, spec.key_labels) - expect) < 1e-12
+
+
+def test_privacy_deviation_keys_in_any_position_and_order():
+    rho = random_density(SystemLayout((("S", 2), ("B", 3), ("T", 1), ("A", 3))), 4, seed=5)
+    expect = _density_chain_deviation(rho, ("A", "B"))
+    assert expect > 0.01
+    for keys in (("A", "B"), ("B", "A")):
+        assert abs(privacy_deviation(rho, keys) - expect) < 1e-12
+
+
+def test_privacy_deviation_refuses_bad_keys():
+    rho = random_density(SystemLayout((("A1", 2), ("A2", 3), ("A1p", 2))), 3, seed=8)
+    with pytest.raises(ValueError, match="unequal dimension"):
+        privacy_deviation(rho, ("A1", "A2"))
+    with pytest.raises(LayoutError, match="at least one key system"):
+        privacy_deviation(rho, ())
+    with pytest.raises(LayoutError, match="unknown system label"):
+        privacy_deviation(rho, ("A1", "B"))
+    with pytest.raises(LayoutError, match="repeat a system"):
+        privacy_deviation(rho, ("A1", "A1"))
+
+
+def test_privacy_deviation_memory_guard():
+    """No matrix of size (rank * D)^2: at shields (4, 8) the density chain
+    traced 768 MB, the key blocks stay well under 16 MB."""
+    spec = random_private_spec(2, (4, 8), seed=7)
+    gamma = private_state(spec)
+    tracemalloc.start()
+    try:
+        dev = privacy_deviation(gamma, spec.key_labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dev < 1e-9
+    assert peak < 16 * 2**20
 
 
 def test_private_state_extension_marginal_and_form():

@@ -36,6 +36,7 @@ from privsq.squashed import (
     _channel_purification,
     _expi_divided_differences,
     _extension_value_and_grad,
+    _identity_terms,
     _info_terms,
     _isometry,
     _marginal_plan,
@@ -741,6 +742,20 @@ def test_identity_residuals_wider_families():
 def test_identity_residual_multi_dual_reduces_to_bipartite():
     residuals = residuals_of(random_private_spec(2, (2, 2), seed=99, ext_dim=2))
     assert abs(residuals["bipartite"] - residuals["multi_dual"]) < 1e-9
+
+
+def test_identity_kinds_coincide_at_two_parties():
+    """At m = 2 the four identities merge to one coefficient row: by the
+    chain rule I(AA';BB'|E) - I(A';B'|AE) = I(A;BB'|E) + I(A';B|AB'E), and
+    both multipartite forms reduce to the same sum.  Three parties keep two
+    distinct rows."""
+    kinds, marginals, coef = _identity_terms(("A1", "A2"), ("A1p", "A2p"), ("E",))
+    assert kinds == ("multi_total", "multi_dual", "bipartite", "bipartite_joint")
+    assert len(marginals) == 6
+    assert (coef == coef[0]).all()
+    kinds, _, coef = _identity_terms(("A1", "A2", "A3"), ("A1p", "A2p", "A3p"), ("E",))
+    assert kinds == ("multi_total", "multi_dual")
+    assert len(np.unique(coef, axis=0)) == 2
 
 
 def test_identity_residual_entropy_count(monkeypatch):
