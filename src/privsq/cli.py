@@ -8,7 +8,8 @@ arithmetic).  Exit codes: 0 success, 1 failed verification suite, 2 usage
 or input error, including an option the chosen mode would ignore.
 
 Every command runs through :func:`run_cli`.  It resolves ``--seed`` (default:
-the PRIVSQ_SEED environment variable, then 0) onto ``args.seed``, calls the
+the PRIVSQ_SEED environment variable, then 0) onto ``args.seed``, refuses
+an output path in a missing directory or naming a directory, calls the
 command's ``_cmd_*`` handler, which computes, prints and returns ``(exit
 code, report)``, and writes the report with its ``command`` and ``seed`` to
 the JSON file named by ``--out`` (``gen --report``: there ``--out`` names the
@@ -303,8 +304,6 @@ def _cmd_verify(args) -> tuple[int, dict]:
             _refuse(f"verify --suite {name}", args, flag)
         elif getattr(args, flag[2:]) is not None:
             kwargs[key] = getattr(args, flag[2:])
-    if args.instances is not None and args.instances < 1:
-        raise ValueError(f"verify --instances must be at least 1, got {args.instances}")
     if args.tol is not None and not 0.0 <= args.tol < inf:
         raise ValueError(f"verify --tol must be finite and >= 0, got {args.tol}")
     result = SUITES[name](**kwargs)
@@ -357,6 +356,17 @@ def _cmd_bound(args) -> tuple[int, dict]:
     return 0, report
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Refuse, before any work, an output path that cannot name a new or
+    existing file: its directory is missing or the path is a directory."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise ValueError(f"{path}: cannot write file (it is a directory)")
+        if not os.path.isdir(parent):
+            raise ValueError(f"{path}: cannot write file (no directory {parent})")
+
+
 def run_cli(argv: list[str]) -> int:
     """Run one command; returns the exit code instead of raising SystemExit."""
     parser = _build_parser()
@@ -373,6 +383,7 @@ def run_cli(argv: list[str]) -> int:
     }
     try:
         args.seed = _default_seed(args.seed)
+        _check_writable(getattr(args, "out", None), args.report)
         code, report = handlers[args.command](args)
         if args.report:
             write_report(args.report, {**report, "command": args.command, "seed": args.seed})

@@ -174,17 +174,21 @@ def private_state_extension(spec: PrivateStateSpec) -> DensityOperator:
     return _twisted(spec)
 
 
-def _twist_parts(spec: PrivateStateSpec) -> tuple[list[np.ndarray], float, int]:
+def _twist_parts(specs: Sequence[PrivateStateSpec]) -> tuple[np.ndarray, float, int]:
     """The twist ``U = sum_idx |idx><idx| (x) U_idx`` on ``Phi (x) .`` for
-    :func:`_twisted` and :func:`purify_private_state`: ``W_i = controls[i]
-    (x) I_ext`` (the identity on the systems of ``sigma`` past the shields),
-    Phi's amplitude ``a = 1/sqrt(K)`` and the flat step between the
-    all-equal key indices, the only ones on which ``Phi`` is nonzero."""
-    d = spec.shield_state.dim
-    eye_ext = np.eye(d // prod(spec.shield_dims))
+    :func:`_twisted` and :func:`_purified_groups`, for specs that share the
+    key dimension and the shield state's layout: the ``(n, K, d, d)`` stack
+    of ``W_i = controls[i] (x) I_ext`` (the identity on the systems of
+    ``sigma`` past the shields), Phi's amplitude ``a = 1/sqrt(K)`` and the
+    flat step between the all-equal key indices, the only ones on which
+    ``Phi`` is nonzero."""
+    first = specs[0]
+    d = first.shield_state.dim
+    eye_ext = np.eye(d // prod(first.shield_dims))
+    u = np.array([spec.controls for spec in specs])
     # the products np.kron(u, eye_ext) forms, without its per-call overhead
-    w = [(u[:, None, :, None] * eye_ext[None, :, None, :]).reshape(d, d) for u in spec.controls]
-    return w, 1.0 / np.sqrt(spec.key_dim), _all_equal_step(spec.key_dim, spec.parties)
+    w = (u[..., :, None, :, None] * eye_ext[None, :, None, :]).reshape(u.shape[:2] + (d, d))
+    return w, 1.0 / np.sqrt(first.key_dim), _all_equal_step(first.key_dim, first.parties)
 
 
 def _twisted(spec: PrivateStateSpec) -> DensityOperator:
@@ -192,7 +196,7 @@ def _twisted(spec: PrivateStateSpec) -> DensityOperator:
     ``a^2 W_i sigma W_j^dag`` between ``|i..i>`` and ``|j..j>``."""
     k, m, sigma = spec.key_dim, spec.parties, spec.shield_state.matrix
     d = sigma.shape[0]
-    w, a, step = _twist_parts(spec)
+    (w,), a, step = _twist_parts([spec])
     # a*a, not 1/K: Phi's entry exactly as ghz_state builds it (the two differ
     # in the last bit at K = 2), so at K = 2 every block is bit for bit the
     # one the full product U (Phi (x) sigma) U^dag gives
@@ -206,25 +210,46 @@ def _twisted(spec: PrivateStateSpec) -> DensityOperator:
                       out.reshape(k**m * d, k**m * d))
 
 
+def _purified_groups(specs: Sequence[PrivateStateSpec],
+                     ref_label: str = "R") -> list[tuple[np.ndarray, np.ndarray, SystemLayout]]:
+    """Purifications ``U (|Phi> (x) |psi_sigma>)`` of specs that share the
+    key dimension and the shield state's layout, grouped by the rank of the
+    shield state, which fixes the reference dimension and so the layout:
+    ``[(indices, amplitudes, layout), ...]`` in ascending rank, row ``j`` of
+    ``amplitudes`` being the purification of ``specs[indices[j]]`` on
+    ``ref_label``, the keys, the shields and the extension systems.  All
+    shield states are purified by one stacked ``eigh``
+    (:func:`~privsq.tensor.purification_matrix`) and each group is twisted
+    by one stacked product: key value ``i`` contributes the block ``a W_i
+    psi_sigma^T`` at the all-equal index, so no matrix of the full
+    dimension is formed."""
+    first = specs[0]
+    k, m, sh_layout = first.key_dim, first.parties, first.shield_state.layout
+    systems = SystemLayout((lbl, k) for lbl in first.key_labels).concat(sh_layout)
+    psi = purification_matrix(np.stack([spec.shield_state.matrix for spec in specs]))
+    ranks = psi.any(-1).sum(-1)  # the rows past an instance's rank are zeros
+    groups = []
+    for r in sorted(set(ranks.tolist())):  # np.unique would import numpy.ma (2 MB)
+        idx = np.flatnonzero(ranks == r)
+        w, a, step = _twist_parts([specs[j] for j in idx])
+        out = np.zeros((len(idx), k**m, sh_layout.total_dim, r), dtype=complex)
+        out[:, ::step] = w @ (a * psi[idx, None, :r].swapaxes(-1, -2))
+        layout = SystemLayout(((ref_label, r),)).concat(systems)
+        groups.append((idx, out.reshape(len(idx), -1, r).swapaxes(1, 2).reshape(len(idx), -1),
+                       layout))
+    return groups
+
+
 def purify_private_state(spec: PrivateStateSpec, ref_label: str = "R") -> PureStateVector:
     """``U (|Phi> (x) |psi_sigma>)`` on ``ref_label``, the keys, the shields
     and the spec's extension systems, in that order; ``psi_sigma`` is the
-    canonical purification of the spec's ``shield_state`` (one ``eigh`` of
-    it, the reference dimension being its rank).  Tracing out ``ref_label`` gives
-    :func:`private_state` or :func:`private_state_extension` of the spec,
-    and no matrix of the full dimension is formed: key value ``i``
-    contributes the block ``a W_i psi_sigma^T`` at the all-equal index.  A
-    ``ref_label`` that names one of the spec's systems raises
-    :class:`LayoutError`."""
-    k, m = spec.key_dim, spec.parties
-    psi = purification_matrix(spec.shield_state.matrix)  # rows: reference
-    w, a, step = _twist_parts(spec)
-    out = np.zeros((k**m, psi.shape[1], psi.shape[0]), dtype=complex)
-    for i, wi in enumerate(w):
-        out[i * step] = wi @ (a * psi.T)
-    layout = SystemLayout(((ref_label, psi.shape[0]),) + tuple((lbl, k) for lbl in spec.key_labels))
-    return _unchecked(PureStateVector, layout.concat(spec.shield_state.layout),
-                      out.reshape(-1, psi.shape[0]).T.ravel())
+    canonical purification of the spec's ``shield_state`` (the reference
+    dimension being its rank).  Tracing out ``ref_label`` gives
+    :func:`private_state` or :func:`private_state_extension` of the spec;
+    it is the batch of one of ``_purified_groups``.  A ``ref_label`` that
+    names one of the spec's systems raises :class:`LayoutError`."""
+    ((_, amplitudes, layout),) = _purified_groups([spec], ref_label)
+    return _unchecked(PureStateVector, layout, amplitudes[0])
 
 
 def _deviation(psi: np.ndarray, layout: SystemLayout, key_labels: tuple[str, ...]) -> float:

@@ -515,27 +515,44 @@ def _identity_terms(keys: tuple, shields: tuple, env: tuple) -> tuple:
 def _gram_groups(layout: SystemLayout, marginals: tuple[tuple[str, ...], ...]) -> tuple:
     """The marginals (label sets) of a pure state on ``layout`` grouped by
     the side ``r`` of their smaller Gram matrix, smallest first, as ``((r,
-    perms, slots), ...)``: marginal ``slots[i]`` is the amplitude tensor
-    transposed to ``perms[i]`` and read as ``r`` rows.  Only index tuples,
-    so an entry per layout stays small."""
+    perms, slots), ...)``: marginal ``slots[i]`` is a stack of amplitude
+    tensors (batch axis first) transposed to ``perms[i]`` and read as ``r``
+    rows per instance.  Only index tuples, so an entry per layout stays
+    small."""
     sides = [(*_smaller_side_first(layout.dims, layout.positions(x)), j)
              for j, x in enumerate(marginals)]
-    return tuple((r, tuple(p for s, p, _ in sides if s == r), [j for s, _, j in sides if s == r])
+    return tuple((r, tuple((0,) + tuple(i + 1 for i in p) for s, p, _ in sides if s == r),
+                  [j for s, _, j in sides if s == r])
                  for r in sorted({s for s, _, _ in sides}))
 
 
-def _pure_entropies(state: PureStateVector, marginals: tuple[tuple[str, ...], ...]) -> np.ndarray:
-    """Entropies in bits of the marginals (label sets) of a pure state, each
-    from the Gram matrix of its smaller side, with one stacked ``eigvalsh``
-    per Gram size; eigenvalues are clipped as in ``entropy_bits``."""
-    t = state.amplitudes.reshape(state.layout.dims)
-    out = np.empty(len(marginals))
-    for r, perms, slots in _gram_groups(state.layout, marginals):
-        m = np.stack([t.transpose(perm).reshape(r, -1) for perm in perms])
-        w = np.linalg.eigvalsh(m @ m.conj().swapaxes(1, 2))
+def _pure_entropies(amplitudes: np.ndarray, layout: SystemLayout,
+                    marginals: tuple[tuple[str, ...], ...]) -> np.ndarray:
+    """Entropies in bits of the marginals (label sets) of a batch of pure
+    states, ``amplitudes`` holding one state on ``layout`` per row, as a
+    ``(batch, marginals)`` array.  Each marginal comes from the Gram matrix
+    of its smaller side, with one stacked ``eigvalsh`` per Gram size over
+    every instance; eigenvalues are clipped as in ``entropy_bits``."""
+    t = amplitudes.reshape((-1,) + layout.dims)
+    n = t.shape[0]
+    out = np.empty((n, len(marginals)))
+    for r, perms, slots in _gram_groups(layout, marginals):
+        m = np.stack([t.transpose(perm).reshape(n, r, -1) for perm in perms], axis=1)
+        w = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
         kept = w > EIG_CLIP
-        out[slots] = -np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0).sum(1)
+        out[:, slots] = -np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0).sum(-1)
     return out
+
+
+def _identity_residuals(amplitudes: np.ndarray, layout: SystemLayout, keys: tuple,
+                        shields: tuple, env: tuple) -> tuple[tuple[str, ...], np.ndarray]:
+    """``(kinds, residuals)`` for a batch of pure states on ``layout`` (one
+    per row of ``amplitudes``) whose labels :func:`private_identity_residual`
+    has checked: ``residuals[i, k]`` is ``|m log2 K - RHS|`` of identity
+    ``kinds[k]`` on state ``i``."""
+    lhs = len(keys) * log2(layout.dim_of(keys[0]))
+    kinds, marginals, coef = _identity_terms(keys, shields, env)
+    return kinds, np.abs(lhs - _pure_entropies(amplitudes, layout, marginals) @ coef.T)
 
 
 def private_identity_residual(
@@ -568,7 +585,8 @@ def private_identity_residual(
     On the pure state ``S(X) = S(X^c)``, so each distinct marginal the
     identities share is diagonalized once, from the Gram matrix of the
     smaller side of its matricization, and never as a partial trace of the
-    full extension.
+    full extension.  The state is evaluated as a batch of one of
+    ``_identity_residuals``.
     """
     keys, shields = tuple(keys), tuple(shields)
     env = as_labels(env)
@@ -581,9 +599,9 @@ def private_identity_residual(
         raise ValueError(f"key systems of unequal dimension {key_dims}")
     if isinstance(state, DensityOperator):
         state = purify(state, fresh_label(state.layout.labels, "R"))
-    lhs = m * log2(key_dims[keys[0]])
-    kinds, marginals, coef = _identity_terms(keys, shields, env)
-    return dict(zip(kinds, np.abs(lhs - coef @ _pure_entropies(state, marginals)).tolist()))
+    kinds, residuals = _identity_residuals(state.amplitudes[None], state.layout,
+                                           keys, shields, env)
+    return dict(zip(kinds, residuals[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

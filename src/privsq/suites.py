@@ -25,16 +25,16 @@ from .entropy import (
 from .layout import SystemLayout
 from .metric import fidelity, trace_distance
 from .private_states import (
+    _purified_groups,
     approx_private_state,
     private_state,
-    purify_private_state,
     random_private_spec,
     uniform_classical,
 )
 from .squashed import (
     OptimizerConfig,
+    _identity_residuals,
     key_length_bound,
-    private_identity_residual,
     squashed_multi_upper,
 )
 from .tensor import random_density
@@ -86,30 +86,44 @@ def _cycle_rank(i: int, d: int) -> int:
     return (i % d) + 1
 
 
+def _check_instances(instances: int) -> None:
+    """Refuse an ensemble that would check nothing and still pass."""
+    if instances < 1:
+        raise ValueError(f"verify --instances must be at least 1, got {instances}")
+
+
 def suite_lemmas(instances: int = 100, seed: int = 0, tol: float = 1e-7) -> SuiteResult:
     """Residuals of the four private-state identities on random extensions
     (two parties: K=2, qubit shields, qubit extension; three parties same,
     on a quarter as many instances).  The bipartite rows are held to
-    ``tol`` and the larger three-party states to ``10 * tol``.  Each
-    extension enters as the pure state :func:`purify_private_state` builds
-    from its spec, so its entropies come from small Gram matrices of the
-    purification and no matrix of the extension's dimension is formed.
-    At two parties the four identities are one entropy sum, as
-    ``I(AA';BB'|E) - I(A';B'|AE) = I(A;BB'|E) + I(A';B|AB'E)`` by the chain
-    rule, so the two bipartite rows always read the same residual."""
+    ``tol`` and the larger three-party states to ``10 * tol``.  Instance
+    ``i`` draws its spec alone, from seed ``seed + i`` (three parties:
+    ``seed + 10_000 + i``).  Each extension enters as its purification
+    (``purify_private_state``), so its entropies come from small Gram
+    matrices and no matrix of the extension's dimension is formed; the
+    work is batched per party count (one stacked ``eigh`` purifies every
+    shield state) and per rank of the shield state, which fixes the
+    layout (one stacked twist, and one stacked ``eigvalsh`` per Gram size
+    over every instance of that rank).  At two parties the four identities
+    are one entropy sum, as ``I(AA';BB'|E) - I(A';B'|AE) = I(A;BB'|E) +
+    I(A';B|AB'E)`` by the chain rule, so the two bipartite rows always read
+    the same residual."""
+    _check_instances(instances)
     multi_instances = max(instances // 4, 1)
     worst: dict[str, float] = {}
     for parties, count, offset, ranks, kinds in (
         (2, instances, 0, 8, ("bipartite", "bipartite_joint")),
         (3, multi_instances, 10_000, 16, ("multi_total", "multi_dual")),
     ):
-        for i in range(count):
-            spec = random_private_spec(2, (2,) * parties, seed=seed + offset + i, ext_dim=2,
-                                       sigma_rank=_cycle_rank(i, ranks))
-            residuals = private_identity_residual(
-                purify_private_state(spec), spec.key_labels, spec.shield_labels)
-            for kind in kinds:
-                worst[kind] = max(worst.get(kind, 0.0), residuals[kind])
+        specs = [random_private_spec(2, (2,) * parties, seed=seed + offset + i, ext_dim=2,
+                                     sigma_rank=_cycle_rank(i, ranks)) for i in range(count)]
+        for _, amplitudes, layout in _purified_groups(specs):
+            names, residuals = _identity_residuals(amplitudes, layout, specs[0].key_labels,
+                                                   specs[0].shield_labels,
+                                                   specs[0].extension_labels)
+            for name, column in zip(names, residuals.T):
+                if name in kinds:
+                    worst[name] = max(worst.get(name, 0.0), float(column.max()))
     rows = (
         SuiteRow("bipartite key identity", instances, worst["bipartite"], tol),
         SuiteRow("bipartite joint-cmi identity", instances, worst["bipartite_joint"], tol),
@@ -122,6 +136,7 @@ def suite_lemmas(instances: int = 100, seed: int = 0, tol: float = 1e-7) -> Suit
 def suite_ssa(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
     """Non-negativity of conditional mutual information on random tripartite
     states with dims (2,2,2) (``instances`` of them) and (2,3,2) (200)."""
+    _check_instances(instances)
     rows = []
     for dims, count, tag in (((2, 2, 2), instances, "dims 2x2x2"), ((2, 3, 2), 200, "dims 2x3x2")):
         layout = SystemLayout((("A", dims[0]), ("B", dims[1]), ("E", dims[2])))
@@ -137,6 +152,7 @@ def suite_ssa(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteRe
 def suite_chain(instances: int = 100, seed: int = 0, tol: float = 1e-8) -> SuiteResult:
     """Both chain rules for the multipartite informations on random states
     over B, A1..A3, E (all qubits)."""
+    _check_instances(instances)
     layout = SystemLayout((("B", 2), ("A1", 2), ("A2", 2), ("A3", 2), ("E", 2)))
     d = layout.total_dim
     groups = ["A1", "A2", "A3"]
@@ -162,6 +178,7 @@ def suite_dual(instances: int = 100, seed: int = 0, tol: float = 1e-8) -> SuiteR
     """The dual formula (total + dual = sum of one-vs-rest cmi) on random
     4-partite qubit states, plus the exact anchor on the key-basis-dephased
     three-party maximally correlated state (2 + 1 = 3), held to 1e-10."""
+    _check_instances(instances)
     layout = SystemLayout((("A1", 2), ("A2", 2), ("A3", 2), ("E", 2)))
     d = layout.total_dim
     groups = ["A1", "A2", "A3"]
@@ -192,6 +209,7 @@ def suite_dual(instances: int = 100, seed: int = 0, tol: float = 1e-8) -> SuiteR
 def suite_fvg(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
     """Fuchs-van de Graaf: 1 - sqrt(F) <= T <= sqrt(1 - F) on random pairs
     per dimension d in {2, 3, 4}."""
+    _check_instances(instances)
     rows = []
     for d in (2, 3, 4):
         layout = SystemLayout((("A", d),))
@@ -210,6 +228,7 @@ def suite_continuity(instances: int = 200, seed: int = 0, tol: float = 1e-9) -> 
     """Entropy continuity bounds at the measured trace distance: conditional
     entropy on (2,2) and (3,2) pairs, conditional mutual information on
     (2,2,2) triples."""
+    _check_instances(instances)
     cases = (
         ("cond-entropy continuity, dims 2x2", (("A", 2), ("B", 2)), cond_entropy,
          ("A", "B"), cond_entropy_continuity, 1.0),

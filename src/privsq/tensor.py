@@ -247,18 +247,23 @@ def purification_matrix(mat: np.ndarray, d_ref: int | None = None) -> np.ndarray
     Row ``r`` is ``sqrt(lambda_r) v_r`` with eigenvalues taken in descending
     order and values below ``1e-12`` dropped.  With ``d_ref=None`` the row
     count equals the rank; otherwise rows of zeros pad up to ``d_ref``.
+    A stack ``(..., d, d)`` is purified with one ``eigh`` into ``(...,
+    d_ref, d)``; there ``d_ref=None`` means the largest rank in the stack,
+    and a matrix of lower rank is padded with rows of zeros.
     """
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
+    w, v = np.linalg.eigh((mat + mat.conj().swapaxes(-1, -2)) / 2)
+    order = np.argsort(w, axis=-1)[..., ::-1]
+    w = np.take_along_axis(w, order, -1)
+    v = np.take_along_axis(v, order[..., None, :], -1)
     kept = w > EIG_CLIP
-    rank = int(kept.sum())
+    rank = int(kept.sum(-1).max())
     if d_ref is None:
         d_ref = rank
     if rank > d_ref:
         raise ValueError(f"reference dimension {d_ref} is below the state rank {rank}")
-    out = np.zeros((d_ref, mat.shape[0]), dtype=complex)
-    out[:rank] = np.sqrt(w[kept])[:, None] * v[:, kept].T
+    out = np.zeros(mat.shape[:-2] + (d_ref, mat.shape[-1]), dtype=complex)
+    out[..., :rank, :] = (np.sqrt(np.where(kept, w, 0.0))[..., :rank, None]
+                          * v.swapaxes(-1, -2)[..., :rank, :])
     return out
 
 

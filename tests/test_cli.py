@@ -528,9 +528,14 @@ def test_unwritable_report_path_exits_2(command, where, tmp_path, capsys):
     report = tmp_path / "missing" / "r.json" if where == "missing directory" else tmp_path
     argv = [a.format(state=state, report=report) for a in REPORTING_COMMANDS[command]]
     capsys.readouterr()
+    before = sorted(tmp_path.rglob("*"))
     assert run_cli(argv) == 2
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
     assert err[-1].startswith(f"error: {report}: cannot write file (")
+    # refused before any work: nothing printed, no file written (gen's state file included)
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_gen_unwritable_state_path_exits_2_without_traceback(tmp_path):
@@ -542,13 +547,19 @@ def test_gen_unwritable_state_path_exits_2_without_traceback(tmp_path):
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(privsq.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    for out in (tmp_path / "missing" / "x.state", tmp_path):
-        proc = subprocess.run([sys.executable, "-m", "privsq", "gen", "--private", "--out", str(out)],
+    state = tmp_path / "g.state"
+    for bad, argv in ((tmp_path / "missing" / "x.state", ["--out", tmp_path / "missing" / "x.state"]),
+                      (tmp_path, ["--out", tmp_path]),
+                      (tmp_path, ["--out", state, "--report", tmp_path])):
+        proc = subprocess.run([sys.executable, "-m", "privsq", "gen", "--private", *map(str, argv)],
                               env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
-        assert f"error: {out}: cannot write file (" in proc.stderr
+        assert f"error: {bad}: cannot write file (" in proc.stderr
         assert "Traceback" not in proc.stderr
+        # refused before any work: nothing printed, and no state file left behind
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_malformed_env_seed_exits_2(tmp_path, monkeypatch, capsys):

@@ -6,10 +6,12 @@ from privsq import (
     Isometry,
     LayoutError,
     OptimizerConfig,
+    PureStateVector,
     SquashingAnsatz,
     SystemLayout,
     binary_entropy,
     channel_squashed_upper,
+    cond_entropy,
     cond_mutual_info,
     dephase,
     dual_total_correlation,
@@ -31,11 +33,17 @@ from privsq import (
     squashing_value,
     total_correlation,
 )
-from privsq.private_states import PrivateStateSpec, approx_private_state, private_state
+from privsq.private_states import (
+    PrivateStateSpec,
+    _purified_groups,
+    approx_private_state,
+    private_state,
+)
 from privsq.squashed import (
     _channel_purification,
     _expi_divided_differences,
     _extension_value_and_grad,
+    _identity_residuals,
     _identity_terms,
     _info_terms,
     _isometry,
@@ -817,23 +825,90 @@ def test_identity_residual_pure_and_density_inputs_agree(key_dim, parties, sigma
         assert pure[kind] < 1e-12, kind
 
 
+def _partial_trace_identities(ext, keys, shields, env=("E",)):
+    """The right side of every identity, written out with the partial-trace
+    entropies of the extension ``ext`` (``H(x|c)`` and ``I(x;y|c)``)."""
+    m, a, env = len(keys), keys[0], tuple(env)
+
+    def h(x, c):
+        return cond_entropy(ext, x, c)
+
+    def i(x, y, c):
+        return cond_mutual_info(ext, x, y, c) if x and y else 0.0
+
+    total = -h(keys[1:], (a,) + shields + env)
+    dual = h(keys[1:], (a,) + shields[1:] + env) + i((a,), keys[1:] + shields[1:], env)
+    for j in range(1, m):
+        other_keys = tuple(keys[k] for k in range(1, m) if k != j)
+        other_shields = tuple(shields[k] for k in range(m) if k != j)
+        total += h((keys[j],), (shields[j], a) + env) + i((a,), (keys[j], shields[j]), env)
+        dual += (-h((keys[j],), (a,) + shields + env)
+                 + i((keys[j], shields[j]), other_keys, (a,) + other_shields + env))
+    rhs = {"multi_total": total, "multi_dual": dual}
+    if m == 2:
+        (b,), (ap, bp) = keys[1:], shields
+        rhs["bipartite"] = i((a,), (b, bp), env) + i((ap,), (b,), (a, bp) + env)
+        rhs["bipartite_joint"] = i((a, ap), (b, bp), env) - i((ap,), (bp,), (a,) + env)
+    return rhs
+
+
 def test_identity_residual_matches_partial_trace_entropies():
     """Off private states the residuals are of order one; on random pure
     states with a purifying system they must equal the same identities
-    written out with the partial-trace entropies of the extension."""
-    keys, shields = ("A1", "A2"), ("A1p", "A2p")
-    layout = SystemLayout([("R", 3), ("A1", 2), ("A2", 2), ("A1p", 2), ("A2p", 3), ("E", 2)])
-    for seed in range(4):
-        pure = random_pure(layout, seed=150 + seed)
-        ext = partial_trace(pure.density(), layout.labels[1:])
-        got = private_identity_residual(pure, keys, shields, "E")
-        bipartite = (cond_mutual_info(ext, "A1", ("A2", "A2p"), "E")
-                     + cond_mutual_info(ext, "A1p", "A2", ("A1", "A2p", "E")))
-        joint = (cond_mutual_info(ext, ("A1", "A1p"), ("A2", "A2p"), "E")
-                 - cond_mutual_info(ext, "A1p", "A2p", ("A1", "E")))
-        assert abs(got["bipartite"] - abs(2.0 - bipartite)) < 1e-12
-        assert abs(got["bipartite_joint"] - abs(2.0 - joint)) < 1e-12
-        assert got["bipartite"] > 1e-3
+    written out with the partial-trace entropies of the extension, state
+    by state and as one stacked batch."""
+    for keys, dims, seeds in ((("A1", "A2"), (2, 2, 2, 3), range(150, 154)),
+                              (("A1", "A2", "A3"), (2,) * 6, range(180, 184))):
+        shields = tuple(f"{k}p" for k in keys)
+        layout = SystemLayout(zip(("R",) + keys + shields + ("E",), (3,) + dims + (2,)))
+        pures = [random_pure(layout, seed=seed) for seed in seeds]
+        kinds, batched = _identity_residuals(np.stack([p.amplitudes for p in pures]), layout,
+                                              keys, shields, ("E",))
+        for pure, row in zip(pures, batched):
+            ext = partial_trace(pure.density(), layout.labels[1:])
+            rhs = _partial_trace_identities(ext, keys, shields)
+            got = private_identity_residual(pure, keys, shields, "E")
+            assert set(got) == set(kinds) == set(rhs)
+            for kind, value in zip(kinds, row):
+                expect = abs(len(keys) - rhs[kind])
+                assert abs(got[kind] - expect) < 1e-12, kind
+                assert abs(value - expect) < 1e-12, kind
+            assert min(got.values()) > 1e-3
+
+
+@pytest.mark.parametrize("key_dim, parties, ranks", [
+    (2, 2, (3, 8, 3, 1, 5, 3, None)),  # rank groups of 1, 1, 2 and 3 instances
+    (3, 2, (2, 2, 7)),
+    (2, 3, (16, 4, 1, 4)),
+    (3, 3, (1, 3, 3)),
+])
+def test_batched_identity_residuals_match_partial_trace_forms(key_dim, parties, ranks):
+    """One batch of specs with mixed shield ranks: every rank group holds
+    the purifications of exactly its specs (tracing out R gives each
+    extension), and each instance's residuals equal |m log2 K - RHS| with
+    the right side from partial traces of its extension."""
+    specs = [random_private_spec(key_dim, (2,) * parties, seed=170 + 10 * parties + key_dim + j,
+                                 ext_dim=2, sigma_rank=rank) for j, rank in enumerate(ranks)]
+    groups = _purified_groups(specs)
+    assert sorted(j for idx, _, _ in groups for j in idx) == list(range(len(specs)))
+    # the reference dimension is the rank; a full-rank shield state has 2^(m+1)
+    full = 2 ** (parties + 1)
+    assert [layout.dims[0] for _, _, layout in groups] == sorted({r or full for r in ranks})
+    for idx, _, layout in groups:
+        assert {ranks[j] or full for j in idx} == {layout.dims[0]}
+    lhs = parties * log2(key_dim)
+    for idx, amplitudes, layout in groups:
+        kinds, residuals = _identity_residuals(amplitudes, layout, specs[0].key_labels,
+                                               specs[0].shield_labels, ("E",))
+        assert residuals.shape == (len(idx), len(kinds))
+        for j, amp, row in zip(idx, amplitudes, residuals):
+            ext = private_state_extension(specs[j])
+            reduced = partial_trace(PureStateVector(amp, layout).density(), layout.labels[1:])
+            assert np.abs(reduced.matrix - ext.matrix).max() < 1e-14
+            rhs = _partial_trace_identities(ext, specs[j].key_labels, specs[j].shield_labels)
+            assert set(kinds) == set(rhs)
+            for kind, got in zip(kinds, row):
+                assert abs(got - abs(lhs - rhs[kind])) < 1e-12, (j, kind)
 
 
 def test_identity_residual_refuses_unknown_labels():
