@@ -331,15 +331,16 @@ def random_private_spec(
     shield_dims = tuple(int(d) for d in shield_dims)
     parties = len(shield_dims)
     _check_counts(key_dim, parties)
+    # the layout refuses a dimension below 1, naming its system, before any draw
+    layout = SystemLayout(zip(default_shield_labels(parties), shield_dims))
+    if ext_dim is not None:
+        layout = layout.concat(SystemLayout((("E", int(ext_dim)),)))
     d_sh = prod(shield_dims)
     rng = _seeded_rng(seed)
     # the normals of all K^m Haar draws, in the stream order of K^m calls of
     # haar_unitary; only the K all-equal ones are factored
     normals = rng.standard_normal((key_dim**parties, 2, d_sh, d_sh))
     controls = _haar_from_normals(normals[::_all_equal_step(key_dim, parties)])
-    layout = SystemLayout(zip(default_shield_labels(parties), shield_dims))
-    if ext_dim is not None:
-        layout = layout.concat(SystemLayout((("E", int(ext_dim)),)))
     rank = sigma_rank if sigma_rank is not None else layout.total_dim
     sigma = random_density(layout, rank, rng)
     return _unchecked(PrivateStateSpec, int(key_dim), shield_dims, sigma, tuple(controls))

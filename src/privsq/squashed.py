@@ -1,6 +1,15 @@
 """Variational upper bounds on squashed entanglement, private-state identity
 residuals, and the key-bound arithmetic built on them.
 
+Both sides of the key bound are sums of marginal entropies of pure tensors,
+and one engine computes them: ``_gram_plan`` groups the marginals (axis
+sets) by the side of their smaller Gram matrix, as ``S(X) = S(X^c)``, and
+``_pure_entropies`` diagonalizes each group as one stack over a batch.
+Without weights it returns the entropies (one ``eigvalsh`` per Gram size),
+which ``_identity_residuals`` reads as ``|m log2 K - S @ coef|``; with
+weights, as the squashing kernel, it also returns ``G_t``, the gradient of
+``S @ weights`` (one ``eigh`` per Gram size).
+
 Every extension of a state arises by applying a channel to the purifying
 system of a purification.  The ansatz here parameterizes that channel as an
 isometry ``E' -> E (x) F`` (leading columns of ``exp(iH)`` for a Hermitian
@@ -9,22 +18,15 @@ canonical purification, and traces out ``F``.  Half the conditional
 (multipartite) information of the result is an upper bound on the
 corresponding squashed entanglement *for every ansatz*, so minimizing over
 the generator with several seeded restarts yields sound, reproducible upper
-bounds.  One kernel, ``_extension_value_and_grad``, gives half the
-information of the pure extension ``t = V psi`` and its gradient ``G_t``.
-Each parameterization is one forward map that returns its pullback:
-``_isometry`` (through ``exp(iH)`` by the Daleckii-Krein formula) and
-``_channel_purification``.  What depends only on the shape and the terms
-(the gathers that matricize every term, the index maps of ``H``) is
-cached, so one value and gradient makes one gather and one ``eigh`` for
-``H`` and one ``exp(iw/2)`` for both ``V`` and the Daleckii-Krein matrix;
-one gather of every marginal from ``t``; per Gram size one stacked Gram
-product, one batched ``eigh`` and one stacked ``(q s) q^dagger M``; one
-clip over all eigenvalues; and one gather-and-sum back.  The state
-search descends over ``V``, with ``G_V = G_t psi^dagger``; the channel
-search alternates that with an ascent over pure channel inputs, with
-``G_psi = V^dagger G_t``, purifying each output with the channel's own
-sunk outputs restricted to the span they reach, so the purification
-is linear in the input and no evaluation diagonalizes it.
+bounds.  The kernel weights the merged information terms by half their
+coefficients at ``t = V psi``.  Each parameterization is one forward map
+that returns its pullback: ``_isometry`` (through ``exp(iH)`` by the
+Daleckii-Krein formula) and ``_channel_purification``.  The state search descends over ``V``, with
+``G_V = G_t psi^dagger``; the channel search alternates that with an
+ascent over pure channel inputs, with ``G_psi = V^dagger G_t``, purifying
+each output with the channel's own sunk outputs restricted to the span
+they reach, so the purification is linear in the input and no evaluation
+diagonalizes it.
 
 Both searches make every L-BFGS-B run through one driver (``_lbfgsb``, one
 option set), seed and start their restarts the same way and assemble their
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from functools import cache, partial
-from itertools import accumulate
 from math import inf, log, log2, prod, sqrt
 from typing import Iterable, Sequence
 
@@ -162,6 +163,84 @@ def ansatz_param_count(d_env: int, d_sink: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# pure-state marginal entropies
+# ---------------------------------------------------------------------------
+
+@cache
+def _gram_plan(shape: tuple[int, ...], marginals: tuple[tuple[int, ...], ...]) -> tuple:
+    """The marginals (axis sets) of a pure tensor shaped ``shape`` grouped by
+    the side ``r`` of their smaller Gram matrix, as ``(groups, order,
+    positions)``: ``groups`` holds ``(r, perms)`` per side, smallest first,
+    each perm the axis order that puts its marginal's smaller side first;
+    ``order`` the marginal each perm reads, group after group; ``positions``
+    the inverse of ``order``.  Only index tuples, so an entry stays small."""
+    size, sides = prod(shape), []
+    for j, axes in enumerate(marginals):
+        rest = tuple(a for a in range(len(shape)) if a not in axes)
+        rows = prod(shape[a] for a in axes)
+        sides.append((rows, axes + rest, j) if rows * rows <= size else (size // rows, rest + axes, j))
+    sides.sort(key=lambda side: side[0])
+    order = tuple(j for _, _, j in sides)
+    groups = tuple((r, tuple(p for s, p, _ in sides if s == r)) for r in sorted({s for s, _, _ in sides}))
+    return groups, order, tuple(sorted(range(len(order)), key=order.__getitem__))
+
+
+@cache
+def _gram_gathers(shape: tuple[int, ...], marginals: tuple[tuple[int, ...], ...]) -> tuple:
+    """The gradient mode's reads of :func:`_gram_plan`: a flat gather per
+    group that lays out its matricizations, and the inverse of them all,
+    whose row ``i`` brings block ``i`` back to the axis order of the tensor."""
+    index = np.arange(prod(shape)).reshape(shape)
+    gathers = [np.stack([index.transpose(p).ravel() for p in perms])
+               for _, perms in _gram_plan(shape, marginals)[0]]
+    every = np.concatenate(gathers)
+    offsets = every.shape[1] * np.arange(len(every))[:, None]
+    return [g.ravel() for g in gathers], np.argsort(every, axis=1) + offsets
+
+
+def _pure_entropies(t: np.ndarray, shape: tuple[int, ...],
+                    marginals: tuple[tuple[int, ...], ...], weights: np.ndarray | None = None):
+    """Entropies in bits of the ``marginals`` of a batch of pure tensors
+    shaped ``shape``, one per row of ``t``, as a ``(batch, marginals)`` array
+    ``S``.  Each comes from the Gram matrix ``g = M M^dagger`` of its
+    matricization ``M`` (:func:`_gram_plan`), one stacked diagonalization
+    per Gram size; eigenvalues at or below the clip are dropped, as in
+    ``entropy_bits``.  Without ``weights``: ``eigvalsh``, on stacks read
+    through transposes.  With ``weights``: ``eigh``, on stacks read through
+    the cached gathers, and also ``G_t``, the gradient of each row of ``S @
+    weights`` (``df = Re <G_t, dt>``).  ``dS = -Tr[(log2 g + 1/ln 2) dg]``
+    gives ``G_M = -2 L M``, ``L`` being ``log2 g + 1/ln 2`` on the kept
+    eigenvalues."""
+    (groups, order, positions), n = _gram_plan(shape, marginals), t.shape[0]
+    s, stop = np.empty((n, len(order))), 0
+    if weights is None:
+        tensors = t.reshape((n,) + shape)
+    else:
+        (gathers, inverse), flat, parts = _gram_gathers(shape, marginals), t.reshape(n, -1), []
+        weights = -2.0 * weights.take(order)  # the factor of G_M, in plan order
+    for i, (r, perms) in enumerate(groups):
+        start, stop = stop, stop + len(perms)
+        if weights is None:
+            m = np.stack([tensors.transpose((0, *(a + 1 for a in p))).reshape(n, r, -1)
+                          for p in perms], axis=1)
+            w = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
+        else:
+            m = flat.take(gathers[i], 1).reshape(n, len(perms), r, -1)
+            w, q = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
+        kept = w > EIG_CLIP
+        log_w = np.log2(w, out=np.zeros(w.shape), where=kept)
+        np.add.reduce(w * log_w, -1, out=s[:, start:stop])
+        if weights is not None:  # log_w becomes the multiplier of q q^dagger M
+            np.add(log_w, 1.0 / log(2.0), out=log_w, where=kept)
+            log_w *= weights[start:stop, None]
+            parts.append(((q * log_w[..., None, :]) @ q.conj().swapaxes(-1, -2) @ m).reshape(n, -1))
+    s = -s.take(positions, 1)
+    if weights is None:
+        return s
+    return s, np.add.reduce(np.concatenate(parts, axis=1).take(inverse, 1), 1).reshape(t.shape)
+
+
+# ---------------------------------------------------------------------------
 # extensions and objective
 # ---------------------------------------------------------------------------
 
@@ -190,74 +269,26 @@ def _extension_matrix(psi: np.ndarray, v: np.ndarray, d_env: int, d_sink: int) -
     return np.einsum("efs,gft->esgt", t, t.conj()).reshape(d, d)
 
 
-def _smaller_side_first(shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, tuple]:
-    """``(r, perm)`` for the marginal on ``axes`` of a pure tensor shaped
-    ``shape``.  ``S(X) = S(X^c)``, so its spectrum comes from the Gram
-    matrix of the smaller side of the matricization: ``r`` is that side's
-    dimension and ``perm`` the axis order that puts it first."""
-    rest = tuple(a for a in range(len(shape)) if a not in axes)
-    rows, size = prod(shape[a] for a in axes), prod(shape)
-    return (rows, axes + rest) if rows * rows <= size else (size // rows, rest + axes)
-
-
 @cache
-def _marginal_plan(shape: tuple[int, ...], terms: tuple) -> tuple:
-    """The index work of the kernel for ``terms`` (axis sets of a tensor
-    shaped ``shape``).  A pure tensor has ``S(X) = S(X^c)``, so each term is
-    matricized with its smaller side ``r`` first, and the terms are grouped
-    by ``r``, smallest first, as ``(k, r, size // r)`` (term count, Gram
-    side, other side).  Also holds one flat gather from ``t`` that lays out
-    every matricization, group after group; each eigenvalue's coefficient;
-    and the inverse gather, shaped ``(terms, size)``, whose row ``j`` brings
-    term ``j``'s block back to the axis order of ``t``."""
-    size, index, plan = prod(shape), np.arange(prod(shape)).reshape(shape), []
-    for c, axes in terms:
-        r, perm = _smaller_side_first(shape, axes)
-        plan.append((r, c, index.transpose(perm).ravel()))
-    plan.sort(key=lambda p: p[0])
-    sides, gathers = [r for r, _, _ in plan], np.stack([g for _, _, g in plan])
-    groups = tuple((sides.count(r), r, size // r) for r in sorted(set(sides)))
-    inverse = np.argsort(gathers, axis=1) + size * np.arange(len(plan))[:, None]
-    return groups, gathers.ravel(), np.repeat([float(c) for _, c, _ in plan], sides), inverse
-
-
-def _extension_value_and_grad(t: np.ndarray, shape: tuple[int, ...],
-                              terms: Terms) -> tuple[float, np.ndarray]:
-    """Half the information ``terms`` (axis sets) of the pure extension with
-    amplitudes ``t``, laid out as a C-order tensor shaped ``shape`` = (env,
-    sink, systems...), and its gradient ``G_t`` in the layout of ``t``, with
-    ``df = Re <G_t, dt>``.  For ``t = v @ psi`` the chain rule gives
-    ``G_v = G_t psi^dagger`` and ``G_psi = v^dagger G_t``.
-
-    Each term's entropy comes from the Gram matrix ``g = M M^dagger`` of its
-    matricization ``M``, smaller side first, and the terms with one Gram
-    size are diagonalized as one stack.  ``dS = -Tr[(log2 g + 1/ln 2) dg]``
-    gives ``G_M = -2 L M``, ``L`` being ``log2 g + 1/ln 2`` on the
-    eigenvalues above the clip; clipped eigenvalues are dropped from the
-    value, as in ``entropy_bits``, and from the gradient.
-    """
-    groups, gather, coef, inverse = _marginal_plan(shape, tuple(terms))
-    flat, ends = t.ravel()[gather], [0, *accumulate(k * r * cols for k, r, cols in groups)]
-    ms = [flat[a:b].reshape(group) for a, b, group in zip(ends, ends[1:], groups)]
-    eighs = [np.linalg.eigh(m @ m.conj().swapaxes(1, 2)) for m in ms]
-    w = np.concatenate([lam.ravel() for lam, _ in eighs])
-    kept = w > EIG_CLIP
-    log_w = np.log2(np.where(kept, w, 1.0))
-    s = np.where(kept, -coef * (log_w + 1.0 / log(2.0)), 0.0)
-    ends = [0, *accumulate(lam.size for lam, _ in eighs)]
-    g_t = np.concatenate([((q * s[a:b].reshape(lam.shape)[:, None]) @ q.conj().swapaxes(1, 2)
-                           @ m).ravel() for a, b, m, (lam, q) in zip(ends, ends[1:], ms, eighs)])
-    return -0.5 * float((coef * w) @ log_w), g_t[inverse].sum(0).reshape(t.shape)
+def _kernel_terms(terms: tuple) -> tuple[tuple, np.ndarray]:
+    """The kernel's marginals for the information ``terms`` (merged by
+    :func:`_merged`) and weights, half their coefficients."""
+    merged = _merged(terms)
+    weights = 0.5 * np.array(list(merged.values()), dtype=float)
+    weights.setflags(write=False)
+    return tuple(merged), weights
 
 
 def _squashing_value_and_grad(params: np.ndarray, psi: np.ndarray, shape: tuple[int, ...],
                               terms: Terms) -> tuple[float, np.ndarray]:
-    """Half the information ``terms`` of the squashed extension of the
-    purification ``psi`` (rows: purifying system) at the ansatz ``params``,
-    and its exact gradient in ``params``."""
+    """Half the information ``terms`` of the squashed extension ``t = V psi``
+    (a tensor shaped ``shape`` = (env, sink, systems...)) of the purification
+    ``psi`` (rows: purifying system) at the ansatz ``params``, and its exact
+    gradient in ``params``, pulled back from ``G_V = G_t psi^dagger``."""
+    marginals, weights = _kernel_terms(tuple(terms))
     v, pullback = _isometry(params, shape[0] * shape[1], psi.shape[0])
-    value, g_t = _extension_value_and_grad(v @ psi, shape, terms)
-    return value, pullback(g_t @ psi.conj().T)
+    s, g_t = _pure_entropies((v @ psi)[None], shape, marginals, weights)
+    return float(s[0] @ weights), pullback(g_t[0] @ psi.conj().T)
 
 
 def squashing_value(
@@ -439,7 +470,7 @@ def squashed_multi_upper(
     _check_groups_cover(rho, groups)
     # axes of the pure amplitude tensor: 0 = env, 1 = sink, 2 + j = system j
     groups_axes = [tuple(p + 2 for p in rho.layout.positions(g)) for g in groups]
-    terms = _info_terms(groups_axes, (0,), flavor)
+    terms = tuple(_info_terms(groups_axes, (0,), flavor))
     cfg = cfg or OptimizerConfig()
     psi = purification_matrix(rho.matrix)  # one row per nonzero eigenvalue
     d_purify = psi.shape[0]
@@ -470,11 +501,12 @@ IDENTITY_MULTI_DUAL = "multi_dual"
 
 
 @cache
-def _identity_terms(keys: tuple, shields: tuple, env: tuple) -> tuple:
+def _identity_terms(layout: SystemLayout, keys: tuple, shields: tuple, env: tuple) -> tuple:
     """The right sides of the private-state identities for ``m`` parties as
     ``(kinds, marginals, coef)``: the right side of ``kinds[k]`` is ``coef[k]
-    @ S(marginals)`` over the distinct marginals (sorted label tuples) that
-    the identities share, and each one's left side is ``m log2 K``."""
+    @ S(marginals)`` over the distinct marginals (sorted label tuples, each
+    given as its axes on ``layout``) that the identities share, and each
+    one's left side is ``m log2 K``."""
 
     def cmi(a, b, e):  # I(a;b|e)
         return _info_terms([a, b], e, FLAVOR_TOTAL)
@@ -508,40 +540,7 @@ def _identity_terms(keys: tuple, shields: tuple, env: tuple) -> tuple:
     marginals = sorted(set().union(*merged))
     coef = np.array([[c.get(x, 0) for x in marginals] for c in merged], dtype=float)
     coef.setflags(write=False)
-    return tuple(terms), tuple(marginals), coef
-
-
-@cache
-def _gram_groups(layout: SystemLayout, marginals: tuple[tuple[str, ...], ...]) -> tuple:
-    """The marginals (label sets) of a pure state on ``layout`` grouped by
-    the side ``r`` of their smaller Gram matrix, smallest first, as ``((r,
-    perms, slots), ...)``: marginal ``slots[i]`` is a stack of amplitude
-    tensors (batch axis first) transposed to ``perms[i]`` and read as ``r``
-    rows per instance.  Only index tuples, so an entry per layout stays
-    small."""
-    sides = [(*_smaller_side_first(layout.dims, layout.positions(x)), j)
-             for j, x in enumerate(marginals)]
-    return tuple((r, tuple((0,) + tuple(i + 1 for i in p) for s, p, _ in sides if s == r),
-                  [j for s, _, j in sides if s == r])
-                 for r in sorted({s for s, _, _ in sides}))
-
-
-def _pure_entropies(amplitudes: np.ndarray, layout: SystemLayout,
-                    marginals: tuple[tuple[str, ...], ...]) -> np.ndarray:
-    """Entropies in bits of the marginals (label sets) of a batch of pure
-    states, ``amplitudes`` holding one state on ``layout`` per row, as a
-    ``(batch, marginals)`` array.  Each marginal comes from the Gram matrix
-    of its smaller side, with one stacked ``eigvalsh`` per Gram size over
-    every instance; eigenvalues are clipped as in ``entropy_bits``."""
-    t = amplitudes.reshape((-1,) + layout.dims)
-    n = t.shape[0]
-    out = np.empty((n, len(marginals)))
-    for r, perms, slots in _gram_groups(layout, marginals):
-        m = np.stack([t.transpose(perm).reshape(n, r, -1) for perm in perms], axis=1)
-        w = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
-        kept = w > EIG_CLIP
-        out[:, slots] = -np.where(kept, w * np.log2(np.where(kept, w, 1.0)), 0.0).sum(-1)
-    return out
+    return tuple(terms), tuple(layout.positions(x) for x in marginals), coef
 
 
 def _identity_residuals(amplitudes: np.ndarray, layout: SystemLayout, keys: tuple,
@@ -551,8 +550,8 @@ def _identity_residuals(amplitudes: np.ndarray, layout: SystemLayout, keys: tupl
     has checked: ``residuals[i, k]`` is ``|m log2 K - RHS|`` of identity
     ``kinds[k]`` on state ``i``."""
     lhs = len(keys) * log2(layout.dim_of(keys[0]))
-    kinds, marginals, coef = _identity_terms(keys, shields, env)
-    return kinds, np.abs(lhs - _pure_entropies(amplitudes, layout, marginals) @ coef.T)
+    kinds, marginals, coef = _identity_terms(layout, keys, shields, env)
+    return kinds, np.abs(lhs - _pure_entropies(amplitudes, layout.dims, marginals) @ coef.T)
 
 
 def private_identity_residual(
@@ -582,11 +581,8 @@ def private_identity_residual(
     * ``bipartite``:        ``2 log2 K  vs  I(A;BB'|E) + I(A';B|AB'E)``
     * ``bipartite_joint``:  ``I(AA';BB'|E)  vs  2 log2 K + I(A';B'|AE)``
 
-    On the pure state ``S(X) = S(X^c)``, so each distinct marginal the
-    identities share is diagonalized once, from the Gram matrix of the
-    smaller side of its matricization, and never as a partial trace of the
-    full extension.  The state is evaluated as a batch of one of
-    ``_identity_residuals``.
+    Each distinct marginal the identities share is read once from the pure
+    state (``_pure_entropies``), never as a partial trace of the extension.
     """
     keys, shields = tuple(keys), tuple(shields)
     env = as_labels(env)
@@ -762,7 +758,8 @@ def channel_squashed_upper(
     n_ansatz = ansatz_param_count(d_env, d_sink)
 
     shape = (d_env, d_sink, d_ref, d_keep)
-    terms = _info_terms([(2,), (3,)], (0,), FLAVOR_TOTAL)
+    terms = tuple(_info_terms([(2,), (3,)], (0,), FLAVOR_TOTAL))
+    marginals, weights = _kernel_terms(terms)
 
     def descend(psi_params: np.ndarray, x0: np.ndarray):
         """Exact-gradient descent over ansaetze at a fixed input."""
@@ -776,8 +773,8 @@ def channel_squashed_upper(
 
         def negated(x):
             psi, pullback = _channel_purification(x, coupling)
-            value, g_t = _extension_value_and_grad(v @ psi, shape, terms)
-            return -value, -pullback(vh @ g_t)
+            s, g_t = _pure_entropies((v @ psi)[None], shape, marginals, weights)
+            return -float(s[0] @ weights), -pullback(vh @ g_t[0])
 
         return _lbfgsb(negated, psi_params, cfg)
 

@@ -421,6 +421,16 @@ def test_gen_refuses_out_of_range_sigma_rank(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_gen_refuses_a_negative_shield_dimension_naming_the_system(tmp_path, capsys):
+    # -2,-2 has a positive product, so only the layout refuses it before the draws
+    out = tmp_path / "g.state"
+    for dims in ("-2,2", "-2,-2"):
+        code = run_cli(["gen", "--private", f"--shield-dims={dims}", "--out", str(out)])
+        assert code == 2
+        assert "system 'A1p' has dimension -2 < 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_bound_channel_rate_alias_is_gone(tmp_path, capsys):
     assert run_cli(["bound", "--channel-rate", "--esq", "1.0", "--eps", "0.01", "--n", "100"]) == 2
     capsys.readouterr()

@@ -439,6 +439,19 @@ def test_random_private_spec_refuses_a_missing_seed():
             random_private_spec(2, (2, 2), seed)
 
 
+def test_random_private_spec_refuses_a_dimension_below_one_before_drawing():
+    # the layout is built before the generator, so a dimension below 1 is
+    # refused naming its system even where the product of the dims is
+    # positive, and a generator passed in is left as it was
+    for dims, ext_dim, system in (((-2, 2), None, "A1p"), ((-2, -2), None, "A1p"),
+                                  ((2, 0), None, "A2p"), ((2, 2), -1, "E")):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(LayoutError, match=f"system '{system}' has dimension"):
+            random_private_spec(2, dims, rng, ext_dim=ext_dim)
+        assert rng.bit_generator.state == before
+
+
 def test_random_private_spec_checks_counts_before_drawing(monkeypatch):
     import privsq.private_states
 

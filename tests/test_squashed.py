@@ -42,16 +42,19 @@ from privsq.private_states import (
 from privsq.squashed import (
     _channel_purification,
     _expi_divided_differences,
-    _extension_value_and_grad,
+    _gram_gathers,
+    _gram_plan,
     _identity_residuals,
     _identity_terms,
     _info_terms,
     _isometry,
-    _marginal_plan,
+    _kernel_terms,
+    _pure_entropies,
     _squashing_value_and_grad,
     _sunk_coupling,
     ansatz_param_count,
 )
+from privsq.entropy import _group_entropy
 from privsq.tensor import entropy_bits, purification_matrix
 from scipy.linalg import expm, expm_frechet
 
@@ -235,6 +238,15 @@ def density_path_value(v, psi, d_env, layout, groups, flavor):
     return 0.5 * info(ext, groups, "E")
 
 
+def half_information(t, shape, terms):
+    """Half the information ``terms`` of the pure extension ``t`` (rows: env
+    (x) sink) and its gradient ``G_t``: the kernel's weighted mode at a
+    batch of one."""
+    marginals, weights = _kernel_terms(tuple(terms))
+    s, g_t = _pure_entropies(t[None], shape, marginals, weights)
+    return float(s[0] @ weights), g_t[0]
+
+
 def random_kernel_inputs(rng, d_env, d_sink, d_purify, dim):
     """A random normalized purification ``psi`` and a random ansatz isometry."""
     psi = rng.standard_normal((d_purify, dim)) + 1j * rng.standard_normal((d_purify, dim))
@@ -254,12 +266,12 @@ def test_extension_kernel_gradients_match_central_differences(case, flavor):
     terms = _info_terms(axes, (0,), flavor)
     v, psi = random_kernel_inputs(np.random.Generator(np.random.PCG64(200 + case)),
                                   d_env, d_sink, d_purify, rho.dim)
-    value, g_t = _extension_value_and_grad(v @ psi, shape, terms)
+    value, g_t = half_information(v @ psi, shape, terms)
     g_v, g_psi = g_t @ psi.conj().T, v.conj().T @ g_t  # the chain rule through t = v psi
     # the value against the density-matrix path on the same extension
     assert abs(value - density_path_value(v, psi, d_env, rho.layout, groups, flavor)) < 1e-12
-    for grad, f, z in ((g_v, lambda z: _extension_value_and_grad(z @ psi, shape, terms)[0], v),
-                       (g_psi, lambda z: _extension_value_and_grad(v @ z, shape, terms)[0], psi)):
+    for grad, f, z in ((g_v, lambda z: half_information(z @ psi, shape, terms)[0], v),
+                       (g_psi, lambda z: half_information(v @ z, shape, terms)[0], psi)):
         fd = complex_central_differences(f, z)
         assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
 
@@ -307,29 +319,83 @@ def test_one_evaluation_diagonalizes_each_marginal_once(monkeypatch):
 
 
 def test_marginal_plan_groups_terms_by_gram_size():
-    # groups (term count, Gram side, other side), smallest Gram side first;
-    # bipartite total information at the state and channel shapes (see above)
+    # groups (marginal count, Gram side, other side), smallest Gram side
+    # first; bipartite total information at the state and channel shapes
+    # (see above)
+    def group_sizes(shape, terms):
+        marginals = _kernel_terms(tuple(terms))[0]
+        return tuple((len(perms), r, prod(shape) // r) for r, perms in _gram_plan(shape, marginals)[0])
+
     total = _info_terms([(2, 3), (4, 5)], (0,), "total")
-    assert _marginal_plan((4, 4, 2, 2, 2, 2), tuple(total))[0] == ((2, 4, 64), (2, 16, 16))
+    assert group_sizes((4, 4, 2, 2, 2, 2), total) == ((2, 4, 64), (2, 16, 16))
     channel = _info_terms([(2,), (3,)], (0,), "total")
-    assert _marginal_plan((2, 2, 2, 2), tuple(channel))[0] == ((2, 2, 8), (2, 4, 4))
+    assert group_sizes((2, 2, 2, 2), channel) == ((2, 2, 8), (2, 4, 4))
     # dual over three qubits at (2, 3): S(EABC) = S(F) is 3 | 16, S(E) is
     # 2 | 24, and each S(E + two qubits) is 8 | 6, that is S(F + one qubit) 6 | 8
     dual = _info_terms([(2,), (3,), (4,)], (0,), "dual")
-    assert _marginal_plan((2, 3, 2, 2, 2), tuple(dual))[0] == ((1, 2, 24), (1, 3, 16), (3, 6, 8))
-    # gathering t lays out every matricization; each row of the inverse map
-    # brings its term's block back to the axis order of t
+    assert group_sizes((2, 3, 2, 2, 2), dual) == ((1, 2, 24), (1, 3, 16), (3, 6, 8))
+    # the gradient mode's gather lays out every matricization; each row of
+    # the inverse map brings its marginal's block back to the axis order of t
     rng = np.random.Generator(np.random.PCG64(42))
     for shape, terms in (((4, 4, 2, 2, 2, 2), total), ((2, 2, 2, 2), channel),
                          ((2, 3, 2, 2, 2), dual)):
-        groups, gather, coef, inverse = _marginal_plan(shape, tuple(terms))
+        marginals = _kernel_terms(tuple(terms))[0]
+        groups, order, positions = _gram_plan(shape, marginals)
+        gathers, inverse = _gram_gathers(shape, marginals)
         t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        flat = t.ravel()[gather]
+        flat = t.ravel()[np.concatenate(gathers)]
+        assert [g.size for g in gathers] == [len(perms) * t.size for _, perms in groups]
         assert inverse.shape == (len(terms), t.size)
         assert flat.size == len(terms) * t.size
-        assert coef.size == sum(k * r for k, r, _ in groups)
+        assert sorted(order) == list(range(len(terms)))
+        assert [order[i] for i in positions] == list(range(len(terms)))
         for row in inverse:
             assert np.array_equal(flat[row], t.ravel())
+
+
+def random_pure_batch(rng, batch, shape):
+    t = rng.standard_normal((batch,) + shape) + 1j * rng.standard_normal((batch,) + shape)
+    return t / np.linalg.norm(t.reshape(batch, -1), axis=1).reshape((batch,) + (1,) * len(shape))
+
+
+def pure_entropy_cases():
+    """(shape, marginals): the kernel's marginals at the state and channel
+    search shapes, and the identities' marginals at a two-party and a
+    three-party layout (R of rank 2, then keys, shields and E)."""
+    cases = [((4, 4, 2, 2, 2, 2), _info_terms([(2, 3), (4, 5)], (0,), "total")),
+             ((2, 2, 2, 2), _info_terms([(2,), (3,)], (0,), "total"))]
+    cases = [(shape, _kernel_terms(tuple(terms))[0]) for shape, terms in cases]
+    for parties in (2, 3):
+        keys = tuple(f"A{i + 1}" for i in range(parties))
+        shields = tuple(f"{k}p" for k in keys)
+        layout = SystemLayout(zip(("R",) + keys + shields + ("E",), (2,) * (2 * parties + 2)))
+        cases.append((layout.dims, _identity_terms(layout, keys, shields, ("E",))[1]))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_pure_entropy_modes_agree_with_the_density_path(case):
+    # the entropies the two modes return agree, on a batch of random pure
+    # tensors, and each is the partial-trace entropy of its marginal
+    shape, marginals = pure_entropy_cases()[case]
+    rng = np.random.Generator(np.random.PCG64(50 + case))
+    t = random_pure_batch(rng, 3, shape)
+    weights = rng.standard_normal(len(marginals))
+    values = _pure_entropies(t, shape, marginals)
+    weighted, g_t = _pure_entropies(t, shape, marginals, weights)
+    assert values.shape == weighted.shape == (3, len(marginals))
+    assert g_t.shape == t.shape
+    assert np.abs(values - weighted).max() < 1e-13
+    layout = SystemLayout((f"x{a}", d) for a, d in enumerate(shape))
+    for row, amplitudes in zip(values, t):
+        rho = PureStateVector(amplitudes.ravel(), layout).density()
+        for value, axes in zip(row, marginals):
+            assert abs(value - _group_entropy(rho, tuple(f"x{a}" for a in axes))) < 1e-12
+    # a batch is its rows, each evaluated alone
+    for i in range(3):
+        alone, g_alone = _pure_entropies(t[i:i + 1], shape, marginals, weights)
+        assert np.abs(alone[0] - weighted[i]).max() < 1e-13
+        assert np.abs(g_alone[0] - g_t[i]).max() < 1e-13
 
 
 def test_kernel_plans_follow_their_terms():
@@ -345,8 +411,7 @@ def test_kernel_plans_follow_their_terms():
         for flavor in ("total", "dual", "total", "dual"):
             for groups in splits:
                 axes = [tuple(p + 2 for p in lo.positions(g)) for g in groups]
-                value = _extension_value_and_grad(v @ psi, shape,
-                                                  _info_terms(axes, (0,), flavor))[0]
+                value = half_information(v @ psi, shape, _info_terms(axes, (0,), flavor))[0]
                 want = density_path_value(v, psi, d_env, lo, groups, flavor)
                 assert abs(value - want) < 1e-12
 
@@ -757,11 +822,16 @@ def test_identity_kinds_coincide_at_two_parties():
     chain rule I(AA';BB'|E) - I(A';B'|AE) = I(A;BB'|E) + I(A';B|AB'E), and
     both multipartite forms reduce to the same sum.  Three parties keep two
     distinct rows."""
-    kinds, marginals, coef = _identity_terms(("A1", "A2"), ("A1p", "A2p"), ("E",))
+    def identity_terms(keys):
+        shields = tuple(f"{k}p" for k in keys)
+        layout = SystemLayout((lbl, 2) for lbl in ("R",) + keys + shields + ("E",))
+        return _identity_terms(layout, keys, shields, ("E",))
+
+    kinds, marginals, coef = identity_terms(("A1", "A2"))
     assert kinds == ("multi_total", "multi_dual", "bipartite", "bipartite_joint")
     assert len(marginals) == 6
     assert (coef == coef[0]).all()
-    kinds, _, coef = _identity_terms(("A1", "A2", "A3"), ("A1p", "A2p", "A3p"), ("E",))
+    kinds, _, coef = identity_terms(("A1", "A2", "A3"))
     assert kinds == ("multi_total", "multi_dual")
     assert len(np.unique(coef, axis=0)) == 2
 
@@ -1131,7 +1201,7 @@ def channel_input_objective(case, d_env, d_sink, seed):
 
     def f(x):
         psi, pullback = _channel_purification(x, coupling)
-        value, g_t = _extension_value_and_grad(v @ psi, shape, terms)
+        value, g_t = half_information(v @ psi, shape, terms)
         return value, pullback(v.conj().T @ g_t)
 
     return f

@@ -1,10 +1,14 @@
-"""The suite registry: refusal of empty ensembles and the lemmas suite's
-rows pinned at fixed seeds."""
+"""The suite registry: refusal of empty ensembles, and the lemmas suite's
+rows pinned at fixed seeds and its batching pinned from its dims."""
 
 import inspect
+from math import prod
 
+import numpy as np
 import pytest
 
+from privsq.layout import SystemLayout
+from privsq.squashed import _identity_terms
 from privsq.suites import SUITES, suite_lemmas
 
 
@@ -43,3 +47,41 @@ def test_suite_lemmas_rows_at_fixed_seeds(seed):
     ]
     for row, expect in zip(result.rows, LEMMAS_WORST[seed]):
         assert abs(row.worst - expect) < 1e-14, row.identity
+
+
+def test_suite_lemmas_batching_counts_follow_from_the_dims(monkeypatch):
+    """One stacked ``eigh`` purifies the shield states of each party count,
+    and one stacked ``eigvalsh`` per rank and Gram size gives every marginal
+    of every instance.  Instance ``i`` has shield rank ``i % ranks + 1`` and
+    layout (R: rank, keys, shields, E), all but R qubits, so ``D = r
+    2^(2m+1)``; a marginal ``X`` is read on its smaller side,
+    ``min(d_X, D / d_X)``.  Both counts follow from the identities' marginals
+    and these dims alone."""
+    eigvalsh, eigh, calls, matrices, purified = np.linalg.eigvalsh, np.linalg.eigh, [], [], []
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        calls.append(a.shape[-1])
+        matrices.extend([a.shape[-1]] * prod(a.shape[:-2]))
+        return eigvalsh(a, *args, **kwargs)
+
+    def counted_eigh(a, *args, **kwargs):
+        purified.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    want_calls = want_matrices = 0
+    for parties, count, ranks in ((2, 100, 8), (3, 25, 16)):
+        keys = tuple(f"A{i + 1}" for i in range(parties))
+        shields = tuple(f"{k}p" for k in keys)
+        layout = SystemLayout((lbl, 2) for lbl in ("R",) + keys + shields + ("E",))
+        marginals = _identity_terms(layout, keys, shields, ("E",))[1]  # axes, all qubits
+        want_matrices += count * len(marginals)
+        for r in {i % ranks + 1 for i in range(count)}:
+            dim = r * 2 ** (2 * parties + 1)
+            want_calls += len({min(2 ** len(x), dim // 2 ** len(x)) for x in marginals})
+    assert (want_calls, want_matrices) == (121, 950)  # 950 = 100 * 6 + 25 * 14
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    assert suite_lemmas(seed=1).passed
+    assert (len(calls), len(matrices)) == (want_calls, want_matrices)
+    assert purified == [8, 16]  # shields and E: 2^(m+1) at two and three parties
