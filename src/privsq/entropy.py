@@ -21,9 +21,7 @@ _FLAVORS = (FLAVOR_TOTAL, FLAVOR_DUAL)
 
 
 def _group_entropy(rho: DensityOperator, labels: tuple[str, ...]) -> float:
-    """Entropy of the reduction onto ``labels``; the empty group gives 0."""
-    if not labels:
-        return 0.0
+    """Entropy of the reduction onto a non-empty group ``labels``."""
     pos = rho.layout.positions(labels)
     return entropy_bits(reduce_matrix(rho.matrix, rho.layout.dims, pos))
 
@@ -116,8 +114,7 @@ def _correlation(
     cond: str | Iterable[str],
     flavor: str,
 ) -> float:
-    gs = [as_labels(g) for g in groups]
-    e = as_labels(cond)
+    gs, e = [as_labels(g) for g in groups], as_labels(cond)
     terms = info_terms(gs, e, flavor)
     _disjoint(*gs, e)
     return _information(partial(_group_entropy, rho), terms)

@@ -335,13 +335,15 @@ def random_private_spec(
     layout = SystemLayout(zip(default_shield_labels(parties), shield_dims))
     if ext_dim is not None:
         layout = layout.concat(SystemLayout((("E", int(ext_dim)),)))
+    rank = sigma_rank if sigma_rank is not None else layout.total_dim
+    if not 1 <= rank <= layout.total_dim:  # refused before any draw
+        raise ValueError(f"rank {rank} out of range 1..{layout.total_dim}")
     d_sh = prod(shield_dims)
     rng = _seeded_rng(seed)
     # the normals of all K^m Haar draws, in the stream order of K^m calls of
     # haar_unitary; only the K all-equal ones are factored
     normals = rng.standard_normal((key_dim**parties, 2, d_sh, d_sh))
     controls = _haar_from_normals(normals[::_all_equal_step(key_dim, parties)])
-    rank = sigma_rank if sigma_rank is not None else layout.total_dim
     sigma = random_density(layout, rank, rng)
     return _unchecked(PrivateStateSpec, int(key_dim), shield_dims, sigma, tuple(controls))
 

@@ -40,7 +40,7 @@ span tracer patch it.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from functools import cache, partial
+from functools import cache
 from math import inf, log, log2, prod, sqrt
 from typing import Iterable, Sequence
 
@@ -50,14 +50,12 @@ from .entropy import (
     FLAVOR_DUAL,
     FLAVOR_TOTAL,
     Terms,
+    _correlation,
     _disjoint,
-    _group_entropy,
-    _h2_term,
-    _information,
     _merged,
     cmi_continuity,
+    info_terms,
 )
-from .entropy import info_terms as _info_terms
 from .layout import LayoutError, SystemLayout, as_labels, fresh_label
 from .tensor import (
     EIG_CLIP,
@@ -213,6 +211,8 @@ def _pure_entropies(t: np.ndarray, shape: tuple[int, ...],
     eigenvalues."""
     (groups, order, positions), n = _gram_plan(shape, marginals), t.shape[0]
     s, stop = np.empty((n, len(order))), 0
+    # Two read paths (ROADMAP item 14): gathers cached for every layout of the lemmas
+    # suite would cost RSS, and transposes make the gradient kernel 12-28% slower.
     if weights is None:
         tensors = t.reshape((n,) + shape)
     else:
@@ -269,23 +269,21 @@ def _extension_matrix(psi: np.ndarray, v: np.ndarray, d_env: int, d_sink: int) -
     return np.einsum("efs,gft->esgt", t, t.conj()).reshape(d, d)
 
 
-@cache
-def _kernel_terms(terms: tuple) -> tuple[tuple, np.ndarray]:
+def _kernel_terms(terms: Terms) -> tuple[tuple, np.ndarray]:
     """The kernel's marginals for the information ``terms`` (merged by
-    :func:`_merged`) and weights, half their coefficients."""
+    :func:`_merged`) and weights, half their coefficients; a search resolves
+    them once."""
     merged = _merged(terms)
-    weights = 0.5 * np.array(list(merged.values()), dtype=float)
-    weights.setflags(write=False)
-    return tuple(merged), weights
+    return tuple(merged), 0.5 * np.array(list(merged.values()), dtype=float)
 
 
 def _squashing_value_and_grad(params: np.ndarray, psi: np.ndarray, shape: tuple[int, ...],
-                              terms: Terms) -> tuple[float, np.ndarray]:
-    """Half the information ``terms`` of the squashed extension ``t = V psi``
-    (a tensor shaped ``shape`` = (env, sink, systems...)) of the purification
-    ``psi`` (rows: purifying system) at the ansatz ``params``, and its exact
-    gradient in ``params``, pulled back from ``G_V = G_t psi^dagger``."""
-    marginals, weights = _kernel_terms(tuple(terms))
+                              marginals: tuple, weights: np.ndarray) -> tuple[float, np.ndarray]:
+    """Half the information of the squashed extension ``t = V psi`` (a
+    tensor shaped ``shape`` = (env, sink, systems...)) of the purification
+    ``psi`` (rows: purifying system) at the ansatz ``params``, with the
+    information given by :func:`_kernel_terms`, and its exact gradient in
+    ``params``, pulled back from ``G_V = G_t psi^dagger``."""
     v, pullback = _isometry(params, shape[0] * shape[1], psi.shape[0])
     s, g_t = _pure_entropies((v @ psi)[None], shape, marginals, weights)
     return float(s[0] @ weights), pullback(g_t[0] @ psi.conj().T)
@@ -301,9 +299,7 @@ def squashing_value(
     ansatz: an upper bound on the corresponding squashed entanglement."""
     _check_groups_cover(rho, groups)
     env = fresh_label(rho.layout.labels, "E")
-    terms = _info_terms([as_labels(g) for g in groups], (env,), flavor)
-    ext = extend_by_squashing(rho, ansatz, env)
-    return 0.5 * _information(partial(_group_entropy, ext), terms)
+    return 0.5 * _correlation(extend_by_squashing(rho, ansatz, env), groups, env, flavor)
 
 
 def _check_groups_cover(rho: DensityOperator, groups: Sequence[Iterable[str] | str]) -> None:
@@ -470,7 +466,7 @@ def squashed_multi_upper(
     _check_groups_cover(rho, groups)
     # axes of the pure amplitude tensor: 0 = env, 1 = sink, 2 + j = system j
     groups_axes = [tuple(p + 2 for p in rho.layout.positions(g)) for g in groups]
-    terms = tuple(_info_terms(groups_axes, (0,), flavor))
+    marginals, weights = _kernel_terms(info_terms(groups_axes, (0,), flavor))
     cfg = cfg or OptimizerConfig()
     psi = purification_matrix(rho.matrix)  # one row per nonzero eigenvalue
     d_purify = psi.shape[0]
@@ -479,7 +475,7 @@ def squashed_multi_upper(
     n_params = ansatz_param_count(d_env, d_sink)
 
     def restart(rng):
-        res = _lbfgsb(lambda x: _squashing_value_and_grad(x, psi, shape, terms),
+        res = _lbfgsb(lambda x: _squashing_value_and_grad(x, psi, shape, marginals, weights),
                       _fresh_start(rng, n_params), cfg)
         return [res], res
 
@@ -509,7 +505,7 @@ def _identity_terms(layout: SystemLayout, keys: tuple, shields: tuple, env: tupl
     one's left side is ``m log2 K``."""
 
     def cmi(a, b, e):  # I(a;b|e)
-        return _info_terms([a, b], e, FLAVOR_TOTAL)
+        return info_terms([a, b], e, FLAVOR_TOTAL)
 
     def ce(a, e):  # H(a|e)
         return [(1, a + e), (-1, e)]
@@ -657,14 +653,12 @@ def key_rate_bound(esq_value: float, eps: float, rounds: int) -> float:
         raise ValueError(f"eps {eps} outside [0, 1]")
     if rounds < 1:
         raise ValueError(f"rounds {rounds} < 1")
-    root = sqrt(eps)
-    denom = 1.0 - 2.0 * root
+    denom = 1.0 - 2.0 * sqrt(eps)
     if denom <= 0.0:
         raise ValueError(
             f"key rate bound requires 1 - 2*sqrt(eps) > 0; eps = {eps} gives {denom:.6g}"
         )
-    correction = 2.0 * _h2_term(root) / (rounds * denom)
-    return esq_value / denom + correction
+    return esq_value / denom + cmi_continuity(sqrt(eps), 0.0) / (rounds * denom)
 
 
 # ---------------------------------------------------------------------------
@@ -742,15 +736,10 @@ def channel_squashed_upper(
     d_in = channel.input_layout.total_dim
     if d_in > 4:
         raise ValueError(f"input dimension {d_in} exceeds the desk-scale guard of 4")
-    out_labels = channel.output_layout.labels
-    keep = as_labels(keep) if keep is not None else (out_labels[0],)
+    keep = as_labels(keep) if keep is not None else channel.output_layout.labels[:1]
     if not keep:
         raise LayoutError("keep must name at least one channel output")
-    for lbl in keep:
-        if lbl not in out_labels:
-            raise LayoutError(f"kept label {lbl!r} not among channel outputs {out_labels}")
-
-    keep_pos = [i for i, lbl in enumerate(out_labels) if lbl in keep]
+    keep_pos = list(channel.output_layout.positions(keep))  # refuses an unknown label
     coupling = _sunk_coupling(channel.matrix, channel.output_layout.dims, keep_pos)
     d_purify, d_keep, _ = coupling.shape
     d_ref = d_in  # reference system of the pure input, same dimension as the channel input
@@ -758,13 +747,13 @@ def channel_squashed_upper(
     n_ansatz = ansatz_param_count(d_env, d_sink)
 
     shape = (d_env, d_sink, d_ref, d_keep)
-    terms = tuple(_info_terms([(2,), (3,)], (0,), FLAVOR_TOTAL))
-    marginals, weights = _kernel_terms(terms)
+    marginals, weights = _kernel_terms(info_terms([(2,), (3,)], (0,), FLAVOR_TOTAL))
 
     def descend(psi_params: np.ndarray, x0: np.ndarray):
         """Exact-gradient descent over ansaetze at a fixed input."""
         psi = _channel_purification(psi_params, coupling)[0]
-        return _lbfgsb(lambda x: _squashing_value_and_grad(x, psi, shape, terms), x0, cfg)
+        return _lbfgsb(lambda x: _squashing_value_and_grad(x, psi, shape, marginals, weights),
+                       x0, cfg)
 
     def ascend(psi_params: np.ndarray, ansatz_params: np.ndarray):
         """Exact-gradient ascent over inputs at a fixed ansatz."""

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from privsq import cond_entropy, privacy_deviation
+from privsq import cond_entropy, ghz_state, privacy_deviation, uniform_classical
 from privsq.cli import run_cli
-from privsq.stateio import read_state, write_isometry
+from privsq.stateio import read_state, write_isometry, write_state
 from privsq import (
     DensityOperator,
     Isometry,
@@ -237,6 +237,51 @@ def test_entropy_cond_quantity(tmp_path, capsys):
     # without --cond, cond used to print H(A) and exit 0
     assert run_cli(argv) == 2
     assert "cond needs exactly one group plus --cond" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("classical, quantity, groups, expect", [
+    # GHZ on three qubits: each qubit is maximally mixed and the whole is pure,
+    # so total = 3 H(A_i) - H(ABC) = 3, and dual = H(ABC) - 3 H(A_i | rest)
+    # = 0 - 3 (0 - 1) = 3; one qubit has vn = 1.  Its dephased (classical)
+    # form has every marginal at 1 bit: total = 3 - 1 = 2, dual = 1 - 3 (1 - 1)
+    # = 1, so the two branches cannot stand in for each other
+    (False, "total", "A=A1;B=A2;C=A3", 3.0),
+    (False, "dual", "A=A1;B=A2;C=A3", 3.0),
+    (False, "vn", "A=A1", 1.0),
+    (True, "total", "A=A1;B=A2;C=A3", 2.0),
+    (True, "dual", "A=A1;B=A2;C=A3", 1.0),
+])
+def test_entropy_quantities_at_ghz_anchors(classical, quantity, groups, expect, tmp_path, capsys):
+    state, report = tmp_path / "ghz.state", tmp_path / "r.json"
+    ghz = ghz_state(2, 3)
+    write_state(str(state), uniform_classical(2, ghz.layout) if classical else ghz)
+    assert run_cli(["entropy", "--in", str(state), "--quantity", quantity,
+                    "--groups", groups, "--out", str(report)]) == 0
+    name, value = capsys.readouterr().out.split(" = ")
+    assert name == quantity
+    assert abs(float(value.split()[0]) - expect) < 1e-12
+    assert abs(json.loads(report.read_text())["value"] - expect) < 1e-12
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["entropy", "--in", "{state}", "--quantity", "cmi", "--groups", "A=A1"],
+     "cmi needs exactly two groups"),
+    (["entropy", "--in", "{state}", "--quantity", "vn", "--groups", "A=A1;B=A2"],
+     "vn takes at most one group (the marginal)"),
+    (["esq", "--in", "{state}"], "esq on a state needs --groups"),
+    (["gen", "--private", "--shield-dims", "2,x", "--out", "{out}"],
+     "bad dimension list '2,x'"),
+    (["entropy", "--in", "{state}", "--quantity", "cmi", "--groups", "A=;B=A2"],
+     "group 'A' names no labels"),
+], ids=["cmi-one-group", "vn-two-groups", "esq-no-groups", "gen-bad-dims", "empty-group"])
+def test_entropy_esq_and_gen_usage_errors_exit_2(argv, message, tmp_path, capsys):
+    state, out = tmp_path / "ghz.state", tmp_path / "g.state"
+    write_state(str(state), ghz_state(2, 3))
+    assert run_cli([a.format(state=state, out=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+    assert not out.exists()
 
 
 def test_non_finite_and_non_integer_files_exit_2_naming_the_file(tmp_path, capsys):

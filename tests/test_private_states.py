@@ -427,9 +427,15 @@ def test_purify_private_state_refuses_colliding_reference():
 
 
 def test_random_private_spec_rank_out_of_range():
-    for rank in (0, 5):
-        with pytest.raises(ValueError, match=f"rank {rank} out of range 1..4"):
-            random_private_spec(2, (2, 2), seed=1, sigma_rank=rank)
+    # the rank is checked against the shield layout (with E when ext_dim is
+    # set) before the generator is made, so a generator passed in is left as
+    # it was
+    for rank, ext_dim, top in ((0, None, 4), (5, None, 4), (9, 2, 8)):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"rank {rank} out of range 1..{top}"):
+            random_private_spec(2, (2, 2), rng, sigma_rank=rank, ext_dim=ext_dim)
+        assert rng.bit_generator.state == before
 
 
 def test_random_private_spec_refuses_a_missing_seed():

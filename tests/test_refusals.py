@@ -1,0 +1,160 @@
+"""Input refusals: each bad input raises its exact exception type with a
+message that names what to change."""
+
+import json
+
+import numpy as np
+import pytest
+
+from privsq import (
+    DensityOperator,
+    Isometry,
+    LayoutError,
+    OptimizerConfig,
+    PrivateStateSpec,
+    SquashingAnsatz,
+    SystemLayout,
+    apply_stinespring,
+    approx_private_state,
+    channel_squashed_upper,
+    eigh,
+    ghz_state,
+    key_length_bound,
+    key_rate_bound,
+    matched_extension,
+    partial_trace,
+    random_density,
+    uniform_classical,
+)
+from privsq.entropy import info_terms
+from privsq.stateio import StateFileError, read_isometry, write_isometry
+
+QUBIT = SystemLayout([("A", 2)])
+PAIR = SystemLayout([("A", 2), ("B", 2)])
+
+
+def refused(exc_type, match, fn, *args, **kwargs):
+    """Assert that ``fn(*args, **kwargs)`` raises exactly ``exc_type`` (not a
+    subclass) with a message matching ``match``."""
+    with pytest.raises(exc_type, match=match) as info:
+        fn(*args, **kwargs)
+    assert info.type is exc_type
+
+
+def shield_spec(shield_layout):
+    """A two-party, K = 2 spec whose shield state lives on ``shield_layout``."""
+    sigma = random_density(shield_layout, 1, seed=0)
+    return PrivateStateSpec(2, (2, 2), sigma, (np.eye(4), np.eye(4)))
+
+
+def sunk_copy_channel():
+    """Qubit channel A -> B (x) F that keeps the input in B and sinks |0> into F."""
+    return Isometry(np.kron(np.eye(2), np.eye(2)[:, :1]), QUBIT,
+                    SystemLayout([("B", 2), ("F", 2)]))
+
+
+@pytest.mark.parametrize("noise", [float("nan"), -0.1, 1.5])
+def test_approx_private_state_refuses_noise_outside_the_unit_interval(noise):
+    refused(ValueError, r"noise .* outside \[0, 1\]",
+            approx_private_state, ghz_state(2, 2), noise, 1)
+
+
+def test_key_length_bound_refuses_an_unknown_mode():
+    refused(ValueError, "unknown mode 'tripartite'; have",
+            key_length_bound, 0.5, 0.01, 2, mode="tripartite")
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -0.01, 1.5])
+def test_key_rate_bound_refuses_eps_outside_the_unit_interval(eps):
+    refused(ValueError, r"eps .* outside \[0, 1\]", key_rate_bound, 1.0, eps, 100)
+
+
+def test_optimizer_config_refuses_zero_restarts():
+    refused(ValueError, "restarts and max_iters must be positive", OptimizerConfig, restarts=0)
+
+
+def test_ansatz_refuses_a_purifying_dimension_below_one():
+    # d_env = d_sink = 1 would carry it, so only the purifying-dimension check refuses
+    refused(ValueError, "purifying dimension 0 must be at least 1",
+            SquashingAnsatz, 0, 1, 1, [0.0])
+
+
+def test_channel_search_refuses_an_unknown_kept_label():
+    refused(LayoutError, r"unknown system labels \['C'\]", channel_squashed_upper,
+            sunk_copy_channel(), keep=("B", "C"), cfg=OptimizerConfig(restarts=1, max_iters=1))
+
+
+def test_private_state_spec_refuses_a_shield_state_with_the_wrong_labels():
+    refused(ValueError, r"shield state must start with the shield systems \('A1p', 'A2p'\)",
+            shield_spec, SystemLayout([("A1p", 2), ("B", 2)]))
+
+
+def test_private_state_spec_refuses_a_shield_state_with_the_wrong_dims():
+    refused(ValueError, r"shield state dims \(2, 3\) != \(2, 2\)",
+            shield_spec, SystemLayout([("A1p", 2), ("A2p", 3)]))
+
+
+def test_uniform_classical_refuses_a_system_of_the_wrong_dimension():
+    refused(ValueError, "system 'B' has dimension 3, expected 2",
+            uniform_classical, 2, SystemLayout([("A", 2), ("B", 3)]))
+
+
+def test_isometry_refuses_a_shape_that_does_not_match_its_layouts():
+    # three orthonormal columns: V^dag V = I, so only the shape check refuses
+    refused(ValueError, r"isometry shape \(4, 3\) does not match layouts \(4, 2\)",
+            Isometry, np.eye(4)[:, :3], QUBIT, PAIR)
+
+
+def test_partial_trace_refuses_an_empty_keep():
+    refused(LayoutError, "keep must name at least one system",
+            partial_trace, ghz_state(2, 2), ())
+
+
+def test_eigh_refuses_a_non_hermitian_matrix():
+    refused(ValueError, "matrix is not Hermitian within 1e-10",
+            eigh, np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("acting, discard, exc_type, match", [
+    (("A", "A"), (), LayoutError, r"duplicate acting labels \('A', 'A'\)"),
+    (("A", "B"), (), ValueError, "2 acting systems bound to an isometry with 1 inputs"),
+    ("C", (), ValueError, "system 'C' has dimension 3, isometry expects 2"),
+    ("B", (), LayoutError, r"isometry output labels \['A'\] collide with untouched systems"),
+    ("A", ("A", "B", "C"), LayoutError, "cannot discard every system"),
+], ids=["duplicate", "count", "dimension", "collision", "discard-all"])
+def test_apply_stinespring_refusals(acting, discard, exc_type, match):
+    # the identity channel with output label A, on A (x) B (x) C with C a qutrit
+    rho = random_density(SystemLayout([("A", 2), ("B", 2), ("C", 3)]), 2, seed=0)
+    v = Isometry(np.eye(2), QUBIT, QUBIT)
+    refused(exc_type, match, apply_stinespring, rho, v, acting, discard)
+
+
+def test_read_isometry_refuses_a_top_level_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.iso"
+    path.write_text(json.dumps([{"format": "privsq-state/1", "kind": "isometry"}]))
+    refused(StateFileError, "top level must be a JSON object", read_isometry, str(path))
+
+
+def test_read_isometry_refuses_a_matrix_that_is_not_an_isometry(tmp_path):
+    path = tmp_path / "scaled.iso"
+    write_isometry(str(path), sunk_copy_channel())
+    payload = json.loads(path.read_text())
+    payload["re"] = [[2.0 * x for x in row] for row in payload["re"]]
+    path.write_text(json.dumps(payload))
+    refused(StateFileError, r"invalid isometry: V\^dag V deviates from identity by 3\.000e\+00",
+            read_isometry, str(path))
+
+
+def test_info_terms_refuses_an_unknown_flavor():
+    refused(ValueError, "unknown flavor 'mixed'; have",
+            info_terms, [("A",), ("B",)], (), "mixed")
+
+
+@pytest.mark.parametrize("marginal", [SystemLayout([("B", 2), ("A", 2)]),
+                                      SystemLayout([("A", 2), ("B", 3)])])
+def test_matched_extension_refuses_an_inconsistent_marginal(marginal):
+    # sigma on A (x) B out of the extension's order, or with B of another dimension
+    rho_ext = random_density(SystemLayout([("A", 2), ("B", 2), ("E", 2)]), 2, seed=0)
+    sigma = DensityOperator(np.eye(marginal.total_dim) / marginal.total_dim, marginal)
+    refused(ValueError, "inconsistent marginal: sigma's layout does not match the A sublayout",
+            matched_extension, rho_ext, sigma)

@@ -46,7 +46,6 @@ from privsq.squashed import (
     _gram_plan,
     _identity_residuals,
     _identity_terms,
-    _info_terms,
     _isometry,
     _kernel_terms,
     _pure_entropies,
@@ -54,7 +53,7 @@ from privsq.squashed import (
     _sunk_coupling,
     ansatz_param_count,
 )
-from privsq.entropy import _group_entropy
+from privsq.entropy import _group_entropy, info_terms
 from privsq.tensor import entropy_bits, purification_matrix
 from scipy.linalg import expm, expm_frechet
 
@@ -168,8 +167,8 @@ def squashing_objective(rho, groups, flavor, d_env, d_sink, d_purify):
     psi = purification_matrix(rho.matrix, d_ref=d_purify)
     axes = [tuple(p + 2 for p in rho.layout.positions(g)) for g in groups]
     shape = (d_env, d_sink) + rho.layout.dims
-    terms = _info_terms(axes, (0,), flavor)
-    return lambda x: _squashing_value_and_grad(x, psi, shape, terms)
+    marginals, weights = _kernel_terms(info_terms(axes, (0,), flavor))
+    return lambda x: _squashing_value_and_grad(x, psi, shape, marginals, weights)
 
 
 def central_differences(f, x, h=1e-6):
@@ -242,7 +241,7 @@ def half_information(t, shape, terms):
     """Half the information ``terms`` of the pure extension ``t`` (rows: env
     (x) sink) and its gradient ``G_t``: the kernel's weighted mode at a
     batch of one."""
-    marginals, weights = _kernel_terms(tuple(terms))
+    marginals, weights = _kernel_terms(terms)
     s, g_t = _pure_entropies(t[None], shape, marginals, weights)
     return float(s[0] @ weights), g_t[0]
 
@@ -263,7 +262,7 @@ def test_extension_kernel_gradients_match_central_differences(case, flavor):
     rho, groups, d_env, d_sink, d_purify = GRADIENT_CASES[case]
     axes = [tuple(p + 2 for p in rho.layout.positions(g)) for g in groups]
     shape = (d_env, d_sink) + rho.layout.dims
-    terms = _info_terms(axes, (0,), flavor)
+    terms = info_terms(axes, (0,), flavor)
     v, psi = random_kernel_inputs(np.random.Generator(np.random.PCG64(200 + case)),
                                   d_env, d_sink, d_purify, rho.dim)
     value, g_t = half_information(v @ psi, shape, terms)
@@ -308,12 +307,12 @@ def test_one_evaluation_diagonalizes_each_marginal_once(monkeypatch):
             (2, 2, (2, 2), 4, {4: 3, 2: 2}, {4: 2, 2: 1})):
         k = len(system_dims) // 2
         axes = [tuple(range(2, 2 + k)), tuple(range(2 + k, 2 + 2 * k))]
-        terms = _info_terms(axes, (0,), "total")
+        marginals, weights = _kernel_terms(info_terms(axes, (0,), "total"))
         psi = random_kernel_inputs(rng, d_env, d_sink, d_purify, prod(system_dims))[1]
         x = 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink))
         calls.clear()
         matrices.clear()
-        _squashing_value_and_grad(x, psi, (d_env, d_sink) + system_dims, terms)
+        _squashing_value_and_grad(x, psi, (d_env, d_sink) + system_dims, marginals, weights)
         assert tally(matrices) == want
         assert tally(calls) == want_calls
 
@@ -323,23 +322,23 @@ def test_marginal_plan_groups_terms_by_gram_size():
     # first; bipartite total information at the state and channel shapes
     # (see above)
     def group_sizes(shape, terms):
-        marginals = _kernel_terms(tuple(terms))[0]
+        marginals = _kernel_terms(terms)[0]
         return tuple((len(perms), r, prod(shape) // r) for r, perms in _gram_plan(shape, marginals)[0])
 
-    total = _info_terms([(2, 3), (4, 5)], (0,), "total")
+    total = info_terms([(2, 3), (4, 5)], (0,), "total")
     assert group_sizes((4, 4, 2, 2, 2, 2), total) == ((2, 4, 64), (2, 16, 16))
-    channel = _info_terms([(2,), (3,)], (0,), "total")
+    channel = info_terms([(2,), (3,)], (0,), "total")
     assert group_sizes((2, 2, 2, 2), channel) == ((2, 2, 8), (2, 4, 4))
     # dual over three qubits at (2, 3): S(EABC) = S(F) is 3 | 16, S(E) is
     # 2 | 24, and each S(E + two qubits) is 8 | 6, that is S(F + one qubit) 6 | 8
-    dual = _info_terms([(2,), (3,), (4,)], (0,), "dual")
+    dual = info_terms([(2,), (3,), (4,)], (0,), "dual")
     assert group_sizes((2, 3, 2, 2, 2), dual) == ((1, 2, 24), (1, 3, 16), (3, 6, 8))
     # the gradient mode's gather lays out every matricization; each row of
     # the inverse map brings its marginal's block back to the axis order of t
     rng = np.random.Generator(np.random.PCG64(42))
     for shape, terms in (((4, 4, 2, 2, 2, 2), total), ((2, 2, 2, 2), channel),
                          ((2, 3, 2, 2, 2), dual)):
-        marginals = _kernel_terms(tuple(terms))[0]
+        marginals = _kernel_terms(terms)[0]
         groups, order, positions = _gram_plan(shape, marginals)
         gathers, inverse = _gram_gathers(shape, marginals)
         t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -362,9 +361,9 @@ def pure_entropy_cases():
     """(shape, marginals): the kernel's marginals at the state and channel
     search shapes, and the identities' marginals at a two-party and a
     three-party layout (R of rank 2, then keys, shields and E)."""
-    cases = [((4, 4, 2, 2, 2, 2), _info_terms([(2, 3), (4, 5)], (0,), "total")),
-             ((2, 2, 2, 2), _info_terms([(2,), (3,)], (0,), "total"))]
-    cases = [(shape, _kernel_terms(tuple(terms))[0]) for shape, terms in cases]
+    cases = [((4, 4, 2, 2, 2, 2), info_terms([(2, 3), (4, 5)], (0,), "total")),
+             ((2, 2, 2, 2), info_terms([(2,), (3,)], (0,), "total"))]
+    cases = [(shape, _kernel_terms(terms)[0]) for shape, terms in cases]
     for parties in (2, 3):
         keys = tuple(f"A{i + 1}" for i in range(parties))
         shields = tuple(f"{k}p" for k in keys)
@@ -411,7 +410,7 @@ def test_kernel_plans_follow_their_terms():
         for flavor in ("total", "dual", "total", "dual"):
             for groups in splits:
                 axes = [tuple(p + 2 for p in lo.positions(g)) for g in groups]
-                value = half_information(v @ psi, shape, _info_terms(axes, (0,), flavor))[0]
+                value = half_information(v @ psi, shape, info_terms(axes, (0,), flavor))[0]
                 want = density_path_value(v, psi, d_env, lo, groups, flavor)
                 assert abs(value - want) < 1e-12
 
@@ -1196,7 +1195,7 @@ def channel_input_objective(case, d_env, d_sink, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     v = _isometry(0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)),
                   d_env * d_sink, d_purify)[0]
-    terms = _info_terms([(2,), (3,)], (0,), "total")
+    terms = info_terms([(2,), (3,)], (0,), "total")
     shape = (d_env, d_sink, d_in, d_keep)
 
     def f(x):
