@@ -8,12 +8,13 @@ arithmetic).  Exit codes: 0 success, 1 failed verification suite, 2 usage
 or input error, including an option the chosen mode would ignore.
 
 Every command runs through :func:`run_cli`.  It resolves ``--seed`` (default:
-the PRIVSQ_SEED environment variable, then 0) onto ``args.seed``, refuses
-an output path in a missing directory or naming a directory, calls the
-command's ``_cmd_*`` handler, which computes, prints and returns ``(exit
-code, report)``, and writes the report with its ``command`` and ``seed`` to
-the JSON file named by ``--out`` (``gen --report``: there ``--out`` names the
-state file).  Given the seed, every command is bit-reproducible.
+the PRIVSQ_SEED environment variable, then 0) onto ``args.seed``, refuses a
+negative seed and an output path in a missing directory or naming a
+directory, calls the command's ``_cmd_*`` handler, which computes, prints
+and returns ``(exit code, report)``, and writes the report with its
+``command`` and ``seed`` to the JSON file named by ``--out`` (``gen
+--report``: there ``--out`` names the state file).  Given the seed, every
+command is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -88,9 +89,10 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _default_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get("PRIVSQ_SEED", "0"))
+    seed = value if value is not None else int(os.environ.get("PRIVSQ_SEED", "0"))
+    if seed < 0:
+        raise ValueError(f"seed {seed} must be non-negative (--seed, or PRIVSQ_SEED)")
+    return seed
 
 
 def _refuse(mode: str, args, *flags: str) -> None:

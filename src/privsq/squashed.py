@@ -12,16 +12,17 @@ weights, as the squashing kernel, it also returns ``G_t``, the gradient of
 
 Every extension of a state arises by applying a channel to the purifying
 system of a purification.  The ansatz here parameterizes that channel as an
-isometry ``E' -> E (x) F`` (leading columns of ``exp(iH)`` for a Hermitian
-generator ``H`` given by its ``n^2`` real coordinates), applies it to the
-canonical purification, and traces out ``F``.  Half the conditional
-(multipartite) information of the result is an upper bound on the
-corresponding squashed entanglement *for every ansatz*, so minimizing over
-the generator with several seeded restarts yields sound, reproducible upper
-bounds.  The kernel weights the merged information terms by half their
-coefficients at ``t = V psi``.  Each parameterization is one forward map
-that returns its pullback: ``_isometry`` (through ``exp(iH)`` by the
-Daleckii-Krein formula) and ``_channel_purification``.  The state search descends over ``V``, with
+isometry ``E' -> E (x) F`` (leading columns of the Cayley transform ``(I -
+iH/2)^{-1} (I + iH/2)`` of a Hermitian generator ``H`` given by its ``n^2``
+real coordinates), applies it to the canonical purification, and traces
+out ``F``.  Half the conditional (multipartite) information of the result
+is an upper bound on the corresponding squashed entanglement *for every
+ansatz*, so minimizing over the generator with several seeded restarts
+yields sound, reproducible upper bounds.  The kernel weights the merged
+information terms by half their coefficients at ``t = V psi``.  Each
+parameterization is one forward map that returns its pullback:
+``_isometry`` (one inverse of ``I - iH/2``, no diagonalization) and
+``_channel_purification``.  The state search descends over ``V``, with
 ``G_V = G_t psi^dagger``; the channel search alternates that with an
 ascent over pure channel inputs, with ``G_psi = V^dagger G_t``, purifying
 each output with the channel's own sunk outputs restricted to the span
@@ -79,8 +80,9 @@ class SquashingAnsatz:
     ``params`` holds the ``n^2`` real coordinates (``n = d_env * d_sink``)
     of a Hermitian generator ``H``: its diagonal, then the real parts and
     then the imaginary parts of its strict upper triangle (row-major).  The
-    first ``d_purify`` columns of ``exp(iH)`` form the isometry, so every
-    parameter vector realizes an exact isometry.
+    first ``d_purify`` columns of the Cayley transform ``(I - iH/2)^{-1} (I +
+    iH/2)`` form the isometry, so every parameter vector realizes an exact
+    isometry; ``params = 0`` gives the first ``d_purify`` columns of ``I``.
     """
 
     d_purify: int
@@ -124,36 +126,29 @@ def _generator_map(n: int) -> tuple[np.ndarray, np.ndarray]:
     return index.ravel(), sign.ravel()
 
 
-def _expi_divided_differences(w: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Daleckii-Krein matrix of ``x -> exp(ix)`` at the eigenvalues ``w``,
-    given ``e = exp(iw/2)``: ``F[j, k] = (e^{i w_j} - e^{i w_k}) / (w_j - w_k)``,
-    and ``i e^{i w_j}`` on the diagonal, so that ``d exp(iH)[E] = Q (F * (Q^dagger
-    E Q)) Q^dagger``.  Written as ``i e_j e_k sinc((w_j - w_k)/2)``, which tends
-    to ``i e^{i w_j}`` on (near-)degenerate pairs without cancellation."""
-    x = w / (2 * np.pi)
-    return 1j * np.outer(e, e) * np.sinc(x[:, None] - x[None, :])
-
-
 def _isometry(params: np.ndarray, n: int, d_purify: int):
-    """The first ``d_purify`` columns ``V`` of ``exp(iH)``, ``H`` the ``n x n``
-    generator with coordinates ``params``, and the pullback taking ``G_V``
-    (``df = Re <G_V, dV>``) to the gradient in ``params``.
+    """The first ``d_purify`` columns ``V`` of the Cayley transform ``U = (I -
+    iH/2)^{-1} (I + iH/2)``, ``H`` the ``n x n`` generator with coordinates
+    ``params``, and the pullback taking ``G_V`` (``df = Re <G_V, dV>``) to the
+    gradient in ``params``.
 
-    The pullback is the Daleckii-Krein formula in the eigenbasis of ``H``.
-    The gradient on ``U = exp(iH)`` is ``G_V`` padded with zero columns, so
-    ``Q^dagger G_U Q`` only needs the first ``d_purify`` rows of ``Q``.
+    ``I - iH/2`` has every singular value at least 1, so its inverse ``C``
+    always exists.  As ``I + iH/2 = 2I - (I - iH/2)``, ``U = 2C - I``, and
+    ``dU = i C dH C``, so the gradient in ``H`` is ``gamma = -i C^dagger G_V
+    C[:, :d_purify]^dagger``.
     """
     index, sign = _generator_map(n)
-    w, q = np.linalg.eigh((params[index] * sign).view(complex).reshape(n, n))
-    qh = q.conj().T
-    e = np.exp(0.5j * w)
+    a = -0.5j * (params[index] * sign).view(complex).reshape(n, n)
+    a.flat[::n + 1] += 1.0
+    c = np.linalg.inv(a)
+    v = 2.0 * c[:, :d_purify]
+    v[:d_purify] -= np.eye(d_purify)
 
     def pullback(g_v: np.ndarray) -> np.ndarray:
-        rotated = qh @ g_v @ q[:d_purify]
-        gamma = q @ (_expi_divided_differences(w, e).conj() * rotated) @ qh
+        gamma = -1j * (c.conj().T @ g_v) @ c[:, :d_purify].conj().T
         return np.bincount(index, sign * gamma.view(float).ravel(), n * n)
 
-    return (q * (e * e)) @ qh[:, :d_purify], pullback
+    return v, pullback
 
 
 def ansatz_param_count(d_env: int, d_sink: int) -> int:
@@ -314,7 +309,8 @@ def _check_groups_cover(rho: DensityOperator, groups: Sequence[Iterable[str] | s
 
 def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tuple[int, int]:
     """``(d_env, d_sink)``, each defaulting to ``d_purify``; refuses dims
-    below 1 and dims whose product cannot carry the purifying dimension."""
+    below 1, dims whose product cannot carry the purifying dimension, and
+    a generator of more than 2^20 coordinates."""
     if d_purify < 1:
         raise ValueError(f"purifying dimension {d_purify} must be at least 1")
     d_env = int(d_env) if d_env is not None else d_purify
@@ -325,6 +321,13 @@ def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tup
         raise ValueError(
             f"extension dims {d_env}x{d_sink} cannot carry the purifying dimension {d_purify}"
         )
+    # n = d_env d_sink <= 1024 keeps each n x n complex matrix of the chart within 16 MB
+    if ansatz_param_count(d_env, d_sink) > 2 ** 20:
+        raise ValueError(
+            f"extension dims --d-env {d_env} --d-sink {d_sink} give "
+            f"{ansatz_param_count(d_env, d_sink)} generator coordinates, more than 2^20; "
+            f"pass --d-env and --d-sink whose product is at most 1024"
+        )
     return d_env, d_sink
 
 
@@ -334,7 +337,7 @@ def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tup
 
 # Fresh starts draw each coordinate from N(0, INIT_SCALE^2); every L-BFGS-B
 # run of both searches stops on ``max_iters``, ``tol`` (ftol) or LBFGSB_GTOL.
-INIT_SCALE = 0.5
+INIT_SCALE = 0.25
 LBFGSB_GTOL = 1e-8
 ITERATION_LIMIT = "ITERATIONS REACHED LIMIT"  # in scipy's message when max_iters stops a run
 

@@ -24,8 +24,10 @@ from privsq import (
     matched_extension,
     partial_trace,
     random_density,
+    squashed_multi_upper,
     uniform_classical,
 )
+from privsq.cli import run_cli
 from privsq.entropy import info_terms
 from privsq.stateio import StateFileError, read_isometry, write_isometry
 
@@ -77,6 +79,59 @@ def test_ansatz_refuses_a_purifying_dimension_below_one():
     # d_env = d_sink = 1 would carry it, so only the purifying-dimension check refuses
     refused(ValueError, "purifying dimension 0 must be at least 1",
             SquashingAnsatz, 0, 1, 1, [0.0])
+
+
+@pytest.mark.parametrize("search", ["state", "channel", "ansatz"])
+def test_searches_refuse_a_generator_over_the_coordinate_limit(search):
+    # d_env d_sink = 1056 > 1024: (1056)^2 = 1115136 > 2^20 coordinates, refused
+    # before any generator is built
+    call = {
+        "state": lambda: squashed_multi_upper(random_density(PAIR, 2, seed=0), ["A", "B"],
+                                              d_env=33, d_sink=32),
+        "channel": lambda: channel_squashed_upper(sunk_copy_channel(), d_env=33, d_sink=32),
+        "ansatz": lambda: SquashingAnsatz(2, 33, 32, [0.0]),
+    }[search]
+    refused(ValueError, r"--d-env 33 --d-sink 32 give 1115136 generator coordinates, "
+            r"more than 2\^20", call)
+
+
+def test_ansatz_admits_a_generator_at_the_coordinate_limit():
+    assert SquashingAnsatz(1, 32, 32, np.zeros(2 ** 20)).params.size == 2 ** 20
+
+
+def test_esq_refuses_the_default_dims_of_a_rank_64_state(tmp_path, capsys):
+    # three parties with 2-dim keys and shields: the approximate state has rank
+    # 64, so the default d_env = d_sink = 64 give a 4096 x 4096 generator
+    state = tmp_path / "r64.state"
+    assert run_cli(["gen", "--approx", "--shield-dims", "2,2,2", "--seed", "1",
+                    "--out", str(state)]) == 0
+    capsys.readouterr()
+    assert run_cli(["esq", "--in", str(state), "--groups", "A=A1+A1p;B=A2+A2p;C=A3+A3p"]) == 2
+    assert ("--d-env 64 --d-sink 64 give 16777216 generator coordinates"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", ["gen", "entropy", "esq", "verify", "bound"])
+def test_every_command_refuses_a_negative_seed(command, source, tmp_path, capsys, monkeypatch):
+    state, out = tmp_path / "g.state", tmp_path / "out.json"
+    assert run_cli(["gen", "--private", "--seed", "7", "--out", str(state)]) == 0
+    capsys.readouterr()
+    argv = {
+        "gen": ["gen", "--private"],
+        "entropy": ["entropy", "--in", str(state), "--quantity", "vn", "--groups", "A=A1+A1p"],
+        "esq": ["esq", "--in", str(state), "--groups", "A=A1+A1p;B=A2+A2p", "--d-env", "2",
+                "--d-sink", "2", "--restarts", "1"],
+        "verify": ["verify", "--suite", "lemmas", "--instances", "1"],
+        "bound": ["bound", "--thm1", "--esq", "0.9", "--eps", "0.01", "--k", "2"],
+    }[command] + ["--out", str(out)]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("PRIVSQ_SEED", "-1")
+    assert run_cli(argv) == 2
+    assert "seed -1 must be non-negative (--seed, or PRIVSQ_SEED)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_channel_search_refuses_an_unknown_kept_label():

@@ -41,7 +41,7 @@ from privsq.private_states import (
 )
 from privsq.squashed import (
     _channel_purification,
-    _expi_divided_differences,
+    _generator_map,
     _gram_gathers,
     _gram_plan,
     _identity_residuals,
@@ -55,7 +55,6 @@ from privsq.squashed import (
 )
 from privsq.entropy import _group_entropy, info_terms
 from privsq.tensor import entropy_bits, purification_matrix
-from scipy.linalg import expm, expm_frechet
 
 from math import log2, prod, sqrt
 
@@ -276,35 +275,41 @@ def test_extension_kernel_gradients_match_central_differences(case, flavor):
 
 
 def test_one_evaluation_diagonalizes_each_marginal_once(monkeypatch):
-    # one value and gradient diagonalizes the generator H (n x n, n = d_env
-    # d_sink) and, per information term, the smaller Gram matrix of that
-    # marginal, in one stacked call per Gram size.  Bipartite total
-    # information I(A;B|E) = S(AE) + S(BE) - S(E) - S(ABE), axes (env, sink,
-    # systems...):
-    # * shape (4, 4, 2, 2, 2, 2): H is 16; S(AE) and S(BE) split 16 | 16; S(E)
-    #   is 4 | 64 and S(ABE) is 64 | 4, that is S(F): matrices {16: 3, 4: 2}
-    #   in calls {16: 2, 4: 1} (H, the stack of two 16s, the stack of two 4s)
-    # * the channel shape (2, 2, 2, 2): H is 4; S(RE) and S(BE) split 4 | 4;
-    #   S(E) is 2 | 8 and S(RBE) is 8 | 2: matrices {4: 3, 2: 2} in calls
-    #   {4: 2, 2: 1}
-    # so a search at (4, 4) on a 16 x 16 state makes 3 nfev + 1 diagonalizations
-    # at 16 (one more purifies the state) in 2 nfev + 1 calls, and 2 nfev at 4
-    # in nfev calls
-    eigh, calls, matrices = np.linalg.eigh, [], []
+    # one value and gradient inverts I - iH/2 for the generator H (n x n, n =
+    # d_env d_sink), diagonalizes nothing of H, and, per information term,
+    # diagonalizes the smaller Gram matrix of that marginal, in one stacked
+    # call per Gram size.  Bipartite total information I(A;B|E) = S(AE) +
+    # S(BE) - S(E) - S(ABE), axes (env, sink, systems...):
+    # * shape (4, 4, 2, 2, 2, 2): n = 16; S(AE) and S(BE) split 16 | 16; S(E)
+    #   is 4 | 64 and S(ABE) is 64 | 4, that is S(F): eigh matrices
+    #   {16: 2, 4: 2} in calls {16: 1, 4: 1} (the stack of two 16s, the stack
+    #   of two 4s), and one inv at 16
+    # * the channel shape (2, 2, 2, 2): n = 4; S(RE) and S(BE) split 4 | 4;
+    #   S(E) is 2 | 8 and S(RBE) is 8 | 2: eigh matrices {4: 2, 2: 2} in calls
+    #   {4: 1, 2: 1}, and one inv at 4
+    # so a search at (4, 4) on a 16 x 16 state makes 2 nfev + 1 diagonalizations
+    # at 16 (one more purifies the state) in nfev + 1 calls, 2 nfev at 4 in
+    # nfev calls, and nfev inverses at 16
+    eigh, inv, calls, matrices, inverses = np.linalg.eigh, np.linalg.inv, [], [], []
 
     def counted_eigh(a, *args, **kwargs):
         calls.append(a.shape[-1])
         matrices.extend([a.shape[-1]] * prod(a.shape[:-2]))
         return eigh(a, *args, **kwargs)
 
+    def counted_inv(a, *args, **kwargs):
+        inverses.append(a.shape)
+        return inv(a, *args, **kwargs)
+
     def tally(sizes):
         return {n: sizes.count(n) for n in set(sizes)}
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
     rng = np.random.Generator(np.random.PCG64(40))
     for d_env, d_sink, system_dims, d_purify, want, want_calls in (
-            (4, 4, (2, 2, 2, 2), 16, {16: 3, 4: 2}, {16: 2, 4: 1}),
-            (2, 2, (2, 2), 4, {4: 3, 2: 2}, {4: 2, 2: 1})):
+            (4, 4, (2, 2, 2, 2), 16, {16: 2, 4: 2}, {16: 1, 4: 1}),
+            (2, 2, (2, 2), 4, {4: 2, 2: 2}, {4: 1, 2: 1})):
         k = len(system_dims) // 2
         axes = [tuple(range(2, 2 + k)), tuple(range(2 + k, 2 + 2 * k))]
         marginals, weights = _kernel_terms(info_terms(axes, (0,), "total"))
@@ -312,9 +317,11 @@ def test_one_evaluation_diagonalizes_each_marginal_once(monkeypatch):
         x = 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink))
         calls.clear()
         matrices.clear()
+        inverses.clear()
         _squashing_value_and_grad(x, psi, (d_env, d_sink) + system_dims, marginals, weights)
         assert tally(matrices) == want
         assert tally(calls) == want_calls
+        assert inverses == [(d_env * d_sink, d_env * d_sink)]
 
 
 def test_marginal_plan_groups_terms_by_gram_size():
@@ -416,7 +423,7 @@ def test_kernel_plans_follow_their_terms():
 
 
 def test_exact_gradient_at_degenerate_generator():
-    # params = 0: H = 0, every eigenvalue pair is degenerate
+    # params = 0: H = 0, the centre of the chart, where V = I[:, :d]
     rho, groups, d_env, d_sink, d_purify = GRADIENT_CASES[0]
     for flavor in ("total", "dual"):
         f = squashing_objective(rho, groups, flavor, d_env, d_sink, d_purify)
@@ -438,29 +445,58 @@ def test_exact_gradient_vanishes_on_pure_input():
     assert np.abs(central_differences(f, x)).max() < 1e-7
 
 
-def test_daleckii_krein_matches_expm_frechet():
+def cayley(x):
+    """``(I - iX/2)^{-1} (I + iX/2)``, for any square ``X`` without eigenvalue ``-2i``."""
+    eye = np.eye(x.shape[0])
+    return np.linalg.solve(eye - 0.5j * x, eye + 0.5j * x)
+
+
+def test_cayley_pullback_is_the_exact_derivative():
+    # for a rational f, f([[H, E], [0, H]]) has the derivative df(H)[E] as its
+    # upper-right block, so the pullback of G_V must give, in each coordinate
+    # direction E_k, exactly Re <G_V, dV[E_k]> with no finite differences
     rng = np.random.Generator(np.random.PCG64(11))
-    for n in (1, 3, 6):
+    for n, d in ((1, 1), (3, 2), (6, 4)):
+        index, sign = _generator_map(n)
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        direction = e + e.conj().T
-        # generic, all-degenerate, and exactly and nearly degenerate pairs
+        g_v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        # generic, zero, and exactly and nearly degenerate
         pairs = np.diag(np.tile([0.3, -1.2, 0.3 + 1e-9], n)[:n])
         for h in (g + g.conj().T, np.zeros((n, n)), pairs):
-            w, q = np.linalg.eigh(h)
-            f = _expi_divided_differences(w, np.exp(0.5j * w))
-            got = q @ (f * (q.conj().T @ direction @ q)) @ q.conj().T
-            want = expm_frechet(1j * h, 1j * direction, compute_expm=False)
-            assert np.abs(got - want).max() < 1e-12
+            grad = _isometry(hermitian_params(h), n, d)[1](g_v)
+            want = np.empty(n * n)
+            for k in range(n * n):
+                e = (np.eye(n * n)[k][index] * sign).view(complex).reshape(n, n)
+                block = cayley(np.block([[h, e], [np.zeros((n, n)), h]]))
+                want[k] = np.vdot(g_v, block[:n, n:n + d]).real
+            assert np.abs(grad - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
 
-def test_isometry_is_the_first_columns_of_exp_ih():
+def test_isometry_is_the_first_columns_of_the_cayley_transform():
     rng = np.random.Generator(np.random.PCG64(12))
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = g + g.conj().T
     v = _isometry(hermitian_params(h), 6, 4)[0]
-    assert np.abs(v - expm(1j * h)[:, :4]).max() < 1e-12
+    assert np.abs(v - cayley(h)[:, :4]).max() < 1e-12
     assert ansatz_param_count(3, 2) == 36
+    # the inverse chart: U without eigenvalue -1 has H = -2i (U - I)(U + I)^{-1}
+    u, eye = cayley(h), np.eye(6)
+    assert np.abs(-2j * np.linalg.solve((u + eye).T, (u - eye).T).T - h).max() < 1e-12
+
+
+def test_isometry_stays_isometric_at_a_large_generator():
+    # I - iH/2 has every singular value at least 1, so the inverse is never
+    # singular; the columns stay orthonormal for |H| up to 1e6
+    rng = np.random.Generator(np.random.PCG64(13))
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    h = g + g.conj().T
+    for scale in 10.0 ** np.arange(7) / np.linalg.norm(h, 2):
+        v = _isometry(hermitian_params(scale * h), 6, 4)[0]
+        assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-12
+
+
+def test_isometry_at_the_zero_generator_is_the_identity_columns():
+    assert np.array_equal(_isometry(np.zeros(36), 6, 4)[0], np.eye(6)[:, :4])
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-7])
@@ -532,10 +568,10 @@ def test_both_searches_share_one_lbfgsb_option_set(monkeypatch):
     lo = SystemLayout([("A", 2), ("B", 2)])
     squashed_multi_upper(random_density(lo, 3, seed=2), ["A", "B"], d_env=2, d_sink=2, cfg=cfg)
     assert len(calls) == cfg.restarts
-    # restart j starts from N(0, 0.5^2) coordinates drawn from PCG64(seed + j)
+    # restart j starts from N(0, INIT_SCALE^2) coordinates drawn from PCG64(seed + j)
     for j, (x0, _) in enumerate(calls):
         rng = np.random.Generator(np.random.PCG64(cfg.seed + j))
-        assert np.array_equal(x0, 0.5 * rng.standard_normal(ansatz_param_count(2, 2)))
+        assert np.array_equal(x0, sq.INIT_SCALE * rng.standard_normal(ansatz_param_count(2, 2)))
     channel_squashed_upper(identity_channel(), d_env=2, d_sink=2, cfg=cfg, rounds=1)
     assert len(calls) == cfg.restarts + cfg.restarts * (2 * 1 + 3)
     options = {"maxiter": 20, "ftol": 1e-6, "gtol": 1e-8}
