@@ -40,6 +40,7 @@ from .private_states import (
     ghz_state,
     max_entangled,
     privacy_deviation,
+    private_identity_residual,
     private_state,
     private_state_extension,
     purify_private_state,
@@ -54,7 +55,6 @@ from .squashed import (
     extend_by_squashing,
     key_length_bound,
     key_rate_bound,
-    private_identity_residual,
     squashed_multi_upper,
     squashing_value,
 )

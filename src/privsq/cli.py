@@ -9,12 +9,12 @@ or input error, including an option the chosen mode would ignore.
 
 Every command runs through :func:`run_cli`.  It resolves ``--seed`` (default:
 the PRIVSQ_SEED environment variable, then 0) onto ``args.seed``, refuses a
-negative seed and an output path in a missing directory or naming a
-directory, calls the command's ``_cmd_*`` handler, which computes, prints
-and returns ``(exit code, report)``, and writes the report with its
-``command`` and ``seed`` to the JSON file named by ``--out`` (``gen
---report``: there ``--out`` names the state file).  Given the seed, every
-command is bit-reproducible.
+negative or non-integer seed and an output path in a missing directory or
+naming a directory, calls the command's ``_cmd_*`` handler, which
+computes, prints and returns ``(exit code, report)``, and writes the
+report with its ``command`` and ``seed`` to the JSON file named by
+``--out`` (``gen --report``: there ``--out`` names the state file).  Given
+the seed, every command is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -89,10 +89,15 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _default_seed(value: int | None) -> int:
-    seed = value if value is not None else int(os.environ.get("PRIVSQ_SEED", "0"))
-    if seed < 0:
-        raise ValueError(f"seed {seed} must be non-negative (--seed, or PRIVSQ_SEED)")
-    return seed
+    if value is None:
+        text = os.environ.get("PRIVSQ_SEED", "0")
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"PRIVSQ_SEED {text!r} is not an integer (fix it, or pass --seed)") from None
+    if value < 0:
+        raise ValueError(f"seed {value} must be non-negative (--seed, or PRIVSQ_SEED)")
+    return value
 
 
 def _refuse(mode: str, args, *flags: str) -> None:
@@ -201,7 +206,7 @@ def _cmd_gen(args) -> tuple[int, dict]:
     write_state(args.out, state)
     report["out"] = args.out
     report["layout"] = [[lbl, d] for lbl, d in state.layout.systems]
-    report["tolerances"] = {"privacy": 1e-9}
+    report["tolerances"] = {}
     print(f"wrote {args.out} ({state.dim} x {state.dim})")
     return 0, report
 

@@ -12,18 +12,21 @@ system; :func:`privacy_deviation` quantifies how far a given state is from
 satisfying that defining condition, and :func:`approx_private_state` mixes
 a private state with seeded noise.  :func:`purify_private_state` builds the
 state's purification straight from the spec, without any matrix of the
-full dimension.
+full dimension, on which :func:`private_identity_residual` checks the
+entropic identities that hold on every extension of a private state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
-from typing import Sequence
+from functools import cache
+from math import log2, prod
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .layout import LayoutError, SystemLayout
+from .entropy import FLAVOR_TOTAL, Terms, _disjoint, _merged, _pure_entropies, info_terms
+from .layout import LayoutError, SystemLayout, as_labels, fresh_label
 from .metric import fidelity
 from .tensor import (
     DensityOperator,
@@ -34,6 +37,7 @@ from .tensor import (
     _unchecked,
     partial_trace,
     purification_matrix,
+    purify,
     random_density,
 )
 
@@ -252,6 +256,14 @@ def purify_private_state(spec: PrivateStateSpec, ref_label: str = "R") -> PureSt
     return _unchecked(PureStateVector, layout, amplitudes[0])
 
 
+def _key_dim(layout: SystemLayout, key_labels: tuple[str, ...]) -> int:
+    """``K``, the dimension the key systems share (else ``ValueError``)."""
+    key_dims = {lbl: layout.dim_of(lbl) for lbl in key_labels}
+    if len(set(key_dims.values())) > 1:
+        raise ValueError(f"key systems of unequal dimension {key_dims}")
+    return key_dims[key_labels[0]]
+
+
 def _deviation(psi: np.ndarray, layout: SystemLayout, key_labels: tuple[str, ...]) -> float:
     """Privacy deviation from a purification matrix ``psi`` (rows: the
     purifying system, columns: the flat index of ``layout``).  With ``M_x``
@@ -260,7 +272,7 @@ def _deviation(psi: np.ndarray, layout: SystemLayout, key_labels: tuple[str, ...
     sum_x ||M_x M_x^dag - [x = i..i] omega / K||_1``, ``omega = sum_x M_x
     M_x^dag``: one stacked ``eigvalsh`` of ``K^m`` blocks of size ``rank``."""
     pos = layout.positions(key_labels)
-    k, m, r = layout.dims[pos[0]], len(pos), psi.shape[0]
+    k, m, r = _key_dim(layout, key_labels), len(pos), psi.shape[0]
     t = np.moveaxis(psi.reshape((r,) + layout.dims), [p + 1 for p in pos], range(1, m + 1))
     mx = t.reshape(r, k**m, -1).swapaxes(0, 1)
     blocks = mx @ mx.conj().swapaxes(1, 2)
@@ -283,9 +295,7 @@ def privacy_deviation(rho: DensityOperator, key_labels: Sequence[str]) -> float:
         raise LayoutError("privacy_deviation needs at least one key system")
     if len(set(key_labels)) != len(key_labels):
         raise LayoutError(f"key labels {key_labels} repeat a system")
-    key_dims = {lbl: rho.layout.dim_of(lbl) for lbl in key_labels}
-    if len(set(key_dims.values())) > 1:
-        raise ValueError(f"key systems of unequal dimension {key_dims}")
+    _key_dim(rho.layout, key_labels)
     return _deviation(purification_matrix(rho.matrix), rho.layout, key_labels)
 
 
@@ -301,6 +311,108 @@ def approx_private_state(gamma: DensityOperator, noise: float,
     omega = _unchecked(DensityOperator, gamma.layout, mixed)
     # clip floating-point overshoot of F past 1 so eps stays in [0, 1]
     return omega, min(max(1.0 - fidelity(gamma, omega), 0.0), 1.0)
+
+
+# ---------------------------------------------------------------------------
+# private-state identity residuals
+# ---------------------------------------------------------------------------
+
+@cache
+def _identity_terms(layout: SystemLayout, keys: tuple, shields: tuple, env: tuple) -> tuple:
+    """The right sides of the private-state identities for ``m`` parties as
+    ``(kinds, marginals, coef)``: the right side of ``kinds[k]`` is ``coef[k]
+    @ S(marginals)`` over the distinct marginals (sorted label tuples, each
+    given as its axes on ``layout``) that the identities share, and each
+    one's left side is ``m log2 K``."""
+
+    def cmi(a, b, e):  # I(a;b|e)
+        return info_terms([a, b], e, FLAVOR_TOTAL)
+
+    def ce(a, e):  # H(a|e)
+        return [(1, a + e), (-1, e)]
+
+    def minus(terms):
+        return [(-c, members) for c, members in terms]
+
+    m, first = len(keys), keys[0]
+    total: Terms = []
+    for i in range(1, m):
+        total += ce((keys[i],), (shields[i], first) + env)
+        total += cmi((first,), (keys[i], shields[i]), env)
+    total += minus(ce(keys[1:], (first,) + shields + env))
+    dual = ce(keys[1:], (first,) + shields[1:] + env)
+    dual += cmi((first,), keys[1:] + shields[1:], env)
+    for i in range(1, m):
+        other_keys = tuple(keys[j] for j in range(1, m) if j != i)
+        other_shields = tuple(shields[j] for j in range(m) if j != i)
+        dual += minus(ce((keys[i],), (first,) + shields + env))
+        dual += cmi((keys[i], shields[i]), other_keys, (first,) + other_shields + env)
+    terms = {"multi_total": total, "multi_dual": dual}
+    if m == 2:
+        (a, b), (ap, bp) = keys, shields
+        terms["bipartite"] = cmi((a,), (b, bp), env) + cmi((ap,), (b,), (a, bp) + env)
+        terms["bipartite_joint"] = (cmi((a, ap), (b, bp), env)
+                                    + minus(cmi((ap,), (bp,), (a,) + env)))
+    merged = [_merged(t) for t in terms.values()]
+    marginals = sorted(set().union(*merged))
+    coef = np.array([[c.get(x, 0) for x in marginals] for c in merged], dtype=float)
+    coef.setflags(write=False)
+    return tuple(terms), tuple(layout.positions(x) for x in marginals), coef
+
+
+def _identity_residuals(amplitudes: np.ndarray, layout: SystemLayout, keys: tuple,
+                        shields: tuple, env: tuple) -> tuple[tuple[str, ...], np.ndarray]:
+    """``(kinds, residuals)`` for a batch of pure states on ``layout`` (one
+    per row of ``amplitudes``) whose labels :func:`private_identity_residual`
+    has checked: ``residuals[i, k]`` is ``|m log2 K - RHS|`` of identity
+    ``kinds[k]`` on state ``i``."""
+    lhs = len(keys) * log2(_key_dim(layout, keys))
+    kinds, marginals, coef = _identity_terms(layout, keys, shields, env)
+    return kinds, np.abs(lhs - _pure_entropies(amplitudes, layout.dims, marginals) @ coef.T)
+
+
+def private_identity_residual(
+    state: PureStateVector | DensityOperator,
+    keys: Sequence[str],
+    shields: Sequence[str],
+    env: Iterable[str] | str = "E",
+) -> dict[str, float]:
+    """``{kind: |LHS - RHS|}`` over the entropic identities that hold
+    exactly for every extension of an ``m``-party private state.
+
+    ``state`` carries the extension: a pure state on it and a purifying
+    system (as :func:`purify_private_state` builds
+    from a spec), or the extension itself as a density operator, which is
+    purified once (one ``eigh`` of its full dimension).  ``keys`` and
+    ``shields`` list the key and shield labels in party order, ``env`` the
+    extension system(s); the key systems must share one dimension ``K``,
+    and every other system of ``state`` is traced out.  Every ``m >= 2``
+    gets
+
+    * ``multi_total``: the ``m log2 K`` identity whose right side uses
+      conditional entropies and pairwise informations against party 1
+    * ``multi_dual``:  the ``m log2 K`` identity dual to it
+
+    and two parties also get
+
+    * ``bipartite``:        ``2 log2 K  vs  I(A;BB'|E) + I(A';B|AB'E)``
+    * ``bipartite_joint``:  ``I(AA';BB'|E)  vs  2 log2 K + I(A';B'|AE)``
+
+    Each distinct marginal the identities share is read once from the pure
+    state (``_pure_entropies``), never as a partial trace of the extension.
+    """
+    keys, shields = tuple(keys), tuple(shields)
+    env = as_labels(env)
+    m = len(keys)
+    if len(shields) != m or m < 2:
+        raise ValueError("need matching key/shield labels for at least two parties")
+    _disjoint(keys, shields, env)
+    _key_dim(state.layout, keys)
+    if isinstance(state, DensityOperator):
+        state = purify(state, fresh_label(state.layout.labels, "R"))
+    kinds, residuals = _identity_residuals(state.amplitudes[None], state.layout,
+                                           keys, shields, env)
+    return dict(zip(kinds, residuals[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +469,7 @@ __all__ = [
     "private_state_extension",
     "purify_private_state",
     "privacy_deviation",
+    "private_identity_residual",
     "approx_private_state",
     "random_private_spec",
     "default_key_labels",

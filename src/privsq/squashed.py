@@ -1,14 +1,5 @@
-"""Variational upper bounds on squashed entanglement, private-state identity
-residuals, and the key-bound arithmetic built on them.
-
-Both sides of the key bound are sums of marginal entropies of pure tensors,
-and one engine computes them: ``_gram_plan`` groups the marginals (axis
-sets) by the side of their smaller Gram matrix, as ``S(X) = S(X^c)``, and
-``_pure_entropies`` diagonalizes each group as one stack over a batch.
-Without weights it returns the entropies (one ``eigvalsh`` per Gram size),
-which ``_identity_residuals`` reads as ``|m log2 K - S @ coef|``; with
-weights, as the squashing kernel, it also returns ``G_t``, the gradient of
-``S @ weights`` (one ``eigh`` per Gram size).
+"""Variational upper bounds on squashed entanglement and the key-bound
+arithmetic built on them.
 
 Every extension of a state arises by applying a channel to the purifying
 system of a purification.  The ansatz here parameterizes that channel as an
@@ -19,7 +10,8 @@ out ``F``.  Half the conditional (multipartite) information of the result
 is an upper bound on the corresponding squashed entanglement *for every
 ansatz*, so minimizing over the generator with several seeded restarts
 yields sound, reproducible upper bounds.  The kernel weights the merged
-information terms by half their coefficients at ``t = V psi``.  Each
+information terms by half their coefficients at ``t = V psi``, read with
+their gradient ``G_t`` from :func:`privsq.entropy._pure_entropies`.  Each
 parameterization is one forward map that returns its pullback:
 ``_isometry`` (one inverse of ``I - iH/2``, no diagonalization) and
 ``_channel_purification``.  The state search descends over ``V``, with
@@ -42,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from functools import cache
-from math import inf, log, log2, prod, sqrt
+from math import inf, log2, prod, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -54,6 +46,7 @@ from .entropy import (
     _correlation,
     _disjoint,
     _merged,
+    _pure_entropies,
     cmi_continuity,
     info_terms,
 )
@@ -62,10 +55,8 @@ from .tensor import (
     EIG_CLIP,
     DensityOperator,
     Isometry,
-    PureStateVector,
     _unchecked,
     purification_matrix,
-    purify,
 )
 
 
@@ -153,86 +144,6 @@ def _isometry(params: np.ndarray, n: int, d_purify: int):
 
 def ansatz_param_count(d_env: int, d_sink: int) -> int:
     return (d_env * d_sink) ** 2
-
-
-# ---------------------------------------------------------------------------
-# pure-state marginal entropies
-# ---------------------------------------------------------------------------
-
-@cache
-def _gram_plan(shape: tuple[int, ...], marginals: tuple[tuple[int, ...], ...]) -> tuple:
-    """The marginals (axis sets) of a pure tensor shaped ``shape`` grouped by
-    the side ``r`` of their smaller Gram matrix, as ``(groups, order,
-    positions)``: ``groups`` holds ``(r, perms)`` per side, smallest first,
-    each perm the axis order that puts its marginal's smaller side first;
-    ``order`` the marginal each perm reads, group after group; ``positions``
-    the inverse of ``order``.  Only index tuples, so an entry stays small."""
-    size, sides = prod(shape), []
-    for j, axes in enumerate(marginals):
-        rest = tuple(a for a in range(len(shape)) if a not in axes)
-        rows = prod(shape[a] for a in axes)
-        sides.append((rows, axes + rest, j) if rows * rows <= size else (size // rows, rest + axes, j))
-    sides.sort(key=lambda side: side[0])
-    order = tuple(j for _, _, j in sides)
-    groups = tuple((r, tuple(p for s, p, _ in sides if s == r)) for r in sorted({s for s, _, _ in sides}))
-    return groups, order, tuple(sorted(range(len(order)), key=order.__getitem__))
-
-
-@cache
-def _gram_gathers(shape: tuple[int, ...], marginals: tuple[tuple[int, ...], ...]) -> tuple:
-    """The gradient mode's reads of :func:`_gram_plan`: a flat gather per
-    group that lays out its matricizations, and the inverse of them all,
-    whose row ``i`` brings block ``i`` back to the axis order of the tensor."""
-    index = np.arange(prod(shape)).reshape(shape)
-    gathers = [np.stack([index.transpose(p).ravel() for p in perms])
-               for _, perms in _gram_plan(shape, marginals)[0]]
-    every = np.concatenate(gathers)
-    offsets = every.shape[1] * np.arange(len(every))[:, None]
-    return [g.ravel() for g in gathers], np.argsort(every, axis=1) + offsets
-
-
-def _pure_entropies(t: np.ndarray, shape: tuple[int, ...],
-                    marginals: tuple[tuple[int, ...], ...], weights: np.ndarray | None = None):
-    """Entropies in bits of the ``marginals`` of a batch of pure tensors
-    shaped ``shape``, one per row of ``t``, as a ``(batch, marginals)`` array
-    ``S``.  Each comes from the Gram matrix ``g = M M^dagger`` of its
-    matricization ``M`` (:func:`_gram_plan`), one stacked diagonalization
-    per Gram size; eigenvalues at or below the clip are dropped, as in
-    ``entropy_bits``.  Without ``weights``: ``eigvalsh``, on stacks read
-    through transposes.  With ``weights``: ``eigh``, on stacks read through
-    the cached gathers, and also ``G_t``, the gradient of each row of ``S @
-    weights`` (``df = Re <G_t, dt>``).  ``dS = -Tr[(log2 g + 1/ln 2) dg]``
-    gives ``G_M = -2 L M``, ``L`` being ``log2 g + 1/ln 2`` on the kept
-    eigenvalues."""
-    (groups, order, positions), n = _gram_plan(shape, marginals), t.shape[0]
-    s, stop = np.empty((n, len(order))), 0
-    # Two read paths (ROADMAP item 14): gathers cached for every layout of the lemmas
-    # suite would cost RSS, and transposes make the gradient kernel 12-28% slower.
-    if weights is None:
-        tensors = t.reshape((n,) + shape)
-    else:
-        (gathers, inverse), flat, parts = _gram_gathers(shape, marginals), t.reshape(n, -1), []
-        weights = -2.0 * weights.take(order)  # the factor of G_M, in plan order
-    for i, (r, perms) in enumerate(groups):
-        start, stop = stop, stop + len(perms)
-        if weights is None:
-            m = np.stack([tensors.transpose((0, *(a + 1 for a in p))).reshape(n, r, -1)
-                          for p in perms], axis=1)
-            w = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
-        else:
-            m = flat.take(gathers[i], 1).reshape(n, len(perms), r, -1)
-            w, q = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
-        kept = w > EIG_CLIP
-        log_w = np.log2(w, out=np.zeros(w.shape), where=kept)
-        np.add.reduce(w * log_w, -1, out=s[:, start:stop])
-        if weights is not None:  # log_w becomes the multiplier of q q^dagger M
-            np.add(log_w, 1.0 / log(2.0), out=log_w, where=kept)
-            log_w *= weights[start:stop, None]
-            parts.append(((q * log_w[..., None, :]) @ q.conj().swapaxes(-1, -2) @ m).reshape(n, -1))
-    s = -s.take(positions, 1)
-    if weights is None:
-        return s
-    return s, np.add.reduce(np.concatenate(parts, axis=1).take(inverse, 1), 1).reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -490,116 +401,6 @@ def squashed_multi_upper(
 
 
 # ---------------------------------------------------------------------------
-# private-state identity residuals
-# ---------------------------------------------------------------------------
-
-IDENTITY_BIPARTITE = "bipartite"
-IDENTITY_BIPARTITE_JOINT = "bipartite_joint"
-IDENTITY_MULTI_TOTAL = "multi_total"
-IDENTITY_MULTI_DUAL = "multi_dual"
-
-
-@cache
-def _identity_terms(layout: SystemLayout, keys: tuple, shields: tuple, env: tuple) -> tuple:
-    """The right sides of the private-state identities for ``m`` parties as
-    ``(kinds, marginals, coef)``: the right side of ``kinds[k]`` is ``coef[k]
-    @ S(marginals)`` over the distinct marginals (sorted label tuples, each
-    given as its axes on ``layout``) that the identities share, and each
-    one's left side is ``m log2 K``."""
-
-    def cmi(a, b, e):  # I(a;b|e)
-        return info_terms([a, b], e, FLAVOR_TOTAL)
-
-    def ce(a, e):  # H(a|e)
-        return [(1, a + e), (-1, e)]
-
-    def minus(terms):
-        return [(-c, members) for c, members in terms]
-
-    m, first = len(keys), keys[0]
-    total: Terms = []
-    for i in range(1, m):
-        total += ce((keys[i],), (shields[i], first) + env)
-        total += cmi((first,), (keys[i], shields[i]), env)
-    total += minus(ce(keys[1:], (first,) + shields + env))
-    dual = ce(keys[1:], (first,) + shields[1:] + env)
-    dual += cmi((first,), keys[1:] + shields[1:], env)
-    for i in range(1, m):
-        other_keys = tuple(keys[j] for j in range(1, m) if j != i)
-        other_shields = tuple(shields[j] for j in range(m) if j != i)
-        dual += minus(ce((keys[i],), (first,) + shields + env))
-        dual += cmi((keys[i], shields[i]), other_keys, (first,) + other_shields + env)
-    terms = {IDENTITY_MULTI_TOTAL: total, IDENTITY_MULTI_DUAL: dual}
-    if m == 2:
-        (a, b), (ap, bp) = keys, shields
-        terms[IDENTITY_BIPARTITE] = cmi((a,), (b, bp), env) + cmi((ap,), (b,), (a, bp) + env)
-        terms[IDENTITY_BIPARTITE_JOINT] = (cmi((a, ap), (b, bp), env)
-                                           + minus(cmi((ap,), (bp,), (a,) + env)))
-    merged = [_merged(t) for t in terms.values()]
-    marginals = sorted(set().union(*merged))
-    coef = np.array([[c.get(x, 0) for x in marginals] for c in merged], dtype=float)
-    coef.setflags(write=False)
-    return tuple(terms), tuple(layout.positions(x) for x in marginals), coef
-
-
-def _identity_residuals(amplitudes: np.ndarray, layout: SystemLayout, keys: tuple,
-                        shields: tuple, env: tuple) -> tuple[tuple[str, ...], np.ndarray]:
-    """``(kinds, residuals)`` for a batch of pure states on ``layout`` (one
-    per row of ``amplitudes``) whose labels :func:`private_identity_residual`
-    has checked: ``residuals[i, k]`` is ``|m log2 K - RHS|`` of identity
-    ``kinds[k]`` on state ``i``."""
-    lhs = len(keys) * log2(layout.dim_of(keys[0]))
-    kinds, marginals, coef = _identity_terms(layout, keys, shields, env)
-    return kinds, np.abs(lhs - _pure_entropies(amplitudes, layout.dims, marginals) @ coef.T)
-
-
-def private_identity_residual(
-    state: PureStateVector | DensityOperator,
-    keys: Sequence[str],
-    shields: Sequence[str],
-    env: Iterable[str] | str = "E",
-) -> dict[str, float]:
-    """``{kind: |LHS - RHS|}`` over the entropic identities that hold
-    exactly for every extension of an ``m``-party private state.
-
-    ``state`` carries the extension: a pure state on it and a purifying
-    system (as :func:`~privsq.private_states.purify_private_state` builds
-    from a spec), or the extension itself as a density operator, which is
-    purified once (one ``eigh`` of its full dimension).  ``keys`` and
-    ``shields`` list the key and shield labels in party order, ``env`` the
-    extension system(s); the key systems must share one dimension ``K``,
-    and every other system of ``state`` is traced out.  Every ``m >= 2``
-    gets
-
-    * ``multi_total``: the ``m log2 K`` identity whose right side uses
-      conditional entropies and pairwise informations against party 1
-    * ``multi_dual``:  the ``m log2 K`` identity dual to it
-
-    and two parties also get
-
-    * ``bipartite``:        ``2 log2 K  vs  I(A;BB'|E) + I(A';B|AB'E)``
-    * ``bipartite_joint``:  ``I(AA';BB'|E)  vs  2 log2 K + I(A';B'|AE)``
-
-    Each distinct marginal the identities share is read once from the pure
-    state (``_pure_entropies``), never as a partial trace of the extension.
-    """
-    keys, shields = tuple(keys), tuple(shields)
-    env = as_labels(env)
-    m = len(keys)
-    if len(shields) != m or m < 2:
-        raise ValueError("need matching key/shield labels for at least two parties")
-    _disjoint(keys, shields, env)
-    key_dims = {lbl: state.layout.dim_of(lbl) for lbl in keys}
-    if len(set(key_dims.values())) > 1:
-        raise ValueError(f"key systems of unequal dimension {key_dims}")
-    if isinstance(state, DensityOperator):
-        state = purify(state, fresh_label(state.layout.labels, "R"))
-    kinds, residuals = _identity_residuals(state.amplitudes[None], state.layout,
-                                           keys, shields, env)
-    return dict(zip(kinds, residuals[0].tolist()))
-
-
-# ---------------------------------------------------------------------------
 # key bounds
 # ---------------------------------------------------------------------------
 
@@ -802,17 +603,12 @@ __all__ = [
     "extend_by_squashing",
     "squashing_value",
     "squashed_multi_upper",
-    "private_identity_residual",
     "key_length_bound",
     "key_rate_bound",
     "channel_squashed_upper",
     "ansatz_param_count",
     "FLAVOR_TOTAL",
     "FLAVOR_DUAL",
-    "IDENTITY_BIPARTITE",
-    "IDENTITY_BIPARTITE_JOINT",
-    "IDENTITY_MULTI_TOTAL",
-    "IDENTITY_MULTI_DUAL",
     "MODE_BIPARTITE",
     "MODE_MULTI_TOTAL",
     "MODE_MULTI_DUAL",

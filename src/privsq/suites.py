@@ -6,7 +6,8 @@ violation found (for identities: the residual; for inequalities: the amount
 by which they failed, zero when satisfied).  A row passes when that number
 stays at or below its tolerance.  Instance ``i`` of a suite derives its
 seed as ``seed + i`` (pairs use ``seed + 2i`` and ``seed + 2i + 1``), so
-results are reproducible and independent of execution order.
+results are reproducible and independent of execution order; the suites of
+random states draw them in one place, :func:`_random_states`.
 """
 
 from __future__ import annotations
@@ -25,18 +26,14 @@ from .entropy import (
 from .layout import SystemLayout
 from .metric import fidelity, trace_distance
 from .private_states import (
+    _identity_residuals,
     _purified_groups,
     approx_private_state,
     private_state,
     random_private_spec,
     uniform_classical,
 )
-from .squashed import (
-    OptimizerConfig,
-    _identity_residuals,
-    key_length_bound,
-    squashed_multi_upper,
-)
+from .squashed import OptimizerConfig, key_length_bound, squashed_multi_upper
 from .tensor import random_density
 
 
@@ -92,6 +89,17 @@ def _check_instances(instances: int) -> None:
         raise ValueError(f"verify --instances must be at least 1, got {instances}")
 
 
+def _random_states(layout: SystemLayout, instances: int, seed: int, shifts: tuple[int, ...] = (0,)):
+    """Per instance ``i``, one state on ``layout`` per rank shift: the
+    ``j``-th from seed ``seed + len(shifts) i + j`` (``seed + i`` alone, a
+    pair from ``seed + 2i`` and ``seed + 2i + 1``) at rank ``(i + shifts[j])
+    mod d + 1``.  Refuses an empty ensemble before any draw."""
+    _check_instances(instances)
+    d, step = layout.total_dim, len(shifts)
+    return ([random_density(layout, _cycle_rank(i + shift, d), seed + step * i + j)
+             for j, shift in enumerate(shifts)] for i in range(instances))
+
+
 def suite_lemmas(instances: int = 100, seed: int = 0, tol: float = 1e-7) -> SuiteResult:
     """Residuals of the four private-state identities on random extensions
     (two parties: K=2, qubit shields, qubit extension; three parties same,
@@ -136,14 +144,11 @@ def suite_lemmas(instances: int = 100, seed: int = 0, tol: float = 1e-7) -> Suit
 def suite_ssa(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
     """Non-negativity of conditional mutual information on random tripartite
     states with dims (2,2,2) (``instances`` of them) and (2,3,2) (200)."""
-    _check_instances(instances)
     rows = []
     for dims, count, tag in (((2, 2, 2), instances, "dims 2x2x2"), ((2, 3, 2), 200, "dims 2x3x2")):
         layout = SystemLayout((("A", dims[0]), ("B", dims[1]), ("E", dims[2])))
-        d = layout.total_dim
         violation = 0.0
-        for i in range(count):
-            rho = random_density(layout, _cycle_rank(i, d), seed + i)
+        for (rho,) in _random_states(layout, count, seed):
             violation = max(violation, -cond_mutual_info(rho, "A", "B", "E"))
         rows.append(SuiteRow(f"cmi >= 0, {tag}", count, violation, tol))
     return SuiteResult("ssa", seed, tuple(rows))
@@ -152,13 +157,10 @@ def suite_ssa(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteRe
 def suite_chain(instances: int = 100, seed: int = 0, tol: float = 1e-8) -> SuiteResult:
     """Both chain rules for the multipartite informations on random states
     over B, A1..A3, E (all qubits)."""
-    _check_instances(instances)
     layout = SystemLayout((("B", 2), ("A1", 2), ("A2", 2), ("A3", 2), ("E", 2)))
-    d = layout.total_dim
     groups = ["A1", "A2", "A3"]
     worst_total, worst_dual = 0.0, 0.0
-    for i in range(instances):
-        rho = random_density(layout, _cycle_rank(i, d), seed + i)
+    for (rho,) in _random_states(layout, instances, seed):
         lhs = total_correlation(rho, [("B", "A1"), "A2", "A3"], "E")
         rhs = total_correlation(rho, groups, ("B", "E"))
         rhs += sum(cond_mutual_info(rho, "B", g, "E") for g in ("A2", "A3"))
@@ -178,13 +180,10 @@ def suite_dual(instances: int = 100, seed: int = 0, tol: float = 1e-8) -> SuiteR
     """The dual formula (total + dual = sum of one-vs-rest cmi) on random
     4-partite qubit states, plus the exact anchor on the key-basis-dephased
     three-party maximally correlated state (2 + 1 = 3), held to 1e-10."""
-    _check_instances(instances)
     layout = SystemLayout((("A1", 2), ("A2", 2), ("A3", 2), ("E", 2)))
-    d = layout.total_dim
     groups = ["A1", "A2", "A3"]
     worst = 0.0
-    for i in range(instances):
-        rho = random_density(layout, _cycle_rank(i, d), seed + i)
+    for (rho,) in _random_states(layout, instances, seed):
         lhs = total_correlation(rho, groups, "E") + dual_total_correlation(rho, groups, "E")
         rhs = 0.0
         for g in groups:
@@ -209,14 +208,11 @@ def suite_dual(instances: int = 100, seed: int = 0, tol: float = 1e-8) -> SuiteR
 def suite_fvg(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
     """Fuchs-van de Graaf: 1 - sqrt(F) <= T <= sqrt(1 - F) on random pairs
     per dimension d in {2, 3, 4}."""
-    _check_instances(instances)
     rows = []
     for d in (2, 3, 4):
         layout = SystemLayout((("A", d),))
         violation = 0.0
-        for i in range(instances):
-            rho = random_density(layout, _cycle_rank(i, d), seed + 2 * i)
-            sig = random_density(layout, _cycle_rank(i + 1, d), seed + 2 * i + 1)
+        for rho, sig in _random_states(layout, instances, seed, (0, 1)):
             td = trace_distance(rho, sig)
             f = fidelity(rho, sig)
             violation = max(violation, (1.0 - sqrt(f)) - td, td - sqrt(max(1.0 - f, 0.0)))
@@ -228,7 +224,6 @@ def suite_continuity(instances: int = 200, seed: int = 0, tol: float = 1e-9) -> 
     """Entropy continuity bounds at the measured trace distance: conditional
     entropy on (2,2) and (3,2) pairs, conditional mutual information on
     (2,2,2) triples."""
-    _check_instances(instances)
     cases = (
         ("cond-entropy continuity, dims 2x2", (("A", 2), ("B", 2)), cond_entropy,
          ("A", "B"), cond_entropy_continuity, 1.0),
@@ -240,11 +235,8 @@ def suite_continuity(instances: int = 200, seed: int = 0, tol: float = 1e-9) -> 
     rows = []
     for name, systems, quantity, groups, continuity, log_dim in cases:
         layout = SystemLayout(systems)
-        d = layout.total_dim
         violation = 0.0
-        for i in range(instances):
-            rho = random_density(layout, _cycle_rank(i, d), seed + 2 * i)
-            omega = random_density(layout, _cycle_rank(i + 3, d), seed + 2 * i + 1)
+        for rho, omega in _random_states(layout, instances, seed, (0, 3)):
             eps = min(trace_distance(rho, omega), 1.0)
             delta = abs(quantity(rho, *groups) - quantity(omega, *groups))
             violation = max(violation, delta - continuity(eps, log_dim))

@@ -53,6 +53,14 @@ def test_gen_extension_and_approx(tmp_path):
     assert 0.0 < rep["eps"] < 1.0
 
 
+@pytest.mark.parametrize("mode", ["--private", "--extension", "--approx"])
+def test_gen_reports_no_tolerance(mode, tmp_path):
+    # gen compares nothing with a tolerance, so its report lists none
+    report = tmp_path / "r.json"
+    assert run_cli(["gen", mode, "--out", str(tmp_path / "g.state"), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["tolerances"] == {}
+
+
 def test_gen_approx_builds_the_private_state_once(tmp_path, monkeypatch):
     from privsq import cli, private_states
 

@@ -134,6 +134,28 @@ def test_every_command_refuses_a_negative_seed(command, source, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+@pytest.mark.parametrize("command", ["gen", "entropy", "esq", "verify", "bound"])
+def test_every_command_refuses_a_non_integer_env_seed(command, value, tmp_path, capsys,
+                                                      monkeypatch):
+    state, out = tmp_path / "g.state", tmp_path / "out.json"
+    assert run_cli(["gen", "--private", "--seed", "7", "--out", str(state)]) == 0
+    capsys.readouterr()
+    argv = {
+        "gen": ["gen", "--private"],
+        "entropy": ["entropy", "--in", str(state), "--quantity", "vn", "--groups", "A=A1+A1p"],
+        "esq": ["esq", "--in", str(state), "--groups", "A=A1+A1p;B=A2+A2p", "--d-env", "2",
+                "--d-sink", "2", "--restarts", "1"],
+        "verify": ["verify", "--suite", "lemmas", "--instances", "1"],
+        "bound": ["bound", "--thm1", "--esq", "0.9", "--eps", "0.01", "--k", "2"],
+    }[command] + ["--out", str(out)]
+    monkeypatch.setenv("PRIVSQ_SEED", value)
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert f"PRIVSQ_SEED {value!r} is not an integer" in err and "--seed" in err
+    assert not out.exists()
+
+
 def test_channel_search_refuses_an_unknown_kept_label():
     refused(LayoutError, r"unknown system labels \['C'\]", channel_squashed_upper,
             sunk_copy_channel(), keep=("B", "C"), cfg=OptimizerConfig(restarts=1, max_iters=1))

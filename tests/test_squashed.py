@@ -35,6 +35,8 @@ from privsq import (
 )
 from privsq.private_states import (
     PrivateStateSpec,
+    _identity_residuals,
+    _identity_terms,
     _purified_groups,
     approx_private_state,
     private_state,
@@ -42,18 +44,13 @@ from privsq.private_states import (
 from privsq.squashed import (
     _channel_purification,
     _generator_map,
-    _gram_gathers,
-    _gram_plan,
-    _identity_residuals,
-    _identity_terms,
     _isometry,
     _kernel_terms,
-    _pure_entropies,
     _squashing_value_and_grad,
     _sunk_coupling,
     ansatz_param_count,
 )
-from privsq.entropy import _group_entropy, info_terms
+from privsq.entropy import _gram_gathers, _gram_plan, _group_entropy, _pure_entropies, info_terms
 from privsq.tensor import entropy_bits, purification_matrix
 
 from math import log2, prod, sqrt

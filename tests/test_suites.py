@@ -1,5 +1,6 @@
-"""The suite registry: refusal of empty ensembles, and the lemmas suite's
-rows pinned at fixed seeds and its batching pinned from its dims."""
+"""The suite registry: refusal of empty ensembles, the seed contract of
+the random-state ensembles, every suite's rows pinned at fixed seeds, and
+the lemmas suite's batching pinned from its dims."""
 
 import inspect
 from math import prod
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from privsq.layout import SystemLayout
-from privsq.squashed import _identity_terms
-from privsq.suites import SUITES, suite_lemmas
+from privsq.private_states import _identity_terms
+from privsq.suites import SUITES, _random_states, suite_lemmas
+from privsq.tensor import random_density
 
 
 @pytest.mark.parametrize("name", [n for n, fn in SUITES.items()
@@ -19,6 +21,40 @@ def test_suites_refuse_empty_ensembles(name, instances):
     # a suite over no instances would report pass having checked nothing
     with pytest.raises(ValueError, match=f"must be at least 1, got {instances}"):
         SUITES[name](instances=instances)
+
+
+@pytest.mark.parametrize("shifts, seeds, ranks", [
+    ((0,), [[5], [6], [7], [8], [9]], [[1], [2], [3], [4], [1]]),
+    ((0, 3), [[5, 6], [7, 8], [9, 10], [11, 12], [13, 14]],
+     [[1, 4], [2, 1], [3, 2], [4, 3], [1, 4]]),
+])
+def test_random_states_follow_the_seed_contract(shifts, seeds, ranks):
+    # instance i: seed + i alone, or seed + 2i and seed + 2i + 1 as a pair,
+    # the j-th state at rank (i + shifts[j]) mod d + 1
+    layout = SystemLayout((("A", 2), ("B", 2)))
+    drawn = list(_random_states(layout, 5, 5, shifts))
+    assert [len(states) for states in drawn] == [len(shifts)] * 5
+    for states, instance_seeds, instance_ranks in zip(drawn, seeds, ranks):
+        for rho, seed, rank in zip(states, instance_seeds, instance_ranks):
+            assert np.array_equal(rho.matrix, random_density(layout, rank, seed).matrix)
+
+
+# The worst violations at the default instance counts and seed 1, as each
+# suite computed them before its random states were drawn in one place.
+SUITES_WORST = {
+    "ssa": (0.0, 0.0),
+    "chain": (1.7763568394002505e-15, 2.220446049250313e-15),
+    "dual": (1.7763568394002505e-15, 0.0),
+    "fvg": (0.0, 0.0, 0.0),
+    "continuity": (0.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES_WORST))
+def test_random_state_suites_rows_at_seed_1(name):
+    result = SUITES[name](seed=1)
+    assert result.passed and result.seed == 1
+    assert tuple(row.worst for row in result.rows) == SUITES_WORST[name]
 
 
 # The worst residuals at the default 100 + 25 instances, as the per-instance
