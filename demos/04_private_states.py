@@ -2,7 +2,9 @@
 uniform, perfectly correlated, and independent of any purifying system.
 ``privacy_deviation(rho, key_labels)`` measures how far that fails: the
 key systems share one dimension K, every other system is a shield, and the
-value comes from the key blocks of rho's purification.
+value comes from the key blocks of rho's purification.  ``private_state``
+builds every spec: when the spec's shield state carries extension systems,
+it returns the extension, on which the twist acts as the identity.
 
 Run with: python demos/04_private_states.py
 """
@@ -12,7 +14,6 @@ from privsq import (
     partial_trace,
     privacy_deviation,
     private_state,
-    private_state_extension,
     random_private_spec,
     vn_entropy,
 )
@@ -27,7 +28,9 @@ print(f"key marginal entropy per party: "
 print()
 print("an extension: the twist acts as identity on sigma's extension system E")
 spec_ext = random_private_spec(key_dim=2, shield_dims=(2, 2), seed=6, ext_dim=2)
-gamma_ext = private_state_extension(spec_ext)
+# the same builder; PrivateStateSpec(2, (2, 2), spec_ext.shield_marginal(),
+# spec_ext.controls) would give the private state it extends
+gamma_ext = private_state(spec_ext)
 print("  extension layout:", gamma_ext.layout.labels)
 reduced = partial_trace(gamma_ext, ("A1", "A2", "A1p", "A2p"))
 print("  tracing E returns a private state with deviation",

@@ -22,7 +22,6 @@ from privsq import (
     max_entangled,
     private_identity_residual,
     private_state,
-    private_state_extension,
     random_private_spec,
     squashed_multi_upper,
 )
@@ -45,7 +44,7 @@ print("Identity residuals on random private-state extensions")
 print("-" * 70)
 spec = random_private_spec(2, (2, 2), seed=1, ext_dim=2)
 residuals = private_identity_residual(
-    private_state_extension(spec), spec.key_labels, spec.shield_labels, "E"
+    private_state(spec), spec.key_labels, spec.shield_labels, "E"
 )
 for kind in ("bipartite", "bipartite_joint"):
     print(f"  {kind:16s} residual = {residuals[kind]:.2e}")

@@ -42,7 +42,6 @@ from .private_states import (
     privacy_deviation,
     private_identity_residual,
     private_state,
-    private_state_extension,
     purify_private_state,
     random_private_spec,
     uniform_classical,
@@ -95,7 +94,6 @@ __all__ = [
     "max_entangled",
     "uniform_classical",
     "private_state",
-    "private_state_extension",
     "purify_private_state",
     "privacy_deviation",
     "approx_private_state",

@@ -18,9 +18,9 @@ Gram size).
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from math import log, log2, prod
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,12 +30,6 @@ from .tensor import EIG_CLIP, DensityOperator, entropy_bits, reduce_matrix
 FLAVOR_TOTAL = "total"
 FLAVOR_DUAL = "dual"
 _FLAVORS = (FLAVOR_TOTAL, FLAVOR_DUAL)
-
-
-def _group_entropy(rho: DensityOperator, labels: tuple[str, ...]) -> float:
-    """Entropy of the reduction onto a non-empty group ``labels``."""
-    pos = rho.layout.positions(labels)
-    return entropy_bits(reduce_matrix(rho.matrix, rho.layout.dims, pos))
 
 
 def _disjoint(*groups: tuple[str, ...]) -> None:
@@ -53,8 +47,8 @@ Terms = list[tuple[int, tuple]]
 def info_terms(groups: Sequence[tuple], cond: tuple, flavor: str) -> Terms:
     """Conditional total or dual total correlation of ``m >= 2`` groups
     given ``cond`` as ``(coefficient, members)`` pairs: the information is
-    the sum of ``coefficient * H(members)``.  Members are whatever names
-    the entropy oracle takes (labels, or tensor axes).
+    the sum of ``coefficient * H(members)``.  Members are labels (for
+    :func:`_information`) or tensor axes (for the pure-state engine).
 
     * total: ``sum_i H(A_i|E) - H(A_1...A_m|E)``
     * dual:  ``H(A_1...A_m|E) - sum_i H(A_i | A_{[m] minus i} E)``
@@ -82,12 +76,14 @@ def _merged(terms: Terms) -> dict[tuple, int]:
     return {key: c for key, c in merged.items() if c and key}
 
 
-def _information(entropy_of: Callable[[tuple], float], terms: Terms) -> float:
-    """``sum c * entropy_of(members)`` over ``terms``, with equal member
-    sets merged first (:func:`_merged`): sets whose coefficients cancel, and
-    the empty set, are never evaluated.  ``entropy_of`` receives the
-    members sorted."""
-    return sum((c * entropy_of(key) for key, c in _merged(terms).items()), 0.0)
+def _information(rho: DensityOperator, terms: Terms) -> float:
+    """``sum c * H(members)`` over ``terms`` (members: labels of ``rho``),
+    each entropy that of a partial trace of ``rho``, with equal member sets
+    merged first (:func:`_merged`): sets whose coefficients cancel, and the
+    empty set, are never evaluated."""
+    layout = rho.layout
+    return sum((c * entropy_bits(reduce_matrix(rho.matrix, layout.dims, layout.positions(key)))
+                for key, c in _merged(terms).items()), 0.0)
 
 
 def vn_entropy(rho: DensityOperator) -> float:
@@ -104,7 +100,7 @@ def cond_entropy(
     """Conditional entropy ``H(A|B) = H(AB) - H(B)``; may be negative."""
     a, b = as_labels(group), as_labels(cond)
     _disjoint(a, b)
-    return _information(partial(_group_entropy, rho), [(1, a + b), (-1, b)])
+    return _information(rho, [(1, a + b), (-1, b)])
 
 
 def cond_mutual_info(
@@ -129,7 +125,7 @@ def _correlation(
     gs, e = [as_labels(g) for g in groups], as_labels(cond)
     terms = info_terms(gs, e, flavor)
     _disjoint(*gs, e)
-    return _information(partial(_group_entropy, rho), terms)
+    return _information(rho, terms)
 
 
 def total_correlation(

@@ -8,12 +8,17 @@ lives on the all-equal key indices, so the state is ``(1/K) sum_ij
 |i..i><j..j| (x) U_i sigma U_j^dag`` and a :class:`PrivateStateSpec` holds
 just the ``K`` controls ``U_i``.  Measuring the keys yields a uniform,
 perfectly correlated distribution that is product with any purifying
-system; :func:`privacy_deviation` quantifies how far a given state is from
-satisfying that defining condition, and :func:`approx_private_state` mixes
-a private state with seeded noise.  :func:`purify_private_state` builds the
-state's purification straight from the spec, without any matrix of the
-full dimension, on which :func:`private_identity_residual` checks the
-entropic identities that hold on every extension of a private state.
+system.  A spec's shield state may carry extension systems past the
+shields, on which the twist acts as the identity; then the state is an
+extension of the private state of the shield marginal.
+:func:`private_state` builds the density operator of every spec, and
+:func:`purify_private_state` its purification straight from the spec,
+without any matrix of the full dimension, on which
+:func:`private_identity_residual` checks the entropic identities that hold
+on every extension of a private state.  :func:`privacy_deviation`
+quantifies how far a given state is from satisfying the defining
+condition, and :func:`approx_private_state` mixes a private state with
+seeded noise.
 """
 
 from __future__ import annotations
@@ -161,27 +166,10 @@ class PrivateStateSpec:
         return partial_trace(self.shield_state, self.shield_labels)
 
 
-def private_state(spec: PrivateStateSpec) -> DensityOperator:
-    """``U (Phi (x) sigma) U^dag`` with systems ordered keys-then-shields."""
-    if spec.extension_labels:
-        raise ValueError(f"spec's shield state carries extension systems "
-                         f"{spec.extension_labels}; use private_state_extension")
-    return _twisted(spec)
-
-
-def private_state_extension(spec: PrivateStateSpec) -> DensityOperator:
-    """Extension of the private state: the spec's ``shield_state`` carries
-    extension systems, on which the twist acts as the identity.  Tracing
-    them out of the output gives the private state of the shield marginal."""
-    if not spec.extension_labels:
-        raise ValueError("spec has no extension systems; use private_state")
-    return _twisted(spec)
-
-
 def _twist_parts(specs: Sequence[PrivateStateSpec]) -> tuple[np.ndarray, float, int]:
     """The twist ``U = sum_idx |idx><idx| (x) U_idx`` on ``Phi (x) .`` for
-    :func:`_twisted` and :func:`_purified_groups`, for specs that share the
-    key dimension and the shield state's layout: the ``(n, K, d, d)`` stack
+    :func:`private_state` and :func:`_purified_groups`, for specs that share
+    the key dimension and the shield state's layout: the ``(n, K, d, d)`` stack
     of ``W_i = controls[i] (x) I_ext`` (the identity on the systems of
     ``sigma`` past the shields), Phi's amplitude ``a = 1/sqrt(K)`` and the
     flat step between the all-equal key indices, the only ones on which
@@ -195,9 +183,14 @@ def _twist_parts(specs: Sequence[PrivateStateSpec]) -> tuple[np.ndarray, float, 
     return w, 1.0 / np.sqrt(first.key_dim), _all_equal_step(first.key_dim, first.parties)
 
 
-def _twisted(spec: PrivateStateSpec) -> DensityOperator:
-    """``U (Phi (x) sigma) U^dag``: the only nonzero blocks are
-    ``a^2 W_i sigma W_j^dag`` between ``|i..i>`` and ``|j..j>``."""
+def private_state(spec: PrivateStateSpec) -> DensityOperator:
+    """``U (Phi (x) sigma) U^dag`` with systems ordered keys, shields, then
+    the extension systems of the spec's ``shield_state``, on which the twist
+    acts as the identity: the private state, or its extension when
+    ``shield_state`` carries extension systems (tracing them out gives the
+    private state of the spec's :meth:`~PrivateStateSpec.shield_marginal`).
+    The only nonzero blocks are ``a^2 W_i sigma W_j^dag`` between
+    ``|i..i>`` and ``|j..j>``."""
     k, m, sigma = spec.key_dim, spec.parties, spec.shield_state.matrix
     d = sigma.shape[0]
     (w,), a, step = _twist_parts([spec])
@@ -249,8 +242,8 @@ def purify_private_state(spec: PrivateStateSpec, ref_label: str = "R") -> PureSt
     and the spec's extension systems, in that order; ``psi_sigma`` is the
     canonical purification of the spec's ``shield_state`` (the reference
     dimension being its rank).  Tracing out ``ref_label`` gives
-    :func:`private_state` or :func:`private_state_extension` of the spec;
-    it is the batch of one of ``_purified_groups``.  A ``ref_label`` that
+    :func:`private_state` of the spec; it is the batch of one of
+    ``_purified_groups``.  A ``ref_label`` that
     names one of the spec's systems raises :class:`LayoutError`."""
     ((_, amplitudes, layout),) = _purified_groups([spec], ref_label)
     return _unchecked(PureStateVector, layout, amplitudes[0])
@@ -437,8 +430,8 @@ def random_private_spec(
 
     With ``ext_dim`` set, the shield state is sampled on shields plus an
     extension system ``E`` of that dimension (its shield marginal then
-    defines the underlying private state), so
-    ``private_state_extension(spec)`` works directly.
+    defines the underlying private state), and ``private_state(spec)``
+    builds the extension.
     """
     shield_dims = tuple(int(d) for d in shield_dims)
     parties = len(shield_dims)
@@ -466,7 +459,6 @@ __all__ = [
     "max_entangled",
     "uniform_classical",
     "private_state",
-    "private_state_extension",
     "purify_private_state",
     "privacy_deviation",
     "private_identity_residual",

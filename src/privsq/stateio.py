@@ -6,6 +6,9 @@ diffable, human-readable, and language-neutral.  Floats use Python's
 shortest round-trip repr, which makes write-then-read bit-exact.  Reports
 are JSON with sorted keys and no timestamps, so identical inputs and seeds
 produce byte-identical files.
+
+One reader and one writer serve both file kinds; the ``_KINDS`` table
+gives each kind's layout fields, its type and the noun its messages use.
 """
 
 from __future__ import annotations
@@ -20,6 +23,12 @@ from .layout import SystemLayout
 from .tensor import DensityOperator, Isometry, _finite
 
 STATE_FORMAT = "privsq-state/1"
+# kind -> (its layout fields, also the attributes of its type that hold the
+# layouts; the type; the noun the messages use)
+_KINDS = {
+    "density": (("layout",), DensityOperator, "density operator"),
+    "isometry": (("input_layout", "output_layout"), Isometry, "isometry"),
+}
 
 
 class StateFileError(ValueError):
@@ -57,7 +66,7 @@ def _matrix_from_payload(obj: dict, path: str) -> np.ndarray:
     return re + 1j * im
 
 
-def _layout_from_payload(obj: Any, path: str, field: str = "layout") -> SystemLayout:
+def _layout_from_payload(obj: Any, path: str, field: str) -> SystemLayout:
     try:
         systems = [(lbl, d) for lbl, d in obj]
         for lbl, d in systems:
@@ -84,27 +93,6 @@ def _write_json(path: str, payload: dict) -> None:
         raise StateFileError(f"{path}: cannot write file ({exc})") from exc
 
 
-def write_state(path: str, rho: DensityOperator) -> None:
-    payload = {
-        "format": STATE_FORMAT,
-        "kind": "density",
-        "layout": [[lbl, d] for lbl, d in rho.layout.systems],
-        **_matrix_payload(rho.matrix),
-    }
-    _write_json(path, payload)
-
-
-def write_isometry(path: str, v: Isometry) -> None:
-    payload = {
-        "format": STATE_FORMAT,
-        "kind": "isometry",
-        "input_layout": [[lbl, d] for lbl, d in v.input_layout.systems],
-        "output_layout": [[lbl, d] for lbl, d in v.output_layout.systems],
-        **_matrix_payload(v.matrix),
-    }
-    _write_json(path, payload)
-
-
 def _load_payload(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -123,35 +111,49 @@ def _load_payload(path: str) -> dict:
     return payload
 
 
-def read_state(path: str) -> DensityOperator:
-    """Parse a density-operator file; any violated invariant is named."""
+def _read(path: str, kind: str) -> DensityOperator | Isometry:
+    """Parse a file of ``kind``; any violated invariant is named."""
+    fields, cls, noun = _KINDS[kind]
     payload = _load_payload(path)
-    if payload.get("kind", "density") != "density":
-        raise StateFileError(f"{path}: kind {payload.get('kind')!r} is not a density operator")
-    if "layout" not in payload:
-        raise StateFileError(f"{path}: missing 'layout'")
-    layout = _layout_from_payload(payload["layout"], path)
+    if payload.get("kind", "density") != kind:
+        article = "an" if noun[0] in "aeiou" else "a"
+        raise StateFileError(f"{path}: kind {payload.get('kind')!r} is not {article} {noun}")
+    for field in fields:
+        if field not in payload:
+            raise StateFileError(f"{path}: missing {field!r}")
+    layouts = [_layout_from_payload(payload[field], path, field) for field in fields]
     mat = _matrix_from_payload(payload, path)
     try:
-        return DensityOperator(mat, layout)
+        return cls(mat, *layouts)
     except ValueError as exc:
-        raise StateFileError(f"{path}: invalid density operator: {exc}") from exc
+        raise StateFileError(f"{path}: invalid {noun}: {exc}") from exc
+
+
+def _write(path: str, kind: str, value: DensityOperator | Isometry) -> None:
+    payload = {
+        "format": STATE_FORMAT,
+        "kind": kind,
+        **{field: [[lbl, d] for lbl, d in getattr(value, field).systems]
+           for field in _KINDS[kind][0]},
+        **_matrix_payload(value.matrix),
+    }
+    _write_json(path, payload)
+
+
+def read_state(path: str) -> DensityOperator:
+    return _read(path, "density")
 
 
 def read_isometry(path: str) -> Isometry:
-    payload = _load_payload(path)
-    if payload.get("kind") != "isometry":
-        raise StateFileError(f"{path}: kind {payload.get('kind')!r} is not an isometry")
-    for field in ("input_layout", "output_layout"):
-        if field not in payload:
-            raise StateFileError(f"{path}: missing {field!r}")
-    vin = _layout_from_payload(payload["input_layout"], path, "input_layout")
-    vout = _layout_from_payload(payload["output_layout"], path, "output_layout")
-    mat = _matrix_from_payload(payload, path)
-    try:
-        return Isometry(mat, vin, vout)
-    except ValueError as exc:
-        raise StateFileError(f"{path}: invalid isometry: {exc}") from exc
+    return _read(path, "isometry")
+
+
+def write_state(path: str, rho: DensityOperator) -> None:
+    _write(path, "density", rho)
+
+
+def write_isometry(path: str, v: Isometry) -> None:
+    _write(path, "isometry", v)
 
 
 def write_report(path: str, report: dict) -> None:

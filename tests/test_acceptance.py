@@ -25,7 +25,7 @@ from privsq import (
     max_entangled,
     partial_trace,
     private_identity_residual,
-    private_state_extension,
+    private_state,
     random_density,
     random_private_spec,
     squashed_multi_upper,
@@ -58,7 +58,7 @@ def bipartite_identity_run():
     for i in range(100):
         spec = random_private_spec(2, (2, 2), seed=SEED + i, ext_dim=2,
                                    sigma_rank=(i % 8) + 1)
-        residuals = private_identity_residual(private_state_extension(spec),
+        residuals = private_identity_residual(private_state(spec),
                                               spec.key_labels, spec.shield_labels, "E")
         for kind in worst:
             worst[kind] = max(worst[kind], residuals[kind])
@@ -72,7 +72,7 @@ def multipartite_identity_run():
     for i in range(25):
         spec = random_private_spec(2, (2, 2, 2), seed=SEED + 500 + i, ext_dim=2,
                                    sigma_rank=(i % 16) + 1)
-        residuals = private_identity_residual(private_state_extension(spec),
+        residuals = private_identity_residual(private_state(spec),
                                               spec.key_labels, spec.shield_labels, "E")
         for kind in worst:
             worst[kind] = max(worst[kind], residuals[kind])

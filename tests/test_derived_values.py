@@ -29,7 +29,6 @@ from privsq import (
     partial_trace,
     permute_systems,
     private_state,
-    private_state_extension,
     purify,
     random_density,
     random_private_spec,
@@ -113,7 +112,7 @@ def test_private_states_are_valid(key_dim, shield_dims, ext_dim, noise, seed):
     assume(key_dim ** len(shield_dims) <= 9)
     spec = rechecked(random_private_spec(key_dim, shield_dims, seed))
     ext_spec = rechecked(random_private_spec(key_dim, shield_dims, seed, ext_dim=ext_dim))
-    rechecked(private_state_extension(ext_spec))
+    rechecked(private_state(ext_spec))
     gamma = rechecked(private_state(spec))
     omega, _ = approx_private_state(gamma, noise, seed + 1)
     rechecked(omega)

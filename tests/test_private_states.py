@@ -20,7 +20,6 @@ from privsq import (
     partial_trace,
     privacy_deviation,
     private_state,
-    private_state_extension,
     purify_private_state,
     random_density,
     random_private_spec,
@@ -242,7 +241,7 @@ def test_privacy_deviation_memory_guard():
 
 def test_private_state_extension_marginal_and_form():
     spec = random_private_spec(2, (2, 2), seed=31, ext_dim=2)
-    gamma_ext = private_state_extension(spec)
+    gamma_ext = private_state(spec)
     assert gamma_ext.layout.labels == ("A1", "A2", "A1p", "A2p", "E")
     reduced = partial_trace(gamma_ext, ("A1", "A2", "A1p", "A2p"))
 
@@ -252,7 +251,7 @@ def test_private_state_extension_marginal_and_form():
 
 def test_private_state_extension_dim1_env():
     spec = random_private_spec(2, (2, 2), seed=33, ext_dim=1)
-    gamma_ext = private_state_extension(spec)
+    gamma_ext = private_state(spec)
     gamma = private_state(
         PrivateStateSpec(2, (2, 2), spec.shield_marginal(), spec.controls)
     )
@@ -299,7 +298,7 @@ def reference_twisted_state(spec, seed):
 def test_private_state_matches_the_full_twist(key_dim, shield_dims, ext_dim):
     spec = random_private_spec(key_dim, shield_dims, seed=key_dim + len(shield_dims),
                                ext_dim=ext_dim)
-    gamma = private_state_extension(spec) if ext_dim else private_state(spec)
+    gamma = private_state(spec)
     keys = tuple(f"A{i + 1}" for i in range(len(shield_dims)))
     assert gamma.layout.labels == keys + spec.shield_state.layout.labels
     for seed in (0, 1):
@@ -320,15 +319,6 @@ def test_spec_holds_one_read_only_control_per_key_value():
             spec.controls[1] = np.full((4, 4), np.nan)
         with pytest.raises(ValueError, match="read-only"):
             spec.controls[1][0, 0] = np.nan
-
-
-def test_private_state_rejects_extension_spec():
-    spec = random_private_spec(2, (2, 2), seed=41, ext_dim=2)
-    with pytest.raises(ValueError):
-        private_state(spec)
-    spec = random_private_spec(2, (2, 2), seed=41)
-    with pytest.raises(ValueError):
-        private_state_extension(spec)
 
 
 def test_approx_private_state():
@@ -413,7 +403,7 @@ def test_purify_private_state_reduces_to_the_state(key_dim, parties, sigma_rank,
     rank = sigma_rank or spec.shield_state.dim
     assert pure.layout.systems[0] == ("R", rank)
     reduced = partial_trace(pure.density(), pure.layout.labels[1:])
-    state = private_state_extension(spec) if ext_dim else private_state(spec)
+    state = private_state(spec)
     assert reduced.layout == state.layout
     assert np.abs(reduced.matrix - state.matrix).max() < 1e-14
 

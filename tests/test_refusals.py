@@ -2,6 +2,7 @@
 message that names what to change."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,27 @@ def test_esq_refuses_the_default_dims_of_a_rank_64_state(tmp_path, capsys):
     assert run_cli(["esq", "--in", str(state), "--groups", "A=A1+A1p;B=A2+A2p;C=A3+A3p"]) == 2
     assert ("--d-env 64 --d-sink 64 give 16777216 generator coordinates"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, dim", [
+    (["--private", "--k", "2", "--shield-dims", "64,64"], 16384),
+    (["--extension", "--k", "2", "--shield-dims", "16,16", "--ext-dim", "3"], 3072),
+])
+def test_gen_refuses_a_state_over_the_dimension_limit(argv, dim, tmp_path, capsys):
+    # at shields 64,64 the draws alone would take 1.07 GB and the state 4.3 GB;
+    # the refusal comes before any draw
+    state, report = tmp_path / "big.state", tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        code = run_cli(["gen", *argv, "--out", str(state), "--report", str(report)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert (f"total dimension {dim} is over the limit 2048; lower --k, --shield-dims or "
+            f"--ext-dim" in capsys.readouterr().err)
+    assert not state.exists() and not report.exists()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])

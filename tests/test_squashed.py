@@ -24,7 +24,6 @@ from privsq import (
     max_entangled,
     partial_trace,
     private_identity_residual,
-    private_state_extension,
     purify_private_state,
     random_density,
     random_private_spec,
@@ -32,6 +31,7 @@ from privsq import (
     squashed_multi_upper,
     squashing_value,
     total_correlation,
+    vn_entropy,
 )
 from privsq.private_states import (
     PrivateStateSpec,
@@ -50,7 +50,7 @@ from privsq.squashed import (
     _sunk_coupling,
     ansatz_param_count,
 )
-from privsq.entropy import _gram_gathers, _gram_plan, _group_entropy, _pure_entropies, info_terms
+from privsq.entropy import _gram_gathers, _gram_plan, _pure_entropies, info_terms
 from privsq.tensor import entropy_bits, purification_matrix
 
 from math import log2, prod, sqrt
@@ -393,7 +393,7 @@ def test_pure_entropy_modes_agree_with_the_density_path(case):
     for row, amplitudes in zip(values, t):
         rho = PureStateVector(amplitudes.ravel(), layout).density()
         for value, axes in zip(row, marginals):
-            assert abs(value - _group_entropy(rho, tuple(f"x{a}" for a in axes))) < 1e-12
+            assert abs(value - vn_entropy(partial_trace(rho, tuple(f"x{a}" for a in axes)))) < 1e-12
     # a batch is its rows, each evaluated alone
     for i in range(3):
         alone, g_alone = _pure_entropies(t[i:i + 1], shape, marginals, weights)
@@ -804,7 +804,7 @@ def trivial_extended_spec(key_dim, shield_dims, ext_dim, seed):
 
 
 def residuals_of(spec):
-    gamma = private_state_extension(spec)
+    gamma = private_state(spec)
     return private_identity_residual(gamma, spec.key_labels, spec.shield_labels, "E")
 
 
@@ -891,7 +891,7 @@ def test_identity_residual_entropy_count(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     for parties, count in ((2, 6), (3, 14)):
         spec = random_private_spec(2, (2,) * parties, seed=131, ext_dim=2)
-        pure, gamma = purify_private_state(spec), private_state_extension(spec)
+        pure, gamma = purify_private_state(spec), private_state(spec)
         for state, eighs in ((pure, []), (gamma, [gamma.dim])):
             matrices.clear()
             purified.clear()
@@ -1004,7 +1004,7 @@ def test_batched_identity_residuals_match_partial_trace_forms(key_dim, parties, 
                                                specs[0].shield_labels, ("E",))
         assert residuals.shape == (len(idx), len(kinds))
         for j, amp, row in zip(idx, amplitudes, residuals):
-            ext = private_state_extension(specs[j])
+            ext = private_state(specs[j])
             reduced = partial_trace(PureStateVector(amp, layout).density(), layout.labels[1:])
             assert np.abs(reduced.matrix - ext.matrix).max() < 1e-14
             rhs = _partial_trace_identities(ext, specs[j].key_labels, specs[j].shield_labels)
@@ -1024,7 +1024,7 @@ def test_identity_residual_refuses_unknown_labels():
 
 def test_identity_residual_validation():
     spec = random_private_spec(2, (2, 2, 2), seed=101, ext_dim=2)
-    gamma = private_state_extension(spec)
+    gamma = private_state(spec)
     assert set(residuals_of(spec)) == set(MULTI_KINDS)
     assert set(residuals_of(random_private_spec(2, (2, 2), seed=101, ext_dim=2))) == set(
         BIPARTITE_KINDS + MULTI_KINDS

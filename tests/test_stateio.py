@@ -58,6 +58,19 @@ def test_wrong_format_and_kind(tmp_path):
     with pytest.raises(StateFileError, match="not a density operator"):
         read_state(str(path))
 
+    path.write_text(json.dumps({"format": "privsq-state/1", "kind": "density"}))
+    with pytest.raises(StateFileError, match="kind 'density' is not an isometry"):
+        read_isometry(str(path))
+
+    path.write_text(json.dumps({"format": "privsq-state/1"}))
+    with pytest.raises(StateFileError, match="kind None is not an isometry"):
+        read_isometry(str(path))
+
+    # a file with no kind is read as a density operator
+    path.write_text(json.dumps({"format": "privsq-state/1", "layout": [["A", 2]],
+                                "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}))
+    assert read_state(str(path)).layout.labels == ("A",)
+
 
 def test_violated_invariant_is_named(tmp_path):
     path = tmp_path / "bad.state"
@@ -119,11 +132,19 @@ def test_entries_must_be_json_numbers_and_labels_json_strings(tmp_path):
             read_state(str(path))
 
 
-def test_missing_layout(tmp_path):
+@pytest.mark.parametrize("field", ["layout", "input_layout", "output_layout"])
+def test_missing_layout(field, tmp_path):
+    # the density file carries no kind, and is read as a density operator
+    payload = {"format": "privsq-state/1", "re": [[1.0]], "im": [[0.0]]}
+    read = read_state
+    if field != "layout":
+        payload.update(kind="isometry", input_layout=[["A", 1]], output_layout=[["B", 1]])
+        del payload[field]
+        read = read_isometry
     path = tmp_path / "bad.state"
-    path.write_text(json.dumps({"format": "privsq-state/1", "re": [[1.0]], "im": [[0.0]]}))
-    with pytest.raises(StateFileError, match="layout"):
-        read_state(str(path))
+    path.write_text(json.dumps(payload))
+    with pytest.raises(StateFileError, match=re.escape(f"{path}: missing {field!r}")):
+        read(str(path))
 
 
 def test_report_is_deterministic(tmp_path):
