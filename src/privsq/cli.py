@@ -23,6 +23,7 @@ import argparse
 import inspect
 import os
 import sys
+from functools import cache
 from math import inf, log2, prod
 
 from . import __version__
@@ -111,6 +112,7 @@ def _refuse(mode: str, args, *flags: str) -> None:
             raise ValueError(f"{mode} does not take {flag}")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="privsq",

@@ -37,6 +37,7 @@ from .tensor import (
     DensityOperator,
     PureStateVector,
     _finite,
+    _ginibre_density,
     _haar_from_normals,
     _seeded_rng,
     _unchecked,
@@ -426,13 +427,23 @@ def random_private_spec(
     Haar unitary is drawn for each of the ``K^m`` key-index tuples, in
     key-index order, and the ``K`` all-equal ones are kept as the controls;
     the shield state is drawn after them.  Only the kept draws are
-    factored, as one stacked QR.
+    factored.  This is the batch of one of ``_random_private_specs``, which
+    factors the controls of a whole batch in one stacked QR (the lemmas
+    suite's 125 specs take two ``qr`` calls, one per party count).
 
     With ``ext_dim`` set, the shield state is sampled on shields plus an
     extension system ``E`` of that dimension (its shield marginal then
     defines the underlying private state), and ``private_state(spec)``
     builds the extension.
     """
+    return _random_private_specs(key_dim, shield_dims, [seed], [sigma_rank], ext_dim)[0]
+
+
+def _random_private_specs(key_dim: int, shield_dims: Sequence[int],
+                          seeds: Sequence[int | np.random.Generator], ranks: Sequence[int | None],
+                          ext_dim: int | None = None) -> list[PrivateStateSpec]:
+    """:func:`random_private_spec` of each seed and rank, bit for bit, with one stacked QR
+    for every control and one stacked Ginibre product per rank; refusals come first."""
     shield_dims = tuple(int(d) for d in shield_dims)
     parties = len(shield_dims)
     _check_counts(key_dim, parties)
@@ -440,17 +451,23 @@ def random_private_spec(
     layout = SystemLayout(zip(default_shield_labels(parties), shield_dims))
     if ext_dim is not None:
         layout = layout.concat(SystemLayout((("E", int(ext_dim)),)))
-    rank = sigma_rank if sigma_rank is not None else layout.total_dim
-    if not 1 <= rank <= layout.total_dim:  # refused before any draw
-        raise ValueError(f"rank {rank} out of range 1..{layout.total_dim}")
-    d_sh = prod(shield_dims)
-    rng = _seeded_rng(seed)
-    # the normals of all K^m Haar draws, in the stream order of K^m calls of
-    # haar_unitary; only the K all-equal ones are factored
-    normals = rng.standard_normal((key_dim**parties, 2, d_sh, d_sh))
-    controls = _haar_from_normals(normals[::_all_equal_step(key_dim, parties)])
-    sigma = random_density(layout, rank, rng)
-    return _unchecked(PrivateStateSpec, int(key_dim), shield_dims, sigma, tuple(controls))
+    d, d_sh, step = layout.total_dim, prod(shield_dims), _all_equal_step(key_dim, parties)
+    ranks = [d if rank is None else rank for rank in ranks]
+    for rank in ranks:
+        if not 1 <= rank <= d:
+            raise ValueError(f"rank {rank} out of range 1..{d}")
+    rngs = [_seeded_rng(seed) for seed in seeds]
+    # per instance, in stream order: the normals of all K^m Haar draws (as K^m
+    # calls of haar_unitary), then those of the shield state
+    draws = [(rng.standard_normal((key_dim**parties, 2, d_sh, d_sh)),
+              rng.standard_normal((2, d, rank))) for rng, rank in zip(rngs, ranks, strict=True)]
+    controls = _haar_from_normals(np.stack([haar[::step] for haar, _ in draws]))
+    # each rank's shield states from one stacked product, taken in instance order
+    sigmas = {r: iter(_ginibre_density(np.stack([z for _, z in draws if z.shape[-1] == r])))
+              for r in set(ranks)}
+    return [_unchecked(PrivateStateSpec, int(key_dim), shield_dims,
+                       _unchecked(DensityOperator, layout, next(sigmas[r])), tuple(u))
+            for r, u in zip(ranks, controls)]
 
 
 __all__ = [

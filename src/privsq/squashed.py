@@ -429,7 +429,7 @@ def key_length_bound(
     :func:`cmi_continuity` at ``log_dim = log2 K``.  Multipartite, either
     flavor: ``(2/m) (esq + 2m f(sqrt(eps), K))``.  That is the form the
     former default constants ``(4, 4)`` gave; no derivation in this package
-    backs it yet (ROADMAP item 2).
+    backs it yet (ROADMAP item 17).
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; have {_MODES}")
@@ -450,7 +450,14 @@ def key_rate_bound(esq_value: float, eps: float, rounds: int) -> float:
     """Finite-round key-rate bound
     ``esq/(1-2 sqrt(eps)) + 2(1+sqrt(eps)) h2(sqrt(eps)/(1+sqrt(eps))) / (n (1-2 sqrt(eps)))``.
 
-    Only valid when ``1 - 2 sqrt(eps) > 0``; larger ``eps`` raises.
+    For an LOCC protocol on ``rho^(x n)`` whose output ``omega_n`` is
+    ``eps``-close to a private state with ``log2 K_n = n R``, the bipartite
+    bound gives ``n R <= E_sq(omega_n) + 2 sqrt(eps) n R + 2 g(sqrt(eps))``
+    (``g(x) = (1+x) h2(x/(1+x))``), and ``E_sq(omega_n) <= n E_sq(rho)`` by
+    LOCC monotonicity and additivity (Christandl & Winter, quant-ph/0308088);
+    solving for ``R`` gives this bound.  It grows with ``esq``, so any sound
+    upper bound on ``E_sq(rho)`` may be passed.  Only valid when ``1 - 2
+    sqrt(eps) > 0``; larger ``eps`` raises.
     """
     _check_esq(esq_value)
     if not 0.0 <= eps <= 1.0:

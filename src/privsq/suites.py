@@ -28,6 +28,7 @@ from .metric import fidelity, trace_distance
 from .private_states import (
     _identity_residuals,
     _purified_groups,
+    _random_private_specs,
     approx_private_state,
     private_state,
     random_private_spec,
@@ -105,17 +106,17 @@ def suite_lemmas(instances: int = 100, seed: int = 0, tol: float = 1e-7) -> Suit
     (two parties: K=2, qubit shields, qubit extension; three parties same,
     on a quarter as many instances).  The bipartite rows are held to
     ``tol`` and the larger three-party states to ``10 * tol``.  Instance
-    ``i`` draws its spec alone, from seed ``seed + i`` (three parties:
-    ``seed + 10_000 + i``).  Each extension enters as its purification
-    (``purify_private_state``), so its entropies come from small Gram
-    matrices and no matrix of the extension's dimension is formed; the
-    work is batched per party count (one stacked ``eigh`` purifies every
-    shield state) and per rank of the shield state, which fixes the
-    layout (one stacked twist, and one stacked ``eigvalsh`` per Gram size
-    over every instance of that rank).  At two parties the four identities
-    are one entropy sum, as ``I(AA';BB'|E) - I(A';B'|AE) = I(A;BB'|E) +
-    I(A';B|AB'E)`` by the chain rule, so the two bipartite rows always read
-    the same residual."""
+    ``i`` keeps its own stream, seed ``seed + i`` (three parties: ``seed +
+    10_000 + i``).  Each extension enters as its purification
+    (``purify_private_state``), so no matrix of its dimension is formed.
+    The work is batched per party count (one draw of all its specs, whose
+    controls take one stacked QR: two ``qr`` calls for the default 250; one
+    stacked ``eigh`` purifies every shield state) and per shield rank, which
+    fixes the layout (one stacked twist, and one stacked ``eigvalsh`` per
+    Gram size over every instance of that rank).  At two parties the four
+    identities are one entropy sum, as ``I(AA';BB'|E) - I(A';B'|AE) =
+    I(A;BB'|E) + I(A';B|AB'E)`` by the chain rule, so the two bipartite
+    rows always read the same residual."""
     _check_instances(instances)
     multi_instances = max(instances // 4, 1)
     worst: dict[str, float] = {}
@@ -123,8 +124,8 @@ def suite_lemmas(instances: int = 100, seed: int = 0, tol: float = 1e-7) -> Suit
         (2, instances, 0, 8, ("bipartite", "bipartite_joint")),
         (3, multi_instances, 10_000, 16, ("multi_total", "multi_dual")),
     ):
-        specs = [random_private_spec(2, (2,) * parties, seed=seed + offset + i, ext_dim=2,
-                                     sigma_rank=_cycle_rank(i, ranks)) for i in range(count)]
+        specs = _random_private_specs(2, (2,) * parties, [seed + offset + i for i in range(count)],
+                                      [_cycle_rank(i, ranks) for i in range(count)], ext_dim=2)
         for _, amplitudes, layout in _purified_groups(specs):
             names, residuals = _identity_residuals(amplitudes, layout, specs[0].key_labels,
                                                    specs[0].shield_labels,

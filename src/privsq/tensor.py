@@ -386,11 +386,16 @@ def random_density(
     d = layout.total_dim
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} out of range 1..{d}")
-    rng = _seeded_rng(seed)
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    mat = g @ g.conj().T
-    mat /= mat.trace().real
-    return _unchecked(DensityOperator, layout, mat)
+    return _unchecked(DensityOperator, layout,
+                      _ginibre_density(_seeded_rng(seed).standard_normal((2, d, rank))))
+
+
+def _ginibre_density(z: np.ndarray) -> np.ndarray:
+    """``G G^dag / Tr`` from normals shaped ``(..., 2, d, rank)`` (real parts
+    of ``G``, then imaginary parts), stacked over the leading axes."""
+    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    mat = g @ g.conj().swapaxes(-1, -2)
+    return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_pure(layout: SystemLayout, seed: int | np.random.Generator) -> PureStateVector:

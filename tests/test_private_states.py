@@ -28,7 +28,7 @@ from privsq import (
     vn_entropy,
 )
 from privsq.layout import fresh_label
-from privsq.private_states import _deviation
+from privsq.private_states import _deviation, _random_private_specs
 from privsq.tensor import purification_matrix, purify
 
 
@@ -446,6 +446,45 @@ def test_random_private_spec_refuses_a_dimension_below_one_before_drawing():
         with pytest.raises(LayoutError, match=f"system '{system}' has dimension"):
             random_private_spec(2, dims, rng, ext_dim=ext_dim)
         assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("key_dim, shield_dims", ((2, (2, 2)), (3, (2, 3)), (2, (2, 2, 2))))
+@pytest.mark.parametrize("ext_dim", (None, 2))
+def test_batched_specs_equal_the_single_draws(key_dim, shield_dims, ext_dim):
+    """Each instance of a batch is drawn from its own stream in the order of
+    random_private_spec, so it equals that spec bit for bit, at mixed ranks
+    (None: full rank) and for integer and Generator seeds; a Generator is
+    left where the single draw leaves it, and every array is read-only."""
+    d = int(np.prod(shield_dims)) * (ext_dim or 1)
+    seeds, ranks = (5, 6, 7, 8, 9, 10), (None, 1, d, 2, 1, None)
+    for make in (int, np.random.default_rng):
+        given = [make(seed) for seed in seeds]
+        batch = _random_private_specs(key_dim, shield_dims, given, ranks, ext_dim)
+        for spec, seed, rank, rng in zip(batch, seeds, ranks, given, strict=True):
+            alone = make(seed)
+            single = random_private_spec(key_dim, shield_dims, alone, rank, ext_dim)
+            if make is not int:
+                assert rng.bit_generator.state == alone.bit_generator.state
+            assert spec.shield_state.layout == single.shield_state.layout
+            assert np.array_equal(spec.shield_state.matrix, single.shield_state.matrix)
+            assert len(spec.controls) == key_dim
+            for u, v in zip(spec.controls, single.controls, strict=True):
+                assert np.array_equal(u, v)
+            for arr in spec.controls + (spec.shield_state.matrix,):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = np.nan
+
+
+def test_batched_specs_refuse_before_any_draw():
+    # a rank out of range or a missing seed anywhere in the batch is refused
+    # before the generators of the instances before it are drawn from
+    rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+    before = [rng.bit_generator.state for rng in rngs]
+    with pytest.raises(ValueError, match="rank 5 out of range 1..4"):
+        _random_private_specs(2, (2, 2), rngs, (1, 5))
+    with pytest.raises(TypeError, match="seed must be an int or a numpy Generator"):
+        _random_private_specs(2, (2, 2), rngs + [None], (1, 2, 3))
+    assert [rng.bit_generator.state for rng in rngs] == before
 
 
 def test_random_private_spec_checks_counts_before_drawing(monkeypatch):

@@ -121,3 +121,21 @@ def test_suite_lemmas_batching_counts_follow_from_the_dims(monkeypatch):
     assert suite_lemmas(seed=1).passed
     assert (len(calls), len(matrices)) == (want_calls, want_matrices)
     assert purified == [8, 16]  # shields and E: 2^(m+1) at two and three parties
+
+
+def test_suite_lemmas_factors_every_control_in_one_qr_per_party_count(monkeypatch):
+    """Each party count draws its specs as one batch, whose ``K`` kept Haar
+    controls per instance are factored by one stacked QR: at ``K = 2``, ``100
+    K`` and ``25 K`` matrices in two calls, where a draw per spec made 125."""
+    qr, calls = np.linalg.qr, []
+
+    def counted_qr(a, *args, **kwargs):
+        calls.append(prod(a.shape[:-2]))
+        return qr(a, *args, **kwargs)
+
+    key_dim, counts = 2, (100, 25)
+    want = [count * key_dim for count in counts]
+    assert (len(want), sum(want)) == (2, 250)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    assert suite_lemmas(seed=1).passed
+    assert calls == want
