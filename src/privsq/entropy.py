@@ -6,20 +6,19 @@ Outputs are raw reals: tiny negative residuals from floating point are
 *not* clamped here, so property tests see the true numbers.
 
 Both sides of the key bound are sums of marginal entropies of pure tensors,
-and one engine computes them: ``_gram_plan`` groups the marginals (axis
-sets) by the side of their smaller Gram matrix, as ``S(X) = S(X^c)``, and
-``_pure_entropies`` diagonalizes each group as one stack over a batch.
-Without weights it returns the entropies (one ``eigvalsh`` per Gram size),
-which ``private_states._identity_residuals`` reads as ``|m log2 K - S @
-coef|``; with weights, as the squashing kernel of :mod:`privsq.squashed`,
-it also returns ``G_t``, the gradient of ``S @ weights`` (one ``eigh`` per
-Gram size).
+and one plan reads them: ``_gram_plan`` groups the marginals (axis sets) by
+the side of their smaller Gram matrix, as ``S(X) = S(X^c)``.
+``_pure_entropies`` diagonalizes each group as one stack over a batch of
+tensors and returns the entropies (one ``eigvalsh`` per Gram size), which
+``private_states._identity_residuals`` reads as ``|m log2 K - S @ coef|``.
+The squashing kernel of :mod:`privsq.squashed` reads the same plan once
+per search into gathers and evaluates one tensor with its gradient.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import log, log2, prod
+from math import log2, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -214,61 +213,27 @@ def _gram_plan(shape: tuple[int, ...], marginals: tuple[tuple[int, ...], ...]) -
     return groups, order, tuple(sorted(range(len(order)), key=order.__getitem__))
 
 
-@cache
-def _gram_gathers(shape: tuple[int, ...], marginals: tuple[tuple[int, ...], ...]) -> tuple:
-    """The gradient mode's reads of :func:`_gram_plan`: a flat gather per
-    group that lays out its matricizations, and the inverse of them all,
-    whose row ``i`` brings block ``i`` back to the axis order of the tensor."""
-    index = np.arange(prod(shape)).reshape(shape)
-    gathers = [np.stack([index.transpose(p).ravel() for p in perms])
-               for _, perms in _gram_plan(shape, marginals)[0]]
-    every = np.concatenate(gathers)
-    offsets = every.shape[1] * np.arange(len(every))[:, None]
-    return [g.ravel() for g in gathers], np.argsort(every, axis=1) + offsets
-
-
 def _pure_entropies(t: np.ndarray, shape: tuple[int, ...],
-                    marginals: tuple[tuple[int, ...], ...], weights: np.ndarray | None = None):
+                    marginals: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Entropies in bits of the ``marginals`` of a batch of pure tensors
     shaped ``shape``, one per row of ``t``, as a ``(batch, marginals)`` array
     ``S``.  Each comes from the Gram matrix ``g = M M^dagger`` of its
-    matricization ``M`` (:func:`_gram_plan`), one stacked diagonalization
-    per Gram size; eigenvalues at or below the clip are dropped, as in
-    ``entropy_bits``.  Without ``weights``: ``eigvalsh``, on stacks read
-    through transposes.  With ``weights``: ``eigh``, on stacks read through
-    the cached gathers, and also ``G_t``, the gradient of each row of ``S @
-    weights`` (``df = Re <G_t, dt>``).  ``dS = -Tr[(log2 g + 1/ln 2) dg]``
-    gives ``G_M = -2 L M``, ``L`` being ``log2 g + 1/ln 2`` on the kept
-    eigenvalues."""
+    matricization ``M`` (:func:`_gram_plan`), one stacked ``eigvalsh`` per
+    Gram size on stacks read through transposes; eigenvalues at or below
+    the clip are dropped, as in ``entropy_bits``."""
     (groups, order, positions), n = _gram_plan(shape, marginals), t.shape[0]
     s, stop = np.empty((n, len(order))), 0
-    # Two read paths (ROADMAP item 14): gathers cached for every layout of the lemmas
-    # suite would cost RSS, and transposes make the gradient kernel 12-28% slower.
-    if weights is None:
-        tensors = t.reshape((n,) + shape)
-    else:
-        (gathers, inverse), flat, parts = _gram_gathers(shape, marginals), t.reshape(n, -1), []
-        weights = -2.0 * weights.take(order)  # the factor of G_M, in plan order
-    for i, (r, perms) in enumerate(groups):
+    # Transposes, not the kernel's gathers (ROADMAP item 14): gathers cached for every
+    # layout of the lemmas suite would cost RSS.
+    tensors = t.reshape((n,) + shape)
+    for r, perms in groups:
         start, stop = stop, stop + len(perms)
-        if weights is None:
-            m = np.stack([tensors.transpose((0, *(a + 1 for a in p))).reshape(n, r, -1)
-                          for p in perms], axis=1)
-            w = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
-        else:
-            m = flat.take(gathers[i], 1).reshape(n, len(perms), r, -1)
-            w, q = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
-        kept = w > EIG_CLIP
-        log_w = np.log2(w, out=np.zeros(w.shape), where=kept)
+        m = np.stack([tensors.transpose((0, *(a + 1 for a in p))).reshape(n, r, -1)
+                      for p in perms], axis=1)
+        w = np.linalg.eigvalsh(m @ m.conj().swapaxes(-1, -2))
+        log_w = np.log2(w, out=np.zeros(w.shape), where=w > EIG_CLIP)
         np.add.reduce(w * log_w, -1, out=s[:, start:stop])
-        if weights is not None:  # log_w becomes the multiplier of q q^dagger M
-            np.add(log_w, 1.0 / log(2.0), out=log_w, where=kept)
-            log_w *= weights[start:stop, None]
-            parts.append(((q * log_w[..., None, :]) @ q.conj().swapaxes(-1, -2) @ m).reshape(n, -1))
-    s = -s.take(positions, 1)
-    if weights is None:
-        return s
-    return s, np.add.reduce(np.concatenate(parts, axis=1).take(inverse, 1), 1).reshape(t.shape)
+    return -s.take(positions, 1)
 
 
 __all__ = [

@@ -10,16 +10,15 @@ out ``F``.  Half the conditional (multipartite) information of the result
 is an upper bound on the corresponding squashed entanglement *for every
 ansatz*, so minimizing over the generator with several seeded restarts
 yields sound, reproducible upper bounds.  The kernel weights the merged
-information terms by half their coefficients at ``t = V psi``, read with
-their gradient ``G_t`` from :func:`privsq.entropy._pure_entropies`.  Each
-parameterization is one forward map that returns its pullback:
-``_isometry`` (one inverse of ``I - iH/2``, no diagonalization) and
-``_channel_purification``.  The state search descends over ``V``, with
-``G_V = G_t psi^dagger``; the channel search alternates that with an
-ascent over pure channel inputs, with ``G_psi = V^dagger G_t``, purifying
-each output with the channel's own sunk outputs restricted to the span
-they reach, so the purification is linear in the input and no evaluation
-diagonalizes it.
+information terms by half their coefficients at ``t = V psi``.  Each search
+builds one ``_KernelPlan``, all that an evaluation reads without the
+parameters or ``psi``, so an evaluation makes only the calls that depend on
+them: one inverse of ``I - iH/2`` (``_isometry``), one ``eigh`` per Gram
+size of ``t`` and the pullbacks.  The state search descends over ``V``
+(``_descent``, ``G_V = G_t psi^dagger``); the channel search alternates
+that with an ascent over pure channel inputs (``_ascent``, ``G_psi =
+V^dagger G_t``), purifying each output with the channel's own sunk outputs
+restricted to the span they reach, so no evaluation diagonalizes it.
 
 Both searches make every L-BFGS-B run through one driver (``_lbfgsb``, one
 option set), seed and start their restarts the same way and assemble their
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from functools import cache
-from math import inf, log2, prod, sqrt
+from math import inf, log, log2, prod, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,11 +41,10 @@ import numpy as np
 from .entropy import (
     FLAVOR_DUAL,
     FLAVOR_TOTAL,
-    Terms,
     _correlation,
     _disjoint,
+    _gram_plan,
     _merged,
-    _pure_entropies,
     cmi_continuity,
     info_terms,
 )
@@ -91,7 +89,7 @@ class SquashingAnsatz:
         _unchecked(self, d_purify, d_env, d_sink, params)
 
     def isometry_matrix(self) -> np.ndarray:
-        return _isometry(self.params, self.d_env * self.d_sink, self.d_purify)[0]
+        return _isometry(self.params, _chart(self.d_env * self.d_sink), self.d_purify)[1]
 
     def to_isometry(
         self, input_label: str = "Epur", env_label: str = "E", sink_label: str = "F"
@@ -102,44 +100,47 @@ class SquashingAnsatz:
 
 
 @cache
-def _generator_map(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``H`` as a gather from its ``n^2`` coordinates: the float view of the
-    ``n x n`` generator (re, im per entry, row-major) is ``params[index] *
-    sign``.  The gradient of ``df = Re Tr[gamma^dagger dH]`` is the adjoint
-    scatter, ``bincount(index, sign * g)`` with ``g`` the float view of
-    ``gamma``."""
+def _chart(n: int) -> tuple:
+    """``(n, index, sign, folded, half)``: the float view of the ``n x n``
+    generator ``H`` (re, im per entry, row-major) is ``params[index] *
+    sign``, so the gradient of ``df = Re Tr[gamma^dagger dH]`` is
+    ``bincount(index, sign * g)``, ``g`` the float view of ``gamma``; with
+    re and im swapped, that of ``-iH/2`` is ``params[folded] * half``."""
     rows, cols = np.triu_indices(n, 1)
     upper, diag = n + np.arange(rows.size), np.arange(n)
     index, sign = np.empty((n, n, 2), dtype=np.intp), np.zeros((n, n, 2))
     index[diag, diag], sign[diag, diag] = diag[:, None], (1.0, 0.0)
     index[rows, cols] = index[cols, rows] = np.stack((upper, upper + rows.size), -1)
     sign[rows, cols], sign[cols, rows] = (1.0, 1.0), (1.0, -1.0)
-    return index.ravel(), sign.ravel()
+    index, sign = index.ravel(), sign.ravel()
+    swap = np.arange(2 * n * n) ^ 1
+    return n, index, sign, index[swap], 0.5 * sign[swap] * np.tile((1.0, -1.0), n * n)
 
 
-def _isometry(params: np.ndarray, n: int, d_purify: int):
-    """The first ``d_purify`` columns ``V`` of the Cayley transform ``U = (I -
-    iH/2)^{-1} (I + iH/2)``, ``H`` the ``n x n`` generator with coordinates
-    ``params``, and the pullback taking ``G_V`` (``df = Re <G_V, dV>``) to the
-    gradient in ``params``.
+def _isometry(params: np.ndarray, chart: tuple, d_purify: int) -> tuple[np.ndarray, np.ndarray]:
+    """``C = (I - iH/2)^{-1}``, ``H`` the generator with coordinates ``params``
+    in the ``chart`` (:func:`_chart`), and ``V``, the first ``d_purify``
+    columns of the Cayley transform ``U = (I - iH/2)^{-1} (I + iH/2)``.
 
     ``I - iH/2`` has every singular value at least 1, so its inverse ``C``
-    always exists.  As ``I + iH/2 = 2I - (I - iH/2)``, ``U = 2C - I``, and
-    ``dU = i C dH C``, so the gradient in ``H`` is ``gamma = -i C^dagger G_V
-    C[:, :d_purify]^dagger``.
+    always exists.  As ``I + iH/2 = 2I - (I - iH/2)``, ``U = 2C - I``.
     """
-    index, sign = _generator_map(n)
-    a = -0.5j * (params[index] * sign).view(complex).reshape(n, n)
-    a.flat[::n + 1] += 1.0
+    n, _, _, folded, half = chart
+    a = (params.take(folded) * half).view(complex).reshape(n, n)
+    a.reshape(-1)[::n + 1] += 1.0
     c = np.linalg.inv(a)
     v = 2.0 * c[:, :d_purify]
-    v[:d_purify] -= np.eye(d_purify)
+    v.reshape(-1)[:d_purify * d_purify:d_purify + 1] -= 1.0
+    return c, v
 
-    def pullback(g_v: np.ndarray) -> np.ndarray:
-        gamma = -1j * (c.conj().T @ g_v) @ c[:, :d_purify].conj().T
-        return np.bincount(index, sign * gamma.view(float).ravel(), n * n)
 
-    return v, pullback
+def _isometry_pullback(c: np.ndarray, g_v: np.ndarray, chart: tuple) -> np.ndarray:
+    """The gradient in ``params`` of ``df = Re <G_V, dV>`` at ``C`` from
+    :func:`_isometry`: as ``dU = i C dH C``, the gradient in ``H`` is
+    ``gamma = -i C^dagger G_V C[:, :d_purify]^dagger``."""
+    n, index, sign = chart[:3]
+    gamma = -1j * (c.conj().T @ g_v) @ c[:, :g_v.shape[1]].conj().T
+    return np.bincount(index, sign * gamma.view(float).ravel(), n * n)
 
 
 def ansatz_param_count(d_env: int, d_sink: int) -> int:
@@ -175,24 +176,67 @@ def _extension_matrix(psi: np.ndarray, v: np.ndarray, d_env: int, d_sink: int) -
     return np.einsum("efs,gft->esgt", t, t.conj()).reshape(d, d)
 
 
-def _kernel_terms(terms: Terms) -> tuple[tuple, np.ndarray]:
-    """The kernel's marginals for the information ``terms`` (merged by
-    :func:`_merged`) and weights, half their coefficients; a search resolves
-    them once."""
-    merged = _merged(terms)
-    return tuple(merged), 0.5 * np.array(list(merged.values()), dtype=float)
+class _KernelPlan:
+    """Everything a squashing evaluation reads that depends on neither the
+    ansatz parameters nor the purification, for extensions shaped ``shape``
+    = (env, sink, systems...) and the information ``terms``, merged by
+    :func:`_merged` and weighted by half their coefficients: the chart of
+    the ``n x n`` generator (:func:`_chart`); the :func:`_gram_plan` groups
+    of the marginals as flat gathers, each with its plan-order weight
+    column ``-2 * weight``; and the inverse of all gathers, whose row ``i``
+    brings block ``i`` back to the axis order of the tensor."""
+
+    def __init__(self, shape: tuple[int, ...], terms: tuple):
+        merged = _merged(terms)
+        self.weights = 0.5 * np.array(list(merged.values()), dtype=float)
+        groups, order, positions = _gram_plan(shape, tuple(merged))
+        self.chart, self.positions = _chart(shape[0] * shape[1]), np.array(positions)
+        index, columns = np.arange(prod(shape)).reshape(shape), -2.0 * self.weights.take(order)
+        gathers = [np.stack([index.transpose(p).ravel() for p in perms]) for _, perms in groups]
+        every, stop, self.groups = np.concatenate(gathers), 0, []
+        self.inverse = np.argsort(every, axis=1) + every.shape[1] * np.arange(len(every))[:, None]
+        for g, (r, _) in zip(gathers, groups):
+            span, stop = slice(stop, stop + len(g)), stop + len(g)
+            self.groups.append((g.ravel(), (len(g), r, -1), columns[span, None], span))
+
+    def half_information(self, t: np.ndarray) -> tuple[float, np.ndarray]:
+        """Half the information of the pure extension ``t`` (rows: env (x)
+        sink) and its gradient ``G_t`` (``df = Re <G_t, dt>``), from the Gram
+        matrices ``g = M M^dagger`` of the marginals, eigenvalues at or below
+        the clip dropped as in ``entropy_bits``: ``dS = -Tr[(log2 g + 1/ln 2)
+        dg]`` gives ``G_M = -2 L M``, ``L = log2 g + 1/ln 2`` on the kept
+        eigenvalues."""
+        flat, s, parts = t.ravel(), np.empty(len(self.weights)), []
+        for gather, dims, columns, span in self.groups:
+            m = flat.take(gather).reshape(dims)
+            w, q = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
+            kept = w > EIG_CLIP
+            log_w = np.log2(w, out=np.zeros(w.shape), where=kept)
+            np.add.reduce(w * log_w, -1, out=s[span])
+            np.add(log_w, 1.0 / log(2.0), out=log_w, where=kept)  # log_w becomes L
+            log_w *= columns
+            parts.append(((q * log_w[..., None, :]) @ q.conj().swapaxes(-1, -2) @ m).ravel())
+        g_t = np.add.reduce(np.concatenate(parts).take(self.inverse), 0).reshape(t.shape)
+        return -float(s.take(self.positions) @ self.weights), g_t
 
 
-def _squashing_value_and_grad(params: np.ndarray, psi: np.ndarray, shape: tuple[int, ...],
-                              marginals: tuple, weights: np.ndarray) -> tuple[float, np.ndarray]:
-    """Half the information of the squashed extension ``t = V psi`` (a
-    tensor shaped ``shape`` = (env, sink, systems...)) of the purification
-    ``psi`` (rows: purifying system) at the ansatz ``params``, with the
-    information given by :func:`_kernel_terms`, and its exact gradient in
-    ``params``, pulled back from ``G_V = G_t psi^dagger``."""
-    v, pullback = _isometry(params, shape[0] * shape[1], psi.shape[0])
-    s, g_t = _pure_entropies((v @ psi)[None], shape, marginals, weights)
-    return float(s[0] @ weights), pullback(g_t[0] @ psi.conj().T)
+@cache
+def _kernel_plan(shape: tuple[int, ...], terms: tuple) -> _KernelPlan:
+    return _KernelPlan(shape, terms)
+
+
+def _descent(plan: _KernelPlan, psi: np.ndarray):
+    """The objective over ansatz parameters at the purification ``psi``
+    (rows: purifying system): half the information of ``t = V psi`` and its
+    gradient, pulled back from ``G_V = G_t psi^dagger``."""
+    psi_h, d_purify = psi.conj().T, psi.shape[0]
+
+    def value_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
+        c, v = _isometry(params, plan.chart, d_purify)
+        value, g_t = plan.half_information(v @ psi)
+        return value, _isometry_pullback(c, g_t @ psi_h, plan.chart)
+
+    return value_and_grad
 
 
 def squashing_value(
@@ -380,17 +424,16 @@ def squashed_multi_upper(
     _check_groups_cover(rho, groups)
     # axes of the pure amplitude tensor: 0 = env, 1 = sink, 2 + j = system j
     groups_axes = [tuple(p + 2 for p in rho.layout.positions(g)) for g in groups]
-    marginals, weights = _kernel_terms(info_terms(groups_axes, (0,), flavor))
     cfg = cfg or OptimizerConfig()
     psi = purification_matrix(rho.matrix)  # one row per nonzero eigenvalue
     d_purify = psi.shape[0]
     d_env, d_sink = _extension_dims(d_purify, d_env, d_sink)
-    shape = (d_env, d_sink) + rho.layout.dims
+    plan = _kernel_plan((d_env, d_sink) + rho.layout.dims,
+                        tuple(info_terms(groups_axes, (0,), flavor)))
     n_params = ansatz_param_count(d_env, d_sink)
 
     def restart(rng):
-        res = _lbfgsb(lambda x: _squashing_value_and_grad(x, psi, shape, marginals, weights),
-                      _fresh_start(rng, n_params), cfg)
+        res = _lbfgsb(_descent(plan, psi), _fresh_start(rng, n_params), cfg)
         return [res], res
 
     return _search(
@@ -520,6 +563,22 @@ def _channel_purification(params: np.ndarray, coupling: np.ndarray):
     return psi.reshape(coupling.shape[0], -1), pullback
 
 
+def _ascent(plan: _KernelPlan, coupling: np.ndarray, ansatz_params: np.ndarray):
+    """The objective over channel inputs at a fixed ansatz, negated for the
+    minimizer: half the information of ``t = V psi`` and its gradient,
+    pulled back from ``G_psi = V^dagger G_t`` through
+    :func:`_channel_purification`."""
+    v = _isometry(ansatz_params, plan.chart, coupling.shape[0])[1]
+    vh = v.conj().T
+
+    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+        psi, pullback = _channel_purification(x, coupling)
+        value, g_t = plan.half_information(v @ psi)
+        return -value, -pullback(vh @ g_t)
+
+    return negated
+
+
 def channel_squashed_upper(
     channel: Isometry,
     keep: Iterable[str] | str | None = None,
@@ -556,27 +615,12 @@ def channel_squashed_upper(
     d_ref = d_in  # reference system of the pure input, same dimension as the channel input
     d_env, d_sink = _extension_dims(d_purify, d_env, d_sink)
     n_ansatz = ansatz_param_count(d_env, d_sink)
-
-    shape = (d_env, d_sink, d_ref, d_keep)
-    marginals, weights = _kernel_terms(info_terms([(2,), (3,)], (0,), FLAVOR_TOTAL))
+    plan = _kernel_plan((d_env, d_sink, d_ref, d_keep),
+                        tuple(info_terms([(2,), (3,)], (0,), FLAVOR_TOTAL)))
 
     def descend(psi_params: np.ndarray, x0: np.ndarray):
         """Exact-gradient descent over ansaetze at a fixed input."""
-        psi = _channel_purification(psi_params, coupling)[0]
-        return _lbfgsb(lambda x: _squashing_value_and_grad(x, psi, shape, marginals, weights),
-                       x0, cfg)
-
-    def ascend(psi_params: np.ndarray, ansatz_params: np.ndarray):
-        """Exact-gradient ascent over inputs at a fixed ansatz."""
-        v = _isometry(ansatz_params, d_env * d_sink, d_purify)[0]
-        vh = v.conj().T
-
-        def negated(x):
-            psi, pullback = _channel_purification(x, coupling)
-            s, g_t = _pure_entropies((v @ psi)[None], shape, marginals, weights)
-            return -float(s[0] @ weights), -pullback(vh @ g_t[0])
-
-        return _lbfgsb(negated, psi_params, cfg)
+        return _lbfgsb(_descent(plan, _channel_purification(psi_params, coupling)[0]), x0, cfg)
 
     def restart(rng):
         psi_params = rng.standard_normal(2 * d_ref * d_in)
@@ -585,7 +629,7 @@ def channel_squashed_upper(
         for _ in range(rounds):
             runs.append(descend(psi_params, ansatz_params))
             ansatz_params = runs[-1].x
-            runs.append(ascend(psi_params, ansatz_params))
+            runs.append(_lbfgsb(_ascent(plan, coupling, ansatz_params), psi_params, cfg))
             psi_params = runs[-1].x
         # final descents (current ansatz plus fresh starts) so the reported
         # value is a well-minimized squashed bound at this input

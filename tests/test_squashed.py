@@ -42,15 +42,17 @@ from privsq.private_states import (
     private_state,
 )
 from privsq.squashed import (
+    _ascent,
     _channel_purification,
-    _generator_map,
+    _chart,
+    _descent,
     _isometry,
-    _kernel_terms,
-    _squashing_value_and_grad,
+    _isometry_pullback,
+    _kernel_plan,
     _sunk_coupling,
     ansatz_param_count,
 )
-from privsq.entropy import _gram_gathers, _gram_plan, _pure_entropies, info_terms
+from privsq.entropy import _gram_plan, _merged, _pure_entropies, info_terms
 from privsq.tensor import entropy_bits, purification_matrix
 
 from math import log2, prod, sqrt
@@ -163,8 +165,7 @@ def squashing_objective(rho, groups, flavor, d_env, d_sink, d_purify):
     psi = purification_matrix(rho.matrix, d_ref=d_purify)
     axes = [tuple(p + 2 for p in rho.layout.positions(g)) for g in groups]
     shape = (d_env, d_sink) + rho.layout.dims
-    marginals, weights = _kernel_terms(info_terms(axes, (0,), flavor))
-    return lambda x: _squashing_value_and_grad(x, psi, shape, marginals, weights)
+    return _descent(_kernel_plan(shape, tuple(info_terms(axes, (0,), flavor))), psi)
 
 
 def central_differences(f, x, h=1e-6):
@@ -235,18 +236,15 @@ def density_path_value(v, psi, d_env, layout, groups, flavor):
 
 def half_information(t, shape, terms):
     """Half the information ``terms`` of the pure extension ``t`` (rows: env
-    (x) sink) and its gradient ``G_t``: the kernel's weighted mode at a
-    batch of one."""
-    marginals, weights = _kernel_terms(terms)
-    s, g_t = _pure_entropies(t[None], shape, marginals, weights)
-    return float(s[0] @ weights), g_t[0]
+    (x) sink) and its gradient ``G_t``: the kernel's evaluator on one tensor."""
+    return _kernel_plan(shape, tuple(terms)).half_information(t)
 
 
 def random_kernel_inputs(rng, d_env, d_sink, d_purify, dim):
     """A random normalized purification ``psi`` and a random ansatz isometry."""
     psi = rng.standard_normal((d_purify, dim)) + 1j * rng.standard_normal((d_purify, dim))
     v = _isometry(0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)),
-                  d_env * d_sink, d_purify)[0]
+                  _chart(d_env * d_sink), d_purify)[1]
     return v, psi / np.linalg.norm(psi)
 
 
@@ -309,13 +307,14 @@ def test_one_evaluation_diagonalizes_each_marginal_once(monkeypatch):
             (2, 2, (2, 2), 4, {4: 2, 2: 2}, {4: 1, 2: 1})):
         k = len(system_dims) // 2
         axes = [tuple(range(2, 2 + k)), tuple(range(2 + k, 2 + 2 * k))]
-        marginals, weights = _kernel_terms(info_terms(axes, (0,), "total"))
+        plan = _kernel_plan((d_env, d_sink) + system_dims, tuple(info_terms(axes, (0,), "total")))
         psi = random_kernel_inputs(rng, d_env, d_sink, d_purify, prod(system_dims))[1]
         x = 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink))
+        objective = _descent(plan, psi)
         calls.clear()
         matrices.clear()
         inverses.clear()
-        _squashing_value_and_grad(x, psi, (d_env, d_sink) + system_dims, marginals, weights)
+        objective(x)
         assert tally(matrices) == want
         assert tally(calls) == want_calls
         assert inverses == [(d_env * d_sink, d_env * d_sink)]
@@ -326,7 +325,7 @@ def test_marginal_plan_groups_terms_by_gram_size():
     # first; bipartite total information at the state and channel shapes
     # (see above)
     def group_sizes(shape, terms):
-        marginals = _kernel_terms(terms)[0]
+        marginals = tuple(_merged(terms))
         return tuple((len(perms), r, prod(shape) // r) for r, perms in _gram_plan(shape, marginals)[0])
 
     total = info_terms([(2, 3), (4, 5)], (0,), "total")
@@ -337,14 +336,14 @@ def test_marginal_plan_groups_terms_by_gram_size():
     # 2 | 24, and each S(E + two qubits) is 8 | 6, that is S(F + one qubit) 6 | 8
     dual = info_terms([(2,), (3,), (4,)], (0,), "dual")
     assert group_sizes((2, 3, 2, 2, 2), dual) == ((1, 2, 24), (1, 3, 16), (3, 6, 8))
-    # the gradient mode's gather lays out every matricization; each row of
+    # the kernel plan's gather lays out every matricization; each row of
     # the inverse map brings its marginal's block back to the axis order of t
     rng = np.random.Generator(np.random.PCG64(42))
     for shape, terms in (((4, 4, 2, 2, 2, 2), total), ((2, 2, 2, 2), channel),
                          ((2, 3, 2, 2, 2), dual)):
-        marginals = _kernel_terms(terms)[0]
-        groups, order, positions = _gram_plan(shape, marginals)
-        gathers, inverse = _gram_gathers(shape, marginals)
+        groups, order, positions = _gram_plan(shape, tuple(_merged(terms)))
+        plan = _kernel_plan(shape, tuple(terms))
+        gathers, inverse = [g for g, _, _, _ in plan.groups], plan.inverse
         t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         flat = t.ravel()[np.concatenate(gathers)]
         assert [g.size for g in gathers] == [len(perms) * t.size for _, perms in groups]
@@ -367,7 +366,7 @@ def pure_entropy_cases():
     three-party layout (R of rank 2, then keys, shields and E)."""
     cases = [((4, 4, 2, 2, 2, 2), info_terms([(2, 3), (4, 5)], (0,), "total")),
              ((2, 2, 2, 2), info_terms([(2,), (3,)], (0,), "total"))]
-    cases = [(shape, _kernel_terms(terms)[0]) for shape, terms in cases]
+    cases = [(shape, tuple(_merged(terms))) for shape, terms in cases]
     for parties in (2, 3):
         keys = tuple(f"A{i + 1}" for i in range(parties))
         shields = tuple(f"{k}p" for k in keys)
@@ -378,17 +377,22 @@ def pure_entropy_cases():
 
 @pytest.mark.parametrize("case", range(4))
 def test_pure_entropy_modes_agree_with_the_density_path(case):
-    # the entropies the two modes return agree, on a batch of random pure
-    # tensors, and each is the partial-trace entropy of its marginal
+    # on a batch of random pure tensors, the batched entropies weighted by
+    # random weights agree with the kernel's evaluator on each tensor (a plan
+    # of the marginals with coefficients twice the weights, which it halves),
+    # and each entropy is the partial-trace entropy of its marginal
     shape, marginals = pure_entropy_cases()[case]
     rng = np.random.Generator(np.random.PCG64(50 + case))
     t = random_pure_batch(rng, 3, shape)
     weights = rng.standard_normal(len(marginals))
+    plan = _kernel_plan(shape, tuple(zip(2 * weights, marginals)))
+    assert np.array_equal(plan.weights, weights)
     values = _pure_entropies(t, shape, marginals)
-    weighted, g_t = _pure_entropies(t, shape, marginals, weights)
-    assert values.shape == weighted.shape == (3, len(marginals))
-    assert g_t.shape == t.shape
-    assert np.abs(values - weighted).max() < 1e-13
+    assert values.shape == (3, len(marginals))
+    for row, amplitudes in zip(values, t):
+        weighted, g_t = plan.half_information(amplitudes)
+        assert g_t.shape == amplitudes.shape
+        assert abs(row @ weights - weighted) < 1e-13
     layout = SystemLayout((f"x{a}", d) for a, d in enumerate(shape))
     for row, amplitudes in zip(values, t):
         rho = PureStateVector(amplitudes.ravel(), layout).density()
@@ -396,9 +400,8 @@ def test_pure_entropy_modes_agree_with_the_density_path(case):
             assert abs(value - vn_entropy(partial_trace(rho, tuple(f"x{a}" for a in axes)))) < 1e-12
     # a batch is its rows, each evaluated alone
     for i in range(3):
-        alone, g_alone = _pure_entropies(t[i:i + 1], shape, marginals, weights)
-        assert np.abs(alone[0] - weighted[i]).max() < 1e-13
-        assert np.abs(g_alone[0] - g_t[i]).max() < 1e-13
+        alone = _pure_entropies(t[i:i + 1], shape, marginals)
+        assert np.abs(alone[0] - values[i]).max() < 1e-13
 
 
 def test_kernel_plans_follow_their_terms():
@@ -417,6 +420,29 @@ def test_kernel_plans_follow_their_terms():
                 value = half_information(v @ psi, shape, info_terms(axes, (0,), flavor))[0]
                 want = density_path_value(v, psi, d_env, lo, groups, flavor)
                 assert abs(value - want) < 1e-12
+
+
+def test_each_search_builds_one_kernel_plan(monkeypatch):
+    # the plan is looked up once per search call: never per restart, per
+    # descent or ascent, or per evaluation
+    import privsq.squashed as sq
+
+    built = []
+
+    def counted_plan(*args):
+        built.append(args)
+        return plan(*args)
+
+    plan = sq._kernel_plan
+    monkeypatch.setattr(sq, "_kernel_plan", counted_plan)
+    cfg = OptimizerConfig(restarts=2, max_iters=20, seed=4)
+    lo = SystemLayout([("A", 2), ("B", 2)])
+    rep = squashed_multi_upper(random_density(lo, 3, seed=2), ["A", "B"], d_env=2, d_sink=2, cfg=cfg)
+    assert len(built) == 1
+    assert sum(r.nfev for r in rep.restarts) > cfg.restarts
+    rep = channel_squashed_upper(identity_channel(), d_env=2, d_sink=2, cfg=cfg, rounds=2)
+    assert len(built) == 2
+    assert sum(r.nfev for r in rep.restarts) > cfg.restarts * (2 * 2 + 3)
 
 
 def test_exact_gradient_at_degenerate_generator():
@@ -454,13 +480,14 @@ def test_cayley_pullback_is_the_exact_derivative():
     # direction E_k, exactly Re <G_V, dV[E_k]> with no finite differences
     rng = np.random.Generator(np.random.PCG64(11))
     for n, d in ((1, 1), (3, 2), (6, 4)):
-        index, sign = _generator_map(n)
+        chart = _chart(n)
+        index, sign = chart[1:3]
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         g_v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         # generic, zero, and exactly and nearly degenerate
         pairs = np.diag(np.tile([0.3, -1.2, 0.3 + 1e-9], n)[:n])
         for h in (g + g.conj().T, np.zeros((n, n)), pairs):
-            grad = _isometry(hermitian_params(h), n, d)[1](g_v)
+            grad = _isometry_pullback(_isometry(hermitian_params(h), chart, d)[0], g_v, chart)
             want = np.empty(n * n)
             for k in range(n * n):
                 e = (np.eye(n * n)[k][index] * sign).view(complex).reshape(n, n)
@@ -469,11 +496,31 @@ def test_cayley_pullback_is_the_exact_derivative():
             assert np.abs(grad - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
 
+def test_chart_folds_its_factor_exactly(monkeypatch):
+    # the chart gathers I - iH/2 with the -i/2 folded into its coordinates (re
+    # and im swapped, signs +-1/2): the matrix the isometry inverts is
+    # bit-equal to I - 0.5j H for seeded Hermitian H, so a dropped sign or an
+    # unswapped re and im fails
+    inverted, inv = [], np.linalg.inv
+
+    def recorded_inv(a):
+        inverted.append(a.copy())
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recorded_inv)
+    rng = np.random.Generator(np.random.PCG64(14))
+    for n in (1, 2, 3, 4, 6):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = g + g.conj().T
+        _isometry(hermitian_params(h), _chart(n), max(1, n // 2))
+        assert np.array_equal(inverted[-1], np.eye(n) - 0.5j * h)
+
+
 def test_isometry_is_the_first_columns_of_the_cayley_transform():
     rng = np.random.Generator(np.random.PCG64(12))
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = g + g.conj().T
-    v = _isometry(hermitian_params(h), 6, 4)[0]
+    v = _isometry(hermitian_params(h), _chart(6), 4)[1]
     assert np.abs(v - cayley(h)[:, :4]).max() < 1e-12
     assert ansatz_param_count(3, 2) == 36
     # the inverse chart: U without eigenvalue -1 has H = -2i (U - I)(U + I)^{-1}
@@ -488,12 +535,12 @@ def test_isometry_stays_isometric_at_a_large_generator():
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = g + g.conj().T
     for scale in 10.0 ** np.arange(7) / np.linalg.norm(h, 2):
-        v = _isometry(hermitian_params(scale * h), 6, 4)[0]
+        v = _isometry(hermitian_params(scale * h), _chart(6), 4)[1]
         assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-12
 
 
 def test_isometry_at_the_zero_generator_is_the_identity_columns():
-    assert np.array_equal(_isometry(np.zeros(36), 6, 4)[0], np.eye(6)[:, :4])
+    assert np.array_equal(_isometry(np.zeros(36), _chart(6), 4)[1], np.eye(6)[:, :4])
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-7])
@@ -777,16 +824,26 @@ def test_multipartite_key_bound_chain_for_every_ansatz():
 
 
 def test_report_determinism():
+    # two calls give equal reports and bit-equal best ansaetze, for the state
+    # search and for the channel search
     lo = SystemLayout([("A", 2), ("B", 2)])
     rho = random_density(lo, 4, seed=21)
     cfg = OptimizerConfig(restarts=3, max_iters=25, seed=8)
     rep1 = squashed_multi_upper(rho, ["A", "B"], d_env=2, d_sink=2, cfg=cfg)
     rep2 = squashed_multi_upper(rho, ["A", "B"], d_env=2, d_sink=2, cfg=cfg)
     assert rep1.to_dict() == rep2.to_dict()
-    assert np.array_equal(rep1.ansatz.params, rep2.ansatz.params)
+    assert rep1.ansatz.params.tobytes() == rep2.ansatz.params.tobytes()
     assert rep1.best_restart == min(
         range(len(rep1.restarts)),
         key=lambda j: (rep1.restarts[j].value, j),
+    )
+    chan1, chan2 = (channel_squashed_upper(random_three_output_channel(), d_env=2, d_sink=2,
+                                           cfg=cfg, rounds=2) for _ in range(2))
+    assert chan1.to_dict() == chan2.to_dict()
+    assert chan1.ansatz.params.tobytes() == chan2.ansatz.params.tobytes()
+    assert chan1.best_restart == max(
+        range(len(chan1.restarts)),
+        key=lambda j: (chan1.restarts[j].value, -j),
     )
 
 
@@ -1221,22 +1278,15 @@ def channel_coupling(case):
 
 
 def channel_input_objective(case, d_env, d_sink, seed):
-    """The ascent's objective at a random fixed ansatz: the kernel's
-    ``G_psi = v^dagger G_t`` pulled back through the channel purification."""
-    chan, _, coupling = channel_coupling(case)
-    d_purify, d_keep, d_in = coupling.shape
+    """The ascent's (negated) objective at a random fixed ansatz: the
+    kernel's ``G_psi = v^dagger G_t`` pulled back through the channel
+    purification."""
+    _, _, coupling = channel_coupling(case)
+    _, d_keep, d_in = coupling.shape
     rng = np.random.Generator(np.random.PCG64(seed))
-    v = _isometry(0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)),
-                  d_env * d_sink, d_purify)[0]
-    terms = info_terms([(2,), (3,)], (0,), "total")
-    shape = (d_env, d_sink, d_in, d_keep)
-
-    def f(x):
-        psi, pullback = _channel_purification(x, coupling)
-        value, g_t = half_information(v @ psi, shape, terms)
-        return value, pullback(v.conj().T @ g_t)
-
-    return f
+    plan = _kernel_plan((d_env, d_sink, d_in, d_keep),
+                        tuple(info_terms([(2,), (3,)], (0,), "total")))
+    return _ascent(plan, coupling, 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)))
 
 
 @pytest.mark.parametrize(
