@@ -7,14 +7,16 @@ Subcommands: ``gen`` (private states, extensions, approximate states),
 arithmetic).  Exit codes: 0 success, 1 failed verification suite, 2 usage
 or input error, including an option the chosen mode would ignore.
 
-Every command runs through :func:`run_cli`.  It resolves ``--seed`` (default:
-the PRIVSQ_SEED environment variable, then 0) onto ``args.seed``, refuses a
-negative or non-integer seed and an output path in a missing directory or
-naming a directory, calls the command's ``_cmd_*`` handler, which
-computes, prints and returns ``(exit code, report)``, and writes the
-report with its ``command`` and ``seed`` to the JSON file named by
-``--out`` (``gen --report``: there ``--out`` names the state file).  Given
-the seed, every command is bit-reproducible.
+The parser is the one list of commands: it binds each subcommand to its
+``_cmd_*`` handler as ``args.handler``.  Every command runs through
+:func:`run_cli`.  It resolves ``--seed`` (default: the PRIVSQ_SEED
+environment variable, then 0) onto ``args.seed``, refuses a negative or
+non-integer seed and an output path in a missing directory or naming a
+directory, calls the handler, which computes, prints and returns
+``(exit code, report)``, and writes the report with its ``command`` and
+``seed`` (and empty ``tolerances`` unless the handler set them) to the
+JSON file named by ``--out`` (``gen --report``: there ``--out`` names the
+state file).  Given the seed, every command is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from math import inf, log2, prod
 
 from . import __version__
 from .entropy import (
+    FLAVOR_TOTAL,
     _disjoint,
     cond_entropy,
     cond_mutual_info,
@@ -43,7 +46,6 @@ from .private_states import (
     random_private_spec,
 )
 from .squashed import (
-    FLAVOR_TOTAL,
     ITERATION_LIMIT,
     OptimizerConfig,
     channel_squashed_upper,
@@ -123,12 +125,13 @@ def _build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=int, default=None, help="default: PRIVSQ_SEED, then 0")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, report_flag: str = "--out") -> argparse.ArgumentParser:
+    def command(name: str, handler, summary: str, report_flag: str = "--out") -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=summary, parents=[seeded])
         cmd.add_argument(report_flag, dest="report", default=None, help="optional JSON report file")
+        cmd.set_defaults(handler=handler)
         return cmd
 
-    gen = command("gen", "generate states and write them to a state file", "--report")
+    gen = command("gen", _cmd_gen, "generate states and write them to a state file", "--report")
     mode = gen.add_mutually_exclusive_group(required=True)
     mode.add_argument("--private", action="store_true", help="private state")
     mode.add_argument("--extension", action="store_true", help="private-state extension")
@@ -141,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=float, default=None, help="mixing noise (with --approx; default 0.1)")
     gen.add_argument("--out", required=True, help="output state file")
 
-    ent = command("entropy", "evaluate an entropic quantity on a state file")
+    ent = command("entropy", _cmd_entropy, "evaluate an entropic quantity on a state file")
     ent.add_argument("--in", dest="infile", required=True)
     ent.add_argument(
         "--quantity", required=True, choices=("vn", "cond", "cmi", "total", "dual")
@@ -149,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ent.add_argument("--groups", default=None, help="e.g. 'A=A1+A1p;B=A2+A2p'")
     ent.add_argument("--cond", default=None, help="conditioning labels, e.g. 'E' (not with vn)")
 
-    esq = command("esq", "variational squashed-entanglement upper bound")
+    esq = command("esq", _cmd_esq, "variational squashed-entanglement upper bound")
     esq.add_argument("--in", dest="infile", required=True, help="state file (or isometry with --channel)")
     esq.add_argument("--channel", action="store_true", help="treat input as a channel dilation isometry")
     esq.add_argument("--groups", default=None, help="party groups, e.g. 'A=A1+A1p;B=A2+A2p'")
@@ -162,14 +165,14 @@ def _build_parser() -> argparse.ArgumentParser:
     esq.add_argument("--iters", type=int, default=OptimizerConfig.max_iters)
     esq.add_argument("--ftol", type=float, default=OptimizerConfig.tol)
 
-    ver = command("verify", "run a verification suite")
+    ver = command("verify", _cmd_verify, "run a verification suite")
     ver.add_argument("--suite", required=True, choices=sorted(SUITES))
     ver.add_argument("--instances", type=int, default=None, help="instance count (all suites but thm1)")
     ver.add_argument("--tol", type=float, default=None, help="override the suite's residual tolerance")
     ver.add_argument("--restarts", type=int, default=None, help="optimizer restarts (thm1 only; default 1)")
     ver.add_argument("--iters", type=int, default=None, help="optimizer iterations (thm1 only; default 12)")
 
-    bnd = command("bound", "key-bound arithmetic")
+    bnd = command("bound", _cmd_bound, "key-bound arithmetic")
     kind = bnd.add_mutually_exclusive_group(required=True)
     kind.add_argument("--thm1", action="store_true", help="key-length bound for approximate private states")
     kind.add_argument("--rate", action="store_true", help="finite-round key-rate bound")
@@ -214,7 +217,6 @@ def _cmd_gen(args) -> tuple[int, dict]:
     write_state(args.out, state)
     report["out"] = args.out
     report["layout"] = [[lbl, d] for lbl, d in state.layout.systems]
-    report["tolerances"] = {}
     print(f"wrote {args.out} ({state.dim} x {state.dim})")
     return 0, report
 
@@ -254,7 +256,6 @@ def _cmd_entropy(args) -> tuple[int, dict]:
         "groups": {name: list(labels) for name, labels in groups.items()},
         "cond": list(cond),
         "value": value,
-        "tolerances": {},
     }
 
 
@@ -336,7 +337,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _cmd_bound(args) -> tuple[int, dict]:
-    report: dict = {"esq": args.esq, "eps": args.eps, "tolerances": {}}
+    report: dict = {"esq": args.esq, "eps": args.eps}
     if args.thm1:
         _refuse("bound --thm1", args, "--n")
         mode = (args.mode or "bipartite").replace("-", "_")
@@ -348,7 +349,7 @@ def _cmd_bound(args) -> tuple[int, dict]:
         arrangement = (
             "log2(K) <= esq + f(sqrt(eps), K)"
             if mode == "bipartite"
-            else "log2(K) <= (2/m) * (esq + f(sqrt(eps), K, m))"
+            else "log2(K) <= (2/m) * (esq + 2m * f(sqrt(eps), K))"
         )
         print(f"rhs = {rhs:.12g}  (target: log2 K = {target:.12g}; {arrangement})")
         report.update(
@@ -389,19 +390,13 @@ def run_cli(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "gen": _cmd_gen,
-        "entropy": _cmd_entropy,
-        "esq": _cmd_esq,
-        "verify": _cmd_verify,
-        "bound": _cmd_bound,
-    }
     try:
         args.seed = _default_seed(args.seed)
         _check_writable(getattr(args, "out", None), args.report)
-        code, report = handlers[args.command](args)
+        code, report = args.handler(args)
         if args.report:
-            write_report(args.report, {**report, "command": args.command, "seed": args.seed})
+            write_report(args.report,
+                         {"tolerances": {}, **report, "command": args.command, "seed": args.seed})
     except (ValueError, LayoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

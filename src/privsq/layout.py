@@ -96,3 +96,6 @@ def fresh_label(taken: Iterable[str], base: str = "R") -> str:
     while f"{base}{k}" in taken:
         k += 1
     return f"{base}{k}"
+
+
+__all__ = ["LayoutError", "SystemLayout", "fresh_label"]

@@ -39,7 +39,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .entropy import (
-    FLAVOR_DUAL,
     FLAVOR_TOTAL,
     _correlation,
     _disjoint,
@@ -602,6 +601,8 @@ def channel_squashed_upper(
     neither a certified upper nor lower bound.  The input dimension is
     capped at 4.
     """
+    if rounds < 1:
+        raise ValueError(f"rounds {rounds} must be at least 1")
     cfg = cfg or OptimizerConfig()
     d_in = channel.input_layout.total_dim
     if d_in > 4:
@@ -658,8 +659,6 @@ __all__ = [
     "key_rate_bound",
     "channel_squashed_upper",
     "ansatz_param_count",
-    "FLAVOR_TOTAL",
-    "FLAVOR_DUAL",
     "MODE_BIPARTITE",
     "MODE_MULTI_TOTAL",
     "MODE_MULTI_DUAL",

@@ -36,10 +36,7 @@ class StateFileError(ValueError):
 
 
 def _matrix_payload(mat: np.ndarray) -> dict[str, Any]:
-    return {
-        "re": [[float(x) for x in row] for row in mat.real],
-        "im": [[float(x) for x in row] for row in mat.imag],
-    }
+    return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
 
 
 def _numbers(rows: Any, what: str) -> np.ndarray:

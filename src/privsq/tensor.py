@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .layout import LayoutError, SystemLayout, as_labels, fresh_label
+from .layout import LayoutError, SystemLayout, as_labels
 
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
@@ -425,7 +425,4 @@ __all__ = [
     "permute_matrix",
     "entropy_bits",
     "psd_sqrt",
-    "fresh_label",
-    "SystemLayout",
-    "LayoutError",
 ]

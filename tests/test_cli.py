@@ -1,9 +1,10 @@
 import json
+from math import log2, sqrt
 
 import numpy as np
 import pytest
 
-from privsq import cond_entropy, ghz_state, privacy_deviation, uniform_classical
+from privsq import cmi_continuity, cond_entropy, ghz_state, privacy_deviation, uniform_classical
 from privsq.cli import run_cli
 from privsq.stateio import read_state, write_isometry, write_state
 from privsq import (
@@ -440,6 +441,20 @@ def test_bound_commands(tmp_path, capsys):
 
     assert run_cli(["bound", "--thm1", "--esq", "0.9", "--eps", "0.01", "--k", "2",
                     "--mode", "multi-total", "--m", "3"]) == 0
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("mode", ["multi-total", "multi-dual"])
+def test_bound_thm1_multi_reports_the_formula_it_computes(mode, m, tmp_path, capsys):
+    arrangement = "log2(K) <= (2/m) * (esq + 2m * f(sqrt(eps), K))"
+    rep = tmp_path / "b.json"
+    assert run_cli(["bound", "--thm1", "--esq", "0.9", "--eps", "0.01", "--k", "2",
+                    "--mode", mode, "--m", str(m), "--out", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    f = cmi_continuity(sqrt(0.01), log2(2))
+    assert data["rhs"] == pytest.approx((2 / m) * (0.9 + 2 * m * f), rel=1e-12)
+    assert data["arrangement"] == arrangement
+    assert capsys.readouterr().out.endswith(f"; {arrangement})\n")
 
 
 def test_usage_errors_exit_2(tmp_path):

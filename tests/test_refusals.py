@@ -178,6 +178,18 @@ def test_every_command_refuses_a_non_integer_env_seed(command, value, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rounds", [0, -2])
+def test_channel_search_refuses_fewer_than_one_round_before_any_search(rounds, monkeypatch):
+    import privsq.squashed as sq
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("minimize called")
+
+    monkeypatch.setattr(sq, "minimize", no_search)
+    refused(ValueError, f"rounds {rounds} must be at least 1", channel_squashed_upper,
+            sunk_copy_channel(), rounds=rounds)
+
+
 def test_channel_search_refuses_an_unknown_kept_label():
     refused(LayoutError, r"unknown system labels \['C'\]", channel_squashed_upper,
             sunk_copy_channel(), keep=("B", "C"), cfg=OptimizerConfig(restarts=1, max_iters=1))
