@@ -26,7 +26,7 @@ import inspect
 import os
 import sys
 from functools import cache
-from math import inf, log2, prod
+from math import log2, prod
 
 from . import __version__
 from .entropy import (
@@ -47,6 +47,7 @@ from .private_states import (
 )
 from .squashed import (
     ITERATION_LIMIT,
+    LBFGSB_FTOL,
     OptimizerConfig,
     channel_squashed_upper,
     key_length_bound,
@@ -163,14 +164,10 @@ def _build_parser() -> argparse.ArgumentParser:
     esq.add_argument("--d-sink", type=int, default=None)
     esq.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
     esq.add_argument("--iters", type=int, default=OptimizerConfig.max_iters)
-    esq.add_argument("--ftol", type=float, default=OptimizerConfig.tol)
 
     ver = command("verify", _cmd_verify, "run a verification suite")
     ver.add_argument("--suite", required=True, choices=sorted(SUITES))
     ver.add_argument("--instances", type=int, default=None, help="instance count (all suites but thm1)")
-    ver.add_argument("--tol", type=float, default=None, help="override the suite's residual tolerance")
-    ver.add_argument("--restarts", type=int, default=None, help="optimizer restarts (thm1 only; default 1)")
-    ver.add_argument("--iters", type=int, default=None, help="optimizer iterations (thm1 only; default 12)")
 
     bnd = command("bound", _cmd_bound, "key-bound arithmetic")
     kind = bnd.add_mutually_exclusive_group(required=True)
@@ -276,9 +273,7 @@ def _cmd_esq(args) -> tuple[int, dict]:
         _refuse("esq --channel", args, "--groups", "--flavor")
     else:
         _refuse("esq on a state", args, "--keep")
-    cfg = OptimizerConfig(
-        restarts=args.restarts, max_iters=args.iters, tol=args.ftol, seed=args.seed
-    )
+    cfg = OptimizerConfig(restarts=args.restarts, max_iters=args.iters, seed=args.seed)
     if args.channel:
         chan = read_isometry(args.infile)
         keep = _parse_labels(args.keep) if args.keep is not None else None
@@ -306,22 +301,17 @@ def _cmd_esq(args) -> tuple[int, dict]:
         "channel": bool(args.channel),
         "groups": args.groups,
         "report": rep.to_dict(),
-        "tolerances": {"ftol": args.ftol},
+        "tolerances": {"ftol": LBFGSB_FTOL},
     }
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
     name = args.suite
-    params = inspect.signature(SUITES[name]).parameters
     kwargs: dict = {"seed": args.seed}
-    for flag, key in (("--instances", "instances"), ("--restarts", "restarts"),
-                      ("--iters", "max_iters"), ("--tol", "tol")):
-        if key not in params:
-            _refuse(f"verify --suite {name}", args, flag)
-        elif getattr(args, flag[2:]) is not None:
-            kwargs[key] = getattr(args, flag[2:])
-    if args.tol is not None and not 0.0 <= args.tol < inf:
-        raise ValueError(f"verify --tol must be finite and >= 0, got {args.tol}")
+    if "instances" not in inspect.signature(SUITES[name]).parameters:
+        _refuse(f"verify --suite {name}", args, "--instances")
+    elif args.instances is not None:
+        kwargs["instances"] = args.instances
     result = SUITES[name](**kwargs)
     width = max(len(r.identity) for r in result.rows)
     for r in result.rows:

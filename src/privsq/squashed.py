@@ -290,29 +290,37 @@ def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tup
 # ---------------------------------------------------------------------------
 
 # Fresh starts draw each coordinate from N(0, INIT_SCALE^2); every L-BFGS-B
-# run of both searches stops on ``max_iters``, ``tol`` (ftol) or LBFGSB_GTOL.
+# run of both searches stops on ``max_iters``, LBFGSB_FTOL or LBFGSB_GTOL.
 INIT_SCALE = 0.25
+LBFGSB_FTOL = 1e-7
 LBFGSB_GTOL = 1e-8
 ITERATION_LIMIT = "ITERATIONS REACHED LIMIT"  # in scipy's message when max_iters stops a run
+
+
+def _check_ints(**values) -> None:
+    """Refuse a count or seed that is not an integer (``bool`` included)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs shared by the state and channel searches: restart count,
-    L-BFGS-B iteration limit (``maxiter``) and relative reduction tolerance
-    (``ftol``), and the master seed.  All runs are deterministic in
-    ``seed``: restart ``j`` draws from PCG64 stream ``seed + j``."""
+    L-BFGS-B iteration limit (``maxiter``) and the master seed.  All runs
+    are deterministic in ``seed``: restart ``j`` draws from PCG64 stream
+    ``seed + j``."""
 
     restarts: int = 8
     max_iters: int = 500
-    tol: float = 1e-7
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_ints(restarts=self.restarts, max_iters=self.max_iters, seed=self.seed)
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError("restarts and max_iters must be positive")
-        if not 0 < self.tol < inf:
-            raise ValueError(f"tol {self.tol} must be positive and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -374,7 +382,7 @@ def _lbfgsb(fn, x0: np.ndarray, cfg: OptimizerConfig):
     """One L-BFGS-B run of ``fn``, which returns the value and its exact
     gradient.  Every run of both searches is made here, through the
     module-level name ``minimize``."""
-    options = {"maxiter": cfg.max_iters, "ftol": cfg.tol, "gtol": LBFGSB_GTOL}
+    options = {"maxiter": cfg.max_iters, "ftol": LBFGSB_FTOL, "gtol": LBFGSB_GTOL}
     return minimize(fn, x0, jac=True, method="L-BFGS-B", options=options)
 
 
@@ -476,6 +484,7 @@ def key_length_bound(
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; have {_MODES}")
     _check_esq(esq_value)
+    _check_ints(key_dim=key_dim, **({} if parties is None else {"parties": parties}))
     if key_dim < 2:
         raise ValueError(f"key dimension {key_dim} < 2")
     if not 0.0 <= eps <= 1.0:
@@ -504,6 +513,7 @@ def key_rate_bound(esq_value: float, eps: float, rounds: int) -> float:
     _check_esq(esq_value)
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps {eps} outside [0, 1]")
+    _check_ints(rounds=rounds)
     if rounds < 1:
         raise ValueError(f"rounds {rounds} < 1")
     denom = 1.0 - 2.0 * sqrt(eps)
@@ -601,6 +611,7 @@ def channel_squashed_upper(
     neither a certified upper nor lower bound.  The input dimension is
     capped at 4.
     """
+    _check_ints(rounds=rounds)
     if rounds < 1:
         raise ValueError(f"rounds {rounds} must be at least 1")
     cfg = cfg or OptimizerConfig()

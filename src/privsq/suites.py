@@ -4,7 +4,7 @@ identities and inequalities.
 Each suite returns a :class:`SuiteResult` whose rows record the worst
 violation found (for identities: the residual; for inequalities: the amount
 by which they failed, zero when satisfied).  A row passes when that number
-stays at or below its tolerance.  Instance ``i`` of a suite derives its
+stays at or below the row's fixed tolerance.  Instance ``i`` derives its
 seed as ``seed + i`` (pairs use ``seed + 2i`` and ``seed + 2i + 1``), so
 results are reproducible and independent of execution order; the suites of
 random states draw them in one place, :func:`_random_states`.
@@ -101,11 +101,11 @@ def _random_states(layout: SystemLayout, instances: int, seed: int, shifts: tupl
              for j, shift in enumerate(shifts)] for i in range(instances))
 
 
-def suite_lemmas(instances: int = 100, seed: int = 0, tol: float = 1e-7) -> SuiteResult:
+def suite_lemmas(instances: int = 100, seed: int = 0) -> SuiteResult:
     """Residuals of the four private-state identities on random extensions
     (two parties: K=2, qubit shields, qubit extension; three parties same,
-    on a quarter as many instances).  The bipartite rows are held to
-    ``tol`` and the larger three-party states to ``10 * tol``.  Instance
+    on a quarter as many instances).  The bipartite rows are held to 1e-7
+    and the larger three-party states to 1e-6.  Instance
     ``i`` keeps its own stream, seed ``seed + i`` (three parties: ``seed +
     10_000 + i``).  Each extension enters as its purification
     (``purify_private_state``), so no matrix of its dimension is formed.
@@ -134,15 +134,15 @@ def suite_lemmas(instances: int = 100, seed: int = 0, tol: float = 1e-7) -> Suit
                 if name in kinds:
                     worst[name] = max(worst.get(name, 0.0), float(column.max()))
     rows = (
-        SuiteRow("bipartite key identity", instances, worst["bipartite"], tol),
-        SuiteRow("bipartite joint-cmi identity", instances, worst["bipartite_joint"], tol),
-        SuiteRow("multipartite total identity", multi_instances, worst["multi_total"], 10 * tol),
-        SuiteRow("multipartite dual identity", multi_instances, worst["multi_dual"], 10 * tol),
+        SuiteRow("bipartite key identity", instances, worst["bipartite"], 1e-7),
+        SuiteRow("bipartite joint-cmi identity", instances, worst["bipartite_joint"], 1e-7),
+        SuiteRow("multipartite total identity", multi_instances, worst["multi_total"], 1e-6),
+        SuiteRow("multipartite dual identity", multi_instances, worst["multi_dual"], 1e-6),
     )
     return SuiteResult("lemmas", seed, rows)
 
 
-def suite_ssa(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
+def suite_ssa(instances: int = 500, seed: int = 0) -> SuiteResult:
     """Non-negativity of conditional mutual information on random tripartite
     states with dims (2,2,2) (``instances`` of them) and (2,3,2) (200)."""
     rows = []
@@ -151,11 +151,11 @@ def suite_ssa(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteRe
         violation = 0.0
         for (rho,) in _random_states(layout, count, seed):
             violation = max(violation, -cond_mutual_info(rho, "A", "B", "E"))
-        rows.append(SuiteRow(f"cmi >= 0, {tag}", count, violation, tol))
+        rows.append(SuiteRow(f"cmi >= 0, {tag}", count, violation, 1e-9))
     return SuiteResult("ssa", seed, tuple(rows))
 
 
-def suite_chain(instances: int = 100, seed: int = 0, tol: float = 1e-8) -> SuiteResult:
+def suite_chain(instances: int = 100, seed: int = 0) -> SuiteResult:
     """Both chain rules for the multipartite informations on random states
     over B, A1..A3, E (all qubits)."""
     layout = SystemLayout((("B", 2), ("A1", 2), ("A2", 2), ("A3", 2), ("E", 2)))
@@ -171,13 +171,13 @@ def suite_chain(instances: int = 100, seed: int = 0, tol: float = 1e-8) -> Suite
         rhs += cond_mutual_info(rho, "B", ("A2", "A3"), "E")
         worst_dual = max(worst_dual, abs(lhs - rhs))
     rows = (
-        SuiteRow("total-correlation chain rule", instances, worst_total, tol),
-        SuiteRow("dual-correlation chain rule", instances, worst_dual, tol),
+        SuiteRow("total-correlation chain rule", instances, worst_total, 1e-8),
+        SuiteRow("dual-correlation chain rule", instances, worst_dual, 1e-8),
     )
     return SuiteResult("chain", seed, rows)
 
 
-def suite_dual(instances: int = 100, seed: int = 0, tol: float = 1e-8) -> SuiteResult:
+def suite_dual(instances: int = 100, seed: int = 0) -> SuiteResult:
     """The dual formula (total + dual = sum of one-vs-rest cmi) on random
     4-partite qubit states, plus the exact anchor on the key-basis-dephased
     three-party maximally correlated state (2 + 1 = 3), held to 1e-10."""
@@ -200,13 +200,13 @@ def suite_dual(instances: int = 100, seed: int = 0, tol: float = 1e-8) -> SuiteR
     )
     anchor_res = max(abs(tc - 2.0), abs(dc - 1.0), abs(tc + dc - cross), abs(cross - 3.0))
     rows = (
-        SuiteRow("dual formula", instances, worst, tol),
+        SuiteRow("dual formula", instances, worst, 1e-8),
         SuiteRow("dephased-GHZ anchor 2 + 1 = 3", 1, anchor_res, 1e-10),
     )
     return SuiteResult("dual", seed, rows)
 
 
-def suite_fvg(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
+def suite_fvg(instances: int = 500, seed: int = 0) -> SuiteResult:
     """Fuchs-van de Graaf: 1 - sqrt(F) <= T <= sqrt(1 - F) on random pairs
     per dimension d in {2, 3, 4}."""
     rows = []
@@ -217,11 +217,11 @@ def suite_fvg(instances: int = 500, seed: int = 0, tol: float = 1e-9) -> SuiteRe
             td = trace_distance(rho, sig)
             f = fidelity(rho, sig)
             violation = max(violation, (1.0 - sqrt(f)) - td, td - sqrt(max(1.0 - f, 0.0)))
-        rows.append(SuiteRow(f"fuchs-van de graaf, d={d}", instances, violation, tol))
+        rows.append(SuiteRow(f"fuchs-van de graaf, d={d}", instances, violation, 1e-9))
     return SuiteResult("fvg", seed, tuple(rows))
 
 
-def suite_continuity(instances: int = 200, seed: int = 0, tol: float = 1e-9) -> SuiteResult:
+def suite_continuity(instances: int = 200, seed: int = 0) -> SuiteResult:
     """Entropy continuity bounds at the measured trace distance: conditional
     entropy on (2,2) and (3,2) pairs, conditional mutual information on
     (2,2,2) triples."""
@@ -241,28 +241,27 @@ def suite_continuity(instances: int = 200, seed: int = 0, tol: float = 1e-9) -> 
             eps = min(trace_distance(rho, omega), 1.0)
             delta = abs(quantity(rho, *groups) - quantity(omega, *groups))
             violation = max(violation, delta - continuity(eps, log_dim))
-        rows.append(SuiteRow(name, instances, violation, tol))
+        rows.append(SuiteRow(name, instances, violation, 1e-9))
     return SuiteResult("continuity", seed, tuple(rows))
 
 
-def suite_thm1(seed: int = 0, tol: float = 1e-6, restarts: int = 1,
-               max_iters: int = 12) -> SuiteResult:
+def suite_thm1(seed: int = 0) -> SuiteResult:
     """End-to-end key-bound chain: for noisy two-party private states, the
-    optimized squashed extension (``d_env = d_sink = 4``) must satisfy
-    ``2 log2 K <= I(AA';BB'|E) + 2 f(sqrt(eps), K)`` with the measured
-    fidelity deficit ``eps``.  At seed 0, ``log2 K - f(sqrt(eps), K)`` is
-    negative at the first three noise levels, so those rows hold for
-    any non-negative bound; at noise 0.001 (``eps`` = 7.7e-4) it is +0.58
-    bits, so that row fails for any bound below it."""
+    optimized squashed extension (``d_env = d_sink = 4``, one restart of 12
+    iterations) must satisfy ``2 log2 K <= I(AA';BB'|E) + 2 f(sqrt(eps),
+    K)`` with the measured fidelity deficit ``eps``.  At seed 0, ``log2 K -
+    f(sqrt(eps), K)`` is negative at the first three noise levels, so those
+    rows hold for any non-negative bound; at noise 0.001 (``eps`` = 7.7e-4)
+    it is +0.58 bits, so that row fails for any bound below it."""
     rows = []
     for k, p in enumerate((0.01, 0.05, 0.1, 0.001)):
         spec = random_private_spec(2, (2, 2), seed=seed + k)
         omega, eps = approx_private_state(private_state(spec), p, seed=seed + 1000 + k)
-        cfg = OptimizerConfig(restarts=restarts, max_iters=max_iters, seed=seed + k)
+        cfg = OptimizerConfig(restarts=1, max_iters=12, seed=seed + k)
         rep = squashed_multi_upper(omega, list(zip(spec.key_labels, spec.shield_labels)),
                                    d_env=4, d_sink=4, cfg=cfg)
         violation = 2.0 * log2(2) - 2.0 * key_length_bound(rep.value, eps, 2)
-        rows.append(SuiteRow(f"key-bound chain, noise {p}", 1, max(violation, 0.0), tol,
+        rows.append(SuiteRow(f"key-bound chain, noise {p}", 1, max(violation, 0.0), 1e-6,
                              rep.restarts[rep.best_restart].grad_norm))
     return SuiteResult("thm1", seed, tuple(rows))
 

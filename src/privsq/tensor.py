@@ -291,7 +291,7 @@ def apply_stinespring(
     ``acting`` binds positionally to the isometry's input systems (dims must
     match).  The output layout lists the isometry's output systems first,
     followed by the untouched systems in their original order; ``discard``
-    may name any systems of that layout.
+    may name any systems of that layout (another label raises LayoutError).
     """
     acting = as_labels(acting)
     if len(set(acting)) != len(acting):
@@ -310,18 +310,16 @@ def apply_stinespring(
     collide = set(v.output_layout.labels) & set(rest)
     if collide:
         raise LayoutError(f"isometry output labels {sorted(collide)} collide with untouched systems")
+    layout = v.output_layout.concat(rho.layout.sublayout(rest)) if rest else v.output_layout
+    dropped = layout.positions(discard)  # refuses an unknown label
+    if len(dropped) == len(layout.labels):
+        raise LayoutError("cannot discard every system")
     ordered = permute_systems(rho, tuple(acting) + tuple(rest))
     d_rest = int(np.prod([rho.layout.dim_of(lbl) for lbl in rest])) if rest else 1
     big = np.kron(v.matrix, np.eye(d_rest))
-    mat = big @ ordered.matrix @ big.conj().T
-    layout = v.output_layout.concat(rho.layout.sublayout(rest)) if rest else v.output_layout
-    out = _unchecked(DensityOperator, layout, mat)
-    discard = as_labels(discard)
-    if discard:
-        keep = [lbl for lbl in layout.labels if lbl not in discard]
-        if not keep:
-            raise LayoutError("cannot discard every system")
-        out = partial_trace(out, keep)
+    out = _unchecked(DensityOperator, layout, big @ ordered.matrix @ big.conj().T)
+    if dropped:
+        out = partial_trace(out, [lbl for i, lbl in enumerate(layout.labels) if i not in dropped])
     return out
 
 

@@ -109,15 +109,17 @@ def test_criterion_03_multipartite_identities(multipartite_identity_run):
 # ---------------------------------------------------------------------------
 
 def test_criterion_04_strong_subadditivity():
-    res = suite_ssa(instances=500, seed=SEED, tol=1e-9)
+    res = suite_ssa(instances=500, seed=SEED)
+    assert {r.tol for r in res.rows} == {1e-9}
     worst = max(r.worst for r in res.rows)
     report(4, res.passed, f"max violation {worst:.3e} over 700 states")
     assert res.passed
 
 
 def test_criterion_05_chain_rules_and_dual_formula():
-    chain = suite_chain(instances=100, seed=SEED, tol=1e-8)
-    dual = suite_dual(instances=100, seed=SEED, tol=1e-8)
+    chain = suite_chain(instances=100, seed=SEED)
+    dual = suite_dual(instances=100, seed=SEED)
+    assert [r.tol for r in chain.rows + dual.rows] == [1e-8, 1e-8, 1e-8, 1e-10]
     worst = max(r.worst for r in chain.rows + dual.rows)
     ok = chain.passed and dual.passed
     report(5, ok, f"max residual {worst:.3e} incl. exact 2 + 1 = 3 anchor")
@@ -126,14 +128,16 @@ def test_criterion_05_chain_rules_and_dual_formula():
 
 
 def test_criterion_06_fuchs_van_de_graaf():
-    res = suite_fvg(instances=500, seed=SEED, tol=1e-9)
+    res = suite_fvg(instances=500, seed=SEED)
+    assert {r.tol for r in res.rows} == {1e-9}
     worst = max(r.worst for r in res.rows)
     report(6, res.passed, f"max violation {worst:.3e} over 1500 pairs")
     assert res.passed
 
 
 def test_criterion_07_entropy_continuity():
-    res = suite_continuity(instances=200, seed=SEED, tol=1e-9)
+    res = suite_continuity(instances=200, seed=SEED)
+    assert {r.tol for r in res.rows} == {1e-9}
     worst = max(r.worst for r in res.rows)
     report(7, res.passed, f"max violation {worst:.3e} over 600 pairs")
     assert res.passed
@@ -212,7 +216,8 @@ def test_criterion_08d_classical_correlated_anchor():
 # ---------------------------------------------------------------------------
 
 def test_criterion_09_key_bound_end_to_end():
-    res = suite_thm1(seed=SEED, tol=1e-6, restarts=1, max_iters=12)
+    res = suite_thm1(seed=SEED)
+    assert {r.tol for r in res.rows} == {1e-6}
     worst = max(r.worst for r in res.rows)
     rate = key_rate_bound(1.0, 0.01, 100)
     by_hand = 1.0 / (1 - 2 * sqrt(0.01)) + (

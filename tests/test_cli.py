@@ -10,6 +10,7 @@ from privsq.stateio import read_state, write_isometry, write_state
 from privsq import (
     DensityOperator,
     Isometry,
+    OptimizerConfig,
     PrivateStateSpec,
     PureStateVector,
     SquashingAnsatz,
@@ -153,23 +154,44 @@ def test_bound_defaults_resolve_to_the_former_reports(tmp_path):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
 def test_verify_refuses_non_finite_or_negative_tol(value, tmp_path, capsys):
+    # each suite row's tolerance is a constant: verify has no --tol to set
     report = tmp_path / "v.json"
     argv = ["verify", "--suite", "fvg", "--instances", "1", f"--tol={value}", "--out", str(report)]
     assert run_cli(argv) == 2
-    assert "verify --tol must be finite and >= 0" in capsys.readouterr().err
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not report.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_esq_refuses_a_non_finite_or_non_positive_ftol(value, tmp_path, capsys):
+    # the L-BFGS-B ftol is the constant LBFGSB_FTOL: esq has no --ftol to set
     state, report = tmp_path / "g.state", tmp_path / "e.json"
     assert run_cli(["gen", "--private", "--seed", "7", "--out", str(state)]) == 0
     capsys.readouterr()
     assert run_cli(["esq", "--in", str(state), "--groups", GROUPS, "--d-env", "2",
                     "--d-sink", "2", "--restarts", "1", "--iters", "3", f"--ftol={value}",
                     "--out", str(report)]) == 2
-    assert "must be positive and finite" in capsys.readouterr().err
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "thm1", "--restarts", "2"],
+    ["verify", "--suite", "thm1", "--iters", "20"],
+], ids=["verify-restarts", "verify-iters"])
+def test_search_flags_are_gone(argv, tmp_path, capsys):
+    # thm1's search is one restart of 12 iterations
+    report = tmp_path / "r.json"
+    assert run_cli(argv + ["--out", str(report)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_suite_tolerance_parameters_are_gone():
+    from privsq.suites import suite_fvg
+
+    with pytest.raises(TypeError):
+        suite_fvg(tol=1e-8)
 
 
 def test_bound_constants_flags_are_gone(capsys):
@@ -282,7 +304,9 @@ def test_entropy_quantities_at_ghz_anchors(classical, quantity, groups, expect, 
      "bad dimension list '2,x'"),
     (["entropy", "--in", "{state}", "--quantity", "cmi", "--groups", "A=;B=A2"],
      "group 'A' names no labels"),
-], ids=["cmi-one-group", "vn-two-groups", "esq-no-groups", "gen-bad-dims", "empty-group"])
+    (["entropy", "--in", "{state}", "--quantity", "cmi", "--groups", ";"], "no groups given"),
+], ids=["cmi-one-group", "vn-two-groups", "esq-no-groups", "gen-bad-dims", "empty-group",
+        "no-group"])
 def test_entropy_esq_and_gen_usage_errors_exit_2(argv, message, tmp_path, capsys):
     state, out = tmp_path / "ghz.state", tmp_path / "g.state"
     write_state(str(state), ghz_state(2, 3))
@@ -378,15 +402,10 @@ def test_verify_suite_exit_codes(tmp_path):
     assert rep["pass"] is True
     assert "tolerances" in rep and rep["seed"] == 1
 
-    # an absurd tolerance forces a failing suite and exit code 1
-    assert run_cli(["verify", "--suite", "dual", "--instances", "10", "--seed", "1",
-                    "--tol", "1e-30"]) == 1
-
 
 def test_verify_thm1_suite(tmp_path):
     out = tmp_path / "t.json"
-    code = run_cli(["verify", "--suite", "thm1", "--seed", "2", "--restarts", "1",
-                    "--iters", "8", "--out", str(out)])
+    code = run_cli(["verify", "--suite", "thm1", "--seed", "2", "--out", str(out)])
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["pass"] is True
@@ -403,16 +422,24 @@ def test_verify_thm1_row_at_noise_0_001_can_fail(tmp_path, monkeypatch):
     from privsq import suites
 
     fake = SimpleNamespace(value=0.3, best_restart=0, restarts=[SimpleNamespace(grad_norm=0.0)])
-    monkeypatch.setattr(suites, "squashed_multi_upper", lambda *a, **k: fake)
+    configs = []
+
+    def searched(*args, cfg, **kwargs):
+        configs.append(cfg)
+        return fake
+
+    monkeypatch.setattr(suites, "squashed_multi_upper", searched)
     out = tmp_path / "t.json"
     assert run_cli(["verify", "--suite", "thm1", "--seed", "0", "--out", str(out)]) == 1
     rows = json.loads(out.read_text())["rows"]
-    assert [(r["identity"], r["pass"]) for r in rows] == [
-        ("key-bound chain, noise 0.01", True),
-        ("key-bound chain, noise 0.05", True),
-        ("key-bound chain, noise 0.1", True),
-        ("key-bound chain, noise 0.001", False),
+    assert [(r["identity"], r["pass"], r["tolerance"]) for r in rows] == [
+        ("key-bound chain, noise 0.01", True, 1e-6),
+        ("key-bound chain, noise 0.05", True, 1e-6),
+        ("key-bound chain, noise 0.1", True, 1e-6),
+        ("key-bound chain, noise 0.001", False, 1e-6),
     ]
+    # each row searches with one restart of 12 iterations, seeded by its noise level
+    assert configs == [OptimizerConfig(restarts=1, max_iters=12, seed=k) for k in range(4)]
 
 
 def test_verify_report_byte_identical(tmp_path):
@@ -522,16 +549,10 @@ def test_esq_refuses_non_positive_extension_dims(tmp_path, capsys):
 
 
 def test_verify_refuses_options_it_would_ignore(tmp_path, capsys):
-    for suite, flag, value in (("fvg", "--restarts", "9"), ("lemmas", "--iters", "3"),
-                               ("thm1", "--instances", "5")):
-        assert run_cli(["verify", "--suite", suite, flag, value]) == 2
-        assert capsys.readouterr().err == f"error: verify --suite {suite} does not take {flag}\n"
-    # thm1's own defaults (1 restart, 12 iterations) apply when the options are omitted
-    r1, r2 = tmp_path / "t1.json", tmp_path / "t2.json"
-    assert run_cli(["verify", "--suite", "thm1", "--seed", "2", "--out", str(r1)]) == 0
-    assert run_cli(["verify", "--suite", "thm1", "--seed", "2", "--restarts", "1",
-                    "--iters", "12", "--out", str(r2)]) == 0
-    assert r1.read_bytes() == r2.read_bytes()
+    report = tmp_path / "t.json"
+    assert run_cli(["verify", "--suite", "thm1", "--instances", "5", "--out", str(report)]) == 2
+    assert capsys.readouterr().err == "error: verify --suite thm1 does not take --instances\n"
+    assert not report.exists()
 
 
 def test_esq_names_restarts_at_the_iteration_limit(tmp_path, capsys):
@@ -660,14 +681,6 @@ def test_verify_refuses_instances_below_one(tmp_path, capsys):
         assert not report.exists()
 
 
-def test_verify_lemmas_tol_sets_the_multipartite_rows_ten_times_looser(tmp_path):
-    report = tmp_path / "v.json"
-    assert run_cli(["verify", "--suite", "lemmas", "--instances", "4", "--seed", "1",
-                    "--tol", "1e-8", "--out", str(report)]) == 0
-    rows = json.loads(report.read_text())["rows"]
-    assert [r["tolerance"] for r in rows] == [1e-8, 1e-8, 10 * 1e-8, 10 * 1e-8]
-
-
 def test_verify_reads_the_options_a_suite_takes_through_a_wrapper(monkeypatch, capsys):
     # a functools.wraps wrapper (as a tracer installs) keeps the suite's signature
     import functools
@@ -685,9 +698,8 @@ def test_verify_reads_the_options_a_suite_takes_through_a_wrapper(monkeypatch, c
 
     for name in ("fvg", "thm1"):
         monkeypatch.setitem(SUITES, name, traced(SUITES[name]))
-    assert run_cli(["verify", "--suite", "fvg", "--instances", "3", "--tol", "1e-8",
-                    "--seed", "2"]) == 0
-    assert calls == [{"seed": 2, "instances": 3, "tol": 1e-8}]
+    assert run_cli(["verify", "--suite", "fvg", "--instances", "3", "--seed", "2"]) == 0
+    assert calls == [{"seed": 2, "instances": 3}]
     assert run_cli(["verify", "--suite", "thm1", "--instances", "3"]) == 2
     assert capsys.readouterr().err == "error: verify --suite thm1 does not take --instances\n"
     assert len(calls) == 1

@@ -509,3 +509,9 @@ def test_random_private_spec_checks_counts_before_drawing(monkeypatch):
     assert calls == []
     random_private_spec(2, (2, 2), seed=0)
     assert calls == ["_seeded_rng", "_haar_from_normals"]
+
+
+def test_shield_marginal_without_extension_is_the_shield_state_itself():
+    spec = random_private_spec(2, (2, 2), seed=3)
+    assert spec.extension_labels == ()
+    assert spec.shield_marginal() is spec.shield_state

@@ -76,6 +76,34 @@ def test_optimizer_config_refuses_zero_restarts():
     refused(ValueError, "restarts and max_iters must be positive", OptimizerConfig, restarts=0)
 
 
+def test_optimizer_config_refuses_a_negative_seed():
+    refused(ValueError, "seed -1 must be non-negative", OptimizerConfig, seed=-1)
+
+
+@pytest.mark.parametrize("fn, kwargs, name", [
+    (OptimizerConfig, {"restarts": 2.5}, "restarts"),
+    (OptimizerConfig, {"max_iters": 2.5}, "max_iters"),
+    (OptimizerConfig, {"seed": 1.0}, "seed"),
+    (OptimizerConfig, {"restarts": True}, "restarts"),
+    (key_length_bound, {"esq_value": 0.5, "eps": 0.01, "key_dim": 2.5}, "key_dim"),
+    (key_length_bound, {"esq_value": 0.5, "eps": 0.01, "key_dim": 2, "mode": "multi_total",
+                        "parties": 2.5}, "parties"),
+    (key_rate_bound, {"esq_value": 0.5, "eps": 0.01, "rounds": 2.5}, "rounds"),
+    (key_rate_bound, {"esq_value": 0.5, "eps": 0.01, "rounds": True}, "rounds"),
+    (channel_squashed_upper, {"channel": sunk_copy_channel(), "rounds": 1.5}, "rounds"),
+], ids=["restarts", "max_iters", "seed", "bool-restarts", "key_dim", "parties", "rounds",
+        "bool-rounds", "channel-rounds"])
+def test_counts_and_seeds_must_be_integers(fn, kwargs, name, monkeypatch):
+    # refused where they enter, before any search, naming the parameter
+    import privsq.squashed as sq
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("minimize called")
+
+    monkeypatch.setattr(sq, "minimize", no_search)
+    refused(TypeError, f"{name} must be an integer, got {kwargs[name]!r}", fn, **kwargs)
+
+
 def test_ansatz_refuses_a_purifying_dimension_below_one():
     # d_env = d_sink = 1 would carry it, so only the purifying-dimension check refuses
     refused(ValueError, "purifying dimension 0 must be at least 1",
@@ -232,7 +260,10 @@ def test_eigh_refuses_a_non_hermitian_matrix():
     ("C", (), ValueError, "system 'C' has dimension 3, isometry expects 2"),
     ("B", (), LayoutError, r"isometry output labels \['A'\] collide with untouched systems"),
     ("A", ("A", "B", "C"), LayoutError, "cannot discard every system"),
-], ids=["duplicate", "count", "dimension", "collision", "discard-all"])
+    ("A", "Z", LayoutError, r"unknown system labels \['Z'\]"),
+    ("A", ("B", "Z"), LayoutError, r"unknown system labels \['Z'\]"),
+], ids=["duplicate", "count", "dimension", "collision", "discard-all", "discard-unknown",
+        "discard-one-unknown"])
 def test_apply_stinespring_refusals(acting, discard, exc_type, match):
     # the identity channel with output label A, on A (x) B (x) C with C a qutrit
     rho = random_density(SystemLayout([("A", 2), ("B", 2), ("C", 3)]), 2, seed=0)

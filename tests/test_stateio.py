@@ -267,3 +267,10 @@ def test_mutated_payloads_raise_state_file_error(tmp_path_factory, how, isometry
     path.write_text(json.dumps(payload))
     with pytest.raises(StateFileError, match=re.escape(str(path))):
         read(str(path))
+
+
+def test_write_state_into_a_missing_directory_names_the_path(tmp_path):
+    path = tmp_path / "missing" / "s.state"
+    with pytest.raises(StateFileError, match=re.escape(f"{path}: cannot write file")):
+        write_state(str(path), random_density(SystemLayout([("A", 2)]), 1, seed=0))
+    assert not path.parent.exists()

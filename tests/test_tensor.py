@@ -332,6 +332,8 @@ def test_density_operator_validation():
         Isometry(np.array([[1.0, 0.0], [0.0, 0.5]]), lo, lo)
     with pytest.raises(ValueError, match="state vector norm 2 is not 1"):
         PureStateVector(np.array([2.0, 0.0]), lo)
+    with pytest.raises(ValueError, match="amplitude length 3 does not match layout dimension 2"):
+        PureStateVector(np.ones(3) / np.sqrt(3), lo)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
@@ -393,3 +395,12 @@ def test_array_carrying_values_compare_and_hash_by_identity():
         assert (x == y) is False
         assert (x == x) is True
         assert isinstance(hash(x), int)
+
+
+def test_entropy_of_the_zero_matrix_is_positive_zero():
+    from math import copysign
+
+    from privsq.tensor import entropy_bits
+
+    # with no eigenvalue above the clip, -(w @ log2 w) would give -0.0
+    assert copysign(1.0, entropy_bits(np.zeros((2, 2)))) == 1.0
