@@ -258,7 +258,7 @@ def _cmd_entropy(args) -> tuple[int, dict]:
 
 def _warn_unconverged(restarts, iters: int) -> None:
     """Name on stderr the restarts that stopped on the iteration limit, and
-    give scipy's message for every other restart that did not converge."""
+    give the driver's message for every other restart that did not converge."""
     capped = [r.index for r in restarts if not r.converged and ITERATION_LIMIT in r.message]
     if capped:
         print(f"warning: restarts that reached the iteration limit --iters {iters}: "

@@ -23,10 +23,9 @@ restricted to the span they reach, so no evaluation diagonalizes it.
 Both searches make every L-BFGS-B run through one driver (``_lbfgsb``, one
 option set), seed and start their restarts the same way and assemble their
 reports in one place (``_search``).  That driver calls the module-level
-``minimize``, which imports ``scipy.optimize`` on its first call, so
-importing privsq and the commands that run no search never load it.
-``minimize`` is the one deferred binding; the tests and the benchmark's
-span tracer patch it.
+``minimize``, the numpy L-BFGS of :mod:`privsq.lbfgs`, which is what
+L-BFGS-B does on a problem without bounds; the tests and the benchmark's
+span tracer patch that one name.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .entropy import (
     info_terms,
 )
 from .layout import LayoutError, SystemLayout, as_labels, fresh_label
+from .lbfgs import minimize
 from .tensor import (
     EIG_CLIP,
     DensityOperator,
@@ -294,7 +294,7 @@ def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tup
 INIT_SCALE = 0.25
 LBFGSB_FTOL = 1e-7
 LBFGSB_GTOL = 1e-8
-ITERATION_LIMIT = "ITERATIONS REACHED LIMIT"  # in scipy's message when max_iters stops a run
+ITERATION_LIMIT = "ITERATIONS REACHED LIMIT"  # in the driver's message when max_iters stops a run
 
 
 def _check_ints(**values) -> None:
@@ -327,7 +327,7 @@ class OptimizerConfig:
 class RestartRecord:
     """One restart: its value, L-BFGS-B iterations, whether it converged,
     objective and gradient evaluations, the largest absolute entry of the
-    gradient at its reported point, and scipy's termination message."""
+    gradient at its reported point, and the driver's termination message."""
 
     index: int
     value: float
@@ -370,20 +370,11 @@ def _fresh_start(rng: np.random.Generator, n_params: int) -> np.ndarray:
     return INIT_SCALE * rng.standard_normal(n_params)
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call: loading
-    scipy.optimize takes most of a cold start that runs no search."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **kwargs)
-
-
 def _lbfgsb(fn, x0: np.ndarray, cfg: OptimizerConfig):
     """One L-BFGS-B run of ``fn``, which returns the value and its exact
     gradient.  Every run of both searches is made here, through the
     module-level name ``minimize``."""
-    options = {"maxiter": cfg.max_iters, "ftol": LBFGSB_FTOL, "gtol": LBFGSB_GTOL}
-    return minimize(fn, x0, jac=True, method="L-BFGS-B", options=options)
+    return minimize(fn, x0, max_iters=cfg.max_iters, ftol=LBFGSB_FTOL, gtol=LBFGSB_GTOL)
 
 
 def _search(restart, cfg: OptimizerConfig, sense: int, dims: tuple[int, int, int],
@@ -475,14 +466,18 @@ def key_length_bound(
     """Right-hand side of the key-length bound for an ``eps``-approximate
     private state, arranged so the comparison is against ``log2 K``.
 
-    Bipartite: ``esq + f(sqrt(eps), K)`` with ``f`` the CMI continuity term
-    :func:`cmi_continuity` at ``log_dim = log2 K``.  Multipartite, either
-    flavor: ``(2/m) (esq + 2m f(sqrt(eps), K))``.  That is the form the
-    former default constants ``(4, 4)`` gave; no derivation in this package
-    backs it yet (ROADMAP item 17).
+    Bipartite (no ``parties``): ``esq + f(sqrt(eps), K)`` with ``f`` the
+    CMI continuity term :func:`cmi_continuity` at ``log_dim = log2 K``.
+    Multipartite, either flavor, ``m = parties``: ``(2/m) (esq + 2m
+    f(sqrt(eps), K))``.  That is the form the former default constants
+    ``(4, 4)`` gave; no derivation in this package backs it yet (ROADMAP
+    item 17).
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; have {_MODES}")
+    if mode == MODE_BIPARTITE and parties is not None:
+        raise ValueError(f"parties {parties!r} is for the multipartite modes; "
+                         f"the {MODE_BIPARTITE!r} mode takes none")
     _check_esq(esq_value)
     _check_ints(key_dim=key_dim, **({} if parties is None else {"parties": parties}))
     if key_dim < 2:

@@ -342,10 +342,11 @@ def dephase(rho: DensityOperator, labels: str | Iterable[str]) -> DensityOperato
 def _seeded_rng(seed: int | np.random.Generator) -> np.random.Generator:
     """The PCG64 generator of an integer seed, or a caller's generator as is.
 
-    Anything else, ``None`` included, raises ``TypeError``: numpy would draw
-    ``None`` from OS entropy, and the sample would not be reproducible.
+    Anything else raises ``TypeError``: numpy would draw ``None`` from OS
+    entropy, and the sample would not be reproducible; a ``bool``, though an
+    ``int`` subclass, is refused as ``OptimizerConfig`` refuses it.
     """
-    if not isinstance(seed, (int, np.integer, np.random.Generator)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer, np.random.Generator)):
         raise TypeError(f"seed must be an int or a numpy Generator, got {seed!r}")
     return np.random.default_rng(seed)
 

@@ -435,6 +435,14 @@ def test_random_private_spec_refuses_a_missing_seed():
             random_private_spec(2, (2, 2), seed)
 
 
+def test_samplers_refuse_a_bool_seed():
+    # bool is an int subclass, so True and False used to draw as seeds 1 and 0
+    with pytest.raises(TypeError, match="seed must be an int or a numpy Generator, got True"):
+        random_density(SystemLayout([("A", 2)]), 1, seed=True)
+    with pytest.raises(TypeError, match="seed must be an int or a numpy Generator, got False"):
+        random_private_spec(2, (2, 2), seed=False)
+
+
 def test_random_private_spec_refuses_a_dimension_below_one_before_drawing():
     # the layout is built before the generator, so a dimension below 1 is
     # refused naming its system even where the product of the dims is

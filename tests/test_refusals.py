@@ -67,6 +67,14 @@ def test_key_length_bound_refuses_an_unknown_mode():
             key_length_bound, 0.5, 0.01, 2, mode="tripartite")
 
 
+def test_key_length_bound_refuses_parties_in_bipartite_mode():
+    # it used to ignore them: parties=-5 gave 1.6669
+    refused(ValueError, "parties -5 is for the multipartite modes; the 'bipartite' mode takes none",
+            key_length_bound, 0.5, 0.01, 2, parties=-5)
+    refused(ValueError, "parties 3 is for the multipartite modes",
+            key_length_bound, 0.5, 0.01, 2, mode="bipartite", parties=3)
+
+
 @pytest.mark.parametrize("eps", [float("nan"), -0.01, 1.5])
 def test_key_rate_bound_refuses_eps_outside_the_unit_interval(eps):
     refused(ValueError, r"eps .* outside \[0, 1\]", key_rate_bound, 1.0, eps, 100)
