@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``gen`` (private states, extensions, approximate states),
-``entropy`` (any conditional-information quantity over named groups),
-``esq`` (bipartite/multipartite/channel squashed-entanglement estimators),
+``entropy`` (any conditional-information quantity over named groups, one
+sum of marginal entropies over its terms), ``esq``
+(bipartite/multipartite/channel squashed-entanglement estimators),
 ``verify`` (identity and inequality suites), ``bound`` (key-bound
-arithmetic).  Exit codes: 0 success, 1 failed verification suite, 2 usage
-or input error, including an option the chosen mode would ignore.
+arithmetic; ``--thm1 --m M`` gives the multipartite bound).  Exit codes:
+0 success, 1 failed verification suite, 2 usage or input error, including
+an option the chosen mode would ignore.
 
 The parser is the one list of commands: it binds each subcommand to its
 ``_cmd_*`` handler as ``args.handler``.  Every command runs through
@@ -29,15 +31,7 @@ from functools import cache
 from math import log2, prod
 
 from . import __version__
-from .entropy import (
-    FLAVOR_TOTAL,
-    _disjoint,
-    cond_entropy,
-    cond_mutual_info,
-    dual_total_correlation,
-    total_correlation,
-    vn_entropy,
-)
+from .entropy import FLAVOR_DUAL, FLAVOR_TOTAL, _cond_terms, _disjoint, _information, info_terms
 from .layout import LayoutError
 from .private_states import (
     approx_private_state,
@@ -56,7 +50,6 @@ from .squashed import (
 )
 from .stateio import read_isometry, read_state, write_report, write_state
 from .suites import SUITES
-from .tensor import partial_trace
 
 # Largest total dimension K^m * prod(shield dims) * ext dim that gen builds;
 # memory grows as D^2.  At D = 2048 gen --approx took 73 s with a 1.4 GB peak
@@ -90,8 +83,12 @@ def _parse_labels(text: str) -> tuple[str, ...]:
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
+    """Parse '2,2' into ``(2, 2)``; refuses an empty entry and a non-integer."""
+    entries = text.split(",")
+    if not all(x.strip() for x in entries):
+        raise ValueError(f"dimension list {text!r} has an empty entry")
     try:
-        return tuple(int(x) for x in text.split(",") if x)
+        return tuple(int(x) for x in entries)
     except ValueError as exc:
         raise ValueError(f"bad dimension list {text!r}: {exc}") from exc
 
@@ -176,9 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--esq", type=float, required=True, help="squashed-entanglement value")
     bnd.add_argument("--eps", type=float, required=True)
     bnd.add_argument("--k", type=int, default=None, help="key dimension (thm1; default 2)")
-    bnd.add_argument("--mode", choices=("bipartite", "multi-total", "multi-dual"), default=None,
-                     help="thm1; default bipartite")
-    bnd.add_argument("--m", type=int, default=None, help="party count (thm1 multi modes)")
+    bnd.add_argument("--m", type=int, default=None,
+                     help="party count (thm1; selects the multipartite bound)")
     bnd.add_argument("--n", type=int, default=None, help="number of rounds (rate; default 1)")
 
     return parser
@@ -229,23 +225,18 @@ def _cmd_entropy(args) -> tuple[int, dict]:
     if q == "vn":
         if len(label_groups) > 1:
             raise ValueError("vn takes at most one group (the marginal)")
-        if label_groups:
-            value = vn_entropy(partial_trace(rho, label_groups[0]))
-        else:
-            value = vn_entropy(rho)
+        terms = [(1, label_groups[0] if label_groups else rho.layout.labels)]
     elif q == "cond":
         if len(label_groups) != 1 or args.cond is None:
             raise ValueError("cond needs exactly one group plus --cond "
                              "(H(A) is --quantity vn with one group)")
-        value = cond_entropy(rho, label_groups[0], cond)
-    elif q == "cmi":
-        if len(label_groups) != 2:
-            raise ValueError("cmi needs exactly two groups")
-        value = cond_mutual_info(rho, label_groups[0], label_groups[1], cond)
-    elif q == "total":
-        value = total_correlation(rho, label_groups, cond)
+        terms = _cond_terms(label_groups[0], cond)
     else:
-        value = dual_total_correlation(rho, label_groups, cond)
+        if q == "cmi" and len(label_groups) != 2:
+            raise ValueError("cmi needs exactly two groups")
+        terms = info_terms(label_groups, cond, FLAVOR_DUAL if q == "dual" else FLAVOR_TOTAL)
+    _disjoint(*label_groups, cond)
+    value = _information(rho, terms)
     print(f"{q} = {value:.12g} bits")
     return 0, {
         "quantity": q,
@@ -330,11 +321,9 @@ def _cmd_bound(args) -> tuple[int, dict]:
     report: dict = {"esq": args.esq, "eps": args.eps}
     if args.thm1:
         _refuse("bound --thm1", args, "--n")
-        mode = (args.mode or "bipartite").replace("-", "_")
-        if mode == "bipartite":
-            _refuse("bound --thm1 in bipartite mode", args, "--m")
+        mode = "bipartite" if args.m is None else "multipartite"
         k = 2 if args.k is None else args.k
-        rhs = key_length_bound(args.esq, args.eps, k, mode=mode, parties=args.m)
+        rhs = key_length_bound(args.esq, args.eps, k, parties=args.m)
         target = log2(k)
         arrangement = (
             "log2(K) <= esq + f(sqrt(eps), K)"
@@ -354,7 +343,7 @@ def _cmd_bound(args) -> tuple[int, dict]:
             }
         )
     else:
-        _refuse("bound --rate", args, "--k", "--mode", "--m")
+        _refuse("bound --rate", args, "--k", "--m")
         n = 1 if args.n is None else args.n
         rhs = key_rate_bound(args.esq, args.eps, n)
         print(f"rhs = {rhs:.12g}  (rate bound, n = {n})")

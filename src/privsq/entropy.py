@@ -64,6 +64,12 @@ def info_terms(groups: Sequence[tuple], cond: tuple, flavor: str) -> Terms:
     return [(1 - k, every), (-1, cond)] + [(1, cond + r) for r in rests]
 
 
+def _cond_terms(group: tuple, cond: tuple) -> Terms:
+    """``H(A|B) = H(AB) - H(B)`` as ``(coefficient, members)`` pairs, like
+    :func:`info_terms`."""
+    return [(1, group + cond), (-1, cond)]
+
+
 def _merged(terms: Terms) -> dict[tuple, int]:
     """``terms`` as ``{members: coefficient}`` with equal member sets merged
     (members sorted), and without the sets whose coefficients cancel and
@@ -99,7 +105,7 @@ def cond_entropy(
     """Conditional entropy ``H(A|B) = H(AB) - H(B)``; may be negative."""
     a, b = as_labels(group), as_labels(cond)
     _disjoint(a, b)
-    return _information(rho, [(1, a + b), (-1, b)])
+    return _information(rho, _cond_terms(a, b))
 
 
 def cond_mutual_info(

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .entropy import FLAVOR_TOTAL, Terms, _disjoint, _merged, _pure_entropies, info_terms
+from .entropy import FLAVOR_TOTAL, Terms, _cond_terms, _disjoint, _merged, _pure_entropies, info_terms
 from .layout import LayoutError, SystemLayout, as_labels, fresh_label
 from .metric import fidelity
 from .tensor import (
@@ -322,24 +322,21 @@ def _identity_terms(layout: SystemLayout, keys: tuple, shields: tuple, env: tupl
     def cmi(a, b, e):  # I(a;b|e)
         return info_terms([a, b], e, FLAVOR_TOTAL)
 
-    def ce(a, e):  # H(a|e)
-        return [(1, a + e), (-1, e)]
-
     def minus(terms):
         return [(-c, members) for c, members in terms]
 
     m, first = len(keys), keys[0]
     total: Terms = []
     for i in range(1, m):
-        total += ce((keys[i],), (shields[i], first) + env)
+        total += _cond_terms((keys[i],), (shields[i], first) + env)
         total += cmi((first,), (keys[i], shields[i]), env)
-    total += minus(ce(keys[1:], (first,) + shields + env))
-    dual = ce(keys[1:], (first,) + shields[1:] + env)
+    total += minus(_cond_terms(keys[1:], (first,) + shields + env))
+    dual = _cond_terms(keys[1:], (first,) + shields[1:] + env)
     dual += cmi((first,), keys[1:] + shields[1:], env)
     for i in range(1, m):
         other_keys = tuple(keys[j] for j in range(1, m) if j != i)
         other_shields = tuple(shields[j] for j in range(m) if j != i)
-        dual += minus(ce((keys[i],), (first,) + shields + env))
+        dual += minus(_cond_terms((keys[i],), (first,) + shields + env))
         dual += cmi((keys[i], shields[i]), other_keys, (first,) + other_shields + env)
     terms = {"multi_total": total, "multi_dual": dual}
     if m == 2:

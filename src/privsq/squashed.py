@@ -13,7 +13,8 @@ yields sound, reproducible upper bounds.  The kernel weights the merged
 information terms by half their coefficients at ``t = V psi``.  Each search
 builds one ``_KernelPlan``, all that an evaluation reads without the
 parameters or ``psi``, so an evaluation makes only the calls that depend on
-them: one inverse of ``I - iH/2`` (``_isometry``), one ``eigh`` per Gram
+them: one inverse of ``I - iH/2`` (``_isometry``, the one function that
+knows the chart; it returns ``V`` and its pullback), one ``eigh`` per Gram
 size of ``t`` and the pullbacks.  The state search descends over ``V``
 (``_descent``, ``G_V = G_t psi^dagger``); the channel search alternates
 that with an ascent over pure channel inputs (``_ascent``, ``G_psi =
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from functools import cache
-from math import inf, log, log2, prod, sqrt
+from math import inf, isqrt, log, log2, prod, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -88,7 +89,7 @@ class SquashingAnsatz:
         _unchecked(self, d_purify, d_env, d_sink, params)
 
     def isometry_matrix(self) -> np.ndarray:
-        return _isometry(self.params, _chart(self.d_env * self.d_sink), self.d_purify)[1]
+        return _isometry(self.params, self.d_purify)[0]
 
     def to_isometry(
         self, input_label: str = "Epur", env_label: str = "E", sink_label: str = "F"
@@ -116,30 +117,29 @@ def _chart(n: int) -> tuple:
     return n, index, sign, index[swap], 0.5 * sign[swap] * np.tile((1.0, -1.0), n * n)
 
 
-def _isometry(params: np.ndarray, chart: tuple, d_purify: int) -> tuple[np.ndarray, np.ndarray]:
-    """``C = (I - iH/2)^{-1}``, ``H`` the generator with coordinates ``params``
-    in the ``chart`` (:func:`_chart`), and ``V``, the first ``d_purify``
-    columns of the Cayley transform ``U = (I - iH/2)^{-1} (I + iH/2)``.
+def _isometry(params: np.ndarray, d_purify: int) -> tuple:
+    """``V``, the first ``d_purify`` columns of the Cayley transform ``U = (I
+    - iH/2)^{-1} (I + iH/2)`` of the ``n x n`` generator ``H`` with the ``n^2``
+    coordinates ``params`` (:func:`_chart`), and the pullback that takes
+    ``G_V`` (``df = Re <G_V, dV>``) to the gradient in ``params``.
 
     ``I - iH/2`` has every singular value at least 1, so its inverse ``C``
-    always exists.  As ``I + iH/2 = 2I - (I - iH/2)``, ``U = 2C - I``.
+    always exists.  As ``I + iH/2 = 2I - (I - iH/2)``, ``U = 2C - I``; as
+    ``dU = i C dH C``, the gradient in ``H`` is ``gamma = -i C^dagger G_V
+    C[:, :d_purify]^dagger``.
     """
-    n, _, _, folded, half = chart
+    n, index, sign, folded, half = _chart(isqrt(params.size))
     a = (params.take(folded) * half).view(complex).reshape(n, n)
     a.reshape(-1)[::n + 1] += 1.0
     c = np.linalg.inv(a)
     v = 2.0 * c[:, :d_purify]
     v.reshape(-1)[:d_purify * d_purify:d_purify + 1] -= 1.0
-    return c, v
 
+    def pullback(g_v: np.ndarray) -> np.ndarray:
+        gamma = -1j * (c.conj().T @ g_v) @ c[:, :d_purify].conj().T
+        return np.bincount(index, sign * gamma.view(float).ravel(), n * n)
 
-def _isometry_pullback(c: np.ndarray, g_v: np.ndarray, chart: tuple) -> np.ndarray:
-    """The gradient in ``params`` of ``df = Re <G_V, dV>`` at ``C`` from
-    :func:`_isometry`: as ``dU = i C dH C``, the gradient in ``H`` is
-    ``gamma = -i C^dagger G_V C[:, :d_purify]^dagger``."""
-    n, index, sign = chart[:3]
-    gamma = -1j * (c.conj().T @ g_v) @ c[:, :g_v.shape[1]].conj().T
-    return np.bincount(index, sign * gamma.view(float).ravel(), n * n)
+    return v, pullback
 
 
 def ansatz_param_count(d_env: int, d_sink: int) -> int:
@@ -179,17 +179,17 @@ class _KernelPlan:
     """Everything a squashing evaluation reads that depends on neither the
     ansatz parameters nor the purification, for extensions shaped ``shape``
     = (env, sink, systems...) and the information ``terms``, merged by
-    :func:`_merged` and weighted by half their coefficients: the chart of
-    the ``n x n`` generator (:func:`_chart`); the :func:`_gram_plan` groups
-    of the marginals as flat gathers, each with its plan-order weight
-    column ``-2 * weight``; and the inverse of all gathers, whose row ``i``
-    brings block ``i`` back to the axis order of the tensor."""
+    :func:`_merged` and weighted by half their coefficients: the
+    :func:`_gram_plan` groups of the marginals as flat gathers, each with
+    its plan-order weight column ``-2 * weight``; and the inverse of all
+    gathers, whose row ``i`` brings block ``i`` back to the axis order of
+    the tensor."""
 
     def __init__(self, shape: tuple[int, ...], terms: tuple):
         merged = _merged(terms)
         self.weights = 0.5 * np.array(list(merged.values()), dtype=float)
         groups, order, positions = _gram_plan(shape, tuple(merged))
-        self.chart, self.positions = _chart(shape[0] * shape[1]), np.array(positions)
+        self.positions = np.array(positions)
         index, columns = np.arange(prod(shape)).reshape(shape), -2.0 * self.weights.take(order)
         gathers = [np.stack([index.transpose(p).ravel() for p in perms]) for _, perms in groups]
         every, stop, self.groups = np.concatenate(gathers), 0, []
@@ -231,9 +231,9 @@ def _descent(plan: _KernelPlan, psi: np.ndarray):
     psi_h, d_purify = psi.conj().T, psi.shape[0]
 
     def value_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
-        c, v = _isometry(params, plan.chart, d_purify)
+        v, pullback = _isometry(params, d_purify)
         value, g_t = plan.half_information(v @ psi)
-        return value, _isometry_pullback(c, g_t @ psi_h, plan.chart)
+        return value, pullback(g_t @ psi_h)
 
     return value_and_grad
 
@@ -366,8 +366,8 @@ class BoundReport:
         return out
 
 
-def _fresh_start(rng: np.random.Generator, n_params: int) -> np.ndarray:
-    return INIT_SCALE * rng.standard_normal(n_params)
+def _fresh_start(rng: np.random.Generator, d_env: int, d_sink: int) -> np.ndarray:
+    return INIT_SCALE * rng.standard_normal(ansatz_param_count(d_env, d_sink))
 
 
 def _lbfgsb(fn, x0: np.ndarray, cfg: OptimizerConfig):
@@ -428,10 +428,9 @@ def squashed_multi_upper(
     d_env, d_sink = _extension_dims(d_purify, d_env, d_sink)
     plan = _kernel_plan((d_env, d_sink) + rho.layout.dims,
                         tuple(info_terms(groups_axes, (0,), flavor)))
-    n_params = ansatz_param_count(d_env, d_sink)
 
     def restart(rng):
-        res = _lbfgsb(_descent(plan, psi), _fresh_start(rng, n_params), cfg)
+        res = _lbfgsb(_descent(plan, psi), _fresh_start(rng, d_env, d_sink), cfg)
         return [res], res
 
     return _search(
@@ -445,12 +444,6 @@ def squashed_multi_upper(
 # key bounds
 # ---------------------------------------------------------------------------
 
-MODE_BIPARTITE = "bipartite"
-MODE_MULTI_TOTAL = "multi_total"
-MODE_MULTI_DUAL = "multi_dual"
-_MODES = (MODE_BIPARTITE, MODE_MULTI_TOTAL, MODE_MULTI_DUAL)
-
-
 def _check_esq(esq_value: float) -> None:
     if not 0.0 <= esq_value < inf:
         raise ValueError(f"esq {esq_value} must be finite and >= 0")
@@ -460,7 +453,6 @@ def key_length_bound(
     esq_value: float,
     eps: float,
     key_dim: int,
-    mode: str = MODE_BIPARTITE,
     parties: int | None = None,
 ) -> float:
     """Right-hand side of the key-length bound for an ``eps``-approximate
@@ -468,16 +460,11 @@ def key_length_bound(
 
     Bipartite (no ``parties``): ``esq + f(sqrt(eps), K)`` with ``f`` the
     CMI continuity term :func:`cmi_continuity` at ``log_dim = log2 K``.
-    Multipartite, either flavor, ``m = parties``: ``(2/m) (esq + 2m
-    f(sqrt(eps), K))``.  That is the form the former default constants
-    ``(4, 4)`` gave; no derivation in this package backs it yet (ROADMAP
-    item 17).
+    Multipartite (``m = parties``, at least 2): ``(2/m) (esq + 2m
+    f(sqrt(eps), K))``, one bound for both flavors of multipartite squashed
+    entanglement.  That is the form the former default constants ``(4, 4)``
+    gave; no derivation in this package backs it yet (ROADMAP item 17).
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; have {_MODES}")
-    if mode == MODE_BIPARTITE and parties is not None:
-        raise ValueError(f"parties {parties!r} is for the multipartite modes; "
-                         f"the {MODE_BIPARTITE!r} mode takes none")
     _check_esq(esq_value)
     _check_ints(key_dim=key_dim, **({} if parties is None else {"parties": parties}))
     if key_dim < 2:
@@ -485,10 +472,10 @@ def key_length_bound(
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps {eps} outside [0, 1]")
     f = cmi_continuity(sqrt(eps), log2(key_dim))
-    if mode == MODE_BIPARTITE:
+    if parties is None:
         return esq_value + f
-    if parties is None or parties < 2:
-        raise ValueError(f"mode {mode!r} needs a party count of at least 2, got {parties}")
+    if parties < 2:
+        raise ValueError(f"the multipartite bound needs a party count of at least 2, got {parties}")
     return (2.0 / parties) * (esq_value + 2 * parties * f)
 
 
@@ -572,7 +559,7 @@ def _ascent(plan: _KernelPlan, coupling: np.ndarray, ansatz_params: np.ndarray):
     minimizer: half the information of ``t = V psi`` and its gradient,
     pulled back from ``G_psi = V^dagger G_t`` through
     :func:`_channel_purification`."""
-    v = _isometry(ansatz_params, plan.chart, coupling.shape[0])[1]
+    v = _isometry(ansatz_params, coupling.shape[0])[0]
     vh = v.conj().T
 
     def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -621,7 +608,6 @@ def channel_squashed_upper(
     d_purify, d_keep, _ = coupling.shape
     d_ref = d_in  # reference system of the pure input, same dimension as the channel input
     d_env, d_sink = _extension_dims(d_purify, d_env, d_sink)
-    n_ansatz = ansatz_param_count(d_env, d_sink)
     plan = _kernel_plan((d_env, d_sink, d_ref, d_keep),
                         tuple(info_terms([(2,), (3,)], (0,), FLAVOR_TOTAL)))
 
@@ -631,7 +617,7 @@ def channel_squashed_upper(
 
     def restart(rng):
         psi_params = rng.standard_normal(2 * d_ref * d_in)
-        ansatz_params = _fresh_start(rng, n_ansatz)
+        ansatz_params = _fresh_start(rng, d_env, d_sink)
         runs = []
         for _ in range(rounds):
             runs.append(descend(psi_params, ansatz_params))
@@ -641,7 +627,7 @@ def channel_squashed_upper(
         # final descents (current ansatz plus fresh starts) so the reported
         # value is a well-minimized squashed bound at this input
         finals = [descend(psi_params, x0) for x0 in (
-            ansatz_params, _fresh_start(rng, n_ansatz), _fresh_start(rng, n_ansatz),
+            ansatz_params, _fresh_start(rng, d_env, d_sink), _fresh_start(rng, d_env, d_sink),
         )]
         return runs + finals, min(finals, key=lambda r: float(r.fun))
 
@@ -665,7 +651,4 @@ __all__ = [
     "key_rate_bound",
     "channel_squashed_upper",
     "ansatz_param_count",
-    "MODE_BIPARTITE",
-    "MODE_MULTI_TOTAL",
-    "MODE_MULTI_DUAL",
 ]

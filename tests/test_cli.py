@@ -4,7 +4,18 @@ from math import log2, sqrt
 import numpy as np
 import pytest
 
-from privsq import cmi_continuity, cond_entropy, ghz_state, privacy_deviation, uniform_classical
+from privsq import (
+    cmi_continuity,
+    cond_entropy,
+    cond_mutual_info,
+    dual_total_correlation,
+    ghz_state,
+    partial_trace,
+    privacy_deviation,
+    total_correlation,
+    uniform_classical,
+    vn_entropy,
+)
 from privsq.cli import run_cli
 from privsq.stateio import read_state, write_isometry, write_state
 from privsq import (
@@ -103,7 +114,7 @@ THM1 = ["bound", "--thm1", "--eps", "0.01"]
         (THM1 + ["--esq", "-5"], "esq -5.0"),
         (THM1 + ["--esq", "0.9", "--k", "1"], "key dimension 1 < 2"),
         (["bound", "--rate", "--esq", "nan", "--eps", "0.01"], "esq nan"),
-        (THM1 + ["--esq", "0.9", "--mode", "multi-total", "--m", "1"], "party count"),
+        (THM1 + ["--esq", "0.9", "--m", "1"], "party count"),
     ],
 )
 def test_bound_refuses_invalid_input(argv, message, capsys):
@@ -118,17 +129,13 @@ RATE = ["bound", "--rate", "--esq", "1.0", "--eps", "0.01"]
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (THM1 + ["--esq", "0.9", "--m", "3"], "bound --thm1 in bipartite mode does not take --m"),
-        (THM1 + ["--esq", "0.9", "--mode", "bipartite", "--m", "3"],
-         "bound --thm1 in bipartite mode does not take --m"),
         (THM1 + ["--esq", "0.9", "--n", "7"], "bound --thm1 does not take --n"),
         (RATE + ["--k", "5"], "bound --rate does not take --k"),
-        (RATE + ["--mode", "multi-dual"], "bound --rate does not take --mode"),
         (RATE + ["--m", "3"], "bound --rate does not take --m"),
         (["entropy", "--in", "{state}", "--quantity", "vn", "--cond", "E"],
          "entropy --quantity vn does not take --cond"),
     ],
-    ids=["thm1-m", "thm1-bipartite-m", "thm1-n", "rate-k", "rate-mode", "rate-m", "vn-cond"],
+    ids=["thm1-n", "rate-k", "rate-m", "vn-cond"],
 )
 def test_bound_and_entropy_refuse_options_their_mode_ignores(argv, message, tmp_path, capsys):
     state, report = tmp_path / "g.state", tmp_path / "r.json"
@@ -143,7 +150,7 @@ def test_bound_and_entropy_refuse_options_their_mode_ignores(argv, message, tmp_
 
 def test_bound_defaults_resolve_to_the_former_reports(tmp_path):
     for implicit, explicit in ((THM1 + ["--esq", "0.9"],
-                                THM1 + ["--esq", "0.9", "--k", "2", "--mode", "bipartite"]),
+                                THM1 + ["--esq", "0.9", "--k", "2"]),
                                (RATE, RATE + ["--n", "1"])):
         r1, r2 = tmp_path / "implicit.json", tmp_path / "explicit.json"
         assert run_cli(implicit + ["--out", str(r1)]) == 0
@@ -196,9 +203,22 @@ def test_suite_tolerance_parameters_are_gone():
 
 def test_bound_constants_flags_are_gone(capsys):
     for flag in ("--c1", "--c2"):
-        assert run_cli(THM1 + ["--esq", "0.9", "--mode", "multi-total", "--m", "3",
-                               flag, "4"]) == 2
+        assert run_cli(THM1 + ["--esq", "0.9", "--m", "3", flag, "4"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bound_mode_flag_is_gone(tmp_path, capsys):
+    # one multipartite bound covers both flavors: --m selects it, and --mode
+    # is a usage error in either kind
+    report = tmp_path / "b.json"
+    for argv in (THM1 + ["--esq", "0.9", "--mode", "multi-total", "--m", "3"],
+                 THM1 + ["--esq", "0.9", "--mode", "bipartite"],
+                 RATE + ["--mode", "multi-dual"]):
+        assert run_cli(argv + ["--out", str(report)]) == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+        assert not report.exists()
+    assert run_cli(THM1 + ["--esq", "0.9", "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["mode"] == "bipartite"
 
 
 def test_no_command_loads_scipy(tmp_path):
@@ -276,6 +296,64 @@ def test_entropy_cond_quantity(tmp_path, capsys):
     # without --cond, cond used to print H(A) and exit 0
     assert run_cli(argv) == 2
     assert "cond needs exactly one group plus --cond" in capsys.readouterr().err
+
+
+GE_GROUPS = "A=A1+A1p;B=A2+A2p"
+
+
+@pytest.mark.parametrize("argv, library", [
+    (["vn"], vn_entropy),
+    (["vn", "--groups", "A=A1p+A1"], lambda rho: vn_entropy(partial_trace(rho, ("A1p", "A1")))),
+    (["cond", "--groups", "A=A1+A1p", "--cond", "E+A2"],
+     lambda rho: cond_entropy(rho, ("A1", "A1p"), ("E", "A2"))),
+    (["cmi", "--groups", GE_GROUPS, "--cond", "E"],
+     lambda rho: cond_mutual_info(rho, ("A1", "A1p"), ("A2", "A2p"), "E")),
+    (["cmi", "--groups", GE_GROUPS], lambda rho: cond_mutual_info(rho, ("A1", "A1p"), ("A2", "A2p"))),
+    (["total", "--groups", "A=A1;B=A2;S=A1p+A2p", "--cond", "E"],
+     lambda rho: total_correlation(rho, [("A1",), ("A2",), ("A1p", "A2p")], "E")),
+    (["total", "--groups", GE_GROUPS + ";E=E"],
+     lambda rho: total_correlation(rho, [("A1", "A1p"), ("A2", "A2p"), ("E",)])),
+    (["dual", "--groups", "A=A1;B=A2;S=A1p+A2p", "--cond", "E"],
+     lambda rho: dual_total_correlation(rho, [("A1",), ("A2",), ("A1p", "A2p")], "E")),
+    (["dual", "--groups", GE_GROUPS + ";E=E"],
+     lambda rho: dual_total_correlation(rho, [("A1", "A1p"), ("A2", "A2p"), ("E",)])),
+], ids=["vn", "vn-group", "cond", "cmi", "cmi-no-cond", "total", "total-no-cond", "dual",
+        "dual-no-cond"])
+def test_each_entropy_quantity_is_its_library_function(argv, library, tmp_path, capsys):
+    # every quantity is one sum of marginal entropies over its terms; on a
+    # seeded extension it prints and reports the library's value, bit for bit
+    state, report = tmp_path / "ge.state", tmp_path / "r.json"
+    assert run_cli(["gen", "--extension", "--seed", "7", "--out", str(state)]) == 0
+    capsys.readouterr()
+    assert run_cli(["entropy", "--in", str(state), "--quantity", *argv,
+                    "--out", str(report)]) == 0
+    expect = library(read_state(str(state)))
+    assert capsys.readouterr().out == f"{argv[0]} = {expect:.12g} bits\n"
+    assert json.loads(report.read_text())["value"] == expect
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["vn", "--groups", "A=nope"], "unknown system labels ['nope']; have "
+                                   "('A1', 'A2', 'A1p', 'A2p', 'E')"),
+    (["cond", "--cond", "E"],
+     "cond needs exactly one group plus --cond (H(A) is --quantity vn with one group)"),
+    (["cond", "--groups", "A=A1", "--cond", "A1+E"], "groups overlap on label 'A1'"),
+    (["cmi", "--groups", GE_GROUPS, "--cond", "A1"], "groups overlap on label 'A1'"),
+    (["total", "--groups", "A=A1"], "need at least two groups"),
+    (["dual"], "need at least two groups"),
+    (["dual", "--groups", GE_GROUPS, "--cond", "nope"],
+     "unknown system labels ['nope']; have ('A1', 'A2', 'A1p', 'A2p', 'E')"),
+], ids=["vn-unknown", "cond-no-group", "cond-overlap", "cmi-overlap", "total-one-group",
+        "dual-no-groups", "dual-unknown"])
+def test_each_entropy_refusal_keeps_its_message(argv, message, tmp_path, capsys):
+    # the refusals that come from the library functions the command used to call
+    state, report = tmp_path / "ge.state", tmp_path / "r.json"
+    assert run_cli(["gen", "--extension", "--seed", "7", "--out", str(state)]) == 0
+    capsys.readouterr()
+    assert run_cli(["entropy", "--in", str(state), "--quantity", *argv,
+                    "--out", str(report)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("classical, quantity, groups, expect", [
@@ -475,18 +553,25 @@ def test_bound_commands(tmp_path, capsys):
     assert "constants" not in data
 
     assert run_cli(["bound", "--thm1", "--esq", "0.9", "--eps", "0.01", "--k", "2",
-                    "--mode", "multi-total", "--m", "3"]) == 0
+                    "--m", "3"]) == 0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("mode", ["multi-total", "multi-dual"])
 def test_bound_thm1_multi_reports_the_formula_it_computes(mode, m, tmp_path, capsys):
+    # one multipartite bound covers both flavors: each flavor's old
+    # `--mode` spelling is refused, and `--m` alone selects that bound
     arrangement = "log2(K) <= (2/m) * (esq + 2m * f(sqrt(eps), K))"
     rep = tmp_path / "b.json"
     assert run_cli(["bound", "--thm1", "--esq", "0.9", "--eps", "0.01", "--k", "2",
-                    "--mode", mode, "--m", str(m), "--out", str(rep)]) == 0
+                    "--mode", mode, "--m", str(m), "--out", str(rep)]) == 2
+    assert "unrecognized arguments: --mode" in capsys.readouterr().err
+    assert not rep.exists()
+    assert run_cli(["bound", "--thm1", "--esq", "0.9", "--eps", "0.01", "--k", "2",
+                    "--m", str(m), "--out", str(rep)]) == 0
     data = json.loads(rep.read_text())
     f = cmi_continuity(sqrt(0.01), log2(2))
+    assert data["mode"] == "multipartite" and data["m"] == m
     assert data["rhs"] == pytest.approx((2 / m) * (0.9 + 2 * m * f), rel=1e-12)
     assert data["arrangement"] == arrangement
     assert capsys.readouterr().out.endswith(f"; {arrangement})\n")

@@ -63,16 +63,20 @@ def test_approx_private_state_refuses_noise_outside_the_unit_interval(noise):
 
 
 def test_key_length_bound_refuses_an_unknown_mode():
-    refused(ValueError, "unknown mode 'tripartite'; have",
-            key_length_bound, 0.5, 0.01, 2, mode="tripartite")
+    # one multipartite bound covers both flavors, and passing parties selects
+    # it: there is no mode argument, and a mode passed in the place of parties
+    # is refused as a party count
+    for mode in ("tripartite", "multi_total"):
+        refused(TypeError, "unexpected keyword argument 'mode'",
+                key_length_bound, 0.5, 0.01, 2, mode=mode)
+        refused(TypeError, f"parties must be an integer, got {mode!r}",
+                key_length_bound, 0.5, 0.01, 2, mode)
 
 
-def test_key_length_bound_refuses_parties_in_bipartite_mode():
-    # it used to ignore them: parties=-5 gave 1.6669
-    refused(ValueError, "parties -5 is for the multipartite modes; the 'bipartite' mode takes none",
+def test_key_length_bound_refuses_a_negative_party_count():
+    # the bipartite bound used to ignore parties: parties=-5 gave 1.6669
+    refused(ValueError, "the multipartite bound needs a party count of at least 2, got -5",
             key_length_bound, 0.5, 0.01, 2, parties=-5)
-    refused(ValueError, "parties 3 is for the multipartite modes",
-            key_length_bound, 0.5, 0.01, 2, mode="bipartite", parties=3)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), -0.01, 1.5])
@@ -94,8 +98,7 @@ def test_optimizer_config_refuses_a_negative_seed():
     (OptimizerConfig, {"seed": 1.0}, "seed"),
     (OptimizerConfig, {"restarts": True}, "restarts"),
     (key_length_bound, {"esq_value": 0.5, "eps": 0.01, "key_dim": 2.5}, "key_dim"),
-    (key_length_bound, {"esq_value": 0.5, "eps": 0.01, "key_dim": 2, "mode": "multi_total",
-                        "parties": 2.5}, "parties"),
+    (key_length_bound, {"esq_value": 0.5, "eps": 0.01, "key_dim": 2, "parties": 2.5}, "parties"),
     (key_rate_bound, {"esq_value": 0.5, "eps": 0.01, "rounds": 2.5}, "rounds"),
     (key_rate_bound, {"esq_value": 0.5, "eps": 0.01, "rounds": True}, "rounds"),
     (channel_squashed_upper, {"channel": sunk_copy_channel(), "rounds": 1.5}, "rounds"),
@@ -167,6 +170,18 @@ def test_gen_refuses_a_state_over_the_dimension_limit(argv, dim, tmp_path, capsy
             f"--ext-dim" in capsys.readouterr().err)
     assert not state.exists() and not report.exists()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("dims", ["2,,2", ",2,2", "2,2,", "2, ,2", ""])
+def test_gen_refuses_an_empty_shield_dimension(dims, tmp_path, capsys):
+    # the empty entry used to be dropped: 2,,2 wrote a two-party 16 x 16 state
+    state, report = tmp_path / "g.state", tmp_path / "g.json"
+    assert run_cli(["gen", "--private", "--shield-dims", dims, "--out", str(state),
+                    "--report", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dimension list {dims!r} has an empty entry\n"
+    assert not state.exists() and not report.exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "env"])

@@ -47,7 +47,6 @@ from privsq.squashed import (
     _chart,
     _descent,
     _isometry,
-    _isometry_pullback,
     _kernel_plan,
     _sunk_coupling,
     ansatz_param_count,
@@ -243,8 +242,7 @@ def half_information(t, shape, terms):
 def random_kernel_inputs(rng, d_env, d_sink, d_purify, dim):
     """A random normalized purification ``psi`` and a random ansatz isometry."""
     psi = rng.standard_normal((d_purify, dim)) + 1j * rng.standard_normal((d_purify, dim))
-    v = _isometry(0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)),
-                  _chart(d_env * d_sink), d_purify)[1]
+    v = _isometry(0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)), d_purify)[0]
     return v, psi / np.linalg.norm(psi)
 
 
@@ -480,14 +478,13 @@ def test_cayley_pullback_is_the_exact_derivative():
     # direction E_k, exactly Re <G_V, dV[E_k]> with no finite differences
     rng = np.random.Generator(np.random.PCG64(11))
     for n, d in ((1, 1), (3, 2), (6, 4)):
-        chart = _chart(n)
-        index, sign = chart[1:3]
+        index, sign = _chart(n)[1:3]
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         g_v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         # generic, zero, and exactly and nearly degenerate
         pairs = np.diag(np.tile([0.3, -1.2, 0.3 + 1e-9], n)[:n])
         for h in (g + g.conj().T, np.zeros((n, n)), pairs):
-            grad = _isometry_pullback(_isometry(hermitian_params(h), chart, d)[0], g_v, chart)
+            grad = _isometry(hermitian_params(h), d)[1](g_v)
             want = np.empty(n * n)
             for k in range(n * n):
                 e = (np.eye(n * n)[k][index] * sign).view(complex).reshape(n, n)
@@ -512,7 +509,7 @@ def test_chart_folds_its_factor_exactly(monkeypatch):
     for n in (1, 2, 3, 4, 6):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = g + g.conj().T
-        _isometry(hermitian_params(h), _chart(n), max(1, n // 2))
+        _isometry(hermitian_params(h), max(1, n // 2))
         assert np.array_equal(inverted[-1], np.eye(n) - 0.5j * h)
 
 
@@ -520,7 +517,7 @@ def test_isometry_is_the_first_columns_of_the_cayley_transform():
     rng = np.random.Generator(np.random.PCG64(12))
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = g + g.conj().T
-    v = _isometry(hermitian_params(h), _chart(6), 4)[1]
+    v = _isometry(hermitian_params(h), 4)[0]
     assert np.abs(v - cayley(h)[:, :4]).max() < 1e-12
     assert ansatz_param_count(3, 2) == 36
     # the inverse chart: U without eigenvalue -1 has H = -2i (U - I)(U + I)^{-1}
@@ -535,12 +532,12 @@ def test_isometry_stays_isometric_at_a_large_generator():
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     h = g + g.conj().T
     for scale in 10.0 ** np.arange(7) / np.linalg.norm(h, 2):
-        v = _isometry(hermitian_params(scale * h), _chart(6), 4)[1]
+        v = _isometry(hermitian_params(scale * h), 4)[0]
         assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-12
 
 
 def test_isometry_at_the_zero_generator_is_the_identity_columns():
-    assert np.array_equal(_isometry(np.zeros(36), _chart(6), 4)[1], np.eye(6)[:, :4])
+    assert np.array_equal(_isometry(np.zeros(36), 4)[0], np.eye(6)[:, :4])
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-7])
@@ -1104,18 +1101,15 @@ def test_key_length_bound_values():
     # eps = 1, K = 2: f(1, 2) = 2*1*1 + 2*g(1) = 6, where g(1) = 2 h2(1/2) = 2
     for e in (0.0, 0.7):
         assert key_length_bound(e, 1.0, 2) == e + 6
-        # multipartite, either flavor: (2/m) (esq + 2m f) = (2/3) (esq + 36)
-        for mode in ("multi_total", "multi_dual"):
-            assert key_length_bound(e, 1.0, 2, mode=mode, parties=3) == (2 / 3) * (e + 36)
+        # multipartite, one bound for both flavors: (2/m) (esq + 2m f) = (2/3) (esq + 36)
+        assert key_length_bound(e, 1.0, 2, parties=3) == (2 / 3) * (e + 36)
 
     # the multipartite term is 2m times the bipartite one at any eps
     m, root = 3, sqrt(0.01)
     f2 = 2 * m * (2 * root * 1.0 + 2 * (1 + root) * binary_entropy(root / (1 + root)))
-    got = key_length_bound(0.9, 0.01, 2, mode="multi_total", parties=m)
+    got = key_length_bound(0.9, 0.01, 2, parties=m)
     assert abs(got - (2.0 / m) * (0.9 + f2)) < 1e-12
 
-    with pytest.raises(ValueError):
-        key_length_bound(1.0, 0.01, 2, mode="multi_total")  # parties missing
     with pytest.raises(ValueError):
         key_length_bound(1.0, 2.0, 2)
 
@@ -1134,7 +1128,7 @@ def test_key_length_bound_refuses_small_key_or_party_count():
             key_length_bound(0.9, 0.01, k)
     for m in (1, 0):
         with pytest.raises(ValueError, match="party count") as exc:
-            key_length_bound(0.9, 0.01, 2, mode="multi_total", parties=m)
+            key_length_bound(0.9, 0.01, 2, parties=m)
         assert "kind" not in str(exc.value)
 
 
