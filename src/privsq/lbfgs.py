@@ -20,7 +20,9 @@ constants; the first step along the first direction is ``min(1/|d|,
 STPMAX)``, every later one starts at 1.  A line search that fails drops the
 memory and retries once along steepest descent; a second failure ends the
 run with L-BFGS-B's ``ABNORMAL`` message.  The messages are L-BFGS-B's, as
-scipy reports them.
+scipy reports them.  A run is a generator, :func:`iterate`, sent the value
+and gradient at each point it yields, so a caller can evaluate the points
+of several runs in one call; :func:`minimize` answers one with ``fun``.
 """
 
 from __future__ import annotations
@@ -60,12 +62,23 @@ class LbfgsResult:
 
 def minimize(fun, x0, max_iters: int, ftol: float, gtol: float) -> LbfgsResult:
     """Minimize ``fun``, which returns the value and its gradient at ``x``,
-    from ``x0``.  At each new iterate the run stops after ``max_iters``
-    iterations, then when ``max |g| <= gtol``, then when the relative
-    reduction ``(f_old - f) / max(|f_old|, |f|, 1) <= ftol``; the start
-    stops at once if ``max |g| <= gtol`` there."""
+    from ``x0``: :func:`iterate`, answered one point at a time."""
+    run = iterate(x0, max_iters, ftol, gtol)
+    x = next(run)
+    try:
+        while True:
+            x = run.send(fun(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def iterate(x0, max_iters: int, ftol: float, gtol: float):
+    """The run from ``x0``, returning its :class:`LbfgsResult`.  At each new
+    iterate it stops after ``max_iters`` iterations, then when ``max |g| <=
+    gtol``, then when the relative reduction ``(f_old - f) / max(|f_old|,
+    |f|, 1) <= ftol``; the start stops at once if ``max |g| <= gtol`` there."""
     x = np.array(x0, dtype=float).ravel()
-    f, g = fun(x)
+    f, g = yield x
     f, nfev, nit, message = float(f), 1, 0, GRADIENT_CONVERGED
     # Pair t sits in slot t % MEMORY, so the slots hold the pairs in a
     # rotated order; R^-1, Y^T Y and D are kept in that order, and an empty
@@ -75,26 +88,26 @@ def minimize(fun, x0, max_iters: int, ftol: float, gtol: float) -> LbfgsResult:
     rinv, yy = np.zeros((MEMORY, MEMORY)), np.zeros((MEMORY, MEMORY))
     sy, coef = np.zeros(MEMORY), np.zeros(2 * MEMORY)
     count, scale = 0, 1.0
-    while np.abs(g).max() > gtol:
+    stationary = np.abs(g).max() <= gtol  # tested here, then once per new iterate
+    while not stationary:
         ab = w.dot(g)  # s_i.g, y_i.g
         u = rinv.dot(ab[0::2])
         p = (sy * u + scale * yy.dot(u) - scale * ab[1::2]).dot(rinv)
         coef[0::2], coef[1::2] = -p, scale * u
         d = coef.dot(w) - scale * g
         gd0 = float(g.dot(d))
-        trial = []  # point, value, gradient and g.d at the last step tried
-
-        def phi(stp):
-            nonlocal nfev
-            xt = x + stp * d
-            ft, gt = fun(xt)
-            nfev += 1
-            trial[:] = xt, float(ft), gt, float(gt.dot(d))
-            return trial[1], trial[3]
-
         stp = None
         if gd0 < 0.0:
-            stp = _dcsrch(phi, f, gd0, min(1.0 / sqrt(float(d.dot(d))), STPMAX) if nit == 0 else 1.0)
+            # the line search: each step it tries is evaluated at x + stp d
+            search = _dcsrch(f, gd0, min(1.0 / sqrt(float(d.dot(d))), STPMAX) if nit == 0 else 1.0)
+            try:
+                stp = next(search)
+                while True:
+                    ft, gt = yield (xt := x + stp * d)
+                    nfev, trial = nfev + 1, (xt, float(ft), gt, float(gt.dot(d)))  # last step tried
+                    stp = search.send((trial[1], trial[3]))
+            except StopIteration as stop:
+                stp = stop.value
         if stp is None:
             if count == 0:
                 message = ABNORMAL
@@ -119,25 +132,25 @@ def minimize(fun, x0, max_iters: int, ftol: float, gtol: float) -> LbfgsResult:
             continue  # L-BFGS-B skips the update
         y = g - g_old
         slot = count % MEMORY
-        # the oldest pair leaves this slot: what remains of R^-1 is the
-        # inverse of the trailing block of R
-        rinv[slot], rinv[:, slot], yy[slot], yy[:, slot] = 0.0, 0.0, 0.0, 0.0
-        pairs[slot, 0], pairs[slot, 1] = d, y
-        pairs[slot, 0] *= stp
+        # the oldest pair leaves this slot: what remains of R^-1 is the inverse
+        # of the trailing block of R (Y^T Y's row and column are set below)
+        rinv[slot], rinv[:, slot] = 0.0, 0.0
+        np.multiply(d, stp, out=pairs[slot, 0])
+        pairs[slot, 1] = y
         col = w.dot(y)  # s_i.y, y_i.y
         rinv[:, slot] = rinv.dot(col[0::2]) / -dr
         rinv[slot, slot] = 1.0 / dr
-        yy[slot], yy[:, slot] = col[1::2], col[1::2]
+        yy[slot] = yy[:, slot] = col[1::2]
         sy[slot], count, scale = dr, count + 1, dr / yy[slot, slot]
     return LbfgsResult(x, f, g, nit, nfev, nfev, message.startswith("CONVERGENCE"), message)
 
 
-def _dcsrch(phi, f0: float, g0: float, stp: float) -> float | None:
+def _dcsrch(f0: float, g0: float, stp: float):
     """MINPACK-2 ``dcsrch`` with ``stpmin = 0``: a step from ``stp > 0``
-    that meets ``f <= f0 + LS_FTOL stp g0`` and ``|g| <= LS_GTOL |g0|``,
-    where ``phi(stp)`` returns ``(f, g)`` along the line (``g0 < 0``).
+    that meets ``f <= f0 + LS_FTOL stp g0`` and ``|g| <= LS_GTOL |g0|``
+    (``g0 < 0``); yields each step to try and is sent ``(f, g)`` there.
 
-    Returns the last step evaluated once it converges or ``dcsrch`` warns
+    Returns the last step tried once it converges or ``dcsrch`` warns
     (L-BFGS-B takes either as the new iterate), or ``None`` when
     ``MAX_LS`` evaluations have not done so.  The test of the first step
     comes before any ``dcstep``, so a step that already meets both
@@ -149,7 +162,7 @@ def _dcsrch(phi, f0: float, g0: float, stp: float) -> float | None:
     gx = gy = g0
     stmin, stmax = 0.0, stp + 4.0 * stp
     for _ in range(MAX_LS):
-        f, g = phi(stp)
+        f, g = yield stp
         ftest = f0 + stp * gtest
         if stage == 1 and f <= ftest and g >= 0.0:
             stage = 2

@@ -9,30 +9,27 @@ real coordinates), applies it to the canonical purification, and traces
 out ``F``.  Half the conditional (multipartite) information of the result
 is an upper bound on the corresponding squashed entanglement *for every
 ansatz*, so minimizing over the generator with several seeded restarts
-yields sound, reproducible upper bounds.  The kernel weights the merged
-information terms by half their coefficients at ``t = V psi``.  Each search
-builds one ``_KernelPlan``, all that an evaluation reads without the
-parameters or ``psi``, so an evaluation makes only the calls that depend on
-them: one inverse of ``I - iH/2`` (``_isometry``, the one function that
-knows the chart; it returns ``V`` and its pullback), one ``eigh`` per Gram
-size of ``t`` and the pullbacks.  The state search descends over ``V``
-(``_descent``, ``G_V = G_t psi^dagger``); the channel search alternates
-that with an ascent over pure channel inputs (``_ascent``, ``G_psi =
-V^dagger G_t``), purifying each output with the channel's own sunk outputs
-restricted to the span they reach, so no evaluation diagonalizes it.
+yields sound, reproducible upper bounds.
 
-Both searches make every L-BFGS-B run through one driver (``_lbfgsb``, one
-option set), seed and start their restarts the same way and assemble their
-reports in one place (``_search``).  That driver calls the module-level
-``minimize``, the numpy L-BFGS of :mod:`privsq.lbfgs`, which is what
-L-BFGS-B does on a problem without bounds; the tests and the benchmark's
-span tracer patch that one name.
+The state search descends over ``V`` (``_descent``, ``G_V = G_t
+psi^dagger``); the channel search alternates that with an ascent over pure
+channel inputs (``_ascent``, ``G_psi = V^dagger G_t``), purifying each
+output with the channel's own sunk outputs restricted to the span they
+reach, so no evaluation diagonalizes it.  Both make every L-BFGS-B run
+through one adapter (``_lbfgsb``, one option set) over ``iterate``, the
+resumable numpy L-BFGS of :mod:`privsq.lbfgs`, and run their seeded
+restarts in lockstep (``_search``): each round evaluates the extension
+``t = V psi`` of every live restart in one call of the search's one
+``_KernelPlan``, so no report differs from running the restarts one at a
+time.  Besides that call, an evaluation makes one inverse of ``I - iH/2``
+(``_isometry``, the one function that knows the chart) and the pullbacks.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
 from functools import cache
+from itertools import islice
 from math import inf, isqrt, log, log2, prod, sqrt
 from typing import Iterable, Sequence
 
@@ -48,7 +45,7 @@ from .entropy import (
     info_terms,
 )
 from .layout import LayoutError, SystemLayout, as_labels, fresh_label
-from .lbfgs import minimize
+from .lbfgs import iterate, minimize  # noqa: F401 (the benchmark's span tracer wraps ``minimize``)
 from .tensor import (
     EIG_CLIP,
     DensityOperator,
@@ -136,8 +133,8 @@ def _isometry(params: np.ndarray, d_purify: int) -> tuple:
     v.reshape(-1)[:d_purify * d_purify:d_purify + 1] -= 1.0
 
     def pullback(g_v: np.ndarray) -> np.ndarray:
-        gamma = -1j * (c.conj().T @ g_v) @ c[:, :d_purify].conj().T
-        return np.bincount(index, sign * gamma.view(float).ravel(), n * n)
+        gamma = (-1j * (c.conj().T @ g_v) @ c[:, :d_purify].conj().T).view(float).ravel()
+        return np.bincount(index, np.multiply(gamma, sign, out=gamma), n * n)
 
     return v, pullback
 
@@ -183,30 +180,44 @@ class _KernelPlan:
     :func:`_gram_plan` groups of the marginals as flat gathers, each with
     its plan-order weight column ``-2 * weight``; and the inverse of all
     gathers, whose row ``i`` brings block ``i`` back to the axis order of
-    the tensor."""
+    the tensor.  :meth:`stacked` lays these out for ``k`` extensions."""
 
     def __init__(self, shape: tuple[int, ...], terms: tuple):
         merged = _merged(terms)
+        self.size = prod(shape)
         self.weights = 0.5 * np.array(list(merged.values()), dtype=float)
         groups, order, positions = _gram_plan(shape, tuple(merged))
         self.positions = np.array(positions)
-        index, columns = np.arange(prod(shape)).reshape(shape), -2.0 * self.weights.take(order)
+        index, columns = np.arange(self.size).reshape(shape), -2.0 * self.weights.take(order)
         gathers = [np.stack([index.transpose(p).ravel() for p in perms]) for _, perms in groups]
         every, stop, self.groups = np.concatenate(gathers), 0, []
         self.inverse = np.argsort(every, axis=1) + every.shape[1] * np.arange(len(every))[:, None]
         for g, (r, _) in zip(gathers, groups):
             span, stop = slice(stop, stop + len(g)), stop + len(g)
-            self.groups.append((g.ravel(), (len(g), r, -1), columns[span, None], span))
+            self.groups.append((g.ravel(), (-1, r, self.size // r), columns[span, None], span))
 
-    def half_information(self, t: np.ndarray) -> tuple[float, np.ndarray]:
-        """Half the information of the pure extension ``t`` (rows: env (x)
-        sink) and its gradient ``G_t`` (``df = Re <G_t, dt>``), from the Gram
-        matrices ``g = M M^dagger`` of the marginals, eigenvalues at or below
-        the clip dropped as in ``entropy_bits``: ``dS = -Tr[(log2 g + 1/ln 2)
-        dg]`` gives ``G_M = -2 L M``, ``L = log2 g + 1/ln 2`` on the kept
-        eigenvalues."""
-        flat, s, parts = t.ravel(), np.empty(len(self.weights)), []
+    @cache
+    def stacked(self, k: int) -> tuple:
+        """The plan for ``k`` stacked extensions: each group extension by extension."""
+        j, groups, shift = np.arange(k)[:, None], [], np.empty((k, len(self.weights)), dtype=int)
         for gather, dims, columns, span in self.groups:
+            groups.append(((gather + self.size * j).ravel(), dims, np.tile(columns, (k, 1)),
+                           slice(k * span.start, k * span.stop)))
+            # entropy p of extension j sits at p + shift[j, p]
+            shift[:, span] = (k - 1) * span.start + j * (span.stop - span.start)
+        return (groups, self.positions + shift.take(self.positions, 1),
+                self.inverse + self.size * shift[:, :, None])
+
+    def half_information(self, t: np.ndarray) -> tuple[list[float], np.ndarray]:
+        """Half the information of each pure extension in the stack ``t`` (rows:
+        env (x) sink) and its gradient ``G_t`` (``df = Re <G_t, dt>``), from the
+        Gram matrices ``g = M M^dagger`` of the marginals, eigenvalues at or
+        below the clip dropped as in ``entropy_bits``: ``dS = -Tr[(log2 g + 1/ln
+        2) dg]`` gives ``G_M = -2 L M``, ``L = log2 g + 1/ln 2`` on the kept
+        eigenvalues.  Each row is bit-equal to a stack of that extension alone."""
+        groups, positions, inverse = self.stacked(len(t))
+        flat, s, parts = t.ravel(), np.empty(positions.size), []
+        for gather, dims, columns, span in groups:
             m = flat.take(gather).reshape(dims)
             w, q = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
             kept = w > EIG_CLIP
@@ -215,27 +226,25 @@ class _KernelPlan:
             np.add(log_w, 1.0 / log(2.0), out=log_w, where=kept)  # log_w becomes L
             log_w *= columns
             parts.append(((q * log_w[..., None, :]) @ q.conj().swapaxes(-1, -2) @ m).ravel())
-        g_t = np.add.reduce(np.concatenate(parts).take(self.inverse), 0).reshape(t.shape)
-        return -float(s.take(self.positions) @ self.weights), g_t
+        g_t = np.add.reduce(np.concatenate(parts).take(inverse), 1).reshape(t.shape)
+        # one 1-D dot per extension: a 2-D product would round differently
+        return [-float(s.take(row) @ self.weights) for row in positions], g_t
 
 
-@cache
-def _kernel_plan(shape: tuple[int, ...], terms: tuple) -> _KernelPlan:
-    return _KernelPlan(shape, terms)
+_kernel_plan = cache(_KernelPlan)  # one plan per (shape, terms)
 
 
-def _descent(plan: _KernelPlan, psi: np.ndarray):
-    """The objective over ansatz parameters at the purification ``psi``
-    (rows: purifying system): half the information of ``t = V psi`` and its
-    gradient, pulled back from ``G_V = G_t psi^dagger``."""
+def _descent(psi: np.ndarray):
+    """The objective over ansatz parameters at the purification ``psi`` (rows:
+    purifying system): ``t = V psi`` and the map from the kernel's value and
+    ``G_t`` to the value and gradient, pulled back from ``G_V = G_t psi^dagger``."""
     psi_h, d_purify = psi.conj().T, psi.shape[0]
 
-    def value_and_grad(params: np.ndarray) -> tuple[float, np.ndarray]:
+    def objective(params: np.ndarray):
         v, pullback = _isometry(params, d_purify)
-        value, g_t = plan.half_information(v @ psi)
-        return value, pullback(g_t @ psi_h)
+        return v @ psi, lambda value, g_t: (value, pullback(g_t @ psi_h))
 
-    return value_and_grad
+    return objective
 
 
 def squashing_value(
@@ -292,6 +301,7 @@ def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tup
 # Fresh starts draw each coordinate from N(0, INIT_SCALE^2); every L-BFGS-B
 # run of both searches stops on ``max_iters``, LBFGSB_FTOL or LBFGSB_GTOL.
 INIT_SCALE = 0.25
+LIVE_AMPLITUDES = 2048  # stacking pays at 16 and 256 amplitudes, not from ~1,000 (README)
 LBFGSB_FTOL = 1e-7
 LBFGSB_GTOL = 1e-8
 ITERATION_LIMIT = "ITERATIONS REACHED LIMIT"  # in the driver's message when max_iters stops a run
@@ -370,31 +380,51 @@ def _fresh_start(rng: np.random.Generator, d_env: int, d_sink: int) -> np.ndarra
     return INIT_SCALE * rng.standard_normal(ansatz_param_count(d_env, d_sink))
 
 
-def _lbfgsb(fn, x0: np.ndarray, cfg: OptimizerConfig):
-    """One L-BFGS-B run of ``fn``, which returns the value and its exact
-    gradient.  Every run of both searches is made here, through the
-    module-level name ``minimize``."""
-    return minimize(fn, x0, max_iters=cfg.max_iters, ftol=LBFGSB_FTOL, gtol=LBFGSB_GTOL)
+def _lbfgsb(objective, x0: np.ndarray, cfg: OptimizerConfig):
+    """One L-BFGS-B run of ``objective`` from ``x0`` through ``iterate``: yields
+    the extension ``t`` at each point and is sent the kernel's value and ``G_t``."""
+    run = iterate(x0, max_iters=cfg.max_iters, ftol=LBFGSB_FTOL, gtol=LBFGSB_GTOL)
+    try:
+        x = next(run)
+        while True:
+            t, finish = objective(x)
+            x = run.send(finish(*(yield t)))
+            del t, finish  # before the next point's arrays are built
+    except StopIteration as stop:
+        return stop.value
 
 
-def _search(restart, cfg: OptimizerConfig, sense: int, dims: tuple[int, int, int],
-            **report) -> BoundReport:
-    """Seeded restarts: ``restart(rng)`` returns its L-BFGS-B runs and the
-    final one, whose value and point it reports.  A restart has converged
-    only if all its runs converged; its message is that of its first
-    unconverged run, or the final run's if none; its iterations and
-    evaluations sum over all its runs.  The best restart minimizes
-    ``sense * value`` (lowest index first) and gives the reported ansatz."""
-    records, solutions = [], []
-    for j in range(cfg.restarts):
-        runs, final = restart(np.random.Generator(np.random.PCG64(cfg.seed + j)))
-        stopped = next((r for r in runs if not r.success), final)
-        records.append(RestartRecord(
-            j, float(final.fun), sum(int(r.nit) for r in runs), bool(stopped.success),
-            sum(int(r.nfev) for r in runs), sum(int(r.njev) for r in runs),
-            float(np.abs(final.jac).max()), str(stopped.message),
-        ))
-        solutions.append(final.x)
+def _search(restart, plan: _KernelPlan, cfg: OptimizerConfig, sense: int,
+            dims: tuple[int, int, int], **report) -> BoundReport:
+    """Seeded restarts in lockstep, at most ``LIVE_AMPLITUDES // t.size`` (at
+    least one) live: ``restart(rng)`` yields the extensions its L-BFGS-B runs
+    evaluate, one ``plan`` call per round for all, and returns its runs and
+    the final one, whose value and point it reports.  A restart has
+    converged only if all its runs converged; its message is that of its
+    first unconverged run, or the final run's if none; its iterations and
+    evaluations sum over all its runs.  The best restart minimizes ``sense *
+    value`` (lowest index first) and gives the reported ansatz."""
+    def started(j: int) -> list:  # [index, restart, its pending extension]
+        run = restart(np.random.Generator(np.random.PCG64(cfg.seed + j)))
+        return [j, run, next(run)]
+
+    fresh, records, solutions = map(started, range(cfg.restarts)), [None] * cfg.restarts, {}
+    live = list(islice(fresh, max(1, LIVE_AMPLITUDES // plan.size)))
+    while live:
+        stack = live[0][2][None] if len(live) == 1 else np.array([t for _, _, t in live])
+        values, g_t = plan.half_information(stack)
+        for i in reversed(range(len(live))):  # a freed place keeps the lower indices
+            j, run, _ = live[i]
+            try:
+                live[i][2] = run.send((values[i], g_t[i]))
+            except StopIteration as stop:
+                runs, final = stop.value
+                live[i:i + 1] = islice(fresh, 1)  # the next restart, if any, takes the place
+                stopped = next((r for r in runs if not r.success), final)
+                records[j], solutions[j] = RestartRecord(
+                    j, float(final.fun), sum(int(r.nit) for r in runs), bool(stopped.success),
+                    sum(int(r.nfev) for r in runs), sum(int(r.njev) for r in runs),
+                    float(np.abs(final.jac).max()), str(stopped.message)), final.x
     best = min(range(cfg.restarts), key=lambda j: (sense * records[j].value, j))
     return BoundReport(
         value=records[best].value, dims=dims, seed=cfg.seed, restarts=tuple(records),
@@ -430,11 +460,11 @@ def squashed_multi_upper(
                         tuple(info_terms(groups_axes, (0,), flavor)))
 
     def restart(rng):
-        res = _lbfgsb(_descent(plan, psi), _fresh_start(rng, d_env, d_sink), cfg)
+        res = yield from _lbfgsb(_descent(psi), _fresh_start(rng, d_env, d_sink), cfg)
         return [res], res
 
     return _search(
-        restart, cfg, 1, (d_purify, d_env, d_sink),
+        restart, plan, cfg, 1, (d_purify, d_env, d_sink),
         description=f"squashed upper bound ({flavor}) over {len(groups)} groups",
         flavor=flavor,
     )
@@ -554,18 +584,17 @@ def _channel_purification(params: np.ndarray, coupling: np.ndarray):
     return psi.reshape(coupling.shape[0], -1), pullback
 
 
-def _ascent(plan: _KernelPlan, coupling: np.ndarray, ansatz_params: np.ndarray):
+def _ascent(coupling: np.ndarray, ansatz_params: np.ndarray):
     """The objective over channel inputs at a fixed ansatz, negated for the
-    minimizer: half the information of ``t = V psi`` and its gradient,
-    pulled back from ``G_psi = V^dagger G_t`` through
-    :func:`_channel_purification`."""
+    minimizer: ``t = V psi`` and the map from the kernel's value and ``G_t``
+    to the negated value and gradient, pulled back from ``G_psi = V^dagger
+    G_t`` through :func:`_channel_purification`."""
     v = _isometry(ansatz_params, coupling.shape[0])[0]
     vh = v.conj().T
 
-    def negated(x: np.ndarray) -> tuple[float, np.ndarray]:
+    def negated(x: np.ndarray):
         psi, pullback = _channel_purification(x, coupling)
-        value, g_t = plan.half_information(v @ psi)
-        return -value, -pullback(vh @ g_t)
+        return v @ psi, lambda value, g_t: (-value, -pullback(vh @ g_t))
 
     return negated
 
@@ -613,26 +642,25 @@ def channel_squashed_upper(
 
     def descend(psi_params: np.ndarray, x0: np.ndarray):
         """Exact-gradient descent over ansaetze at a fixed input."""
-        return _lbfgsb(_descent(plan, _channel_purification(psi_params, coupling)[0]), x0, cfg)
+        return _lbfgsb(_descent(_channel_purification(psi_params, coupling)[0]), x0, cfg)
 
     def restart(rng):
         psi_params = rng.standard_normal(2 * d_ref * d_in)
         ansatz_params = _fresh_start(rng, d_env, d_sink)
         runs = []
         for _ in range(rounds):
-            runs.append(descend(psi_params, ansatz_params))
+            runs.append((yield from descend(psi_params, ansatz_params)))
             ansatz_params = runs[-1].x
-            runs.append(_lbfgsb(_ascent(plan, coupling, ansatz_params), psi_params, cfg))
+            runs.append((yield from _lbfgsb(_ascent(coupling, ansatz_params), psi_params, cfg)))
             psi_params = runs[-1].x
         # final descents (current ansatz plus fresh starts) so the reported
         # value is a well-minimized squashed bound at this input
-        finals = [descend(psi_params, x0) for x0 in (
-            ansatz_params, _fresh_start(rng, d_env, d_sink), _fresh_start(rng, d_env, d_sink),
-        )]
-        return runs + finals, min(finals, key=lambda r: float(r.fun))
+        for x0 in (ansatz_params, _fresh_start(rng, d_env, d_sink), _fresh_start(rng, d_env, d_sink)):
+            runs.append((yield from descend(psi_params, x0)))
+        return runs, min(runs[-3:], key=lambda r: float(r.fun))
 
     return _search(
-        restart, cfg, -1, (d_purify, d_env, d_sink),
+        restart, plan, cfg, -1, (d_purify, d_env, d_sink),
         description="channel squashed-entanglement search (heuristic)",
         flavor=FLAVOR_TOTAL,
         heuristic=True,

@@ -91,9 +91,7 @@ def entropy_bits(mat: np.ndarray) -> float:
     """Von Neumann entropy in bits of a (nearly) PSD Hermitian matrix."""
     w = np.linalg.eigvalsh((mat + mat.conj().T) / 2)
     w = w[w > EIG_CLIP]
-    if w.size == 0:
-        return 0.0
-    return float(-(w @ np.log2(w)))
+    return 0.0 - float(w @ np.log2(w))  # +0.0, not -0.0, when every kept eigenvalue is 1
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -47,6 +47,18 @@ def _yanai(b1, b2):
     return phi
 
 
+def line_search(phi, f0, g0, alpha0):
+    """``lbfgs._dcsrch`` from ``(f0, g0)`` at 0, each step it yields
+    answered by ``phi``: the step it returns."""
+    search = lbfgs._dcsrch(f0, g0, alpha0)
+    try:
+        stp = next(search)
+        while True:
+            stp = search.send(phi(stp))
+    except StopIteration as stop:
+        return stop.value
+
+
 MORE_THUENTE = [(_mt1, 1e-3, 0.1), (_mt2, 0.1, 0.1), (_mt3, 0.1, 0.1),
                 (_yanai(1e-3, 1e-3), 1e-3, 1e-3), (_yanai(1e-2, 1e-3), 1e-3, 1e-3),
                 (_yanai(1e-3, 1e-2), 1e-3, 1e-3)]
@@ -71,7 +83,7 @@ def test_line_search_matches_scipy_dcsrch(case, alpha0, constants, monkeypatch):
                            ftol, gtol, lbfgs.LS_XTOL, 0.0, lbfgs.STPMAX)
     stp, _, _, task = search(alpha0, *phi(0.0), maxiter=lbfgs.MAX_LS + 1)
     assert task[:4] in (b"CONV", b"WARN")
-    accepted = lbfgs._dcsrch(lambda a: (ours.append(a), phi(a))[1], *phi(0.0), alpha0)
+    accepted = line_search(lambda a: (ours.append(a), phi(a))[1], *phi(0.0), alpha0)
     assert ours == [float(a) for a in theirs]
     assert accepted == theirs[-1] and (stp is None or stp == accepted)
 
@@ -99,7 +111,7 @@ def test_line_search_exercises_every_dcstep_case(monkeypatch):
             monkeypatch.setattr(lbfgs, "LS_FTOL", consts[0])
             monkeypatch.setattr(lbfgs, "LS_GTOL", consts[1])
             for alpha0 in (1.5e-4, 1e-3, 1e-1, 1e1, 1e3):
-                lbfgs._dcsrch(phi, *phi(0.0), alpha0)
+                line_search(phi, *phi(0.0), alpha0)
     assert seen == {1, 2, 3, 4, 5}
 
 

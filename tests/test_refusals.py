@@ -109,9 +109,9 @@ def test_counts_and_seeds_must_be_integers(fn, kwargs, name, monkeypatch):
     import privsq.squashed as sq
 
     def no_search(*args, **kwargs):
-        raise AssertionError("minimize called")
+        raise AssertionError("an L-BFGS-B run started")
 
-    monkeypatch.setattr(sq, "minimize", no_search)
+    monkeypatch.setattr(sq, "iterate", no_search)
     refused(TypeError, f"{name} must be an integer, got {kwargs[name]!r}", fn, **kwargs)
 
 
@@ -234,9 +234,9 @@ def test_channel_search_refuses_fewer_than_one_round_before_any_search(rounds, m
     import privsq.squashed as sq
 
     def no_search(*args, **kwargs):
-        raise AssertionError("minimize called")
+        raise AssertionError("an L-BFGS-B run started")
 
-    monkeypatch.setattr(sq, "minimize", no_search)
+    monkeypatch.setattr(sq, "iterate", no_search)
     refused(ValueError, f"rounds {rounds} must be at least 1", channel_squashed_upper,
             sunk_copy_channel(), rounds=rounds)
 

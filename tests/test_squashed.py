@@ -54,7 +54,9 @@ from privsq.squashed import (
 from privsq.entropy import _gram_plan, _merged, _pure_entropies, info_terms
 from privsq.tensor import entropy_bits, purification_matrix
 
+from dataclasses import asdict
 from math import log2, prod, sqrt
+from types import SimpleNamespace
 
 
 def random_ansatz(d_purify, d_env, d_sink, seed, scale=0.5):
@@ -159,12 +161,23 @@ def test_optimizer_objective_agrees_with_squashing_value():
 # exact gradient of the squashing objective
 # ---------------------------------------------------------------------------
 
+def value_and_grad(plan, objective):
+    """``objective`` (``_descent``, ``_ascent``) as the driver sees it: the
+    value and gradient at ``x``, its extension evaluated alone by ``plan``."""
+    def evaluated(x):
+        t, finish = objective(x)
+        values, g_t = plan.half_information(t[None])
+        return finish(values[0], g_t[0])
+
+    return evaluated
+
+
 def squashing_objective(rho, groups, flavor, d_env, d_sink, d_purify):
     """The optimizer's value-and-gradient kernel for ``rho`` and ``groups``."""
     psi = purification_matrix(rho.matrix, d_ref=d_purify)
     axes = [tuple(p + 2 for p in rho.layout.positions(g)) for g in groups]
     shape = (d_env, d_sink) + rho.layout.dims
-    return _descent(_kernel_plan(shape, tuple(info_terms(axes, (0,), flavor))), psi)
+    return value_and_grad(_kernel_plan(shape, tuple(info_terms(axes, (0,), flavor))), _descent(psi))
 
 
 def central_differences(f, x, h=1e-6):
@@ -235,8 +248,10 @@ def density_path_value(v, psi, d_env, layout, groups, flavor):
 
 def half_information(t, shape, terms):
     """Half the information ``terms`` of the pure extension ``t`` (rows: env
-    (x) sink) and its gradient ``G_t``: the kernel's evaluator on one tensor."""
-    return _kernel_plan(shape, tuple(terms)).half_information(t)
+    (x) sink) and its gradient ``G_t``: the kernel's evaluator on a stack of
+    one tensor."""
+    values, g_t = _kernel_plan(shape, tuple(terms)).half_information(t[None])
+    return values[0], g_t[0]
 
 
 def random_kernel_inputs(rng, d_env, d_sink, d_purify, dim):
@@ -308,7 +323,7 @@ def test_one_evaluation_diagonalizes_each_marginal_once(monkeypatch):
         plan = _kernel_plan((d_env, d_sink) + system_dims, tuple(info_terms(axes, (0,), "total")))
         psi = random_kernel_inputs(rng, d_env, d_sink, d_purify, prod(system_dims))[1]
         x = 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink))
-        objective = _descent(plan, psi)
+        objective = value_and_grad(plan, _descent(psi))
         calls.clear()
         matrices.clear()
         inverses.clear()
@@ -388,8 +403,8 @@ def test_pure_entropy_modes_agree_with_the_density_path(case):
     values = _pure_entropies(t, shape, marginals)
     assert values.shape == (3, len(marginals))
     for row, amplitudes in zip(values, t):
-        weighted, g_t = plan.half_information(amplitudes)
-        assert g_t.shape == amplitudes.shape
+        (weighted,), g_t = plan.half_information(amplitudes[None])
+        assert g_t.shape == (1,) + amplitudes.shape
         assert abs(row @ weights - weighted) < 1e-13
     layout = SystemLayout((f"x{a}", d) for a, d in enumerate(shape))
     for row, amplitudes in zip(values, t):
@@ -564,33 +579,76 @@ def test_full_iteration_budget_is_not_cut_by_evaluation_cap():
         rep.restarts[0].nfev, rep.restarts[0].njev, rep.restarts[0].message)
 
 
+def record_runs(monkeypatch):
+    """Record every L-BFGS-B run the searches make, at their seam
+    ``privsq.squashed.iterate``: one entry per run, in the order the runs
+    start, with the index of the restart that made it, its start, its
+    options, the gradients it is sent and (once it ends) its result.  A
+    restart is known by its stream ``PCG64(seed + j)``, and it is the one
+    resumed whenever one of its runs starts."""
+    import privsq.squashed as sq
+
+    runs, current, iterate, search = [], [None], sq.iterate, sq._search
+
+    def recorded_iterate(x0, **kwargs):
+        run = SimpleNamespace(restart=current[0], x0=np.array(x0), kwargs=kwargs, grads=[],
+                              result=None)
+        runs.append(run)
+        driver = iterate(x0, **kwargs)
+        try:
+            x = next(driver)
+            while True:
+                f, g = yield x
+                run.grads.append(g)
+                x = driver.send((f, g))
+        except StopIteration as stop:
+            run.result = stop.value
+            return stop.value
+
+    def recorded_search(restart, plan, cfg, *args, **kwargs):
+        def tagged(rng):
+            j, inner = rng.bit_generator.seed_seq.entropy - cfg.seed, restart(rng)
+            try:
+                current[0] = j
+                t = next(inner)
+                while True:
+                    sent = yield t
+                    current[0] = j
+                    t = inner.send(sent)
+            except StopIteration as stop:
+                return stop.value
+
+        return search(tagged, plan, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(sq, "iterate", recorded_iterate)
+    monkeypatch.setattr(sq, "_search", recorded_search)
+    return runs
+
+
 def test_channel_search_never_purifies(monkeypatch):
     # the channel's sunk outputs purify its output state, so neither the
     # descents over ansaetze nor the ascents over inputs diagonalize it, and
     # both run on exact gradients
     import privsq.squashed as sq
 
-    purified, grads = [], []
+    purified = []
 
     def counted_purification(*args, **kwargs):
         purified.append(1)
         return purification_matrix(*args, **kwargs)
 
-    def counted_minimize(fun, x0, **kwargs):
-        grads.append(np.shape(fun(x0)[1]) == np.shape(x0))  # the objective returns its gradient
-        return sq_minimize(fun, x0, **kwargs)
-
-    sq_minimize = sq.minimize
     monkeypatch.setattr(sq, "purification_matrix", counted_purification)
-    monkeypatch.setattr(sq, "minimize", counted_minimize)
+    runs = record_runs(monkeypatch)
     restarts, rounds = 2, 2
     channel_squashed_upper(identity_channel(), d_env=2, d_sink=2,
                            cfg=OptimizerConfig(restarts=restarts, max_iters=30, seed=3),
                            rounds=rounds)
     assert purified == []
     # per restart: a descent and an ascent per round, then three final descents
-    assert len(grads) == restarts * (2 * rounds + 3)
-    assert all(grads)
+    assert len(runs) == restarts * (2 * rounds + 3)
+    # the objective returns its gradient at every point of every run
+    assert all(run.grads and all(np.shape(g) == np.shape(run.x0) for g in run.grads)
+               for run in runs)
 
 
 def test_both_searches_share_one_lbfgsb_option_set(monkeypatch):
@@ -598,45 +656,31 @@ def test_both_searches_share_one_lbfgsb_option_set(monkeypatch):
     # ascents and final descents) goes through one driver with one option set
     import privsq.squashed as sq
 
-    calls = []
-
-    def recorded_minimize(fun, x0, **kwargs):
-        calls.append((np.array(x0), kwargs))
-        return sq_minimize(fun, x0, **kwargs)
-
-    sq_minimize = sq.minimize
-    monkeypatch.setattr(sq, "minimize", recorded_minimize)
+    calls = record_runs(monkeypatch)
     cfg = OptimizerConfig(restarts=2, max_iters=20, seed=4)
     lo = SystemLayout([("A", 2), ("B", 2)])
     squashed_multi_upper(random_density(lo, 3, seed=2), ["A", "B"], d_env=2, d_sink=2, cfg=cfg)
     assert len(calls) == cfg.restarts
     # restart j starts from N(0, INIT_SCALE^2) coordinates drawn from PCG64(seed + j)
-    for j, (x0, _) in enumerate(calls):
+    for j, run in enumerate(calls):
         rng = np.random.Generator(np.random.PCG64(cfg.seed + j))
-        assert np.array_equal(x0, sq.INIT_SCALE * rng.standard_normal(ansatz_param_count(2, 2)))
+        assert run.restart == j
+        assert np.array_equal(run.x0, sq.INIT_SCALE * rng.standard_normal(ansatz_param_count(2, 2)))
     channel_squashed_upper(identity_channel(), d_env=2, d_sink=2, cfg=cfg, rounds=1)
     assert len(calls) == cfg.restarts + cfg.restarts * (2 * 1 + 3)
-    for _, kwargs in calls:
-        assert kwargs == {"max_iters": 20, "ftol": 1e-7, "gtol": 1e-8}
+    for run in calls:
+        assert run.kwargs == {"max_iters": 20, "ftol": 1e-7, "gtol": 1e-8}
     assert not hasattr(cfg, "init_scale") and not hasattr(cfg, "tol")
 
 
 def test_restart_records_the_final_gradient(monkeypatch):
     # grad_norm is the largest absolute entry of the final L-BFGS-B gradient
-    import privsq.squashed as sq
-
-    results = []
-
-    def recorded_minimize(*args, **kwargs):
-        results.append(sq_minimize(*args, **kwargs))
-        return results[-1]
-
-    sq_minimize = sq.minimize
-    monkeypatch.setattr(sq, "minimize", recorded_minimize)
+    runs = record_runs(monkeypatch)
     lo = SystemLayout([("A", 2), ("B", 2)])
     rep = squashed_multi_upper(random_density(lo, 3, seed=2), ["A", "B"], d_env=2, d_sink=2,
                                cfg=OptimizerConfig(restarts=2, max_iters=20, seed=4))
-    want = [float(np.abs(res.jac).max()) for res in results]
+    assert [run.restart for run in runs] == [0, 1]
+    want = [float(np.abs(run.result.jac).max()) for run in runs]
     assert [r.grad_norm for r in rep.restarts] == want
     assert [r["grad_norm"] for r in rep.to_dict()["restarts"]] == want
     assert all(g > 0.0 for g in want)
@@ -1197,23 +1241,15 @@ def test_channel_restart_converges_only_if_all_its_runs_did(monkeypatch):
     # a channel restart is several L-BFGS-B runs (a descent and an ascent per
     # round, then three final descents); a run stopped on max_iters shows in
     # its restart's record even where the final descent it reports converged
-    import privsq.squashed as sq
-
-    results = []
-
-    def recorded_minimize(*args, **kwargs):
-        results.append(sq_minimize(*args, **kwargs))
-        return results[-1]
-
-    sq_minimize = sq.minimize
-    monkeypatch.setattr(sq, "minimize", recorded_minimize)
+    recorded = record_runs(monkeypatch)
     cfg = OptimizerConfig(restarts=2, max_iters=5, seed=1)
     rep = channel_squashed_upper(depolarizing_channel_full(), d_env=2, d_sink=2, cfg=cfg, rounds=2)
     per_restart = 2 * 2 + 3
-    assert len(results) == cfg.restarts * per_restart
+    assert len(recorded) == cfg.restarts * per_restart
     reported_final_converged = []
     for rec in rep.restarts:
-        runs = results[rec.index * per_restart:(rec.index + 1) * per_restart]
+        runs = [run.result for run in recorded if run.restart == rec.index]
+        assert len(runs) == per_restart
         stopped = [r for r in runs if not r.success]
         assert stopped and rec.converged is False
         assert rec.message == str(stopped[0].message)
@@ -1280,7 +1316,8 @@ def channel_input_objective(case, d_env, d_sink, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     plan = _kernel_plan((d_env, d_sink, d_in, d_keep),
                         tuple(info_terms([(2,), (3,)], (0,), "total")))
-    return _ascent(plan, coupling, 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)))
+    return value_and_grad(
+        plan, _ascent(coupling, 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink))))
 
 
 @pytest.mark.parametrize(
@@ -1340,3 +1377,120 @@ def test_channel_report_dims_are_the_reachable_sunk_span():
         rep = channel_squashed_upper(make(), d_env=2, d_sink=2, cfg=cfg, rounds=1)
         assert rep.dims == dims
         assert rep.ansatz.d_purify == dims[0]
+
+
+# ---------------------------------------------------------------------------
+# restarts in lockstep
+# ---------------------------------------------------------------------------
+
+# (search at a config, amplitudes of its extension t): the state search at two
+# and three parties in both flavors, and the channel search
+LOCKSTEP_CASES = {
+    f"{parties}-party-{flavor}": (
+        lambda cfg, parties=parties, flavor=flavor: squashed_multi_upper(
+            random_density(SystemLayout([(g, 2) for g in "ABC"[:parties]]), 3, seed=parties),
+            list("ABC"[:parties]), flavor, d_env=2, d_sink=2, cfg=cfg),
+        4 * 2 ** parties)
+    for parties in (2, 3) for flavor in ("total", "dual")
+}
+LOCKSTEP_CASES["channel"] = (
+    lambda cfg: channel_squashed_upper(depolarizing_channel_full(), d_env=2, d_sink=2, cfg=cfg,
+                                       rounds=2), 16)
+
+
+@pytest.mark.parametrize("live", [4, 2])
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_lockstep_restarts_equal_restarts_one_at_a_time(case, live, monkeypatch):
+    # restart j of a k-restart report is the report of restarts=1 at seed +
+    # j: its value, iterations, convergence, evaluations, gradient norm and
+    # message, and the best restart's ansatz to the byte.  With 4 live, all
+    # four restarts share every kernel call; with 2 live, a finished
+    # restart's place goes to the next one.
+    import privsq.squashed as sq
+
+    search, size = LOCKSTEP_CASES[case]
+    cfg = OptimizerConfig(restarts=4, max_iters=40, seed=7)
+    alone = [search(OptimizerConfig(restarts=1, max_iters=40, seed=cfg.seed + j))
+             for j in range(cfg.restarts)]
+    stacks, half_information = [], sq._KernelPlan.half_information
+
+    def recorded(self, t):
+        stacks.append(len(t))
+        return half_information(self, t)
+
+    monkeypatch.setattr(sq._KernelPlan, "half_information", recorded)
+    monkeypatch.setattr(sq, "LIVE_AMPLITUDES", live * size)
+    rep = search(cfg)
+    assert max(stacks) == live
+    assert sum(stacks) == sum(r.nfev for r in rep.restarts)
+    for j, (row, one) in enumerate(zip(rep.restarts, alone)):
+        assert (row.index, one.restarts[0].index) == (j, 0)
+        assert asdict(row) | {"index": 0} == asdict(one.restarts[0])
+    assert rep.ansatz.params.tobytes() == alone[rep.best_restart].ansatz.params.tobytes()
+
+
+STACK_SHAPES = [
+    # (shape, groups' axes, flavor): the channel search's shape, (4, 4) on
+    # two qubit pairs, (2, 8) on three qubit pairs, and three parties at (2, 3)
+    ((2, 2, 2, 2), [(2,), (3,)], "total"),
+    ((4, 4, 2, 2, 2, 2), [(2, 3), (4, 5)], "total"),
+    ((2, 8, 2, 2, 2, 2, 2, 2), [(2, 5), (3, 6), (4, 7)], "total"),
+    ((2, 8, 2, 2, 2, 2, 2, 2), [(2, 5), (3, 6), (4, 7)], "dual"),
+    ((2, 3, 2, 2, 2), [(2,), (3,), (4,)], "dual"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(STACK_SHAPES)))
+def test_stacked_kernel_rows_are_bit_equal_to_single_calls(case):
+    # every row of one call over a stack, rank-deficient extensions (clipped
+    # eigenvalues) among them, is the call over that extension alone, to the bit
+    shape, axes, flavor = STACK_SHAPES[case]
+    plan = _kernel_plan(shape, tuple(info_terms(axes, (0,), flavor)))
+    rows, cols = shape[0] * shape[1], prod(shape[2:])
+    rng = np.random.Generator(np.random.PCG64(60 + case))
+    for k in (2, 5, 8):
+        t = rng.standard_normal((k, rows, cols)) + 1j * rng.standard_normal((k, rows, cols))
+        t[::2, :, cols // 2:] = 0.0
+        t /= np.linalg.norm(t.reshape(k, -1), axis=1)[:, None, None]
+        values, g_t = plan.half_information(t)
+        assert len(values) == k and g_t.shape == t.shape
+        for j in range(k):
+            (value,), g = plan.half_information(t[j:j + 1])
+            assert value == values[j]
+            assert g.tobytes() == g_t[j].tobytes()
+
+
+class FirstRound(Exception):
+    """Stops a search at its first kernel call."""
+
+
+def first_stack(monkeypatch, search) -> int:
+    """How many extensions the first kernel call of ``search()`` stacks."""
+    import privsq.squashed as sq
+
+    stacks = []
+
+    def recorded(self, t):
+        stacks.append(len(t))
+        raise FirstRound
+
+    monkeypatch.setattr(sq._KernelPlan, "half_information", recorded)
+    with pytest.raises(FirstRound):
+        search()
+    return stacks[0]
+
+
+def test_the_memory_rule_bounds_the_live_restarts(monkeypatch):
+    # at most max(1, 2048 // t.size) restarts are live: the channel search
+    # (16 amplitudes) and (4, 4) on 16 dims (256) stack all 8 restarts;
+    # (32, 32) on three qubit pairs (1024 x 64 amplitudes) runs one at a time
+    cfg = OptimizerConfig(restarts=8, max_iters=1, seed=0)
+    assert first_stack(monkeypatch, lambda: channel_squashed_upper(
+        depolarizing_channel_full(), d_env=2, d_sink=2, cfg=cfg)) == 8
+    pairs = SystemLayout([("A", 4), ("B", 4)])
+    assert first_stack(monkeypatch, lambda: squashed_multi_upper(
+        random_density(pairs, 16, seed=1), ["A", "B"], d_env=4, d_sink=4, cfg=cfg)) == 8
+    triples = SystemLayout([("A", 4), ("B", 4), ("C", 4)])
+    assert first_stack(monkeypatch, lambda: squashed_multi_upper(
+        random_density(triples, 64, seed=1), ["A", "B", "C"], "dual", d_env=32, d_sink=32,
+        cfg=cfg)) == 1

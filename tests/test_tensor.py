@@ -404,3 +404,15 @@ def test_entropy_of_the_zero_matrix_is_positive_zero():
 
     # with no eigenvalue above the clip, -(w @ log2 w) would give -0.0
     assert copysign(1.0, entropy_bits(np.zeros((2, 2)))) == 1.0
+
+
+def test_entropy_of_a_pure_state_is_positive_zero():
+    from math import copysign
+
+    from privsq import DensityOperator, vn_entropy
+    from privsq.tensor import entropy_bits
+
+    # every kept eigenvalue exactly 1: 1 * log2(1) = +0.0, whose negation is -0.0
+    pure = DensityOperator(np.diag([1.0, 0.0]), SystemLayout([("A", 2)]))
+    assert copysign(1.0, vn_entropy(pure)) == 1.0
+    assert copysign(1.0, entropy_bits(np.diag([0.0, 1.0, 0.0, 0.0]))) == 1.0
