@@ -4,12 +4,12 @@ arithmetic built on them.
 Every extension of a state arises by applying a channel to the purifying
 system of a purification.  The ansatz here parameterizes that channel as an
 isometry ``E' -> E (x) F`` (leading columns of the Cayley transform ``(I -
-iH/2)^{-1} (I + iH/2)`` of a Hermitian generator ``H`` given by its ``n^2``
-real coordinates), applies it to the canonical purification, and traces
-out ``F``.  Half the conditional (multipartite) information of the result
-is an upper bound on the corresponding squashed entanglement *for every
-ansatz*, so minimizing over the generator with several seeded restarts
-yields sound, reproducible upper bounds.
+iH/2)^{-1} (I + iH/2)`` of ``H = [[A, B^dagger], [B, 0]]``, one real
+coordinate per degree of freedom), applies it to the canonical
+purification, and traces out ``F``.  Half the conditional (multipartite)
+information of the result is an upper bound on the corresponding squashed
+entanglement *for every ansatz*, so minimizing over the generator with
+several seeded restarts yields sound, reproducible upper bounds.
 
 The state search descends over ``V`` (``_descent``, ``G_V = G_t
 psi^dagger``); the channel search alternates that with an ascent over pure
@@ -21,8 +21,8 @@ resumable numpy L-BFGS of :mod:`privsq.lbfgs`, and run their seeded
 restarts in lockstep (``_search``): each round evaluates the extension
 ``t = V psi`` of every live restart in one call of the search's one
 ``_KernelPlan``, so no report differs from running the restarts one at a
-time.  Besides that call, an evaluation makes one inverse of ``I - iH/2``
-(``_isometry``, the one function that knows the chart) and the pullbacks.
+time.  Besides that call, an evaluation makes the pullbacks and one
+``d_purify x d_purify`` inverse (``_isometry``, the one function that knows the chart).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, fields
 from functools import cache
 from itertools import islice
-from math import inf, isqrt, log, log2, prod, sqrt
+from math import inf, log, log2, prod, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,6 +50,7 @@ from .tensor import (
     EIG_CLIP,
     DensityOperator,
     Isometry,
+    _finite,
     _unchecked,
     purification_matrix,
 )
@@ -63,11 +64,12 @@ from .tensor import (
 class SquashingAnsatz:
     """Parameterized isometry from the purifying system into kept (x) sunk.
 
-    ``params`` holds the ``n^2`` real coordinates (``n = d_env * d_sink``)
-    of a Hermitian generator ``H``: its diagonal, then the real parts and
-    then the imaginary parts of its strict upper triangle (row-major).  The
-    first ``d_purify`` columns of the Cayley transform ``(I - iH/2)^{-1} (I +
-    iH/2)`` form the isometry, so every parameter vector realizes an exact
+    ``params`` holds the :func:`ansatz_param_count` real coordinates of ``H =
+    [[A, B^dagger], [B, 0]]`` (``n = d_env * d_sink`` rows): the diagonal of
+    the Hermitian ``d_purify x d_purify`` ``A``, the real and then imaginary
+    parts of its strict upper triangle (row-major), then the float view of
+    ``B``.  The first ``d_purify`` columns of the Cayley transform of ``H``
+    form the isometry, so every finite parameter vector realizes an exact
     isometry; ``params = 0`` gives the first ``d_purify`` columns of ``I``.
     """
 
@@ -79,8 +81,8 @@ class SquashingAnsatz:
     def __init__(self, d_purify: int, d_env: int, d_sink: int, params: np.ndarray):
         d_purify = int(d_purify)
         d_env, d_sink = _extension_dims(d_purify, int(d_env), int(d_sink))
-        count = ansatz_param_count(d_env, d_sink)
-        params = np.array(params, dtype=float).reshape(-1)
+        count = ansatz_param_count(d_env, d_sink, d_purify)
+        params = _finite(params, "ansatz params", float).reshape(-1)
         if params.shape != (count,):
             raise ValueError(f"expected {count} parameters, got {params.shape[0]}")
         _unchecked(self, d_purify, d_env, d_sink, params)
@@ -99,10 +101,10 @@ class SquashingAnsatz:
 @cache
 def _chart(n: int) -> tuple:
     """``(n, index, sign, folded, half)``: the float view of the ``n x n``
-    generator ``H`` (re, im per entry, row-major) is ``params[index] *
-    sign``, so the gradient of ``df = Re Tr[gamma^dagger dH]`` is
+    Hermitian ``A`` (re, im per entry, row-major) is ``params[index] *
+    sign``, so the gradient of ``df = Re Tr[gamma^dagger dA]`` is
     ``bincount(index, sign * g)``, ``g`` the float view of ``gamma``; with
-    re and im swapped, that of ``-iH/2`` is ``params[folded] * half``."""
+    re and im swapped, that of ``-iA/2`` is ``params[folded] * half``."""
     rows, cols = np.triu_indices(n, 1)
     upper, diag = n + np.arange(rows.size), np.arange(n)
     index, sign = np.empty((n, n, 2), dtype=np.intp), np.zeros((n, n, 2))
@@ -115,32 +117,48 @@ def _chart(n: int) -> tuple:
 
 
 def _isometry(params: np.ndarray, d_purify: int) -> tuple:
-    """``V``, the first ``d_purify`` columns of the Cayley transform ``U = (I
-    - iH/2)^{-1} (I + iH/2)`` of the ``n x n`` generator ``H`` with the ``n^2``
-    coordinates ``params`` (:func:`_chart`), and the pullback that takes
-    ``G_V`` (``df = Re <G_V, dV>``) to the gradient in ``params``.
+    """``V``, the first ``d = d_purify`` columns of the Cayley transform ``(I -
+    iH/2)^{-1} (I + iH/2)`` of ``H = [[A, B^dagger], [B, 0]]``, ``A`` (``d x
+    d``, :func:`_chart`) and then the float view of ``B`` in ``params``; and
+    the pullback that takes ``G_V`` (``df = Re <G_V, dV>``) to the gradient.
 
-    ``I - iH/2`` has every singular value at least 1, so its inverse ``C``
-    always exists.  As ``I + iH/2 = 2I - (I - iH/2)``, ``U = 2C - I``; as
-    ``dU = i C dH C``, the gradient in ``H`` is ``gamma = -i C^dagger G_V
-    C[:, :d_purify]^dagger``.
+    By the Schur complement, ``V = [2C - I; iBC]``, ``C = S^{-1}``, ``S = I -
+    iA/2 + B^dagger B/4``, whose Hermitian part ``I + B^dagger B/4`` puts
+    every singular value at 1 or above.  As ``dC = -C dS C``, the gradient in
+    ``A`` is ``gamma = -i C^dagger (G_top - (i/2) B^dagger G_bot) C^dagger``
+    and in ``B`` it is ``-i G_bot C^dagger - (i/2) B (gamma - gamma^dagger)``.
+    An empty ``B`` (``n = d``) is skipped: empty numpy calls cost time too.
     """
-    n, index, sign, folded, half = _chart(isqrt(params.size))
-    a = (params.take(folded) * half).view(complex).reshape(n, n)
-    a.reshape(-1)[::n + 1] += 1.0
-    c = np.linalg.inv(a)
-    v = 2.0 * c[:, :d_purify]
-    v.reshape(-1)[:d_purify * d_purify:d_purify + 1] -= 1.0
+    d, index, sign, folded, half = _chart(d_purify)
+    s = (params.take(folded) * half).view(complex).reshape(d, d)
+    s.reshape(-1)[::d + 1] += 1.0
+    b = params[d * d:].view(complex).reshape(-1, d)
+    if b.size:
+        s += 0.25 * (b.conj().T @ b)
+    c = np.linalg.inv(s)
+    v = np.concatenate((2.0 * c, 1j * (b @ c))) if b.size else 2.0 * c
+    v.reshape(-1)[:d * d:d + 1] -= 1.0
+
+    def gathered(gamma: np.ndarray) -> np.ndarray:
+        flat = gamma.view(float).ravel()
+        return np.bincount(index, np.multiply(flat, sign, out=flat), d * d)
 
     def pullback(g_v: np.ndarray) -> np.ndarray:
-        gamma = (-1j * (c.conj().T @ g_v) @ c[:, :d_purify].conj().T).view(float).ravel()
-        return np.bincount(index, np.multiply(gamma, sign, out=gamma), n * n)
+        c_h = c.conj().T
+        if not b.size:
+            return gathered(-1j * (c_h @ g_v) @ c_h)
+        g_bot = g_v[d:]
+        gamma = -1j * (c_h @ (g_v[:d] - 0.5j * (b.conj().T @ g_bot))) @ c_h
+        g_b = -1j * (g_bot @ c_h) - 0.5j * (b @ (gamma - gamma.conj().T))
+        return np.concatenate((gathered(gamma), g_b.view(float).ravel()))
 
     return v, pullback
 
 
-def ansatz_param_count(d_env: int, d_sink: int) -> int:
-    return (d_env * d_sink) ** 2
+def ansatz_param_count(d_env: int, d_sink: int, d_purify: int) -> int:
+    """``2 n d_purify - d_purify^2`` (``n = d_env d_sink``): the real dimension
+    of the ``n x d_purify`` isometries, one coordinate per degree of freedom."""
+    return 2 * d_env * d_sink * d_purify - d_purify * d_purify
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +291,7 @@ def _check_groups_cover(rho: DensityOperator, groups: Sequence[Iterable[str] | s
 def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tuple[int, int]:
     """``(d_env, d_sink)``, each defaulting to ``d_purify``; refuses dims
     below 1, dims whose product cannot carry the purifying dimension, and
-    a generator of more than 2^20 coordinates."""
+    a chart of more than 2^20 coordinates."""
     if d_purify < 1:
         raise ValueError(f"purifying dimension {d_purify} must be at least 1")
     d_env = int(d_env) if d_env is not None else d_purify
@@ -284,12 +302,11 @@ def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tup
         raise ValueError(
             f"extension dims {d_env}x{d_sink} cannot carry the purifying dimension {d_purify}"
         )
-    # n = d_env d_sink <= 1024 keeps each n x n complex matrix of the chart within 16 MB
-    if ansatz_param_count(d_env, d_sink) > 2 ** 20:
+    # at most 2^20 coordinates keep each n x d_purify complex matrix within 16 MB
+    if (count := ansatz_param_count(d_env, d_sink, d_purify)) > 2 ** 20:
         raise ValueError(
-            f"extension dims --d-env {d_env} --d-sink {d_sink} give "
-            f"{ansatz_param_count(d_env, d_sink)} generator coordinates, more than 2^20; "
-            f"pass --d-env and --d-sink whose product is at most 1024"
+            f"extension dims --d-env {d_env} --d-sink {d_sink} give {count} chart coordinates "
+            f"at purifying dimension {d_purify}, more than 2^20; pass smaller --d-env and --d-sink"
         )
     return d_env, d_sink
 
@@ -298,8 +315,9 @@ def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tup
 # multi-start minimization
 # ---------------------------------------------------------------------------
 
-# Fresh starts draw each coordinate from N(0, INIT_SCALE^2); every L-BFGS-B
-# run of both searches stops on ``max_iters``, LBFGSB_FTOL or LBFGSB_GTOL.
+# Fresh starts draw each coordinate from N(0, INIT_SCALE^2), B's scaled by
+# sqrt(d_purify / (n - d_purify)) so B's expected squared norm does not grow with n;
+# every L-BFGS-B run of both searches stops on ``max_iters``, LBFGSB_FTOL or LBFGSB_GTOL.
 INIT_SCALE = 0.25
 LIVE_AMPLITUDES = 2048  # stacking pays at 16 and 256 amplitudes, not from ~1,000 (README)
 LBFGSB_FTOL = 1e-7
@@ -376,8 +394,10 @@ class BoundReport:
         return out
 
 
-def _fresh_start(rng: np.random.Generator, d_env: int, d_sink: int) -> np.ndarray:
-    return INIT_SCALE * rng.standard_normal(ansatz_param_count(d_env, d_sink))
+def _fresh_start(rng: np.random.Generator, d_purify: int, d_env: int, d_sink: int) -> np.ndarray:
+    x = INIT_SCALE * rng.standard_normal(ansatz_param_count(d_env, d_sink, d_purify))
+    x[d_purify * d_purify:] *= sqrt(d_purify / max(1, d_env * d_sink - d_purify))
+    return x
 
 
 def _lbfgsb(objective, x0: np.ndarray, cfg: OptimizerConfig):
@@ -455,16 +475,16 @@ def squashed_multi_upper(
     cfg = cfg or OptimizerConfig()
     psi = purification_matrix(rho.matrix)  # one row per nonzero eigenvalue
     d_purify = psi.shape[0]
-    d_env, d_sink = _extension_dims(d_purify, d_env, d_sink)
-    plan = _kernel_plan((d_env, d_sink) + rho.layout.dims,
+    dims = (d_purify, *_extension_dims(d_purify, d_env, d_sink))
+    plan = _kernel_plan(dims[1:] + rho.layout.dims,
                         tuple(info_terms(groups_axes, (0,), flavor)))
 
     def restart(rng):
-        res = yield from _lbfgsb(_descent(psi), _fresh_start(rng, d_env, d_sink), cfg)
+        res = yield from _lbfgsb(_descent(psi), _fresh_start(rng, *dims), cfg)
         return [res], res
 
     return _search(
-        restart, plan, cfg, 1, (d_purify, d_env, d_sink),
+        restart, plan, cfg, 1, dims,
         description=f"squashed upper bound ({flavor}) over {len(groups)} groups",
         flavor=flavor,
     )
@@ -636,8 +656,8 @@ def channel_squashed_upper(
     coupling = _sunk_coupling(channel.matrix, channel.output_layout.dims, keep_pos)
     d_purify, d_keep, _ = coupling.shape
     d_ref = d_in  # reference system of the pure input, same dimension as the channel input
-    d_env, d_sink = _extension_dims(d_purify, d_env, d_sink)
-    plan = _kernel_plan((d_env, d_sink, d_ref, d_keep),
+    dims = (d_purify, *_extension_dims(d_purify, d_env, d_sink))
+    plan = _kernel_plan(dims[1:] + (d_ref, d_keep),
                         tuple(info_terms([(2,), (3,)], (0,), FLAVOR_TOTAL)))
 
     def descend(psi_params: np.ndarray, x0: np.ndarray):
@@ -646,7 +666,7 @@ def channel_squashed_upper(
 
     def restart(rng):
         psi_params = rng.standard_normal(2 * d_ref * d_in)
-        ansatz_params = _fresh_start(rng, d_env, d_sink)
+        ansatz_params = _fresh_start(rng, *dims)
         runs = []
         for _ in range(rounds):
             runs.append((yield from descend(psi_params, ansatz_params)))
@@ -655,12 +675,12 @@ def channel_squashed_upper(
             psi_params = runs[-1].x
         # final descents (current ansatz plus fresh starts) so the reported
         # value is a well-minimized squashed bound at this input
-        for x0 in (ansatz_params, _fresh_start(rng, d_env, d_sink), _fresh_start(rng, d_env, d_sink)):
+        for x0 in (ansatz_params, _fresh_start(rng, *dims), _fresh_start(rng, *dims)):
             runs.append((yield from descend(psi_params, x0)))
         return runs, min(runs[-3:], key=lambda r: float(r.fun))
 
     return _search(
-        restart, plan, cfg, -1, (d_purify, d_env, d_sink),
+        restart, plan, cfg, -1, dims,
         description="channel squashed-entanglement search (heuristic)",
         flavor=FLAVOR_TOTAL,
         heuristic=True,

@@ -99,7 +99,8 @@ def test_tensor_operations_build_valid_values(rho, data):
 def test_squashed_extensions_are_valid(rho, d_env, d_sink, seed):
     d_purify = purification_matrix(rho.matrix).shape[0]  # the rank
     d_sink = max(d_sink, -(-d_purify // d_env))
-    params = 0.5 * np.random.default_rng(seed).standard_normal(ansatz_param_count(d_env, d_sink))
+    params = 0.5 * np.random.default_rng(seed).standard_normal(
+        ansatz_param_count(d_env, d_sink, d_purify))
     ansatz = SquashingAnsatz(d_purify, d_env, d_sink, params)
     rechecked(ansatz.to_isometry())
     rechecked(extend_by_squashing(rho, ansatz))

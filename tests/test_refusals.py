@@ -121,34 +121,52 @@ def test_ansatz_refuses_a_purifying_dimension_below_one():
             SquashingAnsatz, 0, 1, 1, [0.0])
 
 
-@pytest.mark.parametrize("search", ["state", "channel", "ansatz"])
-def test_searches_refuse_a_generator_over_the_coordinate_limit(search):
-    # d_env d_sink = 1056 > 1024: (1056)^2 = 1115136 > 2^20 coordinates, refused
-    # before any generator is built
+@pytest.mark.parametrize("search, dims, count", [
+    ("state", (64, 128, 128), 2093056),
+    ("channel", (1, 1024, 513), 1050623),
+    ("ansatz", (64, 128, 128), 2093056),
+], ids=["state", "channel", "ansatz"])
+def test_searches_refuse_a_generator_over_the_coordinate_limit(search, dims, count):
+    # 2 n d_purify - d_purify^2 > 2^20 coordinates, refused before any chart is
+    # built: three parties of rank 64 at (128, 128), and the channel's d_purify
+    # = 1 at n = 525312
+    d_purify, d_env, d_sink = dims
     call = {
-        "state": lambda: squashed_multi_upper(random_density(PAIR, 2, seed=0), ["A", "B"],
-                                              d_env=33, d_sink=32),
-        "channel": lambda: channel_squashed_upper(sunk_copy_channel(), d_env=33, d_sink=32),
-        "ansatz": lambda: SquashingAnsatz(2, 33, 32, [0.0]),
+        "state": lambda: squashed_multi_upper(
+            random_density(SystemLayout([("A", 4), ("B", 4), ("C", 4)]), 64, seed=0),
+            ["A", "B", "C"], d_env=d_env, d_sink=d_sink),
+        "channel": lambda: channel_squashed_upper(sunk_copy_channel(), d_env=d_env, d_sink=d_sink),
+        "ansatz": lambda: SquashingAnsatz(d_purify, d_env, d_sink, [0.0]),
     }[search]
-    refused(ValueError, r"--d-env 33 --d-sink 32 give 1115136 generator coordinates, "
-            r"more than 2\^20", call)
+    refused(ValueError, rf"--d-env {d_env} --d-sink {d_sink} give {count} chart coordinates "
+            rf"at purifying dimension {d_purify}, more than 2\^20", call)
 
 
 def test_ansatz_admits_a_generator_at_the_coordinate_limit():
-    assert SquashingAnsatz(1, 32, 32, np.zeros(2 ** 20)).params.size == 2 ** 20
+    # d_purify = 4 at n = 2 * 65537: 2 * 131074 * 4 - 16 = 2^20
+    assert SquashingAnsatz(4, 2, 65537, np.zeros(2 ** 20)).params.size == 2 ** 20
+
+
+def test_ansatz_refuses_non_finite_params():
+    # every finite vector is an exact isometry; NaN or infinity would give one
+    # whose entries are all NaN
+    refused(ValueError, "ansatz params has non-finite entries",
+            SquashingAnsatz, 2, 2, 1, [float("nan"), 0.0, 0.0, float("inf")])
 
 
 def test_esq_refuses_the_default_dims_of_a_rank_64_state(tmp_path, capsys):
     # three parties with 2-dim keys and shields: the approximate state has rank
-    # 64, so the default d_env = d_sink = 64 give a 4096 x 4096 generator
+    # 64: its default d_env = d_sink = 64 give 2 * 4096 * 64 - 64^2 = 520192
+    # chart coordinates and are admitted; (128, 128) give 2093056 and are refused
     state = tmp_path / "r64.state"
     assert run_cli(["gen", "--approx", "--shield-dims", "2,2,2", "--seed", "1",
                     "--out", str(state)]) == 0
     capsys.readouterr()
-    assert run_cli(["esq", "--in", str(state), "--groups", "A=A1+A1p;B=A2+A2p;C=A3+A3p"]) == 2
-    assert ("--d-env 64 --d-sink 64 give 16777216 generator coordinates"
+    assert run_cli(["esq", "--in", str(state), "--groups", "A=A1+A1p;B=A2+A2p;C=A3+A3p",
+                    "--d-env", "128", "--d-sink", "128"]) == 2
+    assert ("--d-env 128 --d-sink 128 give 2093056 chart coordinates at purifying dimension 64"
             in capsys.readouterr().err)
+    assert SquashingAnsatz(64, 64, 64, np.zeros(520192)).params.size == 520192
 
 
 @pytest.mark.parametrize("argv, dim", [

@@ -44,7 +44,6 @@ from privsq.private_states import (
 from privsq.squashed import (
     _ascent,
     _channel_purification,
-    _chart,
     _descent,
     _isometry,
     _kernel_plan,
@@ -62,7 +61,7 @@ from types import SimpleNamespace
 def random_ansatz(d_purify, d_env, d_sink, seed, scale=0.5):
     rng = np.random.Generator(np.random.PCG64(seed))
     return SquashingAnsatz(
-        d_purify, d_env, d_sink, scale * rng.standard_normal(ansatz_param_count(d_env, d_sink))
+        d_purify, d_env, d_sink, scale * rng.standard_normal(ansatz_param_count(d_env, d_sink, d_purify))
     )
 
 
@@ -213,7 +212,7 @@ def test_exact_gradient_matches_central_differences(case, flavor):
     f = squashing_objective(rho, groups, flavor, d_env, d_sink, d_purify)
     rng = np.random.Generator(np.random.PCG64(100 + case))
     for _ in range(2):
-        x = 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink))
+        x = 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink, d_purify))
         value, grad = f(x)
         ans = SquashingAnsatz(d_purify, d_env, d_sink, x)
         assert abs(value - squashing_value(rho, groups, ans, flavor)) < 1e-12
@@ -257,7 +256,8 @@ def half_information(t, shape, terms):
 def random_kernel_inputs(rng, d_env, d_sink, d_purify, dim):
     """A random normalized purification ``psi`` and a random ansatz isometry."""
     psi = rng.standard_normal((d_purify, dim)) + 1j * rng.standard_normal((d_purify, dim))
-    v = _isometry(0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink)), d_purify)[0]
+    v = _isometry(0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink, d_purify)),
+                  d_purify)[0]
     return v, psi / np.linalg.norm(psi)
 
 
@@ -283,21 +283,22 @@ def test_extension_kernel_gradients_match_central_differences(case, flavor):
 
 
 def test_one_evaluation_diagonalizes_each_marginal_once(monkeypatch):
-    # one value and gradient inverts I - iH/2 for the generator H (n x n, n =
-    # d_env d_sink), diagonalizes nothing of H, and, per information term,
-    # diagonalizes the smaller Gram matrix of that marginal, in one stacked
-    # call per Gram size.  Bipartite total information I(A;B|E) = S(AE) +
-    # S(BE) - S(E) - S(ABE), axes (env, sink, systems...):
+    # one value and gradient inverts S = I - iA/2 + B^dagger B/4, of size
+    # d_purify whatever n = d_env d_sink is, diagonalizes nothing of the chart,
+    # and, per information term, diagonalizes the smaller Gram matrix of that
+    # marginal, in one stacked call per Gram size.  Bipartite total
+    # information I(A;B|E) = S(AE) + S(BE) - S(E) - S(ABE), axes (env, sink,
+    # systems...):
     # * shape (4, 4, 2, 2, 2, 2): n = 16; S(AE) and S(BE) split 16 | 16; S(E)
     #   is 4 | 64 and S(ABE) is 64 | 4, that is S(F): eigh matrices
     #   {16: 2, 4: 2} in calls {16: 1, 4: 1} (the stack of two 16s, the stack
-    #   of two 4s), and one inv at 16
+    #   of two 4s), and one inv at d_purify, 16 or 6
     # * the channel shape (2, 2, 2, 2): n = 4; S(RE) and S(BE) split 4 | 4;
     #   S(E) is 2 | 8 and S(RBE) is 8 | 2: eigh matrices {4: 2, 2: 2} in calls
-    #   {4: 1, 2: 1}, and one inv at 4
-    # so a search at (4, 4) on a 16 x 16 state makes 2 nfev + 1 diagonalizations
-    # at 16 (one more purifies the state) in nfev + 1 calls, 2 nfev at 4 in
-    # nfev calls, and nfev inverses at 16
+    #   {4: 1, 2: 1}, and one inv at d_purify, 4 or 3
+    # so a search at (4, 4) on a 16 x 16 state of rank 16 makes 2 nfev + 1
+    # diagonalizations at 16 (one more purifies the state) in nfev + 1 calls,
+    # 2 nfev at 4 in nfev calls, and nfev inverses at 16
     eigh, inv, calls, matrices, inverses = np.linalg.eigh, np.linalg.inv, [], [], []
 
     def counted_eigh(a, *args, **kwargs):
@@ -317,12 +318,14 @@ def test_one_evaluation_diagonalizes_each_marginal_once(monkeypatch):
     rng = np.random.Generator(np.random.PCG64(40))
     for d_env, d_sink, system_dims, d_purify, want, want_calls in (
             (4, 4, (2, 2, 2, 2), 16, {16: 2, 4: 2}, {16: 1, 4: 1}),
-            (2, 2, (2, 2), 4, {4: 2, 2: 2}, {4: 1, 2: 1})):
+            (4, 4, (2, 2, 2, 2), 6, {16: 2, 4: 2}, {16: 1, 4: 1}),
+            (2, 2, (2, 2), 4, {4: 2, 2: 2}, {4: 1, 2: 1}),
+            (2, 2, (2, 2), 3, {4: 2, 2: 2}, {4: 1, 2: 1})):
         k = len(system_dims) // 2
         axes = [tuple(range(2, 2 + k)), tuple(range(2 + k, 2 + 2 * k))]
         plan = _kernel_plan((d_env, d_sink) + system_dims, tuple(info_terms(axes, (0,), "total")))
         psi = random_kernel_inputs(rng, d_env, d_sink, d_purify, prod(system_dims))[1]
-        x = 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink))
+        x = 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink, d_purify))
         objective = value_and_grad(plan, _descent(psi))
         calls.clear()
         matrices.clear()
@@ -330,7 +333,7 @@ def test_one_evaluation_diagonalizes_each_marginal_once(monkeypatch):
         objective(x)
         assert tally(matrices) == want
         assert tally(calls) == want_calls
-        assert inverses == [(d_env * d_sink, d_env * d_sink)]
+        assert inverses == [(d_purify, d_purify)]
 
 
 def test_marginal_plan_groups_terms_by_gram_size():
@@ -463,7 +466,7 @@ def test_exact_gradient_at_degenerate_generator():
     rho, groups, d_env, d_sink, d_purify = GRADIENT_CASES[0]
     for flavor in ("total", "dual"):
         f = squashing_objective(rho, groups, flavor, d_env, d_sink, d_purify)
-        x = np.zeros(ansatz_param_count(d_env, d_sink))
+        x = np.zeros(ansatz_param_count(d_env, d_sink, d_purify))
         _, grad = f(x)
         fd = central_differences(f, x)
         assert np.abs(grad - fd).max() <= 1e-6 * np.abs(fd).max()
@@ -474,7 +477,8 @@ def test_exact_gradient_vanishes_on_pure_input():
     # with the environment, the objective is constant, marginals of the
     # environment (3 x 3, rank 2) are clipped, and the gradient is zero
     f = squashing_objective(max_entangled(2), ["A", "B"], "total", 3, 2, 3)
-    x = 0.5 * np.random.Generator(np.random.PCG64(9)).standard_normal(36)
+    rng = np.random.Generator(np.random.PCG64(9))
+    x = 0.5 * rng.standard_normal(ansatz_param_count(3, 2, 3))
     value, grad = f(x)
     assert abs(value - 1.0) < 1e-12
     assert np.abs(grad).max() < 1e-12
@@ -487,32 +491,58 @@ def cayley(x):
     return np.linalg.solve(eye - 0.5j * x, eye + 0.5j * x)
 
 
+def chart_params(a, b):
+    """The chart's coordinates of ``H = [[A, B^dagger], [B, 0]]``: those of the
+    Hermitian ``A``, then the float view of ``B``."""
+    return np.concatenate((hermitian_params(a), np.ascontiguousarray(b, complex).view(float).ravel()))
+
+
+def generator(params, d, n):
+    """The ``n x n`` generator ``[[A, B^dagger], [B, 0]]`` with the chart's ``params``."""
+    iu, k = np.triu_indices(d, 1), d * (d - 1) // 2
+    a = np.diag(params[:d]).astype(complex)
+    a[iu] = params[d:d + k] + 1j * params[d + k:d * d]
+    a = a + np.triu(a, 1).conj().T
+    b = params[d * d:].view(complex).reshape(n - d, d)
+    return np.block([[a, b.conj().T], [b, np.zeros((n - d, n - d))]])
+
+
+def random_chart_point(rng, d, n, scale=1.0):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    b = rng.standard_normal((n - d, d)) + 1j * rng.standard_normal((n - d, d))
+    return scale * chart_params(g + g.conj().T, b)
+
+
+CHART_DIMS = [(1, 1), (1, 3), (2, 3), (2, 6), (4, 4), (4, 6), (3, 8)]  # (d_purify, n)
+
+
 def test_cayley_pullback_is_the_exact_derivative():
     # for a rational f, f([[H, E], [0, H]]) has the derivative df(H)[E] as its
     # upper-right block, so the pullback of G_V must give, in each coordinate
     # direction E_k, exactly Re <G_V, dV[E_k]> with no finite differences
     rng = np.random.Generator(np.random.PCG64(11))
-    for n, d in ((1, 1), (3, 2), (6, 4)):
-        index, sign = _chart(n)[1:3]
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for d, n in CHART_DIMS:
         g_v = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        # generic, zero, and exactly and nearly degenerate
-        pairs = np.diag(np.tile([0.3, -1.2, 0.3 + 1e-9], n)[:n])
-        for h in (g + g.conj().T, np.zeros((n, n)), pairs):
-            grad = _isometry(hermitian_params(h), d)[1](g_v)
-            want = np.empty(n * n)
-            for k in range(n * n):
-                e = (np.eye(n * n)[k][index] * sign).view(complex).reshape(n, n)
+        count = ansatz_param_count(n, 1, d)
+        # generic, zero, and exactly and nearly degenerate A with B = 0
+        pairs = chart_params(np.diag(np.tile([0.3, -1.2, 0.3 + 1e-9], d)[:d]), np.zeros((n - d, d)))
+        for x in (random_chart_point(rng, d, n), np.zeros(count), pairs):
+            h = generator(x, d, n)
+            grad = _isometry(x, d)[1](g_v)
+            want = np.empty(count)
+            for k in range(count):
+                e = generator(np.eye(count)[k], d, n)
                 block = cayley(np.block([[h, e], [np.zeros((n, n)), h]]))
                 want[k] = np.vdot(g_v, block[:n, n:n + d]).real
             assert np.abs(grad - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_chart_folds_its_factor_exactly(monkeypatch):
-    # the chart gathers I - iH/2 with the -i/2 folded into its coordinates (re
-    # and im swapped, signs +-1/2): the matrix the isometry inverts is
-    # bit-equal to I - 0.5j H for seeded Hermitian H, so a dropped sign or an
-    # unswapped re and im fails
+    # the chart gathers S = I - iA/2 + B^dagger B/4 with the -i/2 folded into
+    # A's coordinates (re and im swapped, signs +-1/2): the matrix the
+    # isometry inverts is bit-equal to I - 0.5j A (+ B^dagger B/4 when n >
+    # d_purify) for seeded Hermitian A, so a dropped sign or an unswapped re
+    # and im fails
     inverted, inv = [], np.linalg.inv
 
     def recorded_inv(a):
@@ -521,38 +551,71 @@ def test_chart_folds_its_factor_exactly(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", recorded_inv)
     rng = np.random.Generator(np.random.PCG64(14))
-    for n in (1, 2, 3, 4, 6):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = g + g.conj().T
-        _isometry(hermitian_params(h), max(1, n // 2))
-        assert np.array_equal(inverted[-1], np.eye(n) - 0.5j * h)
+    for d, n in CHART_DIMS:
+        x = random_chart_point(rng, d, n)
+        h = generator(x, d, n)
+        a, b = h[:d, :d], h[d:, :d]
+        want = np.eye(d) - 0.5j * a
+        if n > d:
+            want = want + 0.25 * (b.conj().T @ b)
+        _isometry(x, d)
+        assert np.array_equal(inverted[-1], want)
 
 
 def test_isometry_is_the_first_columns_of_the_cayley_transform():
     rng = np.random.Generator(np.random.PCG64(12))
-    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h = g + g.conj().T
-    v = _isometry(hermitian_params(h), 4)[0]
-    assert np.abs(v - cayley(h)[:, :4]).max() < 1e-12
-    assert ansatz_param_count(3, 2) == 36
-    # the inverse chart: U without eigenvalue -1 has H = -2i (U - I)(U + I)^{-1}
-    u, eye = cayley(h), np.eye(6)
-    assert np.abs(-2j * np.linalg.solve((u + eye).T, (u - eye).T).T - h).max() < 1e-12
+    for d, n in CHART_DIMS:
+        x = random_chart_point(rng, d, n)
+        assert np.abs(_isometry(x, d)[0] - cayley(generator(x, d, n))[:, :d]).max() < 1e-14
+    assert ansatz_param_count(3, 2, 4) == 2 * 6 * 4 - 4 * 4 == 32
+    assert ansatz_param_count(4, 4, 16) == 16 * 16  # n = d_purify: as many as H has
+
+
+def test_chart_inverse_recovers_the_coordinates():
+    # V determines its coordinates: S = 2 (V_top + I)^{-1}, B = -i V_bot S and
+    # A = 2i (S - I - B^dagger B/4), so no two coordinate vectors give one V
+    rng = np.random.Generator(np.random.PCG64(15))
+    for d, n in CHART_DIMS:
+        for _ in range(5):
+            x = random_chart_point(rng, d, n)
+            v = _isometry(x, d)[0]
+            s = 2.0 * np.linalg.inv(v[:d] + np.eye(d))
+            b = -1j * v[d:] @ s
+            a = 2j * (s - np.eye(d) - 0.25 * (b.conj().T @ b))
+            assert np.abs(chart_params(a, b) - x).max() < 1e-13
+
+
+def test_chart_jacobian_has_full_rank():
+    # one coordinate per degree of freedom: the Jacobian of params -> V, row by
+    # row the pullback of each real unit direction of V, has rank 2 n d_purify
+    # - d_purify^2, the real dimension of the n x d_purify isometries; an
+    # n^2-coordinate generator has rank 20 of 36 at (n, d_purify) = (6, 2)
+    rng = np.random.Generator(np.random.PCG64(16))
+    for d, n in CHART_DIMS + [(5, 7)]:
+        x = random_chart_point(rng, d, n)
+        pullback = _isometry(x, d)[1]
+        units = np.eye(n * d).reshape(-1, n, d)
+        jac = np.array([pullback(unit * step) for unit in units for step in (1.0, 1j)])
+        assert jac.shape == (2 * n * d, ansatz_param_count(n, 1, d))
+        assert np.linalg.matrix_rank(jac) == 2 * n * d - d * d
 
 
 def test_isometry_stays_isometric_at_a_large_generator():
-    # I - iH/2 has every singular value at least 1, so the inverse is never
-    # singular; the columns stay orthonormal for |H| up to 1e6
+    # S has Hermitian part I + B^dagger B/4 >= I, so every singular value is at
+    # least 1 and the inverse is never singular; the columns stay orthonormal
+    # for |H| up to 1e6
     rng = np.random.Generator(np.random.PCG64(13))
-    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    h = g + g.conj().T
-    for scale in 10.0 ** np.arange(7) / np.linalg.norm(h, 2):
-        v = _isometry(hermitian_params(scale * h), 4)[0]
-        assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-12
+    for d, n in ((4, 6), (4, 4), (2, 7)):
+        x = random_chart_point(rng, d, n)
+        for scale in 10.0 ** np.arange(7) / np.linalg.norm(generator(x, d, n), 2):
+            v = _isometry(scale * x, d)[0]
+            assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-12
 
 
 def test_isometry_at_the_zero_generator_is_the_identity_columns():
-    assert np.array_equal(_isometry(np.zeros(36), 4)[0], np.eye(6)[:, :4])
+    for d, n in CHART_DIMS:
+        assert np.array_equal(_isometry(np.zeros(ansatz_param_count(n, 1, d)), d)[0],
+                              np.eye(n)[:, :d])
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-7])
@@ -661,16 +724,30 @@ def test_both_searches_share_one_lbfgsb_option_set(monkeypatch):
     lo = SystemLayout([("A", 2), ("B", 2)])
     squashed_multi_upper(random_density(lo, 3, seed=2), ["A", "B"], d_env=2, d_sink=2, cfg=cfg)
     assert len(calls) == cfg.restarts
-    # restart j starts from N(0, INIT_SCALE^2) coordinates drawn from PCG64(seed + j)
+    # restart j starts from N(0, INIT_SCALE^2) coordinates drawn from PCG64(seed + j),
+    # those of B (n - d_purify = 1 row of 3) scaled by sqrt(d_purify / (n - d_purify))
     for j, run in enumerate(calls):
         rng = np.random.Generator(np.random.PCG64(cfg.seed + j))
+        want = sq.INIT_SCALE * rng.standard_normal(ansatz_param_count(2, 2, 3))
+        want[9:] *= sqrt(3.0)
         assert run.restart == j
-        assert np.array_equal(run.x0, sq.INIT_SCALE * rng.standard_normal(ansatz_param_count(2, 2)))
+        assert np.array_equal(run.x0, want)
     channel_squashed_upper(identity_channel(), d_env=2, d_sink=2, cfg=cfg, rounds=1)
     assert len(calls) == cfg.restarts + cfg.restarts * (2 * 1 + 3)
     for run in calls:
         assert run.kwargs == {"max_iters": 20, "ftol": 1e-7, "gtol": 1e-8}
     assert not hasattr(cfg, "init_scale") and not hasattr(cfg, "tol")
+
+
+def test_fresh_start_at_n_equal_to_d_purify_is_the_plain_draw():
+    # with no B block the start is INIT_SCALE * standard_normal(d_purify^2), bit
+    # for bit, so seeded searches at n = d_purify keep their values
+    import privsq.squashed as sq
+
+    for d_purify, d_env, d_sink in ((1, 1, 1), (4, 2, 2), (4, 4, 1), (16, 4, 4)):
+        x = sq._fresh_start(np.random.Generator(np.random.PCG64(5)), d_purify, d_env, d_sink)
+        rng = np.random.Generator(np.random.PCG64(5))
+        assert x.tobytes() == (sq.INIT_SCALE * rng.standard_normal(d_purify ** 2)).tobytes()
 
 
 def test_restart_records_the_final_gradient(monkeypatch):
@@ -1317,7 +1394,8 @@ def channel_input_objective(case, d_env, d_sink, seed):
     plan = _kernel_plan((d_env, d_sink, d_in, d_keep),
                         tuple(info_terms([(2,), (3,)], (0,), "total")))
     return value_and_grad(
-        plan, _ascent(coupling, 0.5 * rng.standard_normal(ansatz_param_count(d_env, d_sink))))
+        plan, _ascent(coupling, 0.5 * rng.standard_normal(
+            ansatz_param_count(d_env, d_sink, coupling.shape[0]))))
 
 
 @pytest.mark.parametrize(

@@ -387,7 +387,7 @@ def test_array_carrying_values_compare_and_hash_by_identity():
         lambda: random_pure(lo, 1),
         lambda: Isometry(np.eye(2), SystemLayout([("A", 2)]), SystemLayout([("B", 2)])),
         lambda: random_private_spec(2, (2, 2), seed=1),
-        lambda: SquashingAnsatz(2, 2, 1, np.zeros(ansatz_param_count(2, 1))),
+        lambda: SquashingAnsatz(2, 2, 1, np.zeros(ansatz_param_count(2, 1, 2))),
         lambda: uhlmann_align(random_density(lo, 2, 1), random_density(lo, 3, 2)),
     ]
     for make in twins:
