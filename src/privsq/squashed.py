@@ -23,14 +23,21 @@ restarts in lockstep (``_search``): each round evaluates the extension
 ``_KernelPlan``, so no report differs from running the restarts one at a
 time.  Besides that call, an evaluation makes the pullbacks and one
 ``d_purify x d_purify`` inverse (``_isometry``, the one function that knows the chart).
+Both searches descend through ``_descend``, which re-centres the chart at
+its point every ``RECHART_ITERS`` iterations (``_rechart``): far from its
+origin the Cayley chart shrinks directions by ``1 + lambda^2/4``, and a
+descent that followed one chart for 500 iterations crawled.  The reported
+point is mapped back to the chart at the state's own purification
+(``_chart_coordinates``), and no random draw is added.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+import cmath
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
 from itertools import islice
-from math import inf, log, log2, prod, sqrt
+from math import inf, log, log2, pi, prod, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -153,6 +160,33 @@ def _isometry(params: np.ndarray, d_purify: int) -> tuple:
         return np.concatenate((gathered(gamma), g_b.view(float).ravel()))
 
     return v, pullback
+
+
+# Below this distance of an eigenvalue of V_top from -1, the map back loses
+# digits (1e-11 at 1e-3, against 1e-14 above 0.1) and a phase is applied first.
+CHART_MARGIN = 0.1
+
+
+def _chart_coordinates(v: np.ndarray) -> np.ndarray:
+    """Coordinates in :func:`_isometry`'s chart of the ``n x d`` isometry ``v``:
+    ``S = 2 (V_top + I)^{-1}``, ``B = -i V_bot S`` and ``A = 2i (S - I -
+    B^dagger B/4)``, which ``V^dagger V = I`` makes Hermitian (it gives
+    ``S + S^dagger = 2 I + B^dagger B/2``).  A top block with an eigenvalue
+    within ``CHART_MARGIN`` of -1 is first turned by the global phase that
+    centres the widest gap between its eigenvalues' arguments on -1; a
+    global phase leaves every extension's state unchanged."""
+    d = v.shape[1]
+    eye, w = np.eye(d), np.linalg.eigvals(v[:d])
+    if np.abs(w + 1.0).min() < CHART_MARGIN:
+        angles = sorted(map(cmath.phase, w))
+        _, middle = max((b - a, 0.5 * (a + b))
+                        for a, b in zip(angles, angles[1:] + [angles[0] + 2.0 * pi]))
+        v = v * cmath.exp(1j * (pi - middle))
+    s = 2.0 * np.linalg.inv(v[:d] + eye)
+    b = -1j * (v[d:] @ s)
+    a = 2j * (s - eye - 0.25 * (b.conj().T @ b))
+    upper = a[np.triu_indices(d, 1)]
+    return np.concatenate((a.diagonal().real, upper.real, upper.imag, b.view(float).ravel()))
 
 
 def ansatz_param_count(d_env: int, d_sink: int, d_purify: int) -> int:
@@ -319,6 +353,7 @@ def _extension_dims(d_purify: int, d_env: int | None, d_sink: int | None) -> tup
 # sqrt(d_purify / (n - d_purify)) so B's expected squared norm does not grow with n;
 # every L-BFGS-B run of both searches stops on ``max_iters``, LBFGSB_FTOL or LBFGSB_GTOL.
 INIT_SCALE = 0.25
+RECHART_ITERS = 100  # iterations per chart of a descent (``_descend``)
 LIVE_AMPLITUDES = 2048  # stacking pays at 16 and 256 amplitudes, not from ~1,000 (README)
 LBFGSB_FTOL = 1e-7
 LBFGSB_GTOL = 1e-8
@@ -355,7 +390,11 @@ class OptimizerConfig:
 class RestartRecord:
     """One restart: its value, L-BFGS-B iterations, whether it converged,
     objective and gradient evaluations, the largest absolute entry of the
-    gradient at its reported point, and the driver's termination message."""
+    gradient at its reported point, and the driver's termination message.
+    A descent re-charted every ``RECHART_ITERS`` iterations counts as one
+    run: its iterations and evaluations sum over its charts, and its
+    message, convergence and gradient (in the last chart) are the last
+    chart's."""
 
     index: int
     value: float
@@ -400,10 +439,10 @@ def _fresh_start(rng: np.random.Generator, d_purify: int, d_env: int, d_sink: in
     return x
 
 
-def _lbfgsb(objective, x0: np.ndarray, cfg: OptimizerConfig):
+def _lbfgsb(objective, x0: np.ndarray, max_iters: int):
     """One L-BFGS-B run of ``objective`` from ``x0`` through ``iterate``: yields
     the extension ``t`` at each point and is sent the kernel's value and ``G_t``."""
-    run = iterate(x0, max_iters=cfg.max_iters, ftol=LBFGSB_FTOL, gtol=LBFGSB_GTOL)
+    run = iterate(x0, max_iters=max_iters, ftol=LBFGSB_FTOL, gtol=LBFGSB_GTOL)
     try:
         x = next(run)
         while True:
@@ -414,13 +453,54 @@ def _lbfgsb(objective, x0: np.ndarray, cfg: OptimizerConfig):
         return stop.value
 
 
+def _rechart(x: np.ndarray, psi: np.ndarray) -> tuple:
+    """The chart re-centred at ``x``: ``(x', W0 psi, W0)``, ``W0`` the unitary
+    polar factor of ``V``'s top block, so that ``V(x') = V W0^dagger`` keeps
+    the extension ``V psi`` and has a Hermitian positive semidefinite top
+    block (``A = 0``).  At ``n = d_purify`` the top block is unitary and is
+    its own polar factor, and ``x'`` is the chart's origin."""
+    d = psi.shape[0]
+    v = _isometry(x, d)[0]
+    if len(v) == d:
+        return np.zeros(d * d), v @ psi, v
+    u, _, wh = np.linalg.svd(v[:d])
+    w0 = u @ wh
+    return _chart_coordinates(v @ w0.conj().T), w0 @ psi, w0
+
+
+def _descend(psi: np.ndarray, x0: np.ndarray, max_iters: int):
+    """The descent over ansaetze at the purification ``psi`` from ``x0``, as
+    L-BFGS-B runs (``_lbfgsb``) of at most ``RECHART_ITERS`` iterations each.
+    A run stopped on its limit with iterations of ``max_iters`` left
+    re-centres the chart at its point (``_rechart``), and the next run goes
+    on from there, so no chart is followed far enough to distort it.  Returns
+    the last run's result with its point mapped back to the chart at
+    ``psi`` and the iterations and evaluations of all runs; its value,
+    gradient (in the last run's chart) and message are the last run's."""
+    runs, w = [], None
+    while True:
+        res = yield from _lbfgsb(_descent(psi), x0, min(max_iters, RECHART_ITERS))
+        runs.append(res)
+        max_iters -= res.nit
+        if ITERATION_LIMIT not in res.message or max_iters == 0:
+            break
+        x0, psi, w0 = _rechart(res.x, psi)
+        w = w0 if w is None else w0 @ w
+    if w is None:
+        return res
+    return replace(res, x=_chart_coordinates(_isometry(res.x, psi.shape[0])[0] @ w),
+                   nit=sum(r.nit for r in runs), nfev=sum(r.nfev for r in runs),
+                   njev=sum(r.njev for r in runs))
+
+
 def _search(restart, plan: _KernelPlan, cfg: OptimizerConfig, sense: int,
             dims: tuple[int, int, int], **report) -> BoundReport:
     """Seeded restarts in lockstep, at most ``LIVE_AMPLITUDES // t.size`` (at
     least one) live: ``restart(rng)`` yields the extensions its L-BFGS-B runs
     evaluate, one ``plan`` call per round for all, and returns its runs and
-    the final one, whose value and point it reports.  A restart has
-    converged only if all its runs converged; its message is that of its
+    the final one, whose value and point it reports.  A run is one ascent
+    or one descent (``_descend``, however many charts it took).  A restart
+    has converged only if all its runs converged; its message is that of its
     first unconverged run, or the final run's if none; its iterations and
     evaluations sum over all its runs.  The best restart minimizes ``sense *
     value`` (lowest index first) and gives the reported ansatz."""
@@ -480,7 +560,7 @@ def squashed_multi_upper(
                         tuple(info_terms(groups_axes, (0,), flavor)))
 
     def restart(rng):
-        res = yield from _lbfgsb(_descent(psi), _fresh_start(rng, *dims), cfg)
+        res = yield from _descend(psi, _fresh_start(rng, *dims), cfg.max_iters)
         return [res], res
 
     return _search(
@@ -662,7 +742,7 @@ def channel_squashed_upper(
 
     def descend(psi_params: np.ndarray, x0: np.ndarray):
         """Exact-gradient descent over ansaetze at a fixed input."""
-        return _lbfgsb(_descent(_channel_purification(psi_params, coupling)[0]), x0, cfg)
+        return _descend(_channel_purification(psi_params, coupling)[0], x0, cfg.max_iters)
 
     def restart(rng):
         psi_params = rng.standard_normal(2 * d_ref * d_in)
@@ -671,7 +751,8 @@ def channel_squashed_upper(
         for _ in range(rounds):
             runs.append((yield from descend(psi_params, ansatz_params)))
             ansatz_params = runs[-1].x
-            runs.append((yield from _lbfgsb(_ascent(coupling, ansatz_params), psi_params, cfg)))
+            runs.append((yield from _lbfgsb(_ascent(coupling, ansatz_params), psi_params,
+                                            cfg.max_iters)))
             psi_params = runs[-1].x
         # final descents (current ansatz plus fresh starts) so the reported
         # value is a well-minimized squashed bound at this input

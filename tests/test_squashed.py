@@ -44,13 +44,19 @@ from privsq.private_states import (
 from privsq.squashed import (
     _ascent,
     _channel_purification,
+    _chart_coordinates,
+    _descend,
     _descent,
     _isometry,
+    _lbfgsb,
+    _rechart,
     _kernel_plan,
     _sunk_coupling,
     ansatz_param_count,
 )
+from privsq.cli import run_cli
 from privsq.entropy import _gram_plan, _merged, _pure_entropies, info_terms
+from privsq.stateio import read_state
 from privsq.tensor import entropy_bits, purification_matrix
 
 from dataclasses import asdict
@@ -578,11 +584,49 @@ def test_chart_inverse_recovers_the_coordinates():
     for d, n in CHART_DIMS:
         for _ in range(5):
             x = random_chart_point(rng, d, n)
-            v = _isometry(x, d)[0]
-            s = 2.0 * np.linalg.inv(v[:d] + np.eye(d))
-            b = -1j * v[d:] @ s
-            a = 2j * (s - np.eye(d) - 0.25 * (b.conj().T @ b))
-            assert np.abs(chart_params(a, b) - x).max() < 1e-13
+            assert np.abs(_chart_coordinates(_isometry(x, d)[0]) - x).max() < 1e-13
+
+
+@pytest.mark.parametrize("d, n", [(1, 1), (4, 4), (1, 3), (4, 6), (3, 8)])
+def test_chart_inverse_turns_an_eigenvalue_at_minus_one_away(d, n):
+    # V_top + I is singular when V_top has the eigenvalue -1; the map back
+    # first applies a global phase, so the coordinates are finite and give
+    # the input isometry times that phase, whose extensions are the input's
+    rng = np.random.Generator(np.random.PCG64(17))
+    q = np.linalg.qr(rng.standard_normal((n - 1, n - 1)) + 1j * rng.standard_normal((n - 1, n - 1)))[0]
+    v = np.zeros((n, d), dtype=complex)
+    v[0, 0] = -1.0
+    v[1:, 1:] = np.eye(d - 1) if n == d else q[:, :d - 1]  # at n = d: diag(-1, 1, ...)
+    assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-14
+    assert np.abs(np.linalg.eigvals(v[:d]) + 1.0).min() < 1e-14
+    x = _chart_coordinates(v)
+    assert x.shape == (ansatz_param_count(n, 1, d),) and np.isfinite(x).all()
+    w = _isometry(x, d)[0]
+    phase = np.vdot(v.ravel(), w.ravel()) / d
+    assert abs(abs(phase) - 1.0) < 1e-13
+    assert np.abs(w - phase * v).max() < 1e-13
+    assert np.abs(np.linalg.eigvals(w[:d]) + 1.0).min() >= 0.1
+
+
+@pytest.mark.parametrize("d, n", CHART_DIMS)
+def test_rechart_keeps_the_extension_and_centres_the_chart(d, n):
+    # re-centred at x, the chart's point has A = 0 and a Hermitian positive
+    # semidefinite top block, and it maps the turned purification W0 psi to
+    # the extension V psi of the old chart
+    rng = np.random.Generator(np.random.PCG64(18))
+    psi = rng.standard_normal((d, 6)) + 1j * rng.standard_normal((d, 6))
+    for scale in (0.3, 3.0):
+        x = random_chart_point(rng, d, n, scale)
+        t = _isometry(x, d)[0] @ psi
+        x_new, psi_new, w0 = _rechart(x, psi)
+        assert np.abs(w0.conj().T @ w0 - np.eye(d)).max() < 1e-13
+        assert np.abs(psi_new - w0 @ psi).max() == 0.0
+        v_new = _isometry(x_new, d)[0]
+        assert np.abs(v_new @ psi_new - t).max() < 1e-13
+        assert np.abs(x_new[:d * d]).max() < 1e-12
+        top = v_new[:d]
+        assert np.abs(top - top.conj().T).max() < 1e-12
+        assert np.linalg.eigvalsh(0.5 * (top + top.conj().T)).min() > -1e-12
 
 
 def test_chart_jacobian_has_full_rank():
@@ -761,6 +805,112 @@ def test_restart_records_the_final_gradient(monkeypatch):
     assert [r.grad_norm for r in rep.restarts] == want
     assert [r["grad_norm"] for r in rep.to_dict()["restarts"]] == want
     assert all(g > 0.0 for g in want)
+
+
+BENCH_GROUPS = [("A1", "A1p"), ("A2", "A2p")]
+
+
+def bench_state(tmp_path):
+    """The benchmark's state, ``privsq gen --approx --shield-dims 2,2 --seed 1``."""
+    path = str(tmp_path / "approx.state")
+    assert run_cli(["gen", "--approx", "--shield-dims", "2,2", "--seed", "1", "--out", path]) == 0
+    return read_state(path)
+
+
+def driven(run, plan):
+    """The result of the descent ``run``, each extension it yields evaluated alone by ``plan``."""
+    try:
+        t = next(run)
+        while True:
+            (value,), (g_t,) = plan.half_information(t[None])
+            t = run.send((value, g_t))
+    except StopIteration as stop:
+        return stop.value
+
+
+def test_a_descent_within_one_chart_is_one_lbfgsb_run(monkeypatch, tmp_path):
+    # with max_iters <= RECHART_ITERS a descent never re-charts: its result is
+    # that of one _lbfgsb run to the byte, and a search's report and ansatz are
+    # those of a search that never re-charts
+    import privsq.squashed as sq
+
+    rho = bench_state(tmp_path)
+    psi = purification_matrix(rho.matrix)
+    axes = [tuple(p + 2 for p in rho.layout.positions(g)) for g in BENCH_GROUPS]
+    plan = _kernel_plan((4, 4) + rho.layout.dims, tuple(info_terms(axes, (0,), "total")))
+    x0 = sq._fresh_start(np.random.Generator(np.random.PCG64(3)), psi.shape[0], 4, 4)
+    for max_iters in (7, sq.RECHART_ITERS):
+        one, two = (driven(_descend(psi, x0, max_iters), plan),
+                    driven(_lbfgsb(_descent(psi), x0, max_iters), plan))
+        assert (one.x.tobytes(), one.jac.tobytes()) == (two.x.tobytes(), two.jac.tobytes())
+        assert (one.fun, one.nit, one.nfev, one.njev, one.message) == (
+            two.fun, two.nit, two.nfev, two.njev, two.message)
+    cfg = OptimizerConfig(restarts=2, max_iters=sq.RECHART_ITERS, seed=3)
+    rep = squashed_multi_upper(rho, BENCH_GROUPS, d_env=4, d_sink=4, cfg=cfg)
+    monkeypatch.setattr(sq, "RECHART_ITERS", 10 ** 9)
+    once = squashed_multi_upper(rho, BENCH_GROUPS, d_env=4, d_sink=4, cfg=cfg)
+    assert rep.to_dict() == once.to_dict()
+    assert rep.ansatz.params.tobytes() == once.ansatz.params.tobytes()
+
+
+def test_a_recharted_restart_spends_at_most_its_budget(monkeypatch, tmp_path):
+    # a descent is runs of at most RECHART_ITERS iterations, each after the
+    # first started once the run before stopped on its limit; the restart sums
+    # their iterations and evaluations, never beyond max_iters, and reports
+    # the last run's message and gradient, the iteration limit only when it
+    # spent the whole budget
+    from privsq.squashed import ITERATION_LIMIT, RECHART_ITERS
+
+    rho = bench_state(tmp_path)
+    runs = record_runs(monkeypatch)
+    cfg = OptimizerConfig(restarts=4, max_iters=250, seed=5)
+    rep = squashed_multi_upper(rho, BENCH_GROUPS, d_env=4, d_sink=4, cfg=cfg)
+    segments = []
+    for rec in rep.restarts:
+        mine = [run.result for run in runs if run.restart == rec.index]
+        segments.append(len(mine))
+        assert [run.kwargs["max_iters"] for run in runs if run.restart == rec.index] == [
+            min(RECHART_ITERS, cfg.max_iters - RECHART_ITERS * k) for k in range(len(mine))]
+        assert all(ITERATION_LIMIT in r.message for r in mine[:-1])
+        assert rec.iterations == sum(r.nit for r in mine) <= cfg.max_iters
+        assert (rec.nfev, rec.njev) == (sum(r.nfev for r in mine), sum(r.njev for r in mine))
+        assert (rec.value, rec.message) == (mine[-1].fun, mine[-1].message)
+        assert rec.grad_norm == float(np.abs(mine[-1].jac).max())
+        assert (ITERATION_LIMIT in rec.message) == (rec.iterations == cfg.max_iters)
+        assert rec.converged == mine[-1].success
+    assert max(segments) == 3  # some restart re-charted twice
+
+
+def test_channel_descents_rechart_and_its_ascents_do_not(monkeypatch):
+    # the channel search's descents over ansaetze go through the one re-charting
+    # descent, runs of at most RECHART_ITERS iterations; its ascents over
+    # inputs, which have no chart, take the whole budget in one run
+    from privsq.squashed import RECHART_ITERS
+
+    runs = record_runs(monkeypatch)
+    cfg = OptimizerConfig(restarts=1, max_iters=RECHART_ITERS + 50, seed=2)
+    channel_squashed_upper(depolarizing_channel_full(), d_env=2, d_sink=2, cfg=cfg, rounds=1)
+    # an ascent starts from a qubit input's 8 coordinates, a descent from an ansatz's 16
+    # (d_purify = 4 = n)
+    assert [run.x0.size for run in runs] == [16, 8, 16, 16, 16]
+    assert [run.kwargs["max_iters"] for run in runs] == [RECHART_ITERS, cfg.max_iters] + [
+        RECHART_ITERS] * 3
+
+
+def test_recharted_descents_converge_on_the_benchmark_state(tmp_path):
+    # one restart at (4, 4) per op seed 10_000_000 + 20_000 i of the
+    # benchmark: in a single chart 1 of the 8 converged within 500
+    # iterations, re-charted every RECHART_ITERS all 8 do; the reported
+    # ansatz, mapped back to the chart at the state's own purification,
+    # reproduces each value
+    rho = bench_state(tmp_path)
+    converged = 0
+    for i in range(8):
+        cfg = OptimizerConfig(restarts=1, max_iters=500, seed=10_000_000 + 20_000 * i)
+        rep = squashed_multi_upper(rho, BENCH_GROUPS, "total", 4, 4, cfg)
+        converged += rep.optimizer_ok
+        assert abs(squashing_value(rho, BENCH_GROUPS, rep.ansatz) - rep.value) <= 1e-9
+    assert converged >= 6
 
 
 REPORT_KEYS = ["description", "value", "flavor", "dims", "seed", "best_restart",
