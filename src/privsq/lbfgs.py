@@ -23,6 +23,11 @@ run with L-BFGS-B's ``ABNORMAL`` message.  The messages are L-BFGS-B's, as
 scipy reports them.  A run is a generator, :func:`iterate`, sent the value
 and gradient at each point it yields, so a caller can evaluate the points
 of several runs in one call; :func:`minimize` answers one with ``fun``.
+
+A run may start warm: given the value and gradient at its start it does
+not yield that point, and given a curvature scale ``c`` it starts with ``H0
+= c I`` and a first step of 1, as after its first iteration (the warm start
+of Nocedal & Wright, *Numerical Optimization*, 2nd ed., section 7.2).
 """
 
 from __future__ import annotations
@@ -47,8 +52,10 @@ ABNORMAL = "ABNORMAL: "
 @dataclass(frozen=True, eq=False)
 class LbfgsResult:
     """The final point, value and gradient, iterations, evaluations of the
-    value and of the gradient (always equal: ``fun`` returns both), whether
-    a convergence test stopped the run, and why it stopped."""
+    value and of the gradient (always equal: ``fun`` returns both; a start
+    passed in is not one), whether a convergence test stopped the run, why
+    it stopped, and the scale ``c`` of its ``H0 = c I`` (that of its newest
+    pair, else the warm scale it started with, else ``None``)."""
 
     x: np.ndarray
     fun: float
@@ -58,6 +65,7 @@ class LbfgsResult:
     njev: int
     success: bool
     message: str
+    scale: float | None
 
 
 def minimize(fun, x0, max_iters: int, ftol: float, gtol: float) -> LbfgsResult:
@@ -72,14 +80,18 @@ def minimize(fun, x0, max_iters: int, ftol: float, gtol: float) -> LbfgsResult:
         return stop.value
 
 
-def iterate(x0, max_iters: int, ftol: float, gtol: float):
+def iterate(x0, max_iters: int, ftol: float, gtol: float, start=None, scale=None):
     """The run from ``x0``, returning its :class:`LbfgsResult`.  At each new
     iterate it stops after ``max_iters`` iterations, then when ``max |g| <=
     gtol``, then when the relative reduction ``(f_old - f) / max(|f_old|,
-    |f|, 1) <= ftol``; the start stops at once if ``max |g| <= gtol`` there."""
+    |f|, 1) <= ftol``; the start stops at once if ``max |g| <= gtol`` there.
+    ``start = (f0, g0)`` answers ``x0`` without yielding it; ``scale = c``
+    starts with ``H0 = c I`` and a first trial step of 1, and counts as
+    memory: a line search that fails before any pair is stored drops it
+    and retries cold."""
     x = np.array(x0, dtype=float).ravel()
-    f, g = yield x
-    f, nfev, nit, message = float(f), 1, 0, GRADIENT_CONVERGED
+    f, g = (yield x) if start is None else start
+    f, nfev, nit, message = float(f), int(start is None), 0, GRADIENT_CONVERGED
     # Pair t sits in slot t % MEMORY, so the slots hold the pairs in a
     # rotated order; R^-1, Y^T Y and D are kept in that order, and an empty
     # slot (all zeros) adds nothing to the direction.
@@ -87,7 +99,8 @@ def iterate(x0, max_iters: int, ftol: float, gtol: float):
     w = pairs.reshape(2 * MEMORY, x.size)
     rinv, yy = np.zeros((MEMORY, MEMORY)), np.zeros((MEMORY, MEMORY))
     sy, coef = np.zeros(MEMORY), np.zeros(2 * MEMORY)
-    count, scale = 0, 1.0
+    count, warm = 0, scale is not None
+    scale = float(scale) if warm else 1.0
     stationary = np.abs(g).max() <= gtol  # tested here, then once per new iterate
     while not stationary:
         ab = w.dot(g)  # s_i.g, y_i.g
@@ -99,7 +112,8 @@ def iterate(x0, max_iters: int, ftol: float, gtol: float):
         stp = None
         if gd0 < 0.0:
             # the line search: each step it tries is evaluated at x + stp d
-            search = _dcsrch(f, gd0, min(1.0 / sqrt(float(d.dot(d))), STPMAX) if nit == 0 else 1.0)
+            search = _dcsrch(f, gd0,
+                             1.0 if nit or warm else min(1.0 / sqrt(float(d.dot(d))), STPMAX))
             try:
                 stp = next(search)
                 while True:
@@ -109,11 +123,11 @@ def iterate(x0, max_iters: int, ftol: float, gtol: float):
             except StopIteration as stop:
                 stp = stop.value
         if stp is None:
-            if count == 0:
+            if count == 0 and not warm:
                 message = ABNORMAL
                 break
             # drop the memory and retry along steepest descent
-            pairs[:], rinv[:], yy[:], sy[:], count, scale = 0.0, 0.0, 0.0, 0.0, 0, 1.0
+            pairs[:], rinv[:], yy[:], sy[:], count, scale, warm = 0.0, 0.0, 0.0, 0.0, 0, 1.0, False
             continue
         f_old, g_old = f, g
         x, f, g, gd = trial
@@ -142,7 +156,8 @@ def iterate(x0, max_iters: int, ftol: float, gtol: float):
         rinv[slot, slot] = 1.0 / dr
         yy[slot] = yy[:, slot] = col[1::2]
         sy[slot], count, scale = dr, count + 1, dr / yy[slot, slot]
-    return LbfgsResult(x, f, g, nit, nfev, nfev, message.startswith("CONVERGENCE"), message)
+    return LbfgsResult(x, f, g, nit, nfev, nfev, message.startswith("CONVERGENCE"), message,
+                       scale if count or warm else None)
 
 
 def _dcsrch(f0: float, g0: float, stp: float):

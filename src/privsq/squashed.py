@@ -28,7 +28,8 @@ its point every ``RECHART_ITERS`` iterations (``_rechart``): far from its
 origin the Cayley chart shrinks directions by ``1 + lambda^2/4``, and a
 descent that followed one chart for 500 iterations crawled.  The reported
 point is mapped back to the chart at the state's own purification
-(``_chart_coordinates``), and no random draw is added.
+(``_chart_coordinates``), and no random draw is added.  A run that starts
+at its restart's latest extension reuses that evaluation (``_lbfgsb``).
 """
 
 from __future__ import annotations
@@ -389,12 +390,13 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class RestartRecord:
     """One restart: its value, L-BFGS-B iterations, whether it converged,
-    objective and gradient evaluations, the largest absolute entry of the
-    gradient at its reported point, and the driver's termination message.
-    A descent re-charted every ``RECHART_ITERS`` iterations counts as one
-    run: its iterations and evaluations sum over its charts, and its
-    message, convergence and gradient (in the last chart) are the last
-    chart's."""
+    kernel evaluations of the objective and of the gradient, the largest
+    absolute entry of the gradient at its reported point, and the driver's
+    termination message.  A run that starts at its restart's latest
+    extension reuses that answer, which is not counted again.  A descent
+    re-charted every ``RECHART_ITERS`` iterations counts as one run: its
+    iterations and evaluations sum over its charts, and its message,
+    convergence and gradient (in the last chart) are the last chart's."""
 
     index: int
     value: float
@@ -439,18 +441,31 @@ def _fresh_start(rng: np.random.Generator, d_purify: int, d_env: int, d_sink: in
     return x
 
 
-def _lbfgsb(objective, x0: np.ndarray, max_iters: int):
+def _lbfgsb(objective, x0: np.ndarray, max_iters: int, last: tuple | None = None,
+            scale: float | None = None):
     """One L-BFGS-B run of ``objective`` from ``x0`` through ``iterate``: yields
-    the extension ``t`` at each point and is sent the kernel's value and ``G_t``."""
-    run = iterate(x0, max_iters=max_iters, ftol=LBFGSB_FTOL, gtol=LBFGSB_GTOL)
+    the extension ``t`` at each point and is sent the kernel's value and ``G_t``.
+
+    ``last`` is the restart's latest evaluation ``(t, value, G_t)``: if the
+    extension at ``x0`` equals its ``t`` bit for bit, the run starts from
+    that answer, pulled back through its own chart, and does not yield it.
+    ``scale`` is the run's warm curvature scale (``iterate``).  Returns the
+    result and the latest evaluation, ``last`` if the run made none."""
+    t, finish = objective(x0)
+    start = finish(*last[1:]) if last is not None and np.array_equal(t, last[0]) else None
+    run = iterate(x0, max_iters=max_iters, ftol=LBFGSB_FTOL, gtol=LBFGSB_GTOL, start=start,
+                  scale=scale)
     try:
         x = next(run)
-        while True:
+        if start is not None:
             t, finish = objective(x)
-            x = run.send(finish(*(yield t)))
-            del t, finish  # before the next point's arrays are built
+        while True:
+            last = (t, *(yield t))
+            x = run.send(finish(*last[1:]))
+            del finish  # before the next point's arrays are built
+            t, finish = objective(x)
     except StopIteration as stop:
-        return stop.value
+        return stop.value, last
 
 
 def _rechart(x: np.ndarray, psi: np.ndarray) -> tuple:
@@ -468,29 +483,38 @@ def _rechart(x: np.ndarray, psi: np.ndarray) -> tuple:
     return _chart_coordinates(v @ w0.conj().T), w0 @ psi, w0
 
 
-def _descend(psi: np.ndarray, x0: np.ndarray, max_iters: int):
+def _descend(psi: np.ndarray, x0: np.ndarray, max_iters: int, last: tuple | None = None,
+             scale: float | None = None):
     """The descent over ansaetze at the purification ``psi`` from ``x0``, as
     L-BFGS-B runs (``_lbfgsb``) of at most ``RECHART_ITERS`` iterations each.
     A run stopped on its limit with iterations of ``max_iters`` left
     re-centres the chart at its point (``_rechart``), and the next run goes
-    on from there, so no chart is followed far enough to distort it.  Returns
-    the last run's result with its point mapped back to the chart at
-    ``psi`` and the iterations and evaluations of all runs; its value,
-    gradient (in the last run's chart) and message are the last run's."""
+    on from there, so no chart is followed far enough to distort it.  The
+    latest evaluation ``last`` passes from run to run, so a run that starts
+    where the one before ended (always at ``n = d_purify``, where the
+    re-charted extension is ``I (V psi)``) reuses its answer; the first run
+    starts with the warm ``scale``, the others cold, as the new chart's
+    metric is not the old one's.  Returns the last run's result with its
+    point mapped back to the chart at ``psi`` and the iterations and
+    evaluations of all runs (its value, gradient in the last run's chart,
+    message and scale are the last run's, the scale ``None`` after a
+    re-chart, which no later run may start warm with), and the latest
+    evaluation."""
     runs, w = [], None
     while True:
-        res = yield from _lbfgsb(_descent(psi), x0, min(max_iters, RECHART_ITERS))
+        res, last = yield from _lbfgsb(_descent(psi), x0, min(max_iters, RECHART_ITERS), last,
+                                       scale)
         runs.append(res)
         max_iters -= res.nit
         if ITERATION_LIMIT not in res.message or max_iters == 0:
             break
         x0, psi, w0 = _rechart(res.x, psi)
-        w = w0 if w is None else w0 @ w
+        w, scale = w0 if w is None else w0 @ w, None
     if w is None:
-        return res
+        return res, last
     return replace(res, x=_chart_coordinates(_isometry(res.x, psi.shape[0])[0] @ w),
                    nit=sum(r.nit for r in runs), nfev=sum(r.nfev for r in runs),
-                   njev=sum(r.njev for r in runs))
+                   njev=sum(r.njev for r in runs), scale=None), last
 
 
 def _search(restart, plan: _KernelPlan, cfg: OptimizerConfig, sense: int,
@@ -560,7 +584,7 @@ def squashed_multi_upper(
                         tuple(info_terms(groups_axes, (0,), flavor)))
 
     def restart(rng):
-        res = yield from _descend(psi, _fresh_start(rng, *dims), cfg.max_iters)
+        res, _ = yield from _descend(psi, _fresh_start(rng, *dims), cfg.max_iters)
         return [res], res
 
     return _search(
@@ -718,6 +742,14 @@ def channel_squashed_upper(
     state; the reported ``d_purify`` is the dimension of that span, at
     most ``d_in * d_keep``.
 
+    Every run but the first and the two fresh final descents starts where
+    the run before ended and reuses that answer, unless that run was a
+    re-charted descent, whose point is mapped back with rounding.  The later
+    rounds' descent and the first final descent also start warm, with the
+    curvature scale of the descent before them; the first round, every
+    ascent, the fresh final descents and every run after a re-chart start
+    cold.
+
     The outer problem is a maximum, so the returned value is HEURISTIC:
     neither a certified upper nor lower bound.  The input dimension is
     capped at 4.
@@ -740,24 +772,31 @@ def channel_squashed_upper(
     plan = _kernel_plan(dims[1:] + (d_ref, d_keep),
                         tuple(info_terms([(2,), (3,)], (0,), FLAVOR_TOTAL)))
 
-    def descend(psi_params: np.ndarray, x0: np.ndarray):
+    def descend(psi_params: np.ndarray, x0: np.ndarray, last: tuple | None, scale: float | None):
         """Exact-gradient descent over ansaetze at a fixed input."""
-        return _descend(_channel_purification(psi_params, coupling)[0], x0, cfg.max_iters)
+        return _descend(_channel_purification(psi_params, coupling)[0], x0, cfg.max_iters, last,
+                        scale)
 
     def restart(rng):
         psi_params = rng.standard_normal(2 * d_ref * d_in)
         ansatz_params = _fresh_start(rng, *dims)
-        runs = []
+        # the restart's latest evaluation, and the curvature scale of its
+        # latest descent, passed to the next descent
+        runs, last, down = [], None, None
         for _ in range(rounds):
-            runs.append((yield from descend(psi_params, ansatz_params)))
-            ansatz_params = runs[-1].x
-            runs.append((yield from _lbfgsb(_ascent(coupling, ansatz_params), psi_params,
-                                            cfg.max_iters)))
-            psi_params = runs[-1].x
-        # final descents (current ansatz plus fresh starts) so the reported
-        # value is a well-minimized squashed bound at this input
-        for x0 in (ansatz_params, _fresh_start(rng, *dims), _fresh_start(rng, *dims)):
-            runs.append((yield from descend(psi_params, x0)))
+            res, last = yield from descend(psi_params, ansatz_params, last, down)
+            runs.append(res)
+            ansatz_params, down = res.x, res.scale
+            res, last = yield from _lbfgsb(_ascent(coupling, ansatz_params), psi_params,
+                                           cfg.max_iters, last)
+            runs.append(res)
+            psi_params = res.x
+        # final descents (current ansatz, warm, plus two cold fresh starts) so
+        # the reported value is a well-minimized squashed bound at this input
+        for x0, scale in ((ansatz_params, down), (_fresh_start(rng, *dims), None),
+                          (_fresh_start(rng, *dims), None)):
+            res, last = yield from descend(psi_params, x0, last, scale)
+            runs.append(res)
         return runs, min(runs[-3:], key=lambda r: float(r.fun))
 
     return _search(

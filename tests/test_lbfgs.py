@@ -243,3 +243,96 @@ def test_a_failed_line_search_drops_the_memory_and_retries_once():
     assert (res.message, res.success, res.nit) == (lbfgs.ABNORMAL, False, 1)
     assert res.nfev == res.njev == len(calls) == 2 + 2 * lbfgs.MAX_LS
     assert (res.fun, res.jac.tolist()) == (lying(res.x)[0], lying(res.x)[1].tolist())
+
+
+def run_points(fun, x0, **kwargs):
+    """``lbfgs.iterate`` from ``x0``, each point it yields answered by ``fun``:
+    ``(points, result)``, the points in the order yielded."""
+    run, points = lbfgs.iterate(x0, **kwargs), []
+    try:
+        x = next(run)
+        while True:
+            points.append(x.copy())
+            x = run.send(fun(x))
+    except StopIteration as stop:
+        return points, stop.value
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 7, 500])
+def test_a_known_start_is_not_yielded(max_iters):
+    # a run told the value and gradient at x0 makes the cold run's moves to
+    # the bit, without yielding x0: one evaluation fewer
+    x0 = np.array([-1.2, 1.0, -0.5, 0.3])
+    options = dict(max_iters=max_iters, ftol=1e-7, gtol=1e-8)
+    cold_points, cold = run_points(rosenbrock, x0, **options)
+    warm_points, warm = run_points(rosenbrock, x0, start=rosenbrock(x0), **options)
+    assert cold_points[0].tolist() == x0.tolist()
+    assert [p.tobytes() for p in warm_points] == [p.tobytes() for p in cold_points[1:]]
+    assert (warm.x.tobytes(), warm.jac.tobytes()) == (cold.x.tobytes(), cold.jac.tobytes())
+    assert (warm.fun, warm.nit, warm.success, warm.message, warm.scale) == (
+        cold.fun, cold.nit, cold.success, cold.message, cold.scale)
+    assert warm.nfev == warm.njev == cold.nfev - 1
+
+
+def test_a_stationary_known_start_yields_nothing():
+    points, res = run_points(rosenbrock, np.ones(3), max_iters=10, ftol=1e-7, gtol=1e-8,
+                             start=(0.0, np.zeros(3)))
+    assert points == []
+    assert (res.nit, res.nfev, res.njev, res.message, res.scale) == (
+        0, 0, 0, GRADIENT_CONVERGED, None)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.37, 25.0])
+def test_a_warm_scale_sets_the_first_direction_and_step(scale):
+    # H0 = scale I: the first direction is -scale g and its first trial step
+    # is 1, where a cold run tries min(1/|g|, STPMAX) along -g
+    x0 = np.array([-1.2, 1.0, -0.5, 0.3])
+    g0 = rosenbrock(x0)[1]
+    options = dict(max_iters=1, ftol=1e-7, gtol=1e-8)
+    points, res = run_points(rosenbrock, x0, scale=scale, **options)
+    assert points[1].tobytes() == (x0 - scale * g0).tobytes()
+    cold_points, _ = run_points(rosenbrock, x0, **options)
+    first = min(1.0 / sqrt(float(g0 @ g0)), lbfgs.STPMAX)
+    assert cold_points[1].tobytes() == (x0 + first * -g0).tobytes()
+    # capped before any pair is stored, the run keeps the scale it was given
+    assert (res.nit, res.message, res.scale) == (1, ITERATIONS_STOP, scale)
+
+
+def test_the_result_carries_the_scale_of_the_newest_pair():
+    # s.y / y.y of the pair stored after the first iteration (the second
+    # stops on its cap before storing its own); none for a cold run capped
+    # before it stored a pair
+    x0 = np.array([-1.2, 1.0, -0.5, 0.3])
+    options = dict(ftol=1e-7, gtol=1e-8)
+    assert run_points(rosenbrock, x0, max_iters=1, **options)[1].scale is None
+    res = run_points(rosenbrock, x0, max_iters=2, **options)[1]
+    first = minimize(rosenbrock, x0, max_iters=1, **options)
+    s, y = first.x - x0, first.jac - rosenbrock(x0)[1]
+    assert res.scale == pytest.approx(float(s @ y) / float(y @ y), rel=1e-12)
+
+
+def test_a_warm_run_whose_first_line_search_fails_retries_cold(monkeypatch):
+    # the warm scale counts as memory: when the line search along -scale g
+    # fails, the run drops it and goes on as the cold run from x0 does, one
+    # evaluation (the failed trial) later
+    dcsrch, starts = lbfgs._dcsrch, []
+
+    def failing_once(f0, g0, stp):
+        starts.append(stp)
+        if len(starts) == 1:
+            yield stp
+            return None
+        return (yield from dcsrch(f0, g0, stp))
+
+    x0 = np.array([-1.2, 1.0, -0.5, 0.3])
+    g0 = rosenbrock(x0)[1]
+    options = dict(max_iters=5, ftol=1e-7, gtol=1e-8)
+    cold_points, cold = run_points(rosenbrock, x0, **options)
+    monkeypatch.setattr(lbfgs, "_dcsrch", failing_once)
+    points, res = run_points(rosenbrock, x0, scale=0.37, **options)
+    assert starts[:2] == [1.0, min(1.0 / sqrt(float(g0 @ g0)), lbfgs.STPMAX)]
+    assert points[1].tobytes() == (x0 - 0.37 * g0).tobytes()
+    assert [p.tobytes() for p in points[2:]] == [p.tobytes() for p in cold_points[1:]]
+    assert (res.x.tobytes(), res.nit, res.message, res.scale) == (
+        cold.x.tobytes(), cold.nit, cold.message, cold.scale)
+    assert res.nfev == cold.nfev + 1

@@ -690,7 +690,8 @@ def record_runs(monkeypatch):
     """Record every L-BFGS-B run the searches make, at their seam
     ``privsq.squashed.iterate``: one entry per run, in the order the runs
     start, with the index of the restart that made it, its start, its
-    options, the gradients it is sent and (once it ends) its result.  A
+    options, the gradients it starts with (a known start's) or is sent and
+    (once it ends) its result.  A
     restart is known by its stream ``PCG64(seed + j)``, and it is the one
     resumed whenever one of its runs starts."""
     import privsq.squashed as sq
@@ -698,8 +699,9 @@ def record_runs(monkeypatch):
     runs, current, iterate, search = [], [None], sq.iterate, sq._search
 
     def recorded_iterate(x0, **kwargs):
-        run = SimpleNamespace(restart=current[0], x0=np.array(x0), kwargs=kwargs, grads=[],
-                              result=None)
+        start = kwargs.get("start")
+        run = SimpleNamespace(restart=current[0], x0=np.array(x0), kwargs=kwargs,
+                              grads=[] if start is None else [start[1]], result=None)
         runs.append(run)
         driver = iterate(x0, **kwargs)
         try:
@@ -779,7 +781,10 @@ def test_both_searches_share_one_lbfgsb_option_set(monkeypatch):
     channel_squashed_upper(identity_channel(), d_env=2, d_sink=2, cfg=cfg, rounds=1)
     assert len(calls) == cfg.restarts + cfg.restarts * (2 * 1 + 3)
     for run in calls:
-        assert run.kwargs == {"max_iters": 20, "ftol": 1e-7, "gtol": 1e-8}
+        # besides the one option set, each run is passed only its warm start
+        options = {k: v for k, v in run.kwargs.items() if k not in ("start", "scale")}
+        assert options == {"max_iters": 20, "ftol": 1e-7, "gtol": 1e-8}
+        assert set(run.kwargs) - set(options) == {"start", "scale"}
     assert not hasattr(cfg, "init_scale") and not hasattr(cfg, "tol")
 
 
@@ -818,14 +823,15 @@ def bench_state(tmp_path):
 
 
 def driven(run, plan):
-    """The result of the descent ``run``, each extension it yields evaluated alone by ``plan``."""
+    """The result of the descent ``run``, each extension it yields evaluated alone by ``plan``
+    (without the latest evaluation it also returns)."""
     try:
         t = next(run)
         while True:
             (value,), (g_t,) = plan.half_information(t[None])
             t = run.send((value, g_t))
     except StopIteration as stop:
-        return stop.value
+        return stop.value[0]
 
 
 def test_a_descent_within_one_chart_is_one_lbfgsb_run(monkeypatch, tmp_path):
@@ -911,6 +917,123 @@ def test_recharted_descents_converge_on_the_benchmark_state(tmp_path):
         converged += rep.optimizer_ok
         assert abs(squashing_value(rho, BENCH_GROUPS, rep.ansatz) - rep.value) <= 1e-9
     assert converged >= 6
+
+
+def test_a_recharted_restart_reuses_its_last_evaluation(monkeypatch, tmp_path):
+    # at n = d_purify the re-charted extension is I (V psi), the one the run
+    # before ended on, bit for bit, so the next run starts from that answer:
+    # one restart at (4, 4) on the benchmark's state reports the value,
+    # iterations, message and ansatz of the search with the reuse switched
+    # off, and one evaluation fewer per re-chart
+    import privsq.squashed as sq
+
+    rho = bench_state(tmp_path)
+    cfg = OptimizerConfig(restarts=1, max_iters=500, seed=10_000_000)
+    recharts, rechart, lbfgsb = [], sq._rechart, sq._lbfgsb
+
+    def counted_rechart(*args):
+        recharts.append(1)
+        return rechart(*args)
+
+    monkeypatch.setattr(sq, "_rechart", counted_rechart)
+    reused = squashed_multi_upper(rho, BENCH_GROUPS, "total", 4, 4, cfg)
+    count = len(recharts)
+    monkeypatch.setattr(sq, "_lbfgsb", lambda objective, x0, max_iters, last=None, scale=None:
+                        lbfgsb(objective, x0, max_iters, None, scale))
+    off = squashed_multi_upper(rho, BENCH_GROUPS, "total", 4, 4, cfg)
+    assert count >= 1 and len(recharts) == 2 * count
+    (one,), (two,) = reused.restarts, off.restarts
+    counts = {"nfev": 0, "njev": 0}
+    assert asdict(one) | counts == asdict(two) | counts
+    assert one.nfev == one.njev == two.nfev - count
+    assert reused.ansatz.params.tobytes() == off.ansatz.params.tobytes()
+
+
+def test_a_run_from_a_stationary_known_start_makes_no_kernel_call():
+    # the restart's latest evaluation is at the run's start, with a zero
+    # gradient: the run ends there, its value that answer's, having yielded
+    # no extension, and hands the same evaluation on
+    from privsq.lbfgs import GRADIENT_CONVERGED
+
+    rng = np.random.Generator(np.random.PCG64(8))
+    psi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    objective = _descent(psi / np.linalg.norm(psi))
+    x0 = 0.3 * rng.standard_normal(ansatz_param_count(2, 2, 4))
+    t, _ = objective(x0)
+    last = (t.copy(), 0.25, np.zeros_like(t))
+    run = _lbfgsb(objective, x0, 50, last)
+    with pytest.raises(StopIteration) as stop:
+        next(run)
+    res, latest = stop.value.value
+    assert latest is last
+    assert (res.fun, res.nit, res.nfev, res.njev, res.message) == (0.25, 0, 0, 0,
+                                                                   GRADIENT_CONVERGED)
+    assert res.x.tobytes() == x0.tobytes() and not res.jac.any()
+
+
+@pytest.mark.parametrize("channel, value, warms",
+                         [(lambda: depolarizing_channel_full(), 0.0, True),
+                          (lambda: identity_channel(), 1.0, False)],
+                         ids=["depolarizing", "identity"])
+def test_channel_runs_reuse_answers_and_warm_the_next_descent(monkeypatch, channel, value,
+                                                               warms):
+    # within one chart (max_iters <= RECHART_ITERS) a channel restart's runs
+    # are descent, ascent per round, then three final descents.  Each of the
+    # four runs that starts where the one before ended reuses its answer;
+    # the later rounds' descent and the first final descent start with the
+    # curvature scale of the descent before them, and the first round, the
+    # ascents and the two fresh final descents start cold.  The identity
+    # channel's output is pure, so its descents start stationary, store no
+    # pair and warm nothing
+    runs = record_runs(monkeypatch)
+    cfg = OptimizerConfig(restarts=2, max_iters=60, seed=10_000_000)
+    rep = channel_squashed_upper(channel(), d_env=2, d_sink=2, cfg=cfg, rounds=2)
+    warm = 0
+    for j in range(cfg.restarts):
+        mine = [run for run in runs if run.restart == j]
+        assert len(mine) == 7
+        assert [run.kwargs["start"] is not None for run in mine] == [False] + [True] * 4 + [
+            False] * 2
+        scales = [run.kwargs["scale"] for run in mine]
+        assert scales == [None, None, mine[0].result.scale, None, mine[2].result.scale,
+                          None, None]
+        warm += sum(scale is not None for scale in scales)
+        assert rep.restarts[j].nfev == sum(run.result.nfev for run in mine)
+    assert (warm > 0) == warms and rep.value == pytest.approx(value, abs=0.01)
+
+
+def test_a_recharted_channel_descent_warms_no_later_descent(monkeypatch):
+    # a descent that re-charted ends in a chart whose metric is not the one
+    # the next descent starts in, so it hands on no curvature scale: with
+    # re-charts every 4 iterations, each descent that re-charted reports
+    # the scale None, and the descent after it starts cold
+    import privsq.squashed as sq
+
+    calls, descend = [], sq._descend
+
+    def recorded_descend(psi, x0, max_iters, last=None, scale=None):
+        recharts = len(rechart_calls)
+        res, latest = yield from descend(psi, x0, max_iters, last, scale)
+        calls.append(SimpleNamespace(scale=scale, result=res,
+                                     recharted=len(rechart_calls) > recharts))
+        return res, latest
+
+    rechart_calls, rechart = [], sq._rechart
+
+    def counted_rechart(*args):
+        rechart_calls.append(1)
+        return rechart(*args)
+
+    monkeypatch.setattr(sq, "RECHART_ITERS", 4)
+    monkeypatch.setattr(sq, "_descend", recorded_descend)
+    monkeypatch.setattr(sq, "_rechart", counted_rechart)
+    cfg = OptimizerConfig(restarts=1, max_iters=60, seed=10_000_000)
+    channel_squashed_upper(depolarizing_channel_full(), d_env=2, d_sink=2, cfg=cfg, rounds=2)
+    # round 1's and round 2's descents, then the three final descents
+    assert len(calls) == 5 and calls[0].recharted
+    assert all(call.result.scale is None for call in calls if call.recharted)
+    assert [call.scale for call in calls] == [None, calls[0].result.scale,
+                                              calls[1].result.scale, None, None]
 
 
 REPORT_KEYS = ["description", "value", "flavor", "dims", "seed", "best_restart",
