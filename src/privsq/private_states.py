@@ -167,21 +167,20 @@ class PrivateStateSpec:
         return partial_trace(self.shield_state, self.shield_labels)
 
 
-def _twist_parts(specs: Sequence[PrivateStateSpec]) -> tuple[np.ndarray, float, int]:
+def _twist_parts(controls: np.ndarray, parties: int, d: int) -> tuple[np.ndarray, float, int]:
     """The twist ``U = sum_idx |idx><idx| (x) U_idx`` on ``Phi (x) .`` for
-    :func:`private_state` and :func:`_purified_groups`, for specs that share
-    the key dimension and the shield state's layout: the ``(n, K, d, d)`` stack
-    of ``W_i = controls[i] (x) I_ext`` (the identity on the systems of
-    ``sigma`` past the shields), Phi's amplitude ``a = 1/sqrt(K)`` and the
-    flat step between the all-equal key indices, the only ones on which
+    :func:`private_state` and :func:`_purified_groups`, from ``n`` instances'
+    ``K`` controls stacked ``(n, K, d_sh, d_sh)``, for shield states of
+    dimension ``d`` on ``parties`` shields and the extension systems past
+    them: the ``(n, K, d, d)`` stack of ``W_i = controls[i] (x) I_ext`` (the
+    identity on the extension systems), Phi's amplitude ``a = 1/sqrt(K)`` and
+    the flat step between the all-equal key indices, the only ones on which
     ``Phi`` is nonzero."""
-    first = specs[0]
-    d = first.shield_state.dim
-    eye_ext = np.eye(d // prod(first.shield_dims))
-    u = np.array([spec.controls for spec in specs])
+    k, d_sh = controls.shape[1], controls.shape[-1]
+    eye_ext = np.eye(d // d_sh)
     # the products np.kron(u, eye_ext) forms, without its per-call overhead
-    w = (u[..., :, None, :, None] * eye_ext[None, :, None, :]).reshape(u.shape[:2] + (d, d))
-    return w, 1.0 / np.sqrt(first.key_dim), _all_equal_step(first.key_dim, first.parties)
+    w = (controls[..., :, None, :, None] * eye_ext[None, :, None, :]).reshape((-1, k, d, d))
+    return w, 1.0 / np.sqrt(k), _all_equal_step(k, parties)
 
 
 def private_state(spec: PrivateStateSpec) -> DensityOperator:
@@ -194,7 +193,7 @@ def private_state(spec: PrivateStateSpec) -> DensityOperator:
     ``|i..i>`` and ``|j..j>``."""
     k, m, sigma = spec.key_dim, spec.parties, spec.shield_state.matrix
     d = sigma.shape[0]
-    (w,), a, step = _twist_parts([spec])
+    (w,), a, step = _twist_parts(np.array([spec.controls]), m, d)
     # a*a, not 1/K: Phi's entry exactly as ghz_state builds it (the two differ
     # in the last bit at K = 2), so at K = 2 every block is bit for bit the
     # one the full product U (Phi (x) sigma) U^dag gives
@@ -208,45 +207,50 @@ def private_state(spec: PrivateStateSpec) -> DensityOperator:
                       out.reshape(k**m * d, k**m * d))
 
 
-def _purified_groups(specs: Sequence[PrivateStateSpec],
+def _purified_groups(layout: SystemLayout, parties: int, controls: np.ndarray,
+                     factors: Sequence[np.ndarray],
                      ref_label: str = "R") -> list[tuple[np.ndarray, np.ndarray, SystemLayout]]:
-    """Purifications ``U (|Phi> (x) |psi_sigma>)`` of specs that share the
-    key dimension and the shield state's layout, grouped by the rank of the
-    shield state, which fixes the reference dimension and so the layout:
-    ``[(indices, amplitudes, layout), ...]`` in ascending rank, row ``j`` of
-    ``amplitudes`` being the purification of ``specs[indices[j]]`` on
-    ``ref_label``, the keys, the shields and the extension systems.  All
-    shield states are purified by one stacked ``eigh``
-    (:func:`~privsq.tensor.purification_matrix`) and each group is twisted
-    by one stacked product: key value ``i`` contributes the block ``a W_i
-    psi_sigma^T`` at the all-equal index, so no matrix of the full
-    dimension is formed."""
-    first = specs[0]
-    k, m, sh_layout = first.key_dim, first.parties, first.shield_state.layout
-    systems = SystemLayout((lbl, k) for lbl in first.key_labels).concat(sh_layout)
-    psi = purification_matrix(np.stack([spec.shield_state.matrix for spec in specs]))
-    ranks = psi.any(-1).sum(-1)  # the rows past an instance's rank are zeros
+    """Purifications ``U (|Phi> (x) |psi_sigma>)`` of ``n`` private states
+    that share the key dimension and the shield state's ``layout`` (the
+    ``parties`` shields, then any extension systems), from each instance's
+    ``K`` twisting controls, stacked ``(n, K, d_sh, d_sh)``, and a square
+    root ``F`` of its shield state (``F F^dag = sigma``, ``d x c``).  The
+    instances are grouped by the column count ``c`` of their root, which
+    fixes the reference dimension and so the layout: ``[(indices,
+    amplitudes, layout), ...]`` in ascending ``c``, row ``j`` of
+    ``amplitudes`` being the purification of instance ``indices[j]`` on
+    ``ref_label``, the keys, the shields and the extension systems, with
+    amplitude ``F[x, r]`` on ``|r>_R |x>`` in the shield block.  Each group
+    is twisted by one stacked product: key value ``i`` contributes the
+    block ``a W_i F`` at the all-equal index, so no matrix of the full
+    dimension is formed, and no shield state is diagonalized here."""
+    k, d = controls.shape[1], layout.total_dim
+    systems = SystemLayout((lbl, k) for lbl in default_key_labels(parties)).concat(layout)
+    cols = np.array([f.shape[-1] for f in factors])
     groups = []
-    for r in sorted(set(ranks.tolist())):  # np.unique would import numpy.ma (2 MB)
-        idx = np.flatnonzero(ranks == r)
-        w, a, step = _twist_parts([specs[j] for j in idx])
-        out = np.zeros((len(idx), k**m, sh_layout.total_dim, r), dtype=complex)
-        out[:, ::step] = w @ (a * psi[idx, None, :r].swapaxes(-1, -2))
-        layout = SystemLayout(((ref_label, r),)).concat(systems)
-        groups.append((idx, out.reshape(len(idx), -1, r).swapaxes(1, 2).reshape(len(idx), -1),
-                       layout))
+    for c in sorted(set(cols.tolist())):  # np.unique would import numpy.ma (2 MB)
+        idx = np.flatnonzero(cols == c)
+        w, a, step = _twist_parts(controls[idx], parties, d)
+        out = np.zeros((len(idx), k**parties, d, c), dtype=complex)
+        out[:, ::step] = w @ (a * np.stack([factors[j] for j in idx])[:, None])
+        group_layout = SystemLayout(((ref_label, c),)).concat(systems)
+        groups.append((idx, out.reshape(len(idx), -1, c).swapaxes(1, 2).reshape(len(idx), -1),
+                       group_layout))
     return groups
 
 
 def purify_private_state(spec: PrivateStateSpec, ref_label: str = "R") -> PureStateVector:
     """``U (|Phi> (x) |psi_sigma>)`` on ``ref_label``, the keys, the shields
     and the spec's extension systems, in that order; ``psi_sigma`` is the
-    canonical purification of the spec's ``shield_state`` (the reference
-    dimension being its rank).  Tracing out ``ref_label`` gives
+    canonical purification of the spec's ``shield_state`` (one ``eigh``; the
+    reference dimension is its rank).  Tracing out ``ref_label`` gives
     :func:`private_state` of the spec; it is the batch of one of
-    ``_purified_groups``.  A ``ref_label`` that
-    names one of the spec's systems raises :class:`LayoutError`."""
-    ((_, amplitudes, layout),) = _purified_groups([spec], ref_label)
+    ``_purified_groups``, whose square root is the transposed canonical
+    purification ``psi_sigma^T``.  A ``ref_label`` that names one of the
+    spec's systems raises :class:`LayoutError`."""
+    root = purification_matrix(spec.shield_state.matrix).T
+    ((_, amplitudes, layout),) = _purified_groups(spec.shield_state.layout, spec.parties,
+                                                  np.array([spec.controls]), [root], ref_label)
     return _unchecked(PureStateVector, layout, amplitudes[0])
 
 
@@ -423,10 +427,15 @@ def random_private_spec(
     place); anything else raises ``TypeError``, as in the samplers.  One
     Haar unitary is drawn for each of the ``K^m`` key-index tuples, in
     key-index order, and the ``K`` all-equal ones are kept as the controls;
-    the shield state is drawn after them.  Only the kept draws are
-    factored.  This is the batch of one of ``_random_private_specs``, which
-    factors the controls of a whole batch in one stacked QR (the lemmas
-    suite's 125 specs take two ``qr`` calls, one per party count).
+    the shield state, ``G G^dag / Tr`` of a Ginibre matrix ``G`` (``d x
+    rank``), is drawn after them.  Only the kept draws are factored.  This
+    is the batch of one of ``_random_private_specs``, which factors the
+    controls of a whole batch in one stacked QR.  The lemmas suite takes the
+    same draws (``_private_spec_draws``, two ``qr`` calls for its 125
+    instances, one per party count) but forms no spec: its instance ``i``
+    is still the extension of ``random_private_spec(seed + i)``, purified
+    from ``G / ||G||_F`` and not canonically, so the seed contract is the
+    same.
 
     With ``ext_dim`` set, the shield state is sampled on shields plus an
     extension system ``E`` of that dimension (its shield marginal then
@@ -439,8 +448,26 @@ def random_private_spec(
 def _random_private_specs(key_dim: int, shield_dims: Sequence[int],
                           seeds: Sequence[int | np.random.Generator], ranks: Sequence[int | None],
                           ext_dim: int | None = None) -> list[PrivateStateSpec]:
-    """:func:`random_private_spec` of each seed and rank, bit for bit, with one stacked QR
-    for every control and one stacked Ginibre product per rank; refusals come first."""
+    """:func:`random_private_spec` of each seed and rank, bit for bit: the
+    draws of :func:`_private_spec_draws`, and each rank's shield states from
+    one stacked Ginibre product, taken in instance order."""
+    layout, controls, ginibres = _private_spec_draws(key_dim, shield_dims, seeds, ranks, ext_dim)
+    shield_dims, ranks = layout.dims[:len(shield_dims)], [g.shape[1] for g in ginibres]
+    sigmas = {r: iter(_ginibre_density(np.stack([g for g in ginibres if g.shape[1] == r])))
+              for r in set(ranks)}
+    return [_unchecked(PrivateStateSpec, int(key_dim), shield_dims,
+                       _unchecked(DensityOperator, layout, next(sigmas[r])), tuple(u))
+            for r, u in zip(ranks, controls)]
+
+
+def _private_spec_draws(key_dim: int, shield_dims: Sequence[int],
+                        seeds: Sequence[int | np.random.Generator], ranks: Sequence[int | None],
+                        ext_dim: int | None = None) -> tuple[SystemLayout, np.ndarray, list]:
+    """What :func:`random_private_spec` draws for each seed and rank, as
+    ``(layout, controls, ginibres)``: the shield state's layout, every
+    instance's ``K`` kept Haar controls stacked ``(n, K, d_sh, d_sh)`` and
+    factored by one stacked QR, and its Ginibre matrix ``G`` (``d x rank``),
+    whose ``G G^dag / Tr`` is its shield state.  Refusals come first."""
     shield_dims = tuple(int(d) for d in shield_dims)
     parties = len(shield_dims)
     _check_counts(key_dim, parties)
@@ -459,12 +486,21 @@ def _random_private_specs(key_dim: int, shield_dims: Sequence[int],
     draws = [(rng.standard_normal((key_dim**parties, 2, d_sh, d_sh)),
               rng.standard_normal((2, d, rank))) for rng, rank in zip(rngs, ranks, strict=True)]
     controls = _haar_from_normals(np.stack([haar[::step] for haar, _ in draws]))
-    # each rank's shield states from one stacked product, taken in instance order
-    sigmas = {r: iter(_ginibre_density(np.stack([z for _, z in draws if z.shape[-1] == r])))
-              for r in set(ranks)}
-    return [_unchecked(PrivateStateSpec, int(key_dim), shield_dims,
-                       _unchecked(DensityOperator, layout, next(sigmas[r])), tuple(u))
-            for r, u in zip(ranks, controls)]
+    return layout, controls, [z[0] + 1j * z[1] for _, z in draws]
+
+
+def _random_purified_groups(key_dim: int, shield_dims: Sequence[int],
+                            seeds: Sequence[int | np.random.Generator], ranks: Sequence[int | None],
+                            ext_dim: int | None = None) -> list[tuple[np.ndarray, np.ndarray, SystemLayout]]:
+    """:func:`_purified_groups` of the states of ``_random_private_specs``:
+    instance ``i`` purifies ``private_state`` of the ``i``-th spec (tracing
+    out ``R`` gives it), but from the normalized Ginibre matrix ``F = G /
+    ||G||_F`` of its draw (``F F^dag = G G^dag / Tr``, the shield state),
+    not canonically: no shield state is formed or diagonalized, and the
+    reference dimension is the rank."""
+    layout, controls, ginibres = _private_spec_draws(key_dim, shield_dims, seeds, ranks, ext_dim)
+    factors = [g / np.linalg.norm(g) for g in ginibres]  # the Frobenius norm
+    return _purified_groups(layout, len(shield_dims), controls, factors)
 
 
 __all__ = [

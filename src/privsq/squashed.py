@@ -38,7 +38,7 @@ import cmath
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
 from itertools import islice
-from math import inf, log, log2, pi, prod, sqrt
+from math import inf, isfinite, log, log2, pi, prod, sqrt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -603,6 +603,14 @@ def _check_esq(esq_value: float) -> None:
         raise ValueError(f"esq {esq_value} must be finite and >= 0")
 
 
+def _finite_bound(rhs: float, esq_value: float) -> float:
+    """``rhs``, refused where a finite ``esq`` overflowed it: a bound of
+    infinity says nothing, and no JSON report can hold it."""
+    if not isfinite(rhs):
+        raise ValueError(f"the bound at esq {esq_value} is not finite ({rhs})")
+    return rhs
+
+
 def key_length_bound(
     esq_value: float,
     eps: float,
@@ -618,6 +626,7 @@ def key_length_bound(
     f(sqrt(eps), K))``, one bound for both flavors of multipartite squashed
     entanglement.  That is the form the former default constants ``(4, 4)``
     gave; no derivation in this package backs it yet (ROADMAP item 17).
+    A bound that is not finite raises ``ValueError``.
     """
     _check_esq(esq_value)
     _check_ints(key_dim=key_dim, **({} if parties is None else {"parties": parties}))
@@ -627,10 +636,10 @@ def key_length_bound(
         raise ValueError(f"eps {eps} outside [0, 1]")
     f = cmi_continuity(sqrt(eps), log2(key_dim))
     if parties is None:
-        return esq_value + f
+        return _finite_bound(esq_value + f, esq_value)
     if parties < 2:
         raise ValueError(f"the multipartite bound needs a party count of at least 2, got {parties}")
-    return (2.0 / parties) * (esq_value + 2 * parties * f)
+    return _finite_bound((2.0 / parties) * (esq_value + 2 * parties * f), esq_value)
 
 
 def key_rate_bound(esq_value: float, eps: float, rounds: int) -> float:
@@ -644,7 +653,8 @@ def key_rate_bound(esq_value: float, eps: float, rounds: int) -> float:
     LOCC monotonicity and additivity (Christandl & Winter, quant-ph/0308088);
     solving for ``R`` gives this bound.  It grows with ``esq``, so any sound
     upper bound on ``E_sq(rho)`` may be passed.  Only valid when ``1 - 2
-    sqrt(eps) > 0``; larger ``eps`` raises.
+    sqrt(eps) > 0``; larger ``eps`` raises, as does an ``esq`` so large
+    that the bound overflows.
     """
     _check_esq(esq_value)
     if not 0.0 <= eps <= 1.0:
@@ -657,7 +667,8 @@ def key_rate_bound(esq_value: float, eps: float, rounds: int) -> float:
         raise ValueError(
             f"key rate bound requires 1 - 2*sqrt(eps) > 0; eps = {eps} gives {denom:.6g}"
         )
-    return esq_value / denom + cmi_continuity(sqrt(eps), 0.0) / (rounds * denom)
+    return _finite_bound(esq_value / denom + cmi_continuity(sqrt(eps), 0.0) / (rounds * denom),
+                         esq_value)
 
 
 # ---------------------------------------------------------------------------

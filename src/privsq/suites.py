@@ -27,9 +27,10 @@ from .layout import SystemLayout
 from .metric import fidelity, trace_distance
 from .private_states import (
     _identity_residuals,
-    _purified_groups,
-    _random_private_specs,
+    _random_purified_groups,
     approx_private_state,
+    default_key_labels,
+    default_shield_labels,
     private_state,
     random_private_spec,
     uniform_classical,
@@ -105,18 +106,23 @@ def suite_lemmas(instances: int = 100, seed: int = 0) -> SuiteResult:
     """Residuals of the four private-state identities on random extensions
     (two parties: K=2, qubit shields, qubit extension; three parties same,
     on a quarter as many instances).  The bipartite rows are held to 1e-7
-    and the larger three-party states to 1e-6.  Instance
-    ``i`` keeps its own stream, seed ``seed + i`` (three parties: ``seed +
-    10_000 + i``).  Each extension enters as its purification
-    (``purify_private_state``), so no matrix of its dimension is formed.
-    The work is batched per party count (one draw of all its specs, whose
-    controls take one stacked QR: two ``qr`` calls for the default 250; one
-    stacked ``eigh`` purifies every shield state) and per shield rank, which
-    fixes the layout (one stacked twist, and one stacked ``eigvalsh`` per
-    Gram size over every instance of that rank).  At two parties the four
-    identities are one entropy sum, as ``I(AA';BB'|E) - I(A';B'|AE) =
-    I(A;BB'|E) + I(A';B|AB'E)`` by the chain rule, so the two bipartite
-    rows always read the same residual."""
+    and the larger three-party states to 1e-6.  Instance ``i`` is the
+    extension ``private_state(random_private_spec(seed + i))`` at shield
+    rank ``i % 8 + 1`` (three parties: seed ``seed + 10_000 + i``, rank ``i
+    % 16 + 1``), so the seed contract is unchanged.  Each extension enters
+    as a purification, so no matrix of its dimension is formed, and that
+    purification is read off the draw: ``sigma = G G^dag / Tr`` for the
+    Ginibre matrix ``G`` of the instance, so ``F = G / ||G||_F`` is a square
+    root of ``sigma`` and purifies it (``_random_purified_groups``), where
+    :func:`~privsq.private_states.purify_private_state` diagonalizes
+    ``sigma``.  No shield state, spec or ``eigh`` call is made.  The work is
+    batched per party count (one draw of all its instances, whose controls
+    take one stacked QR: two ``qr`` calls for the default 250) and per
+    shield rank, which fixes the layout (one stacked twist, and one stacked
+    ``eigvalsh`` per Gram size over every instance of that rank).  At two
+    parties the four identities are one entropy sum, as ``I(AA';BB'|E) -
+    I(A';B'|AE) = I(A;BB'|E) + I(A';B|AB'E)`` by the chain rule, so the two
+    bipartite rows always read the same residual."""
     _check_instances(instances)
     multi_instances = max(instances // 4, 1)
     worst: dict[str, float] = {}
@@ -124,12 +130,12 @@ def suite_lemmas(instances: int = 100, seed: int = 0) -> SuiteResult:
         (2, instances, 0, 8, ("bipartite", "bipartite_joint")),
         (3, multi_instances, 10_000, 16, ("multi_total", "multi_dual")),
     ):
-        specs = _random_private_specs(2, (2,) * parties, [seed + offset + i for i in range(count)],
-                                      [_cycle_rank(i, ranks) for i in range(count)], ext_dim=2)
-        for _, amplitudes, layout in _purified_groups(specs):
-            names, residuals = _identity_residuals(amplitudes, layout, specs[0].key_labels,
-                                                   specs[0].shield_labels,
-                                                   specs[0].extension_labels)
+        groups = _random_purified_groups(2, (2,) * parties,
+                                         [seed + offset + i for i in range(count)],
+                                         [_cycle_rank(i, ranks) for i in range(count)], ext_dim=2)
+        for _, amplitudes, layout in groups:
+            names, residuals = _identity_residuals(amplitudes, layout, default_key_labels(parties),
+                                                   default_shield_labels(parties), ("E",))
             for name, column in zip(names, residuals.T):
                 if name in kinds:
                     worst[name] = max(worst.get(name, 0.0), float(column.max()))

@@ -383,14 +383,13 @@ def random_density(
     d = layout.total_dim
     if not 1 <= rank <= d:
         raise ValueError(f"rank {rank} out of range 1..{d}")
-    return _unchecked(DensityOperator, layout,
-                      _ginibre_density(_seeded_rng(seed).standard_normal((2, d, rank))))
+    z = _seeded_rng(seed).standard_normal((2, d, rank))  # real parts of G, then imaginary
+    return _unchecked(DensityOperator, layout, _ginibre_density(z[0] + 1j * z[1]))
 
 
-def _ginibre_density(z: np.ndarray) -> np.ndarray:
-    """``G G^dag / Tr`` from normals shaped ``(..., 2, d, rank)`` (real parts
-    of ``G``, then imaginary parts), stacked over the leading axes."""
-    g = z[..., 0, :, :] + 1j * z[..., 1, :, :]
+def _ginibre_density(g: np.ndarray) -> np.ndarray:
+    """``G G^dag / Tr`` of Ginibre matrices ``G`` shaped ``(..., d, rank)``,
+    stacked over the leading axes."""
     mat = g @ g.conj().swapaxes(-1, -2)
     return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
 

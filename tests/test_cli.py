@@ -123,6 +123,19 @@ def test_bound_refuses_invalid_input(argv, message, capsys):
     assert message in err and "kind" not in err
 
 
+@pytest.mark.parametrize("out", (False, True), ids=("stdout", "out"))
+def test_bound_refuses_a_bound_that_overflows(out, tmp_path, capsys):
+    # esq / (1 - 2 sqrt(0.2)) overflows the finite esq 1.7e308 to infinity: the
+    # command prints nothing on stdout and writes no report, with --out or without
+    report = tmp_path / "r.json"
+    argv = ["bound", "--rate", "--esq", "1.7e308", "--eps", "0.2"]
+    assert run_cli(argv + (["--out", str(report)] if out else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+    assert not report.exists()
+
+
 RATE = ["bound", "--rate", "--esq", "1.0", "--eps", "0.01"]
 
 

@@ -38,6 +38,7 @@ from privsq.private_states import (
     _identity_residuals,
     _identity_terms,
     _purified_groups,
+    _random_purified_groups,
     approx_private_state,
     private_state,
 )
@@ -60,7 +61,7 @@ from privsq.stateio import read_state
 from privsq.tensor import entropy_bits, purification_matrix
 
 from dataclasses import asdict
-from math import log2, prod, sqrt
+from math import inf, log2, prod, sqrt
 from types import SimpleNamespace
 
 
@@ -1431,34 +1432,51 @@ def test_identity_residual_matches_partial_trace_entropies():
     (3, 2, (2, 2, 7)),
     (2, 3, (16, 4, 1, 4)),
     (3, 3, (1, 3, 3)),
+    # every rank of the lemmas suite's cycles, and a repeat
+    pytest.param(2, 2, tuple(range(1, 9)) + (8,), id="2-2-suite-cycle"),
+    pytest.param(2, 3, tuple(range(1, 17)) + (16,), id="2-3-suite-cycle"),
 ])
 def test_batched_identity_residuals_match_partial_trace_forms(key_dim, parties, ranks):
-    """One batch of specs with mixed shield ranks: every rank group holds
-    the purifications of exactly its specs (tracing out R gives each
-    extension), and each instance's residuals equal |m log2 K - RHS| with
-    the right side from partial traces of its extension."""
-    specs = [random_private_spec(key_dim, (2,) * parties, seed=170 + 10 * parties + key_dim + j,
-                                 ext_dim=2, sigma_rank=rank) for j, rank in enumerate(ranks)]
-    groups = _purified_groups(specs)
-    assert sorted(j for idx, _, _ in groups for j in idx) == list(range(len(specs)))
+    """One batch of specs with mixed shield ranks, purified twice: from the
+    specs' canonical purifications, as ``purify_private_state`` does, and
+    from the normalized Ginibre matrices of the same draws, as the lemmas
+    suite does (``_random_purified_groups``).  In both, every rank group
+    holds the purifications of exactly its specs (tracing out R gives each
+    extension ``private_state(random_private_spec(seed, rank))``), the
+    reference dimension is the rank, and each instance's residuals equal
+    |m log2 K - RHS| with the right side from partial traces of its
+    extension.  A conjugated, unnormalized or transposed Ginibre factor
+    fails here: conjugation keeps every identity true, on another ensemble
+    than the seeds name."""
+    dims = (2,) * parties
+    seeds = [170 + 10 * parties + key_dim + j for j in range(len(ranks))]
+    specs = [random_private_spec(key_dim, dims, seed=seed, ext_dim=2, sigma_rank=rank)
+             for seed, rank in zip(seeds, ranks)]
+    exts = [private_state(spec) for spec in specs]
+    rhs = [_partial_trace_identities(ext, spec.key_labels, spec.shield_labels)
+           for ext, spec in zip(exts, specs)]
+    roots = [purification_matrix(spec.shield_state.matrix).T for spec in specs]
+    canonical = _purified_groups(specs[0].shield_state.layout, parties,
+                                 np.array([spec.controls for spec in specs]), roots)
+    drawn = _random_purified_groups(key_dim, dims, seeds, ranks, ext_dim=2)
     # the reference dimension is the rank; a full-rank shield state has 2^(m+1)
     full = 2 ** (parties + 1)
-    assert [layout.dims[0] for _, _, layout in groups] == sorted({r or full for r in ranks})
-    for idx, _, layout in groups:
-        assert {ranks[j] or full for j in idx} == {layout.dims[0]}
     lhs = parties * log2(key_dim)
-    for idx, amplitudes, layout in groups:
-        kinds, residuals = _identity_residuals(amplitudes, layout, specs[0].key_labels,
-                                               specs[0].shield_labels, ("E",))
-        assert residuals.shape == (len(idx), len(kinds))
-        for j, amp, row in zip(idx, amplitudes, residuals):
-            ext = private_state(specs[j])
-            reduced = partial_trace(PureStateVector(amp, layout).density(), layout.labels[1:])
-            assert np.abs(reduced.matrix - ext.matrix).max() < 1e-14
-            rhs = _partial_trace_identities(ext, specs[j].key_labels, specs[j].shield_labels)
-            assert set(kinds) == set(rhs)
-            for kind, got in zip(kinds, row):
-                assert abs(got - abs(lhs - rhs[kind])) < 1e-12, (j, kind)
+    for groups in (canonical, drawn):
+        assert sorted(j for idx, _, _ in groups for j in idx) == list(range(len(specs)))
+        assert [layout.dims[0] for _, _, layout in groups] == sorted({r or full for r in ranks})
+        for idx, amplitudes, layout in groups:
+            assert {ranks[j] or full for j in idx} == {layout.dims[0]}
+            kinds, residuals = _identity_residuals(amplitudes, layout, specs[0].key_labels,
+                                                   specs[0].shield_labels, ("E",))
+            assert residuals.shape == (len(idx), len(kinds))
+            for j, amp, row in zip(idx, amplitudes, residuals):
+                assert layout.systems[1:] == exts[j].layout.systems
+                psi = amp.reshape(layout.dims[0], -1)  # rows: R
+                assert np.abs(psi.T @ psi.conj() - exts[j].matrix).max() < 1e-14
+                assert set(kinds) == set(rhs[j])
+                for kind, got in zip(kinds, row):
+                    assert abs(got - abs(lhs - rhs[j][kind])) < 1e-12, (j, kind)
 
 
 def test_identity_residual_refuses_unknown_labels():
@@ -1514,6 +1532,21 @@ def test_key_bounds_refuse_non_finite_or_negative_esq(esq):
         key_length_bound(esq, 0.01, 2)
     with pytest.raises(ValueError, match="esq"):
         key_rate_bound(esq, 0.01, 100)
+
+
+def test_key_bounds_refuse_a_bound_that_overflows(monkeypatch):
+    # a finite esq can overflow the rate bound: 1.7e308 / (1 - 2 sqrt(0.2)) is inf
+    with pytest.raises(ValueError, match=r"the bound at esq 1.7e\+308 is not finite \(inf\)"):
+        key_rate_bound(1.7e308, 0.2, 1)
+    assert key_rate_bound(1.7e307, 0.2, 1) < inf
+    # the key-length bound's continuity term is finite at every valid input, so
+    # its guard is reached with an infinite one patched in
+    import privsq.squashed
+
+    monkeypatch.setattr(privsq.squashed, "cmi_continuity", lambda *args: inf)
+    for parties in (None, 3):
+        with pytest.raises(ValueError, match="the bound at esq 0.9 is not finite"):
+            key_length_bound(0.9, 0.01, 2, parties=parties)
 
 
 def test_key_length_bound_refuses_small_key_or_party_count():

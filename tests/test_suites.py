@@ -86,14 +86,14 @@ def test_suite_lemmas_rows_at_fixed_seeds(seed):
 
 
 def test_suite_lemmas_batching_counts_follow_from_the_dims(monkeypatch):
-    """One stacked ``eigh`` purifies the shield states of each party count,
-    and one stacked ``eigvalsh`` per rank and Gram size gives every marginal
-    of every instance.  Instance ``i`` has shield rank ``i % ranks + 1`` and
-    layout (R: rank, keys, shields, E), all but R qubits, so ``D = r
-    2^(2m+1)``; a marginal ``X`` is read on its smaller side,
-    ``min(d_X, D / d_X)``.  Both counts follow from the identities' marginals
-    and these dims alone."""
-    eigvalsh, eigh, calls, matrices, purified = np.linalg.eigvalsh, np.linalg.eigh, [], [], []
+    """No ``eigh`` call: each shield state is purified by its normalized
+    Ginibre matrix, not diagonalized.  One stacked ``eigvalsh`` per rank and
+    Gram size gives every marginal of every instance.  Instance ``i`` has
+    shield rank ``i % ranks + 1`` and layout (R: rank, keys, shields, E),
+    all but R qubits, so ``D = r 2^(2m+1)``; a marginal ``X`` is read on its
+    smaller side, ``min(d_X, D / d_X)``.  Both ``eigvalsh`` counts follow
+    from the identities' marginals and these dims alone."""
+    eigvalsh, eigh, calls, matrices, diagonalized = np.linalg.eigvalsh, np.linalg.eigh, [], [], []
 
     def counted_eigvalsh(a, *args, **kwargs):
         calls.append(a.shape[-1])
@@ -101,7 +101,7 @@ def test_suite_lemmas_batching_counts_follow_from_the_dims(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     def counted_eigh(a, *args, **kwargs):
-        purified.append(a.shape[-1])
+        diagonalized.append(a.shape[-1])
         return eigh(a, *args, **kwargs)
 
     want_calls = want_matrices = 0
@@ -120,7 +120,7 @@ def test_suite_lemmas_batching_counts_follow_from_the_dims(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     assert suite_lemmas(seed=1).passed
     assert (len(calls), len(matrices)) == (want_calls, want_matrices)
-    assert purified == [8, 16]  # shields and E: 2^(m+1) at two and three parties
+    assert diagonalized == []
 
 
 def test_suite_lemmas_factors_every_control_in_one_qr_per_party_count(monkeypatch):
